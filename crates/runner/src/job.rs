@@ -354,6 +354,12 @@ impl RunRecord {
 
     /// Serializes the record as a single JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
+        self.to_value().to_string()
+    }
+
+    /// The record as a JSON object, the tree [`RunRecord::to_json_line`]
+    /// writes (the wire protocol embeds it in its frames).
+    pub fn to_value(&self) -> Value {
         let kernels = Value::Arr(
             self.kernels
                 .iter()
@@ -424,7 +430,6 @@ impl RunRecord {
             ),
             ("quarantined".into(), Value::Bool(self.quarantined)),
         ])
-        .to_string()
     }
 
     /// Parses a record from one JSON line.
@@ -435,6 +440,15 @@ impl RunRecord {
     /// field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let v = Value::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+        Self::from_value(&v)
+    }
+
+    /// Reads a record from a [`RunRecord::to_value`]-shaped object.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message on a missing or mistyped field.
+    pub fn from_value(v: &Value) -> Result<Self, String> {
         if v.get("kind").and_then(Value::as_str) != Some("run") {
             return Err("not a run record (kind != \"run\")".into());
         }

@@ -215,20 +215,27 @@ fn watchdog<T: Send + 'static>(
     limit: Duration,
 ) -> Completion<T> {
     let (tx, rx) = mpsc::channel();
+    let deadline = Instant::now() + limit;
     let handle = thread::Builder::new()
         .name("sdvbs-runner-job".into())
         .spawn(move || {
             let result = catch_unwind(AssertUnwindSafe(work));
             // The watchdog may have given up on us; a dead receiver is fine.
-            let _ = tx.send(result);
+            let _ = tx.send((result, Instant::now()));
         })
         .expect("spawning a job thread");
     match rx.recv_timeout(limit) {
-        Ok(Ok(value)) => {
+        // The job finished past its deadline, but the watchdog thread was
+        // descheduled and only looked afterwards: still an overrun.
+        Ok((_, finished)) if finished > deadline => {
+            let _ = handle.join();
+            Completion::TimedOut { limit }
+        }
+        Ok((Ok(value), _)) => {
             let _ = handle.join(); // finished: reap promptly
             Completion::Done(value)
         }
-        Ok(Err(payload)) => {
+        Ok((Err(payload), _)) => {
             let message = panic_message(payload.as_ref());
             let _ = handle.join();
             Completion::Panicked { message }

@@ -26,7 +26,7 @@
 
 use sdvbs_runner::{Job, RunRecord, RunStatus};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Default cache capacity when no `--cache-capacity` flag is given.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
@@ -53,11 +53,42 @@ pub fn spec_digest(spec: &Job) -> u64 {
     fnv1a(cache_preimage(spec).as_bytes())
 }
 
+/// A finished job's [`RunRecord`] together with its JSON line, serialized
+/// once when the job completes. The job table, the result cache, cache
+/// hits and job snapshots all share one `Arc` of it, so answering a hit or
+/// a `done` poll writes the stored bytes instead of cloning and
+/// re-serializing the record.
+#[derive(Debug)]
+pub struct ServedRecord {
+    record: RunRecord,
+    json: String,
+}
+
+impl ServedRecord {
+    /// Serializes `record` ([`RunRecord::to_json_line`]) and wraps both
+    /// for sharing.
+    pub fn new(record: RunRecord) -> Arc<ServedRecord> {
+        let json = record.to_json_line();
+        Arc::new(ServedRecord { record, json })
+    }
+
+    /// The record.
+    pub fn record(&self) -> &RunRecord {
+        &self.record
+    }
+
+    /// The record's JSON line, exactly as [`RunRecord::to_json_line`]
+    /// writes it.
+    pub fn json(&self) -> &str {
+        &self.json
+    }
+}
+
 /// What a cache lookup found.
 #[derive(Debug, Clone)]
 pub enum CacheLookup {
     /// Digest and preimage both match: a true hit.
-    Hit(Box<RunRecord>),
+    Hit(Arc<ServedRecord>),
     /// Digest matches but the stored preimage differs — a 64-bit
     /// collision. The caller must execute (miss semantics) and should
     /// count it.
@@ -82,7 +113,7 @@ pub struct PutOutcome {
 struct CacheEntry {
     /// The canonical preimage, verified on every hit.
     key: String,
-    record: RunRecord,
+    record: Arc<ServedRecord>,
     /// Monotone access stamp; smallest = least recently used.
     last_used: u64,
 }
@@ -136,7 +167,7 @@ impl ResultCache {
             Some(entry) if entry.key != key => CacheLookup::Collision,
             Some(entry) => {
                 entry.last_used = tick;
-                CacheLookup::Hit(Box::new(entry.record.clone()))
+                CacheLookup::Hit(Arc::clone(&entry.record))
             }
         }
     }
@@ -145,8 +176,8 @@ impl ResultCache {
     /// non-quarantined record is worth serving again; failures must
     /// re-execute on resubmission. At capacity, the least-recently-used
     /// entry is evicted first.
-    pub fn put(&self, digest: u64, key: &str, record: &RunRecord) -> PutOutcome {
-        if record.status != RunStatus::Completed || record.quarantined {
+    pub fn put(&self, digest: u64, key: &str, record: &Arc<ServedRecord>) -> PutOutcome {
+        if record.record.status != RunStatus::Completed || record.record.quarantined {
             return PutOutcome::default();
         }
         let mut inner = self.lock();
@@ -175,7 +206,7 @@ impl ResultCache {
             digest,
             CacheEntry {
                 key: key.to_string(),
-                record: record.clone(),
+                record: Arc::clone(record),
                 last_used: tick,
             },
         );
@@ -220,8 +251,8 @@ mod tests {
         )
     }
 
-    fn record(status: RunStatus, quarantined: bool) -> RunRecord {
-        RunRecord {
+    fn record(status: RunStatus, quarantined: bool) -> Arc<ServedRecord> {
+        ServedRecord::new(RunRecord {
             job_id: 0,
             benchmark: "Disparity Map".into(),
             size: "sqcif".into(),
@@ -249,10 +280,10 @@ mod tests {
             attempts: 1,
             injected: Vec::new(),
             quarantined,
-        }
+        })
     }
 
-    fn clean() -> RunRecord {
+    fn clean() -> Arc<ServedRecord> {
         record(RunStatus::Completed, false)
     }
 

@@ -26,7 +26,9 @@
 //! worker's trace epoch by the clock offset estimated at handshake.
 
 use crate::backend::Backend;
-use crate::cache::{cache_preimage, spec_digest, CacheLookup, ResultCache, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{
+    cache_preimage, spec_digest, CacheLookup, ResultCache, ServedRecord, DEFAULT_CACHE_CAPACITY,
+};
 use crate::coalesce::InflightMap;
 use crate::engine::{group_key, JobSnapshot, Submission};
 use crate::protocol::{self, OrphanDisposition, RetryPolicy};
@@ -110,7 +112,7 @@ enum CJobState {
     /// Dispatched to worker `i`, awaiting its result.
     Dispatched(usize),
     /// Finished with a record.
-    Done(Box<RunRecord>),
+    Done(Arc<ServedRecord>),
     /// Refused without a result (drain, or a worker-side validation
     /// error).
     Rejected(String),
@@ -487,6 +489,9 @@ impl ClusterEngine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&id);
+        // Serialize once, outside the state lock: every later hit and poll
+        // writes these bytes.
+        let served = ServedRecord::new(record);
         let mut st = self.lock_state();
         let Some(job) = st.jobs.get_mut(id as usize) else {
             return;
@@ -494,15 +499,15 @@ impl ClusterEngine {
         if !matches!(job.state, CJobState::Dispatched(_)) {
             return;
         }
-        let outcome = self.cache.put(job.digest, &job.key, &record);
+        let outcome = self.cache.put(job.digest, &job.key, &served);
         if outcome.evicted {
             self.incr("cache_evictions");
         }
         if outcome.collided {
             self.incr("cache_key_collisions");
         }
-        self.observe("job_exec_ms", record.wall_ms);
-        job.state = CJobState::Done(Box::new(record));
+        self.observe("job_exec_ms", served.record().wall_ms);
+        job.state = CJobState::Done(served);
         let digest = job.digest;
         st.inflight.release(digest, id);
         st.outstanding = st.outstanding.saturating_sub(1);
@@ -868,7 +873,7 @@ fn snapshot(id: u64, job: &CJob) -> JobSnapshot {
         CJobState::Done(record) => JobSnapshot {
             id,
             state: "done",
-            record: Some(record.as_ref().clone()),
+            record: Some(Arc::clone(record)),
             detail: String::new(),
         },
         CJobState::Rejected(why) | CJobState::Quarantined(why) => JobSnapshot {

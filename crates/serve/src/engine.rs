@@ -31,7 +31,9 @@
 //! cache/coalesce/admission decisions are atomic with respect to worker
 //! completions.
 
-use crate::cache::{cache_preimage, spec_digest, CacheLookup, ResultCache, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{
+    cache_preimage, spec_digest, CacheLookup, ResultCache, ServedRecord, DEFAULT_CACHE_CAPACITY,
+};
 use crate::coalesce::InflightMap;
 use crate::sched::{self, Batch, JobClass, SchedConfig, SchedPushError, SchedQueue};
 use crate::shutdown::DrainReport;
@@ -41,11 +43,11 @@ use crate::stream::{
 };
 use sdvbs_core::ExecPolicy;
 use sdvbs_exec::ClockHandle;
-use sdvbs_runner::{execute_job_warm, size_label, HostMeta, Job, RunRecord, RunStatus};
+use sdvbs_runner::{execute_job_warm, size_label, HostMeta, Job, RunStatus};
 use sdvbs_stream::{fold_digest, StreamSpec};
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{alloc_track, now_us, MetricsRegistry, Phase, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -108,11 +110,10 @@ enum JobState {
     Running,
     /// Execution finished; the record is the result (which may itself
     /// report a failed status — that is still a terminal, pollable state).
-    /// Boxed to keep the variant near the size of its siblings.
-    Done(Box<RunRecord>),
+    Done(Arc<ServedRecord>),
     /// A stream frame finished; the string is the pipeline's one-line
-    /// summary (frames have no [`RunRecord`] — their results live in the
-    /// stream's status window).
+    /// summary (frames have no [`sdvbs_runner::RunRecord`] — their results
+    /// live in the stream's status window).
     FrameDone(String),
     /// The engine refused to run it (drain started before a worker picked
     /// it up, or the spec failed validation inside the engine).
@@ -134,14 +135,17 @@ struct JobEntry {
     /// The canonical cache preimage, verified on every cache hit.
     key: String,
     state: JobState,
-    /// Clock time after which the terminal entry may be retired.
-    retire_at: Option<Duration>,
 }
 
 struct EngineState {
     /// Job table keyed by id — a map, not a vec, so retiring old entries
     /// never moves or reuses a live id.
     jobs: HashMap<u64, JobEntry>,
+    /// Terminal jobs with the clock time after which each may be retired,
+    /// oldest first. The TTL is uniform and deadlines are taken under the
+    /// state lock from a monotone clock, so the queue is in deadline
+    /// order and a sweep stops at the first entry not yet due.
+    retiring: VecDeque<(Duration, u64)>,
     next_id: u64,
     inflight: InflightMap,
     draining: bool,
@@ -156,9 +160,8 @@ struct EngineState {
 /// How the engine answered a submission.
 #[derive(Debug, Clone)]
 pub enum Submission {
-    /// Served from the result cache without executing anything. Boxed to
-    /// keep the variant near the size of its siblings.
-    Cached(Box<RunRecord>),
+    /// Served from the result cache without executing anything.
+    Cached(Arc<ServedRecord>),
     /// Accepted as a new job with this id.
     Queued(u64),
     /// Attached to an identical in-flight job with this id.
@@ -176,8 +179,8 @@ pub struct JobSnapshot {
     pub id: u64,
     /// `"queued"`, `"running"`, `"done"`, or `"rejected"`.
     pub state: &'static str,
-    /// The run record, once done.
-    pub record: Option<RunRecord>,
+    /// The run record and its JSON line, once done.
+    pub record: Option<Arc<ServedRecord>>,
     /// The rejection reason, when rejected.
     pub detail: String,
 }
@@ -217,6 +220,7 @@ impl Engine {
         let engine = Arc::new(Engine {
             state: Mutex::new(EngineState {
                 jobs: HashMap::new(),
+                retiring: VecDeque::new(),
                 next_id: 0,
                 inflight: InflightMap::new(),
                 draining: false,
@@ -291,7 +295,6 @@ impl Engine {
                 digest,
                 key,
                 state: JobState::Queued,
-                retire_at: None,
             },
         );
         st.inflight.claim(digest, id);
@@ -518,7 +521,6 @@ impl Engine {
                 digest: 0,
                 key: String::new(),
                 state: JobState::Queued,
-                retire_at: None,
             },
         );
         match self
@@ -670,24 +672,38 @@ impl Engine {
             .push(event);
     }
 
-    /// Retires terminal entries whose poll-grace TTL has elapsed. Called
-    /// with the state lock held, from the submission path only — a job
-    /// that just went terminal always survives until the next submission,
-    /// so a client never loses the poll race to its own job's retirement.
+    /// Retires terminal entries whose poll-grace TTL has elapsed, in
+    /// deadline order, so a sweep costs the jobs it retires rather than
+    /// the table size. Called with the state lock held, from the
+    /// submission path only — a job that just went terminal always
+    /// survives until the next submission, so a client never loses the
+    /// poll race to its own job's retirement.
     fn sweep_retired(&self, st: &mut EngineState) {
         let now = self.cfg.clock.now();
-        let before = st.jobs.len();
-        st.jobs
-            .retain(|_, entry| entry.retire_at.is_none_or(|at| at > now));
-        let retired = before - st.jobs.len();
+        let mut retired = 0;
+        while let Some(&(at, id)) = st.retiring.front() {
+            if at > now {
+                break;
+            }
+            st.retiring.pop_front();
+            if st.jobs.remove(&id).is_some() {
+                retired += 1;
+            }
+        }
         if retired > 0 {
-            self.incr("jobs_retired");
+            self.metrics
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .incr("jobs_retired", retired);
         }
     }
 
-    /// The clock time at which a job going terminal now may be retired.
-    fn retire_deadline(&self) -> Option<Duration> {
-        Some(self.cfg.clock.now() + self.cfg.retire_ttl)
+    /// Queues terminal job `id` for retirement once the poll-grace TTL has
+    /// passed. Caller holds the state lock, which keeps the retirement
+    /// queue in deadline order.
+    fn schedule_retirement(&self, st: &mut EngineState, id: u64) {
+        st.retiring
+            .push_back((self.cfg.clock.now() + self.cfg.retire_ttl, id));
     }
 
     fn worker_loop(&self, worker: usize) {
@@ -764,9 +780,9 @@ impl Engine {
                 if let Some(entry) = st.jobs.get_mut(&id) {
                     entry.state =
                         JobState::Rejected("server shutting down before execution".into());
-                    entry.retire_at = self.retire_deadline();
                     let digest = entry.digest;
                     st.inflight.release(digest, id);
+                    self.schedule_retirement(&mut st, id);
                     note_terminal(&mut st, false);
                     self.incr("rejected_draining");
                     self.changed.notify_all();
@@ -804,6 +820,9 @@ impl Engine {
         let started = Instant::now();
         let result = execute_job_warm(&spec, id, auto_threads, &self.host, self.cfg.timeout, warm);
         let exec_ms = started.elapsed().as_secs_f64() * 1e3;
+        // Serialize once, outside the state lock: every later hit and poll
+        // writes these bytes.
+        let result = result.map(ServedRecord::new);
         self.push_trace(TraceEvent::new(
             spec.benchmark.clone(),
             "job",
@@ -821,8 +840,8 @@ impl Engine {
             .expect("a running job stays in the table until terminal + TTL");
         let digest = entry.digest;
         let executed = match result {
-            Ok(record) => {
-                let outcome = self.cache.put(digest, &entry.key, &record);
+            Ok(served) => {
+                let outcome = self.cache.put(digest, &entry.key, &served);
                 if outcome.evicted {
                     self.incr("cache_evictions");
                 }
@@ -832,6 +851,7 @@ impl Engine {
                 // Feed the scaling model: the best pipeline time at this
                 // thread width, windowed so a long-lived daemon tracks
                 // recent behavior in bounded memory.
+                let record = served.record();
                 if record.status == RunStatus::Completed && record.min_ms > 0.0 {
                     self.metrics
                         .lock()
@@ -845,8 +865,8 @@ impl Engine {
                 if tuned.is_some() {
                     self.incr("sched_tuned_jobs");
                 }
-                entry.state = JobState::Done(Box::new(record));
-                entry.retire_at = self.retire_deadline();
+                entry.state = JobState::Done(served);
+                self.schedule_retirement(&mut st, id);
                 note_terminal(&mut st, true);
                 self.incr("jobs_executed");
                 self.observe("job_exec_ms", exec_ms);
@@ -854,7 +874,7 @@ impl Engine {
             }
             Err(e) => {
                 entry.state = JobState::Rejected(e.to_string());
-                entry.retire_at = self.retire_deadline();
+                self.schedule_retirement(&mut st, id);
                 note_terminal(&mut st, false);
                 self.incr("jobs_invalid");
                 false
@@ -896,7 +916,7 @@ impl Engine {
             let mut st = self.lock_state();
             if let Some(entry) = st.jobs.get_mut(&id) {
                 entry.state = JobState::Rejected("stream no longer exists".into());
-                entry.retire_at = self.retire_deadline();
+                self.schedule_retirement(&mut st, id);
                 note_terminal(&mut st, false);
                 self.changed.notify_all();
             }
@@ -919,7 +939,7 @@ impl Engine {
                 if let Some(entry) = st.jobs.get_mut(&id) {
                     entry.state =
                         JobState::Rejected("server shutting down before execution".into());
-                    entry.retire_at = self.retire_deadline();
+                    self.schedule_retirement(&mut st, id);
                     note_terminal(&mut st, false);
                     self.incr("rejected_draining");
                     self.changed.notify_all();
@@ -1023,7 +1043,7 @@ impl Engine {
         let mut st = self.lock_state();
         if let Some(entry) = st.jobs.get_mut(&id) {
             entry.state = state;
-            entry.retire_at = self.retire_deadline();
+            self.schedule_retirement(&mut st, id);
             note_terminal(&mut st, completed);
             self.changed.notify_all();
         }
@@ -1079,7 +1099,7 @@ fn snapshot(id: u64, entry: &JobEntry) -> JobSnapshot {
         JobState::Done(record) => JobSnapshot {
             id,
             state: "done",
-            record: Some(record.as_ref().clone()),
+            record: Some(Arc::clone(record)),
             detail: String::new(),
         },
         JobState::FrameDone(detail) => JobSnapshot {
@@ -1139,7 +1159,7 @@ mod tests {
         assert_eq!(first.state, "done");
         // Second submission: served from cache, no new job id allocated.
         match submit(&engine, spec(1), false) {
-            Submission::Cached(rec) => assert_eq!(rec.seed, 1),
+            Submission::Cached(rec) => assert_eq!(rec.record().seed, 1),
             other => panic!("expected Cached, got {other:?}"),
         }
         assert_eq!(engine.counter("jobs_executed"), 1);

@@ -55,7 +55,7 @@ pub mod stream;
 pub mod worker;
 
 pub use backend::Backend;
-pub use cache::{fnv1a, spec_digest, ResultCache};
+pub use cache::{fnv1a, spec_digest, ResultCache, ServedRecord};
 pub use cluster::{ClusterConfig, ClusterEngine, CLUSTER_TRACK_BASE};
 pub use coalesce::InflightMap;
 pub use engine::{Engine, EngineConfig, JobSnapshot, Submission};

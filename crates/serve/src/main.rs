@@ -623,7 +623,7 @@ fn sched_burst(jobs: &[Job], max_batch: usize) -> Result<(Duration, Vec<String>,
         let record = snap
             .record
             .ok_or_else(|| format!("burst job {id} ended {}: {}", snap.state, snap.detail))?;
-        fingerprints.push(record_fingerprint(&record));
+        fingerprints.push(record_fingerprint(record.record()));
     }
     let wall = started.elapsed();
     let metrics = engine.metrics_text();
@@ -1000,7 +1000,7 @@ fn single_process_sweep() -> Result<Vec<RunRecord>, String> {
         let record = snap
             .record
             .ok_or_else(|| format!("baseline job {id} ended {}: {}", snap.state, snap.detail))?;
-        records.push(record);
+        records.push(record.record().clone());
     }
     engine.drain();
     Ok(records)

@@ -130,7 +130,7 @@ fn submit(req: &Request, ctx: &Ctx) -> Response {
     match ctx.engine.submit(spec, fresh, class) {
         Submission::Cached(record) => Response::json(
             200,
-            format!("{{\"cached\":true,\"record\":{}}}", record.to_json_line()),
+            format!("{{\"cached\":true,\"record\":{}}}", record.json()),
         ),
         Submission::Queued(id) => Response::json(
             202,
@@ -310,14 +310,15 @@ pub(crate) fn err_json(message: &str) -> String {
     Value::Obj(vec![("error".to_string(), Value::Str(message.to_string()))]).to_string()
 }
 
-/// A job snapshot as JSON; the record rides along verbatim once done.
+/// A job snapshot as JSON; the record's stored line rides along verbatim
+/// once done.
 fn snapshot_json(snap: &JobSnapshot) -> String {
     match (&snap.record, snap.state) {
         (Some(record), _) => format!(
             "{{\"id\":{},\"state\":\"{}\",\"record\":{}}}",
             snap.id,
             snap.state,
-            record.to_json_line()
+            record.json()
         ),
         (None, "rejected") => Value::Obj(vec![
             ("id".to_string(), Value::Num(snap.id as f64)),

@@ -139,7 +139,8 @@ fn serve_coordinator(
                             Err(_) => send(writer, &Message::Busy { id }),
                         }
                     }
-                    Submission::Cached(record) => {
+                    Submission::Cached(served) => {
+                        let record = Box::new(served.record().clone());
                         send(writer, &Message::Done { id, record });
                     }
                     Submission::QueueFull | Submission::Draining => {
@@ -232,11 +233,11 @@ fn report_when_terminal(engine: &Arc<Engine>, writer: &Arc<dyn FrameTx>, id: u64
             continue;
         }
         match snap.record {
-            Some(record) => send(
+            Some(served) => send(
                 writer,
                 &Message::Done {
                     id,
-                    record: Box::new(record),
+                    record: Box::new(served.record().clone()),
                 },
             ),
             None => send(

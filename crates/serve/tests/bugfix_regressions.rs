@@ -6,8 +6,8 @@
 use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
-use sdvbs_serve::{fnv1a, DrainReport, JobClass, ResultCache};
-use std::time::Duration;
+use sdvbs_serve::{fnv1a, DrainReport, JobClass, ResultCache, ServedRecord};
+use std::time::{Duration, Instant};
 
 fn spec(seed: u64) -> Job {
     Job::new(
@@ -80,13 +80,17 @@ fn digest_collisions_are_detected_not_served() {
     let digest = fnv1a(b"whatever both specs hash to");
     // Store A's record under the shared digest, then look B up: the old
     // code returned A's record; the fix answers a collision-miss.
-    assert!(cache.put(digest, key_a, &test_record()).stored);
+    assert!(
+        cache
+            .put(digest, key_a, &ServedRecord::new(test_record()))
+            .stored
+    );
     match cache.get(digest, key_b) {
         CacheLookup::Collision => {}
         other => panic!("colliding key must not hit: {other:?}"),
     }
     match cache.get(digest, key_a) {
-        CacheLookup::Hit(r) => assert_eq!(r.seed, 1),
+        CacheLookup::Hit(r) => assert_eq!(r.record().seed, 1),
         other => panic!("own key must still hit: {other:?}"),
     }
 }
@@ -127,7 +131,8 @@ fn test_record() -> sdvbs_runner::RunRecord {
 /// Bug 3: `EngineState.jobs` was a `Vec` that retained every terminal
 /// job forever — the job table grew monotonically for the life of the
 /// daemon. Terminal entries now retire after a poll-grace TTL, ids stay
-/// stable, and a few thousand jobs leave the table bounded.
+/// stable, and a few thousand jobs leave the table bounded. The
+/// `jobs_retired` counter counts retired jobs, not sweeps.
 #[test]
 fn job_table_stays_bounded_over_thousands_of_jobs() {
     let engine = Engine::start(EngineConfig {
@@ -167,8 +172,19 @@ fn job_table_stays_bounded_over_thousands_of_jobs() {
         );
     }
     wait(&engine, last_id);
-    assert!(engine.counter("jobs_retired") > 0);
+    // With two workers the last job can finish before an earlier one
+    // still in the other worker's batch.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while engine.counter("jobs_invalid") < total {
+        assert!(Instant::now() < deadline, "jobs never finished");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(engine.counter("jobs_invalid"), total);
+    // Only submissions sweep, and the last one is done: every job not
+    // left in the table was retired, and counted once.
+    let removed = total - engine.jobs_table_len() as u64;
+    assert!(removed > 0);
+    assert_eq!(engine.counter("jobs_retired"), removed);
     // Ids never restarted: the last id is the last submission's ordinal.
     assert_eq!(last_id, total - 1);
     engine.drain();

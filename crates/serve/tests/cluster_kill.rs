@@ -160,13 +160,13 @@ fn cluster_serves_and_drains_cleanly_without_faults() {
             .expect("job exists");
         assert_eq!(snap.state, "done", "job {id}: {}", snap.detail);
         let record = snap.record.expect("done without a record");
-        assert_eq!(record.seed, 7000 + id);
+        assert_eq!(record.record().seed, 7000 + id);
     }
 
     // An identical resubmission is a coordinator-side cache hit — no
     // wire round trip.
     match cluster.submit(job(7000), false, JobClass::Interactive) {
-        Submission::Cached(record) => assert_eq!(record.seed, 7000),
+        Submission::Cached(record) => assert_eq!(record.record().seed, 7000),
         other => panic!("expected a cache hit, got {other:?}"),
     }
 

@@ -91,7 +91,7 @@ fn batched_dispatch_is_bit_identical_to_unbatched() {
             let record = snap
                 .record
                 .unwrap_or_else(|| panic!("job {id} did not complete: {}", snap.detail));
-            prints.push(fingerprint(&record));
+            prints.push(fingerprint(record.record()));
         }
         engine.drain();
         prints

@@ -3,7 +3,7 @@
 //! `fresh=1` re-execution, and the error surface of the job API.
 
 use sdvbs_core::{ExecPolicy, InputSize};
-use sdvbs_runner::Job;
+use sdvbs_runner::{Job, RunRecord};
 use sdvbs_serve::{spec_body, Client, EngineConfig, Server, ServerConfig};
 use sdvbs_trace::jsonl::Value;
 use std::time::{Duration, Instant};
@@ -107,6 +107,38 @@ fn identical_specs_hit_the_cache_and_fresh_bypasses_it() {
     poll_done(&mut client, fresh_id);
     assert_eq!(counter(&mut client, "sdvbs_serve_jobs_executed"), 2);
 
+    server.shutdown();
+}
+
+/// The record's bytes in a `{..., "record": <line>}` body.
+fn record_bytes(body: &str) -> &str {
+    let (_, rest) = body
+        .split_once("\"record\":")
+        .expect("body carries a record");
+    rest.strip_suffix('}').expect("record is the last field")
+}
+
+#[test]
+fn a_cache_hit_carries_the_done_polls_record_byte_for_byte() {
+    let (server, mut client) = start(EngineConfig::default());
+    let (status, v) = submit(&mut client, &spec(3), "");
+    assert_eq!(status, 202);
+    let id = v.get("id").and_then(Value::as_u64).expect("id");
+    poll_done(&mut client, id);
+    let polled = client
+        .request("GET", &format!("/v1/jobs/{id}"), None)
+        .expect("poll")
+        .body_text();
+    let hit = client
+        .request("POST", "/v1/jobs", Some(&spec(3)))
+        .expect("POST /v1/jobs");
+    assert_eq!(hit.status, 200);
+    let hit = hit.body_text();
+    let line = record_bytes(&polled);
+    assert_eq!(record_bytes(&hit), line);
+    // Both are the record's own JSON line.
+    let record = RunRecord::from_json_line(line).expect("a run record");
+    assert_eq!(record.to_json_line(), line);
     server.shutdown();
 }
 

@@ -27,18 +27,23 @@ fn open_stream(client: &mut Client, spec: &StreamSpec) -> u64 {
     get_u64(&resp.body_text(), "id")
 }
 
+/// Job `id`'s state, long-polling up to `wait_ms` for a terminal one.
+fn job_state(client: &mut Client, id: u64, wait_ms: u64) -> String {
+    let resp = client
+        .request("GET", &format!("/v1/jobs/{id}?wait_ms={wait_ms}"), None)
+        .expect("poll job");
+    let body = resp.body_text();
+    Value::parse(&body)
+        .ok()
+        .and_then(|v| v.get("state").and_then(Value::as_str).map(String::from))
+        .unwrap_or_else(|| panic!("unparsable poll body {body}"))
+}
+
 /// Polls job `id` to a terminal state and returns it.
 fn poll_terminal(client: &mut Client, id: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let resp = client
-            .request("GET", &format!("/v1/jobs/{id}?wait_ms=500"), None)
-            .expect("poll job");
-        let body = resp.body_text();
-        let state = Value::parse(&body)
-            .ok()
-            .and_then(|v| v.get("state").and_then(Value::as_str).map(String::from))
-            .unwrap_or_else(|| panic!("unparsable poll body {body}"));
+        let state = job_state(client, id, 500);
         if state == "done" || state == "rejected" {
             return state;
         }
@@ -164,6 +169,19 @@ fn drain_during_an_active_stream_accounts_for_every_frame() {
             "{body}"
         );
         jobs.push(get_u64(&body, "job_id"));
+    }
+
+    // Start the drain only once the first frame is on the worker: with
+    // fast submissions the shutdown can otherwise overtake the dispatcher,
+    // and every frame is (rightly) rejected before it runs.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let state = job_state(&mut client, jobs[0], 0);
+        if state == "running" || state == "done" {
+            break;
+        }
+        assert!(Instant::now() < deadline, "first frame stuck in {state}");
+        std::thread::sleep(Duration::from_millis(2));
     }
 
     let resp = client

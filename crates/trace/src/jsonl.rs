@@ -180,11 +180,11 @@ fn check_finite(value: &Value, path: &mut Vec<String>) -> Result<(), EmitError> 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Num(n) => {
                 if !n.is_finite() {
-                    write!(f, "null")
+                    f.write_str("null")
                 } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
                     write!(f, "{}", *n as i64)
                 } else {
@@ -193,44 +193,56 @@ impl fmt::Display for Value {
             }
             Value::Str(s) => write_escaped(f, s),
             Value::Arr(items) => {
-                write!(f, "[")?;
+                f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
-                write!(f, "]")
+                f.write_str("]")
             }
             Value::Obj(pairs) => {
-                write!(f, "{{")?;
+                f.write_str("{")?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
                 }
-                write!(f, "}}")
+                f.write_str("}")
             }
         }
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
+/// go out in one `write_str`; only `"`, `\` and control characters break a
+/// run (all ASCII, so every run boundary is a char boundary).
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 /// A JSON syntax error with its byte offset.
@@ -321,73 +333,66 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of unescaped bytes up to the next quote or
+        // backslash in one step. Both are ASCII, so the run ends on a char
+        // boundary and one UTF-8 check per run keeps parsing linear.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or(ParseError {
+                at: bytes.len(),
+                what: "unterminated string",
+            })?;
+        let text = std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|_| ParseError {
+            at: *pos,
+            what: "invalid utf-8",
+        })?;
+        out.push_str(text);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
+        }
+        *pos += 1;
         match bytes.get(*pos) {
-            None => {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let code = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // Surrogate pairs: a high surrogate must be followed by an
+                // escaped low surrogate.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if bytes.get(*pos + 1) == Some(&b'\\') && bytes.get(*pos + 2) == Some(&b'u') {
+                        let low = parse_hex4(bytes, *pos + 3)?;
+                        *pos += 6;
+                        let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(code)
+                };
+                out.push(c.ok_or(ParseError {
+                    at: *pos,
+                    what: "invalid unicode escape",
+                })?);
+            }
+            _ => {
                 return Err(ParseError {
                     at: *pos,
-                    what: "unterminated string",
+                    what: "invalid escape",
                 })
             }
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let code = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        // Surrogate pairs: a high surrogate must be followed
-                        // by an escaped low surrogate.
-                        let c = if (0xD800..0xDC00).contains(&code) {
-                            if bytes.get(*pos + 1) == Some(&b'\\')
-                                && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                let low = parse_hex4(bytes, *pos + 3)?;
-                                *pos += 6;
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                None
-                            }
-                        } else {
-                            char::from_u32(code)
-                        };
-                        out.push(c.ok_or(ParseError {
-                            at: *pos,
-                            what: "invalid unicode escape",
-                        })?);
-                    }
-                    _ => {
-                        return Err(ParseError {
-                            at: *pos,
-                            what: "invalid escape",
-                        })
-                    }
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid; find the next char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| ParseError {
-                    at: *pos,
-                    what: "invalid utf-8",
-                })?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
+        *pos += 1;
     }
 }
 
@@ -484,6 +489,172 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The writer this module used before run-based escaping, one
+    /// `write!` per character: the byte-for-byte oracle for the current
+    /// writer.
+    struct CharByChar<'a>(&'a Value);
+
+    impl fmt::Display for CharByChar<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fn escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+                write!(f, "\"")?;
+                for c in s.chars() {
+                    match c {
+                        '"' => write!(f, "\\\"")?,
+                        '\\' => write!(f, "\\\\")?,
+                        '\n' => write!(f, "\\n")?,
+                        '\r' => write!(f, "\\r")?,
+                        '\t' => write!(f, "\\t")?,
+                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c => write!(f, "{c}")?,
+                    }
+                }
+                write!(f, "\"")
+            }
+            match self.0 {
+                Value::Null => write!(f, "null"),
+                Value::Bool(b) => write!(f, "{b}"),
+                Value::Num(n) => {
+                    if !n.is_finite() {
+                        write!(f, "null")
+                    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                        write!(f, "{}", *n as i64)
+                    } else {
+                        write!(f, "{n}")
+                    }
+                }
+                Value::Str(s) => escaped(f, s),
+                Value::Arr(items) => {
+                    write!(f, "[")?;
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, ",")?;
+                        }
+                        write!(f, "{}", CharByChar(v))?;
+                    }
+                    write!(f, "]")
+                }
+                Value::Obj(pairs) => {
+                    write!(f, "{{")?;
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, ",")?;
+                        }
+                        escaped(f, k)?;
+                        write!(f, ":{}", CharByChar(v))?;
+                    }
+                    write!(f, "}}")
+                }
+            }
+        }
+    }
+
+    /// Random `Value` trees up to the given depth, with strings drawn from
+    /// everything the writer treats differently: quotes, backslashes,
+    /// control characters, DEL, and 2-, 3- and 4-byte UTF-8.
+    struct ValueTrees(u32);
+
+    impl Strategy for ValueTrees {
+        type Value = Value;
+        fn generate(&self, rng: &mut TestRng) -> Value {
+            tree(rng, self.0)
+        }
+    }
+
+    fn pick(rng: &mut TestRng, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    fn string(rng: &mut TestRng) -> String {
+        const PIECES: [&str; 22] = [
+            "a",
+            "Z",
+            "0",
+            " ",
+            "/",
+            "plain run",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{8}",
+            "\u{c}",
+            "\u{1f}",
+            "\u{7f}",
+            "é",
+            "ß",
+            "€",
+            "中",
+            "😀",
+            "𝄞",
+        ];
+        let len = pick(rng, 12);
+        (0..len).map(|_| PIECES[pick(rng, PIECES.len())]).collect()
+    }
+
+    fn number(rng: &mut TestRng) -> f64 {
+        let n = match pick(rng, 4) {
+            0 => pick(rng, 2001) as f64 - 1000.0,
+            1 => (pick(rng, 1 << 20) as f64 - 524288.0) / 1024.0,
+            2 => (rng.next_u64() >> 11) as f64 * 1e7,
+            _ => f64::from_bits(rng.next_u64()),
+        };
+        if n.is_finite() {
+            n
+        } else {
+            0.5
+        }
+    }
+
+    fn tree(rng: &mut TestRng, depth: u32) -> Value {
+        match pick(rng, if depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(pick(rng, 2) == 0),
+            2 => Value::Num(number(rng)),
+            3 => Value::Str(string(rng)),
+            4 => Value::Arr((0..pick(rng, 5)).map(|_| tree(rng, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..pick(rng, 5))
+                    .map(|_| (string(rng), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn writer_matches_the_char_by_char_oracle_and_parses_back(v in ValueTrees(4)) {
+            let text = v.to_string();
+            prop_assert_eq!(&text, &CharByChar(&v).to_string());
+            prop_assert_eq!(Value::parse(&text).ok(), Some(v));
+        }
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // The HTTP front caps a request body at 1 MiB (`MAX_BODY` in
+        // sdvbs-serve), so one string of that size is the largest a client
+        // can send. Re-validating the rest of the document per character
+        // took about 20 s on it; a linear parse takes milliseconds.
+        let unit = "plain text, é € 😀, \"quoted\" \\ and\ta control \u{1}\n";
+        let s = unit.repeat((1 << 20) / unit.len() + 1);
+        let text = Value::Str(s.clone()).to_string();
+        assert!(text.len() > 1 << 20);
+        let started = std::time::Instant::now();
+        let parsed = Value::parse(&text).expect("a written string parses");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, Value::Str(s));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB string took {elapsed:?} to parse"
+        );
+    }
 
     #[test]
     fn scalars_roundtrip() {

@@ -183,11 +183,7 @@ impl Message {
             }
             Message::Done { id, record } => {
                 pairs.push(("id".into(), Value::Num(*id as f64)));
-                // A RunRecord's JSONL line is produced by our own emitter
-                // and always reparses; treat a failure as the bug it is.
-                let record = Value::parse(&record.to_json_line())
-                    .expect("RunRecord::to_json_line emits valid JSON");
-                pairs.push(("record".into(), record));
+                pairs.push(("record".into(), record.to_value()));
             }
             Message::Rejected { id, detail } => {
                 pairs.push(("id".into(), Value::Num(*id as f64)));
@@ -297,8 +293,7 @@ impl Message {
                 let record = v
                     .get("record")
                     .ok_or_else(|| WireError::Malformed("done: missing record".into()))?;
-                let line = record.to_string();
-                let record = RunRecord::from_json_line(&line)
+                let record = RunRecord::from_value(record)
                     .map_err(|e| WireError::Malformed(format!("done: bad record: {e}")))?;
                 Ok(Message::Done {
                     id: u64_field("id")?,

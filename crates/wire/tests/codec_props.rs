@@ -214,6 +214,20 @@ proptest! {
         }
     }
 
+    /// A `done` frame carries the record exactly as its JSON line reads,
+    /// so the frame bytes do not depend on whether the encoder goes
+    /// through the line or builds the record's value directly.
+    #[test]
+    fn done_frames_embed_the_records_json_line(
+        seed in 0u64..1_000_000,
+        ms in 0.001f64..500.0,
+    ) {
+        let rec = record(seed, ms, seed % 5 == 0);
+        let frame = encode_frame(&Message::Done { id: seed, record: Box::new(rec.clone()) });
+        let want = format!("{{\"type\":\"done\",\"id\":{seed},\"record\":{}}}", rec.to_json_line());
+        prop_assert_eq!(&frame[4..], want.as_bytes());
+    }
+
     /// Two frames back to back decode in sequence from one buffer, each
     /// consuming its own bytes (the coordinator's read loop pipelines).
     #[test]
