@@ -131,23 +131,39 @@ impl CsrMatrix {
     /// entry `(keep[i], keep[j])` of `self`; entries whose column is not
     /// kept are dropped.
     ///
-    /// Used by recursive normalized cuts to restrict the affinity graph to
-    /// one region.
-    ///
     /// # Panics
     ///
     /// Panics if `keep` is not strictly increasing or indexes out of
     /// bounds.
     pub fn submatrix(&self, keep: &[usize]) -> CsrMatrix {
+        CsrMatrix::principal_submatrix(self.n, keep, |i| self.row_entries(i))
+    }
+
+    /// The principal submatrix over `keep` of an `n × n` matrix given row
+    /// by row: `row(i)` yields row `i`'s stored `(column, value)` entries
+    /// in increasing column order. Entry `(i, j)` of the result is entry
+    /// `(keep[i], keep[j])`; entries whose column is not kept are dropped.
+    ///
+    /// [`CsrMatrix::submatrix`] is this over a CSR matrix's own rows; other
+    /// sparse layouts use it to convert straight to CSR, one row at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` is not strictly increasing or indexes out of
+    /// bounds, or if `row` yields a column `>= n`.
+    pub fn principal_submatrix<I>(n: usize, keep: &[usize], row: impl Fn(usize) -> I) -> CsrMatrix
+    where
+        I: IntoIterator<Item = (usize, f64)>,
+    {
         assert!(
             keep.windows(2).all(|w| w[0] < w[1]),
             "keep indices must be strictly increasing"
         );
         if let Some(&last) = keep.last() {
-            assert!(last < self.n, "keep index {last} out of bounds");
+            assert!(last < n, "keep index {last} out of bounds");
         }
         // Old index -> new index map.
-        let mut remap = vec![usize::MAX; self.n];
+        let mut remap = vec![usize::MAX; n];
         for (new, &old) in keep.iter().enumerate() {
             remap[old] = new;
         }
@@ -156,11 +172,11 @@ impl CsrMatrix {
         let mut values = Vec::new();
         row_ptr.push(0);
         for &old_row in keep {
-            for k in self.row_ptr[old_row]..self.row_ptr[old_row + 1] {
-                let new_col = remap[self.col_idx[k]];
+            for (old_col, v) in row(old_row) {
+                let new_col = remap[old_col];
                 if new_col != usize::MAX {
                     col_idx.push(new_col);
-                    values.push(self.values[k]);
+                    values.push(v);
                 }
             }
             row_ptr.push(col_idx.len());

@@ -14,9 +14,11 @@
 //! reproduced by the `figure2`/`figure3` harnesses in `sdvbs-bench`.
 //!
 //! Unlike the dense-affinity variant in the original C code (which forces
-//! tiny inputs), the affinity matrix here is stored sparse (pixels within a
-//! spatial radius) and the eigenproblem is solved with Lanczos iteration,
-//! so the benchmark runs at full CIF resolution.
+//! tiny inputs), the affinity matrix here is sparse (pixels within a
+//! spatial radius), stored as a fixed-offset stencil ([`AffinityStencil`]:
+//! one weight plane per neighbour offset, no index arrays), and the
+//! eigenproblem is solved with Lanczos iteration, so the benchmark runs at
+//! full CIF resolution.
 //!
 //! # Examples
 //!
@@ -39,9 +41,13 @@ mod affinity;
 mod discretize;
 mod metrics;
 mod ncuts;
+#[cfg(test)]
+mod oracle;
 mod recursive;
+mod stencil;
 
 pub use affinity::{adjacency_matrix, adjacency_matrix_with, filter_bank_features};
 pub use metrics::rand_index;
 pub use ncuts::{segment, Segmentation, SegmentationConfig, SegmentationError};
 pub use recursive::segment_recursive;
+pub use stencil::AffinityStencil;

@@ -2,8 +2,9 @@
 
 use crate::affinity::{adjacency_matrix_with, filter_bank_features};
 use crate::discretize::{discretize, normalize_rows};
+use crate::stencil::AffinityStencil;
 use sdvbs_image::Image;
-use sdvbs_matrix::{lanczos_deflated, Matrix, MatrixError};
+use sdvbs_matrix::{lanczos_deflated, CsrMatrix, LinearOperator, Matrix, MatrixError};
 use sdvbs_profile::Profiler;
 use std::error::Error;
 use std::fmt;
@@ -161,6 +162,92 @@ pub fn segment(
     cfg: &SegmentationConfig,
     prof: &mut Profiler,
 ) -> Result<Segmentation, SegmentationError> {
+    segment_on(img, cfg, prof, adjacency_matrix_with)
+}
+
+/// What the normalized-cuts pipelines need of an affinity matrix.
+pub(crate) trait Affinity: LinearOperator {
+    /// Sum of each row's entries.
+    fn row_sums(&self) -> Vec<f64>;
+    /// `A ← D A D` with `D = diag(d)`.
+    fn scale_sym(&mut self, d: &[f64]);
+    /// The principal submatrix over the strictly increasing `keep`.
+    fn submatrix(&self, keep: &[usize]) -> CsrMatrix;
+}
+
+impl Affinity for AffinityStencil {
+    fn row_sums(&self) -> Vec<f64> {
+        AffinityStencil::row_sums(self)
+    }
+
+    fn scale_sym(&mut self, d: &[f64]) {
+        AffinityStencil::scale_sym(self, d);
+    }
+
+    fn submatrix(&self, keep: &[usize]) -> CsrMatrix {
+        AffinityStencil::submatrix(self, keep)
+    }
+}
+
+/// An affinity builder with the signature of [`adjacency_matrix_with`].
+pub(crate) type BuildAffinity<A> = fn(&[Image], usize, f32, f32, sdvbs_exec::ExecPolicy) -> A;
+
+/// [`segment`] over the affinity matrix that `build` makes.
+pub(crate) fn segment_on<A: Affinity>(
+    img: &Image,
+    cfg: &SegmentationConfig,
+    prof: &mut Profiler,
+    build: BuildAffinity<A>,
+) -> Result<Segmentation, SegmentationError> {
+    let mut w = affinity_graph(img, cfg, prof, build)?;
+    let n = img.len();
+    // Normalized spectral embedding: top-k eigenvectors of D^-1/2 W D^-1/2.
+    let k = cfg.segments;
+    let embedding = prof.kernel("Eigensolve", |_| {
+        let d = w.row_sums();
+        let dinv_sqrt: Vec<f64> = d
+            .iter()
+            .map(|&v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 })
+            .collect();
+        w.scale_sym(&dinv_sqrt);
+        // Deterministic pseudo-random start vector.
+        let start: Vec<f64> = (0..n)
+            .map(|i| {
+                let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((x >> 33) % 1000) as f64 / 1000.0 + 0.1
+            })
+            .collect();
+        let steps = cfg.lanczos_steps.max(2 * k + 10);
+        lanczos_deflated(&w, k, &start, steps).map_err(SegmentationError::Eigensolve)
+    })?;
+    // Embedding matrix (n × k), row-normalized, then discretized.
+    let labels = prof.kernel("QRfactorizations", |_| {
+        let mut x = Matrix::zeros(n, k);
+        for (j, vec) in embedding.vectors.iter().enumerate() {
+            for i in 0..n {
+                x[(i, j)] = vec[i];
+            }
+        }
+        normalize_rows(&mut x);
+        discretize(&x, cfg.discretize_iters)
+    });
+    Ok(Segmentation {
+        labels,
+        width: img.width(),
+        height: img.height(),
+        segments: k,
+    })
+}
+
+/// The front both pipelines share: validates the input and the
+/// configuration, then runs the `Filterbanks` and `Adjacencymatrix`
+/// kernels.
+pub(crate) fn affinity_graph<A>(
+    img: &Image,
+    cfg: &SegmentationConfig,
+    prof: &mut Profiler,
+    build: BuildAffinity<A>,
+) -> Result<A, SegmentationError> {
     let n = img.len();
     if n == 0 {
         return Err(SegmentationError::EmptyImage);
@@ -199,52 +286,15 @@ pub fn segment(
             vec![img.clone()]
         }
     });
-    // Sparse affinity matrix.
-    let mut w = prof.kernel("Adjacencymatrix", |_| {
-        adjacency_matrix_with(
+    Ok(prof.kernel("Adjacencymatrix", |_| {
+        build(
             &features,
             cfg.radius,
             cfg.sigma_feature,
             cfg.sigma_spatial,
             cfg.exec,
         )
-    });
-    // Normalized spectral embedding: top-k eigenvectors of D^-1/2 W D^-1/2.
-    let k = cfg.segments;
-    let embedding = prof.kernel("Eigensolve", |_| {
-        let d = w.row_sums();
-        let dinv_sqrt: Vec<f64> = d
-            .iter()
-            .map(|&v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 })
-            .collect();
-        w.scale_sym(&dinv_sqrt);
-        // Deterministic pseudo-random start vector.
-        let start: Vec<f64> = (0..n)
-            .map(|i| {
-                let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((x >> 33) % 1000) as f64 / 1000.0 + 0.1
-            })
-            .collect();
-        let steps = cfg.lanczos_steps.max(2 * k + 10);
-        lanczos_deflated(&w, k, &start, steps).map_err(SegmentationError::Eigensolve)
-    })?;
-    // Embedding matrix (n × k), row-normalized, then discretized.
-    let labels = prof.kernel("QRfactorizations", |_| {
-        let mut x = Matrix::zeros(n, k);
-        for (j, vec) in embedding.vectors.iter().enumerate() {
-            for i in 0..n {
-                x[(i, j)] = vec[i];
-            }
-        }
-        normalize_rows(&mut x);
-        discretize(&x, cfg.discretize_iters)
-    });
-    Ok(Segmentation {
-        labels,
-        width: img.width(),
-        height: img.height(),
-        segments: k,
-    })
+    }))
 }
 
 impl Segmentation {

@@ -7,8 +7,10 @@
 //! region is re-split recursively until the requested segment count is
 //! reached.
 
-use crate::affinity::{adjacency_matrix_with, filter_bank_features};
-use crate::ncuts::{Segmentation, SegmentationConfig, SegmentationError};
+use crate::affinity::adjacency_matrix_with;
+use crate::ncuts::{
+    affinity_graph, Affinity, BuildAffinity, Segmentation, SegmentationConfig, SegmentationError,
+};
 use sdvbs_image::Image;
 use sdvbs_matrix::lanczos_deflated;
 use sdvbs_profile::Profiler;
@@ -28,52 +30,18 @@ pub fn segment_recursive(
     cfg: &SegmentationConfig,
     prof: &mut Profiler,
 ) -> Result<Segmentation, SegmentationError> {
+    segment_recursive_on(img, cfg, prof, adjacency_matrix_with)
+}
+
+/// [`segment_recursive`] over the affinity matrix that `build` makes.
+pub(crate) fn segment_recursive_on<A: Affinity>(
+    img: &Image,
+    cfg: &SegmentationConfig,
+    prof: &mut Profiler,
+    build: BuildAffinity<A>,
+) -> Result<Segmentation, SegmentationError> {
+    let w = affinity_graph(img, cfg, prof, build)?;
     let n = img.len();
-    if n == 0 {
-        return Err(SegmentationError::EmptyImage);
-    }
-    if !img.all_finite() {
-        return Err(SegmentationError::NonFinitePixels);
-    }
-    if cfg.segments == 0 || cfg.segments > 64 {
-        return Err(SegmentationError::InvalidConfig(format!(
-            "segments must be in 1..=64, got {}",
-            cfg.segments
-        )));
-    }
-    if cfg.segments > n {
-        return Err(SegmentationError::InvalidConfig(format!(
-            "more segments ({}) than pixels ({n})",
-            cfg.segments
-        )));
-    }
-    let positive = |v: f32| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-    if !positive(cfg.sigma_feature) || !positive(cfg.sigma_spatial) {
-        return Err(SegmentationError::InvalidConfig(
-            "bandwidths must be positive".into(),
-        ));
-    }
-    if cfg.radius == 0 {
-        return Err(SegmentationError::InvalidConfig(
-            "radius must be positive".into(),
-        ));
-    }
-    let features = prof.kernel("Filterbanks", |_| {
-        if cfg.filter_bank {
-            filter_bank_features(img)
-        } else {
-            vec![img.clone()]
-        }
-    });
-    let w = prof.kernel("Adjacencymatrix", |_| {
-        adjacency_matrix_with(
-            &features,
-            cfg.radius,
-            cfg.sigma_feature,
-            cfg.sigma_spatial,
-            cfg.exec,
-        )
-    });
     // Region bookkeeping: member lists of sorted pixel indices.
     let mut regions: Vec<Vec<usize>> = vec![(0..n).collect()];
     while regions.len() < cfg.segments {
@@ -108,21 +76,23 @@ pub fn segment_recursive(
 
 /// Splits one region at the minimum-Ncut threshold along its Fiedler
 /// direction.
-fn split_region(
-    w: &sdvbs_matrix::CsrMatrix,
+///
+/// The region's submatrix is taken from `w` twice, scaled for the
+/// eigensolve and then plain for the cut sweep, so only one copy is alive
+/// at a time.
+fn split_region<A: Affinity>(
+    w: &A,
     members: &[usize],
     cfg: &SegmentationConfig,
     prof: &mut Profiler,
 ) -> Result<(Vec<usize>, Vec<usize>), SegmentationError> {
-    let sub = prof.kernel("Adjacencymatrix", |_| {
+    let (mut sub_w, sorted) = prof.kernel("Adjacencymatrix", |_| {
         let mut sorted = members.to_vec();
         sorted.sort_unstable();
         (w.submatrix(&sorted), sorted)
     });
-    let (sub_plain, sorted) = sub;
     let m = sorted.len();
     let fiedler = prof.kernel("Eigensolve", |_| {
-        let mut sub_w = sub_plain.clone();
         let d = sub_w.row_sums();
         let dinv: Vec<f64> = d
             .iter()
@@ -145,6 +115,8 @@ fn split_region(
             })
             .map_err(SegmentationError::Eigensolve)
     })?;
+    drop(sub_w);
+    let sub_plain = prof.kernel("Adjacencymatrix", |_| w.submatrix(&sorted));
     // Discretization ("QRfactorizations" scope): sweep candidate
     // thresholds along the Fiedler direction and keep the split with the
     // smallest normalized-cut value — the criterion of the original paper.

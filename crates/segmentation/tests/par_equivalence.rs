@@ -1,9 +1,9 @@
 //! Serial vs parallel equivalence for affinity-matrix construction.
 //!
-//! `adjacency_matrix_with` promises a **bit-identical** CSR matrix under
-//! any [`ExecPolicy`]: row bands are emitted per worker and rejoined in
-//! ascending order before the sparse build. Verified for 1, 2 and 4
-//! threads at the paper's three input sizes.
+//! `adjacency_matrix_with` promises a **bit-identical** affinity stencil
+//! under any [`ExecPolicy`]: workers fill disjoint bands of pixel rows of
+//! each weight plane, and each weight depends on its pixel pair alone.
+//! Verified for 1, 2 and 4 threads at the paper's three input sizes.
 
 use proptest::prelude::*;
 use sdvbs_exec::ExecPolicy;

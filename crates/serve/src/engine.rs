@@ -618,7 +618,10 @@ impl Engine {
         });
         let retired = before - tbl.streams.len();
         if retired > 0 {
-            self.incr("streams_retired");
+            self.metrics
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .incr("streams_retired", retired as u64);
         }
     }
 

@@ -1,12 +1,14 @@
 //! Regression tests for the serving layer's production bugs: unbounded
 //! cache growth, digest-collision cache poisoning, unbounded job-table
-//! growth, and lifetime-counting drain reports. Each test pins the fixed
-//! behavior at the engine's public surface.
+//! growth, lifetime-counting drain reports, and a stream-retirement
+//! counter that counted sweeps. Each test pins the fixed behavior at the
+//! engine's public surface.
 
 use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
 use sdvbs_serve::{fnv1a, DrainReport, JobClass, ResultCache, ServedRecord};
+use sdvbs_stream::{DegradePolicy, PipelineKind, StreamSpec};
 use std::time::{Duration, Instant};
 
 fn spec(seed: u64) -> Job {
@@ -214,4 +216,34 @@ fn drain_report_counts_drain_work_not_lifetime_history() {
         DrainReport::default(),
         "nothing was open when the drain began, so the report must be empty"
     );
+}
+
+/// Bug 5: `streams_retired` grew by one per retirement sweep, however many
+/// closed streams the sweep removed. It now counts retired streams, as
+/// `jobs_retired` counts jobs.
+#[test]
+fn streams_retired_counts_streams_not_sweeps() {
+    let engine = Engine::start(EngineConfig {
+        retire_ttl: Duration::ZERO,
+        ..EngineConfig::default()
+    });
+    let spec = StreamSpec {
+        pipeline: PipelineKind::Tracking,
+        size: InputSize::Sqcif,
+        seed: 1,
+        fps: 1.0,
+        policy: DegradePolicy::Degrade,
+    };
+    let n = 5;
+    let ids: Vec<u64> = (0..n)
+        .map(|_| engine.open_stream(spec).expect("open stream"))
+        .collect();
+    for id in ids {
+        engine.close_stream(id).expect("known stream");
+    }
+    assert_eq!(engine.counter("streams_retired"), 0);
+    // Opening one more sweeps the table: all five closed streams go at once.
+    engine.open_stream(spec).expect("open stream");
+    assert_eq!(engine.counter("streams_retired"), n);
+    engine.drain();
 }

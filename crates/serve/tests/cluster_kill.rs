@@ -116,7 +116,14 @@ fn killed_worker_loses_no_jobs_silently() {
         "the surviving worker should finish most of the sweep"
     );
 
-    // The death is visible before the drain...
+    // The death is visible before the drain. When the victim had nothing
+    // in flight, no job waited on its link, so the coordinator may see the
+    // reset only after every job is terminal: wait for it, well past the
+    // 1.5 s liveness window, before asserting.
+    let seen_by = Instant::now() + Duration::from_secs(10);
+    while cluster.alive_workers().len() > 1 && Instant::now() < seen_by {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     assert_eq!(cluster.alive_workers(), vec!["w0".to_string()]);
     let health = cluster.health_extra().expect("cluster health");
     assert!(health.contains("\"workers_alive\":1"), "health: {health}");
