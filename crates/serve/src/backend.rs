@@ -13,13 +13,14 @@
 //! backend's execution substrate, so a cached or coalesced answer never
 //! crosses a process boundary in either mode.
 
-use crate::engine::{Engine, JobSnapshot, Submission};
+use crate::jobs::{JobSnapshot, Submission};
 use crate::sched::JobClass;
 use crate::shutdown::DrainReport;
 use crate::stream::{FrameTicket, StreamRefused, StreamStatus};
 use sdvbs_runner::Job;
 use sdvbs_stream::StreamSpec;
 use sdvbs_trace::{MetricsRegistry, TraceEvent};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// What the HTTP layer needs from an execution substrate. Object-safe so
@@ -81,47 +82,20 @@ pub trait Backend: Send + Sync {
     }
 }
 
-impl Backend for Engine {
-    fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
-        Engine::submit(self, spec, fresh, class)
-    }
-    fn get(&self, id: u64) -> Option<JobSnapshot> {
-        Engine::get(self, id)
-    }
-    fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        Engine::wait_terminal(self, id, wait)
-    }
-    fn begin_drain(&self) {
-        Engine::begin_drain(self);
-    }
-    fn drain(&self) -> DrainReport {
-        Engine::drain(self)
-    }
-    fn is_draining(&self) -> bool {
-        Engine::is_draining(self)
-    }
-    fn metrics_text(&self) -> String {
-        Engine::metrics_text(self)
-    }
-    fn merge_metrics(&self, other: &MetricsRegistry) {
-        Engine::merge_metrics(self, other);
-    }
-    fn counter(&self, name: &str) -> u64 {
-        Engine::counter(self, name)
-    }
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        Engine::trace_events(self)
-    }
-    fn open_stream(&self, spec: StreamSpec) -> Result<u64, StreamRefused> {
-        Engine::open_stream(self, spec)
-    }
-    fn submit_frame(&self, stream_id: u64) -> Result<FrameTicket, StreamRefused> {
-        Engine::submit_frame(self, stream_id)
-    }
-    fn stream_status(&self, id: u64) -> Option<StreamStatus> {
-        Engine::stream_status(self, id)
-    }
-    fn close_stream(&self, id: u64) -> Option<StreamStatus> {
-        Engine::close_stream(self, id)
-    }
+/// The long poll both backends serve [`Backend::wait_terminal`] with:
+/// blocks on `changed` until `snapshot` of the guarded state is terminal
+/// or `wait` elapses, and returns the last snapshot (`None` for an
+/// unknown or retired id).
+pub(crate) fn wait_terminal<S>(
+    state: &Mutex<S>,
+    changed: &Condvar,
+    wait: Duration,
+    snapshot: impl Fn(&S) -> Option<JobSnapshot>,
+) -> Option<JobSnapshot> {
+    let st = state.lock().unwrap_or_else(PoisonError::into_inner);
+    let open = |st: &mut S| snapshot(st).is_some_and(|snap| !snap.is_terminal());
+    let (st, _) = changed
+        .wait_timeout_while(st, wait, open)
+        .unwrap_or_else(PoisonError::into_inner);
+    snapshot(&st)
 }

@@ -18,6 +18,12 @@
 //! every dead worker. Heartbeat staleness is ignored once a drain starts:
 //! a worker blocked finishing its queue legitimately stops answering.
 //!
+//! The bookkeeping and dispatch decisions are the sans-IO
+//! [`Coordinator`] under one state lock; this module keeps the links,
+//! the reader, dispatch and heartbeat threads, and the RPC. Terminal jobs
+//! retire after [`DEFAULT_RETIRE_TTL`](crate::jobs::DEFAULT_RETIRE_TTL),
+//! as on the engine, so the job table stays bounded.
+//!
 //! Metrics and traces aggregate on demand: `/metrics` renders the
 //! coordinator's own registry plus each worker's, both folded into the
 //! cluster totals and re-exported under a `w<N>_` prefix; `/v1/trace`
@@ -25,14 +31,11 @@
 //! [`merge_process_traces`] onto worker-labelled tracks, aligning each
 //! worker's trace epoch by the clock offset estimated at handshake.
 
-use crate::backend::Backend;
-use crate::cache::{
-    cache_preimage, spec_digest, CacheLookup, ResultCache, ServedRecord, DEFAULT_CACHE_CAPACITY,
-};
-use crate::coalesce::InflightMap;
-use crate::engine::{group_key, JobSnapshot, Submission};
-use crate::protocol::{self, OrphanDisposition, RetryPolicy};
-use crate::sched::{Drr, JobClass, SchedConfig};
+use crate::backend::{self, Backend};
+use crate::cache::{ServedRecord, DEFAULT_CACHE_CAPACITY};
+use crate::jobs::{count_put, Coordinator, JobSnapshot, Step, Submission};
+use crate::protocol::{self, OrphanDisposition};
+use crate::sched::{JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{Job, RunRecord};
@@ -40,10 +43,9 @@ use sdvbs_trace::{
     merge_process_traces, now_us, MetricsRegistry, ProcessTrace, TraceEvent, TrackId,
 };
 use sdvbs_wire::{tcp_pair, FrameRx, FrameTx, Message, WireError, PROTO_VERSION};
-use std::collections::{HashSet, VecDeque};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -105,47 +107,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Where a cluster job is in its lifecycle.
-enum CJobState {
-    /// Admitted, waiting for the dispatcher.
-    Pending,
-    /// Dispatched to worker `i`, awaiting its result.
-    Dispatched(usize),
-    /// Finished with a record.
-    Done(Arc<ServedRecord>),
-    /// Refused without a result (drain, or a worker-side validation
-    /// error).
-    Rejected(String),
-    /// Abandoned after exhausting the retry budget across worker deaths.
-    Quarantined(String),
-}
-
-struct CJob {
-    spec: Job,
-    digest: u64,
-    /// The canonical cache preimage, verified on every cache hit.
-    key: String,
-    /// The benchmark×size scheduling group.
-    group: String,
-    class: JobClass,
-    state: CJobState,
-    attempts: u32,
-}
-
-struct ClusterState {
-    jobs: Vec<CJob>,
-    inflight: InflightMap,
-    /// Admitted-not-dispatched jobs, scheduled by deficit round robin
-    /// across QoS classes with benchmark×size batching.
-    pending: Drr,
-    /// The batch the dispatcher is currently working through (popped from
-    /// `pending`; drain rejects these too).
-    current: VecDeque<u64>,
-    outstanding: usize,
-    draining: bool,
-    dead: Vec<String>,
-}
-
 /// One connected worker process.
 struct WorkerLink {
     index: usize,
@@ -159,29 +120,17 @@ struct WorkerLink {
     /// `coordinator_now_us - worker_now_us`, refreshed on every heartbeat
     /// reply; aligns the worker's trace epoch onto ours.
     offset_us: AtomicI64,
-    /// Jobs dispatched to this worker and not yet resolved.
-    dispatched: Mutex<HashSet<u64>>,
     /// Serializes metrics/trace/drain request-reply exchanges.
     rpc: Mutex<()>,
     replies: Mutex<mpsc::Receiver<Message>>,
     reply_tx: mpsc::Sender<Message>,
 }
 
-impl WorkerLink {
-    fn inflight_len(&self) -> usize {
-        self.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-}
-
 /// The coordinator backend. Construct with [`ClusterEngine::start`];
 /// always behind an [`Arc`] because its service threads hold references.
 pub struct ClusterEngine {
-    state: Mutex<ClusterState>,
+    state: Mutex<Coordinator>,
     changed: Condvar,
-    cache: ResultCache,
     metrics: Mutex<MetricsRegistry>,
     links: Vec<Arc<WorkerLink>>,
     cfg: ClusterConfig,
@@ -213,52 +162,35 @@ impl ClusterEngine {
             readers.push(rx);
         }
         let engine = Arc::new(ClusterEngine {
-            state: Mutex::new(ClusterState {
-                jobs: Vec::new(),
-                inflight: InflightMap::new(),
-                pending: Drr::new(cfg.sched.clone()),
-                current: VecDeque::new(),
-                outstanding: 0,
-                draining: false,
-                dead: Vec::new(),
-            }),
+            state: Mutex::new(Coordinator::new(links.len(), &cfg)),
             changed: Condvar::new(),
-            cache: ResultCache::with_capacity(cfg.cache_capacity),
             metrics: Mutex::new(MetricsRegistry::new()),
             links,
             cfg,
             threads: Mutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
         });
+        let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
+            thread::Builder::new()
+                .name(name)
+                .spawn(body)
+                .expect("spawning a coordinator thread")
+        };
         let mut handles = Vec::new();
         for (link, mut rx) in engine.links.iter().zip(readers) {
-            let engine2 = Arc::clone(&engine);
-            let link2 = Arc::clone(link);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("sdvbs-coord-read-{}", link.name))
-                    .spawn(move || engine2.reader_loop(&link2, rx.as_mut()))
-                    .expect("spawning a link reader"),
-            );
+            let (engine2, link2) = (Arc::clone(&engine), Arc::clone(link));
+            let read = move || engine2.reader_loop(&link2, rx.as_mut());
+            handles.push(spawn(
+                format!("sdvbs-coord-read-{}", link.name),
+                Box::new(read),
+            ));
         }
-        {
-            let engine2 = Arc::clone(&engine);
-            handles.push(
-                thread::Builder::new()
-                    .name("sdvbs-coord-dispatch".to_string())
-                    .spawn(move || engine2.dispatch_loop())
-                    .expect("spawning the dispatcher"),
-            );
-        }
-        {
-            let engine2 = Arc::clone(&engine);
-            handles.push(
-                thread::Builder::new()
-                    .name("sdvbs-coord-heartbeat".to_string())
-                    .spawn(move || engine2.heartbeat_loop())
-                    .expect("spawning the heartbeat monitor"),
-            );
-        }
+        let engine2 = Arc::clone(&engine);
+        let dispatch = move || engine2.dispatch_loop();
+        handles.push(spawn("sdvbs-coord-dispatch".into(), Box::new(dispatch)));
+        let engine2 = Arc::clone(&engine);
+        let heartbeat = move || engine2.heartbeat_loop();
+        handles.push(spawn("sdvbs-coord-heartbeat".into(), Box::new(heartbeat)));
         *engine
             .threads
             .lock()
@@ -275,102 +207,73 @@ impl ClusterEngine {
             .collect()
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, ClusterState> {
+    fn lock_state(&self) -> MutexGuard<'_, Coordinator> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn incr(&self, name: &str) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .incr(name, 1);
+        self.metrics().incr(name, 1);
     }
 
-    fn observe(&self, name: &str, value: f64) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe(name, value);
-    }
-
-    /// Picks the target worker for a job via the shared protocol policy
-    /// ([`protocol::pick_target`]): home shard when alive with headroom,
-    /// else least-loaded live worker. `None` when no live worker has
-    /// headroom.
-    fn pick_worker(&self, digest: u64) -> Option<usize> {
-        let alive: Vec<bool> = self
-            .links
+    fn alive(&self) -> Vec<bool> {
+        self.links
             .iter()
             .map(|l| l.alive.load(Ordering::SeqCst))
-            .collect();
-        let inflight: Vec<usize> = self.links.iter().map(|l| l.inflight_len()).collect();
-        protocol::pick_target(digest, &alive, &inflight, self.cfg.per_worker_inflight)
+            .collect()
     }
 
     fn dispatch_loop(&self) {
         loop {
-            // Take the next pending job, or learn that we are done.
-            let (id, spec, w) = {
+            // Take the next job to send, or learn that we are done.
+            let dispatch = {
                 let mut st = self.lock_state();
                 loop {
-                    // Refill the dispatch window from the scheduler: one
-                    // DRR batch at a time, dispatched id by id below.
-                    if st.current.is_empty() {
-                        if let Some(batch) = st.pending.pop_batch() {
-                            self.observe("batch_size", batch.ids.len() as f64);
-                            st.current.extend(batch.ids);
-                        }
+                    let next = st.next_dispatch(&self.alive(), self.cfg.clock.now());
+                    if let Some(size) = next.batch {
+                        self.metrics().observe("batch_size", size as f64);
                     }
-                    if let Some(&id) = st.current.front() {
-                        if self.links.iter().all(|l| !l.alive.load(Ordering::SeqCst)) {
-                            // Nothing left to run on: every admitted job
-                            // fails loudly rather than waiting forever.
-                            st.current.pop_front();
-                            self.fail_job(
-                                &mut st,
-                                id,
-                                CJobState::Quarantined("no live workers".into()),
-                            );
-                            self.incr("jobs_quarantined");
-                            continue;
-                        }
-                        if let Some(w) = self.pick_worker(st.jobs[id as usize].digest) {
-                            st.current.pop_front();
-                            let job = &mut st.jobs[id as usize];
-                            job.state = CJobState::Dispatched(w);
-                            job.attempts += 1;
-                            let home = (job.digest % self.links.len() as u64) as usize;
-                            if w != home {
+                    match next.step {
+                        Step::Send(dispatch) => {
+                            if dispatch.stolen {
                                 self.incr("jobs_stolen");
                             }
-                            self.links[w]
-                                .dispatched
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .insert(id);
-                            break (id, job.spec.clone(), w);
+                            break dispatch;
                         }
-                        // All live workers are at their in-flight cap: a
-                        // completion or death frees a slot and notifies.
-                        let (guard, _) = self
-                            .changed
-                            .wait_timeout(st, Duration::from_millis(50))
-                            .unwrap_or_else(PoisonError::into_inner);
-                        st = guard;
-                        continue;
+                        Step::Quarantined(_) => {
+                            self.incr("jobs_quarantined");
+                            self.changed.notify_all();
+                        }
+                        Step::Blocked => {
+                            // All live workers are at their in-flight cap:
+                            // a completion or death frees a slot and
+                            // notifies.
+                            st = self
+                                .changed
+                                .wait_timeout(st, Duration::from_millis(50))
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0;
+                        }
+                        Step::Idle if self.stopping.load(Ordering::SeqCst) => return,
+                        Step::Idle => {
+                            st = self
+                                .changed
+                                .wait(st)
+                                .unwrap_or_else(PoisonError::into_inner);
+                        }
                     }
-                    if self.stopping.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    st = self
-                        .changed
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let link = &self.links[w];
-            if link.tx.send(&Message::Dispatch { id, spec }).is_err() {
-                self.mark_dead(w, "dispatch write failed");
+            let link = &self.links[dispatch.worker];
+            let msg = Message::Dispatch {
+                id: dispatch.id,
+                spec: dispatch.spec,
+            };
+            if link.tx.send(&msg).is_err() {
+                self.mark_dead(dispatch.worker, "dispatch write failed");
             }
         }
     }
@@ -379,9 +282,15 @@ impl ClusterEngine {
     fn reader_loop(&self, link: &Arc<WorkerLink>, rx: &mut dyn FrameRx) {
         loop {
             match rx.recv() {
-                Ok(Message::Done { id, record }) => self.job_done(link, id, *record),
-                Ok(Message::Rejected { id, detail }) => self.job_rejected(link, id, &detail),
-                Ok(Message::Busy { id }) => self.job_busy(link, id),
+                Ok(Message::Done { id, record }) => self.job_done(link.index, id, *record),
+                Ok(Message::Rejected { id, detail }) => {
+                    let now = self.cfg.clock.now();
+                    self.answer("jobs_invalid", |c| c.rejected(link.index, id, detail, now));
+                }
+                // The dispatcher will steal it to a less loaded shard.
+                Ok(Message::Busy { id }) => {
+                    self.answer("busy_redispatched", |c| c.busy(link.index, id));
+                }
                 Ok(Message::HeartbeatOk { now_us: theirs, .. }) => {
                     *link
                         .last_beat
@@ -422,141 +331,38 @@ impl ClusterEngine {
         }
         eprintln!("worker {} declared dead: {why}", link.name);
         self.incr("workers_died");
-        let orphans: Vec<u64> = link
-            .dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain()
-            .collect();
         let mut st = self.lock_state();
-        st.dead.push(link.name.clone());
-        let policy = RetryPolicy {
-            budget: self.cfg.retry_budget,
-        };
-        for id in orphans {
-            let Some(job) = st.jobs.get(id as usize) else {
-                continue;
-            };
-            if !matches!(job.state, CJobState::Dispatched(d) if d == w) {
-                continue;
-            }
-            // Every execution of this job so far has failed (the last one
-            // just died with its worker), so `attempts` *is* the
-            // failed-execution count the shared policy judges.
-            let attempts = job.attempts;
-            match protocol::orphan_disposition(attempts, policy, st.draining) {
-                OrphanDisposition::Quarantine => {
-                    let detail = format!(
-                        "quarantined after {attempts} attempts; worker {} died mid-run",
-                        link.name
-                    );
-                    self.fail_job(&mut st, id, CJobState::Quarantined(detail));
-                    self.incr("jobs_quarantined");
-                }
-                OrphanDisposition::RejectDraining => {
-                    // The drain contract only finishes work that is
-                    // actually running; an orphan re-entering the queue
-                    // mid-drain is rejected like any other queued job.
-                    let detail = format!("worker {} died during drain", link.name);
-                    self.fail_job(&mut st, id, CJobState::Rejected(detail));
-                    self.incr("rejected_draining");
-                }
-                OrphanDisposition::Requeue => {
-                    // An orphan must not lose its place to later arrivals:
-                    // it goes to the front of the current dispatch window.
-                    st.jobs[id as usize].state = CJobState::Pending;
-                    st.current.push_front(id);
-                    self.incr("jobs_requeued");
-                }
-            }
+        for (_, fate) in st.worker_dead(w, self.cfg.clock.now()) {
+            self.incr(match fate {
+                OrphanDisposition::Requeue => "jobs_requeued",
+                OrphanDisposition::Quarantine => "jobs_quarantined",
+                OrphanDisposition::RejectDraining => "rejected_draining",
+            });
         }
         self.changed.notify_all();
     }
 
-    /// Moves job `id` to a terminal failure state and releases its
-    /// coalescing claim. Caller holds the state lock.
-    fn fail_job(&self, st: &mut ClusterState, id: u64, terminal: CJobState) {
-        let job = &mut st.jobs[id as usize];
-        job.state = terminal;
-        let digest = job.digest;
-        st.inflight.release(digest, id);
-        st.outstanding = st.outstanding.saturating_sub(1);
+    /// Applies a worker's answer to the core and counts it, unless it came
+    /// late.
+    fn answer(&self, counter: &str, event: impl FnOnce(&mut Coordinator) -> bool) {
+        if event(&mut self.lock_state()) {
+            self.incr(counter);
+        }
         self.changed.notify_all();
     }
 
-    fn job_done(&self, link: &Arc<WorkerLink>, id: u64, record: RunRecord) {
-        link.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
+    fn job_done(&self, w: usize, id: u64, record: RunRecord) {
         // Serialize once, outside the state lock: every later hit and poll
         // writes these bytes.
         let served = ServedRecord::new(record);
+        let wall_ms = served.record().wall_ms;
         let mut st = self.lock_state();
-        let Some(job) = st.jobs.get_mut(id as usize) else {
-            return;
-        };
-        if !matches!(job.state, CJobState::Dispatched(_)) {
-            return;
+        if let Some(put) = st.done(w, id, served, self.cfg.clock.now()) {
+            let mut metrics = self.metrics();
+            count_put(&mut metrics, put);
+            metrics.observe("job_exec_ms", wall_ms);
+            metrics.incr("jobs_executed", 1);
         }
-        let outcome = self.cache.put(job.digest, &job.key, &served);
-        if outcome.evicted {
-            self.incr("cache_evictions");
-        }
-        if outcome.collided {
-            self.incr("cache_key_collisions");
-        }
-        self.observe("job_exec_ms", served.record().wall_ms);
-        job.state = CJobState::Done(served);
-        let digest = job.digest;
-        st.inflight.release(digest, id);
-        st.outstanding = st.outstanding.saturating_sub(1);
-        drop(st);
-        self.incr("jobs_executed");
-        self.changed.notify_all();
-    }
-
-    fn job_rejected(&self, link: &Arc<WorkerLink>, id: u64, detail: &str) {
-        link.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
-        let mut st = self.lock_state();
-        if !matches!(
-            st.jobs.get(id as usize).map(|j| &j.state),
-            Some(CJobState::Dispatched(_))
-        ) {
-            return;
-        }
-        self.fail_job(&mut st, id, CJobState::Rejected(detail.to_string()));
-        drop(st);
-        self.incr("jobs_invalid");
-    }
-
-    /// The worker's queue was full: put the job back for the dispatcher,
-    /// which will steal it to a less loaded shard. The bounced dispatch
-    /// never executed, so it gives back the attempt it charged — `Busy`
-    /// must not consume retry budget (attempts counts executions begun,
-    /// the unified accounting in [`crate::protocol`]).
-    fn job_busy(&self, link: &Arc<WorkerLink>, id: u64) {
-        link.dispatched
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&id);
-        let mut st = self.lock_state();
-        if !matches!(
-            st.jobs.get(id as usize).map(|j| &j.state),
-            Some(CJobState::Dispatched(_))
-        ) {
-            return;
-        }
-        let job = &mut st.jobs[id as usize];
-        job.state = CJobState::Pending;
-        job.attempts = job.attempts.saturating_sub(1);
-        let (group, class) = (job.group.clone(), job.class);
-        st.pending.push_back(id, &group, class);
-        drop(st);
-        self.incr("busy_redispatched");
         self.changed.notify_all();
     }
 
@@ -564,7 +370,7 @@ impl ClusterEngine {
         let mut seq = 0u64;
         while !self.stopping.load(Ordering::SeqCst) {
             seq += 1;
-            let draining = self.lock_state().draining;
+            let draining = self.lock_state().table().is_draining();
             for (w, link) in self.links.iter().enumerate() {
                 if !link.alive.load(Ordering::SeqCst) {
                     continue;
@@ -615,94 +421,33 @@ impl ClusterEngine {
 
 impl Backend for ClusterEngine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
-        let digest = spec_digest(&spec);
-        let key = cache_preimage(&spec);
         let mut st = self.lock_state();
-        if st.draining {
-            self.incr("rejected_draining");
-            return Submission::Draining;
+        let admission = st.submit(spec, fresh, class, self.cfg.clock.now());
+        admission.count(&mut self.metrics(), class);
+        if matches!(admission.answer, Submission::Queued(_)) {
+            self.changed.notify_all();
         }
-        if !fresh {
-            match self.cache.get(digest, &key) {
-                CacheLookup::Hit(record) => {
-                    self.incr("cache_hits");
-                    return Submission::Cached(record);
-                }
-                CacheLookup::Collision => {
-                    self.incr("cache_key_collisions");
-                }
-                CacheLookup::Miss => {}
-            }
-            if let Some(id) = st.inflight.get(digest) {
-                self.incr("coalesced");
-                return Submission::Coalesced(id);
-            }
-        }
-        if st.outstanding >= self.cfg.queue_capacity.max(1) {
-            self.incr("rejected_queue_full");
-            return Submission::QueueFull;
-        }
-        let id = st.jobs.len() as u64;
-        let group = group_key(&spec);
-        st.jobs.push(CJob {
-            spec,
-            digest,
-            key,
-            group: group.clone(),
-            class,
-            state: CJobState::Pending,
-            attempts: 0,
-        });
-        st.inflight.claim(digest, id);
-        st.pending.push_back(id, &group, class);
-        st.outstanding += 1;
-        drop(st);
-        self.incr("jobs_submitted");
-        self.incr(&format!("submitted_{}", class.label()));
-        self.changed.notify_all();
-        Submission::Queued(id)
+        admission.answer
     }
 
     fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.lock_state();
-        st.jobs.get(id as usize).map(|job| snapshot(id, job))
+        self.lock_state().table().snapshot(id)
     }
 
     fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        let deadline = Instant::now() + wait;
-        let mut st = self.lock_state();
-        loop {
-            let snap = st.jobs.get(id as usize).map(|job| snapshot(id, job))?;
-            if snap.is_terminal() {
-                return Some(snap);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(snap);
-            }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
+        backend::wait_terminal(&self.state, &self.changed, wait, |core| {
+            core.table().snapshot(id)
+        })
     }
 
     fn begin_drain(&self) {
-        let mut st = self.lock_state();
-        st.draining = true;
         // Reject everything admitted but not yet dispatched — the cluster
-        // analog of the engine popping and rejecting its queue. The
-        // current dispatch window counts as undispatched too.
-        let mut pending: Vec<u64> = st.current.drain(..).collect();
-        pending.extend(st.pending.drain_all());
-        for id in pending {
-            self.fail_job(
-                &mut st,
-                id,
-                CJobState::Rejected("server shutting down before execution".into()),
-            );
-            self.incr("rejected_draining");
+        // analog of the engine popping and rejecting its queue.
+        let mut st = self.lock_state();
+        let rejected = st.begin_drain(self.cfg.clock.now());
+        if !rejected.is_empty() {
+            self.metrics()
+                .incr("rejected_draining", rejected.len() as u64);
         }
         self.changed.notify_all();
     }
@@ -711,36 +456,11 @@ impl Backend for ClusterEngine {
         self.begin_drain();
         // Wait for every dispatched job to resolve (a worker death mid-
         // drain resolves its orphans via `mark_dead`).
-        let mut st = self.lock_state();
-        while st
-            .jobs
-            .iter()
-            .any(|j| matches!(j.state, CJobState::Pending | CJobState::Dispatched(_)))
-        {
-            st = self
-                .changed
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let report = DrainReport {
-            completed: st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Done(_)))
-                .count(),
-            rejected: st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Rejected(_)))
-                .count(),
-            quarantined: st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.state, CJobState::Quarantined(_)))
-                .count(),
-            dead_workers: st.dead.clone(),
-        };
-        drop(st);
+        let report = self
+            .changed
+            .wait_while(self.lock_state(), |core| core.table().outstanding() > 0)
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain_report();
         // Tear the cluster down: tell each surviving worker to drain and
         // exit. From here on link closure is shutdown, not death.
         self.stopping.store(true, Ordering::SeqCst);
@@ -765,12 +485,12 @@ impl Backend for ClusterEngine {
     }
 
     fn is_draining(&self) -> bool {
-        self.lock_state().draining
+        self.lock_state().table().is_draining()
     }
 
     fn metrics_text(&self) -> String {
         let mut agg = MetricsRegistry::new();
-        agg.merge(&self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
+        agg.merge(&self.metrics());
         for link in &self.links {
             if !link.alive.load(Ordering::SeqCst) {
                 continue;
@@ -796,17 +516,11 @@ impl Backend for ClusterEngine {
     }
 
     fn merge_metrics(&self, other: &MetricsRegistry) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(other);
+        self.metrics().merge(other);
     }
 
     fn counter(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counter(name)
+        self.metrics().counter(name)
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
@@ -839,7 +553,7 @@ impl Backend for ClusterEngine {
 
     fn health_extra(&self) -> Option<String> {
         let alive = self.alive_workers();
-        let dead = self.lock_state().dead.clone();
+        let dead = self.lock_state().dead_workers().to_vec();
         let names = |list: &[String]| {
             list.iter()
                 .map(|n| format!("\"{n}\""))
@@ -853,35 +567,6 @@ impl Backend for ClusterEngine {
             names(&alive),
             names(&dead),
         ))
-    }
-}
-
-fn snapshot(id: u64, job: &CJob) -> JobSnapshot {
-    match &job.state {
-        CJobState::Pending => JobSnapshot {
-            id,
-            state: "queued",
-            record: None,
-            detail: String::new(),
-        },
-        CJobState::Dispatched(_) => JobSnapshot {
-            id,
-            state: "running",
-            record: None,
-            detail: String::new(),
-        },
-        CJobState::Done(record) => JobSnapshot {
-            id,
-            state: "done",
-            record: Some(Arc::clone(record)),
-            detail: String::new(),
-        },
-        CJobState::Rejected(why) | CJobState::Quarantined(why) => JobSnapshot {
-            id,
-            state: "rejected",
-            record: None,
-            detail: why.clone(),
-        },
     }
 }
 
@@ -935,7 +620,6 @@ fn connect_worker(
         alive: AtomicBool::new(true),
         last_beat: Mutex::new(clock.now()),
         offset_us: AtomicI64::new(offset),
-        dispatched: Mutex::new(HashSet::new()),
         rpc: Mutex::new(()),
         replies: Mutex::new(replies),
         reply_tx,

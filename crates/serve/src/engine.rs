@@ -16,48 +16,45 @@
 //! it. `ExecPolicy::Auto` jobs are resolved through the per-group scaling
 //! model ([`sched::pick_threads`]) instead of a static core count.
 //!
-//! Terminal jobs are **retired** from the job table after
-//! [`EngineConfig::retire_ttl`] (a poll-grace window): ids stay stable —
-//! the table is a map, never reindexed — but a long-lived daemon's memory
-//! no longer grows with every job it has ever run. Polling a retired id
-//! answers `404`, same as an id that never existed.
+//! The bookkeeping — ids, lifecycle, cache front, retirement, drain
+//! accounting — is the shared sans-IO [`JobTable`] under one state
+//! mutex, so cache/coalesce/admission decisions are atomic with respect
+//! to worker completions. Terminal jobs are **retired** after
+//! [`EngineConfig::retire_ttl`] (a poll-grace window): ids stay stable,
+//! but a long-lived daemon's memory no longer grows with every job it
+//! has ever run. Polling a retired id answers `404`, same as an id that
+//! never existed.
 //!
 //! Draining ([`Engine::drain`]) closes the queue: jobs currently on
 //! workers run to completion, everything still queued is dequeued and
 //! rejected (`503` when polled), and the workers exit once the queue is
 //! empty. The [`DrainReport`] counts **only the work that was open
-//! (queued or running) when the drain began** — not lifetime totals. One
-//! state mutex covers the job table and the in-flight map, so
-//! cache/coalesce/admission decisions are atomic with respect to worker
-//! completions.
+//! (queued or running) when the drain began** — not lifetime totals.
 
-use crate::cache::{
-    cache_preimage, spec_digest, CacheLookup, ResultCache, ServedRecord, DEFAULT_CACHE_CAPACITY,
-};
-use crate::coalesce::InflightMap;
+use crate::backend::{self, Backend};
+use crate::cache::{ServedRecord, DEFAULT_CACHE_CAPACITY};
+use crate::jobs::{count_put, CacheKey, JobState, JobTable, DEFAULT_RETIRE_TTL, SHUTTING_DOWN};
+pub use crate::jobs::{JobSnapshot, Submission};
+pub use crate::sched::group_key;
 use crate::sched::{self, Batch, JobClass, SchedConfig, SchedPushError, SchedQueue};
 use crate::shutdown::DrainReport;
 use crate::stream::{
     self, FrameDecision, FrameTask, FrameTicket, StreamEntry, StreamRefused, StreamStatus,
-    StreamTable, MAX_STREAMS,
+    StreamTable, LATENCY_WINDOW, MAX_STREAMS,
 };
 use sdvbs_core::ExecPolicy;
 use sdvbs_exec::ClockHandle;
-use sdvbs_runner::{execute_job_warm, size_label, HostMeta, Job, RunStatus};
+use sdvbs_runner::{execute_job_warm, HostMeta, Job, RunStatus};
 use sdvbs_stream::{fold_digest, StreamSpec};
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{alloc_track, now_us, MetricsRegistry, Phase, TraceEvent};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Retained samples per benchmark×size×threads execution histogram — the
 /// scaling model's observation window.
 const EXEC_HISTORY_WINDOW: usize = 64;
-
-/// Retained samples per stream's frame-latency histogram.
-const FRAME_LATENCY_WINDOW: usize = 1024;
 
 /// Engine sizing and test instrumentation.
 #[derive(Debug, Clone)]
@@ -95,29 +92,10 @@ impl Default for EngineConfig {
             hold: None,
             sched: SchedConfig::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            retire_ttl: Duration::from_secs(300),
+            retire_ttl: DEFAULT_RETIRE_TTL,
             clock: ClockHandle::system(),
         }
     }
-}
-
-/// Where a job is in its lifecycle.
-#[derive(Debug, Clone)]
-enum JobState {
-    /// Accepted and waiting in the queue.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Execution finished; the record is the result (which may itself
-    /// report a failed status — that is still a terminal, pollable state).
-    Done(Arc<ServedRecord>),
-    /// A stream frame finished; the string is the pipeline's one-line
-    /// summary (frames have no [`sdvbs_runner::RunRecord`] — their results
-    /// live in the stream's status window).
-    FrameDone(String),
-    /// The engine refused to run it (drain started before a worker picked
-    /// it up, or the spec failed validation inside the engine).
-    Rejected(String),
 }
 
 /// What a job-table entry executes: a one-shot benchmark spec, or one
@@ -127,83 +105,30 @@ enum Payload {
     Frame(FrameTask),
 }
 
-struct JobEntry {
-    payload: Payload,
-    /// Spec digest for cache/coalescing. Frames never cache or coalesce
-    /// (each is a unique stateful step) and carry 0 here.
-    digest: u64,
-    /// The canonical cache preimage, verified on every cache hit.
-    key: String,
-    state: JobState,
-}
-
-struct EngineState {
-    /// Job table keyed by id — a map, not a vec, so retiring old entries
-    /// never moves or reuses a live id.
-    jobs: HashMap<u64, JobEntry>,
-    /// Terminal jobs with the clock time after which each may be retired,
-    /// oldest first. The TTL is uniform and deadlines are taken under the
-    /// state lock from a monotone clock, so the queue is in deadline
-    /// order and a sweep stops at the first entry not yet due.
-    retiring: VecDeque<(Duration, u64)>,
-    next_id: u64,
-    inflight: InflightMap,
-    draining: bool,
-    /// `Some(n)` once a drain has begun: jobs that were queued/running at
-    /// that moment and are not yet terminal. The drain completes at 0.
-    drain_open: Option<usize>,
-    /// Of the drain-open jobs, how many completed / were rejected.
-    drain_completed: usize,
-    drain_rejected: usize,
-}
-
-/// How the engine answered a submission.
-#[derive(Debug, Clone)]
-pub enum Submission {
-    /// Served from the result cache without executing anything.
-    Cached(Arc<ServedRecord>),
-    /// Accepted as a new job with this id.
-    Queued(u64),
-    /// Attached to an identical in-flight job with this id.
-    Coalesced(u64),
-    /// The queue is at capacity; retry later (`429`).
-    QueueFull,
-    /// The engine is draining; no new work is accepted (`503`).
-    Draining,
-}
-
-/// A point-in-time copy of one job's externally visible state.
-#[derive(Debug, Clone)]
-pub struct JobSnapshot {
-    /// The job id.
-    pub id: u64,
-    /// `"queued"`, `"running"`, `"done"`, or `"rejected"`.
-    pub state: &'static str,
-    /// The run record and its JSON line, once done.
-    pub record: Option<Arc<ServedRecord>>,
-    /// The rejection reason, when rejected.
-    pub detail: String,
-}
-
-impl JobSnapshot {
-    /// Whether the job has reached a terminal state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.state, "done" | "rejected")
+impl Payload {
+    /// The scheduler group the job batches under.
+    fn group(&self) -> String {
+        match self {
+            Payload::Bench(spec) => group_key(spec),
+            Payload::Frame(task) => format!("stream:{}", task.stream),
+        }
     }
 }
 
-/// The scheduler group key a spec batches under: `benchmark|size`.
-pub fn group_key(spec: &Job) -> String {
-    format!("{}|{}", spec.benchmark, size_label(spec.size))
+/// The submission answer for a refused queue push.
+fn refused(e: SchedPushError) -> Submission {
+    match e {
+        SchedPushError::Full => Submission::QueueFull,
+        SchedPushError::Closed => Submission::Draining,
+    }
 }
 
 /// The benchmark-serving engine. Construct with [`Engine::start`]; always
 /// wrapped in an [`Arc`] because the worker threads hold a reference.
 pub struct Engine {
-    state: Mutex<EngineState>,
+    state: Mutex<JobTable<Payload>>,
     changed: Condvar,
     queue: SchedQueue,
-    cache: ResultCache,
     metrics: Mutex<MetricsRegistry>,
     trace: Mutex<Vec<TraceEvent>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -218,23 +143,13 @@ impl Engine {
     pub fn start(cfg: EngineConfig) -> Arc<Engine> {
         let queue = SchedQueue::new(cfg.queue_capacity.max(1), cfg.sched.clone());
         let engine = Arc::new(Engine {
-            state: Mutex::new(EngineState {
-                jobs: HashMap::new(),
-                retiring: VecDeque::new(),
-                next_id: 0,
-                inflight: InflightMap::new(),
-                draining: false,
-                drain_open: None,
-                drain_completed: 0,
-                drain_rejected: 0,
-            }),
+            state: Mutex::new(JobTable::new(cfg.cache_capacity, cfg.retire_ttl)),
             changed: Condvar::new(),
             queue,
-            cache: ResultCache::with_capacity(cfg.cache_capacity),
             metrics: Mutex::new(MetricsRegistry::new()),
             trace: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
-            streams: Mutex::new(StreamTable::default()),
+            streams: Mutex::new(StreamTable::new(cfg.retire_ttl)),
             auto_threads: ExecPolicy::Auto.worker_count(),
             host: HostMeta::collect(),
             cfg,
@@ -256,415 +171,39 @@ impl Engine {
         engine
     }
 
-    /// Submits a spec. `fresh` bypasses both the cache lookup and
-    /// coalescing — the client explicitly wants a re-execution. `class`
-    /// picks the QoS lane the job is scheduled in.
-    pub fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
-        let digest = spec_digest(&spec);
-        let key = cache_preimage(&spec);
-        let mut st = self.lock_state();
-        self.sweep_retired(&mut st);
-        if st.draining {
-            self.incr("rejected_draining");
-            return Submission::Draining;
-        }
-        if !fresh {
-            match self.cache.get(digest, &key) {
-                CacheLookup::Hit(record) => {
-                    self.incr("cache_hits");
-                    return Submission::Cached(record);
-                }
-                CacheLookup::Collision => {
-                    // A 64-bit digest collision: treat as a miss so the
-                    // right spec executes, and surface it.
-                    self.incr("cache_key_collisions");
-                }
-                CacheLookup::Miss => {}
-            }
-            if let Some(id) = st.inflight.get(digest) {
-                self.incr("coalesced");
-                return Submission::Coalesced(id);
-            }
-        }
-        let id = st.next_id;
-        let group = group_key(&spec);
-        st.jobs.insert(
-            id,
-            JobEntry {
-                payload: Payload::Bench(spec),
-                digest,
-                key,
-                state: JobState::Queued,
-            },
-        );
-        st.inflight.claim(digest, id);
-        // try_push under the state lock keeps the entry/queue transition
-        // atomic; workers take the queue lock only with the state lock
-        // released, so the ordering is acyclic.
-        match self.queue.try_push(id, &group, class) {
-            Ok(()) => {
-                st.next_id += 1;
-                self.incr("jobs_submitted");
-                self.incr(&format!("submitted_{}", class.label()));
-                Submission::Queued(id)
-            }
-            Err(refusal) => {
-                st.jobs.remove(&id);
-                st.inflight.release(digest, id);
-                match refusal {
-                    SchedPushError::Full => {
-                        self.incr("rejected_queue_full");
-                        Submission::QueueFull
-                    }
-                    SchedPushError::Closed => {
-                        self.incr("rejected_draining");
-                        Submission::Draining
-                    }
-                }
-            }
-        }
-    }
-
-    /// A snapshot of job `id`, or `None` for an unknown (or retired) id.
-    pub fn get(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.lock_state();
-        st.jobs.get(&id).map(|entry| snapshot(id, entry))
-    }
-
-    /// Long-poll: blocks until job `id` reaches a terminal state or
-    /// `wait` elapses, then returns its (possibly still non-terminal)
-    /// snapshot. `None` for an unknown or retired id.
-    pub fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        let deadline = Instant::now() + wait;
-        let mut st = self.lock_state();
-        loop {
-            let snap = st.jobs.get(&id).map(|entry| snapshot(id, entry))?;
-            if snap.is_terminal() {
-                return Some(snap);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(snap);
-            }
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
-    }
-
     /// Current number of entries in the job table (tests pin the
     /// retirement bound with this).
     pub fn jobs_table_len(&self) -> usize {
-        self.lock_state().jobs.len()
+        self.lock_state().len()
     }
 
     /// Lifetime LRU evictions from the result cache.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
+        self.lock_state().cache_evictions()
     }
 
-    /// Starts and completes a graceful drain: refuses new submissions,
-    /// lets running jobs finish, rejects everything still queued, then
-    /// joins the worker threads. Blocks until every job that was open
-    /// when the drain began is terminal. Idempotent — a second call just
-    /// waits for the first drain's state.
-    ///
-    /// The report counts **only the work resolved by this drain**: jobs
-    /// queued or running at the moment the drain began. Jobs that were
-    /// already terminal are history, not drain work.
-    pub fn drain(&self) -> DrainReport {
-        self.begin_drain();
-        let mut st = self.lock_state();
-        while st.drain_open.is_some_and(|open| open > 0) {
-            st = self
-                .changed
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+    /// Queues stream `id` for retirement once its last in-flight frame
+    /// has left a closed stream.
+    fn retire_stream_if(&self, idle: bool, id: u64) {
+        if idle {
+            let mut tbl = self.lock_streams();
+            tbl.retiring.schedule(self.cfg.clock.now(), id);
         }
-        let report = DrainReport {
-            completed: st.drain_completed,
-            rejected: st.drain_rejected,
-            ..DrainReport::default()
-        };
-        drop(st);
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-        report
-    }
-
-    /// Starts the drain without waiting for it: refuses new submissions
-    /// and closes the queue. The shutdown endpoint calls this inline
-    /// before responding, so a submission that arrives after the shutdown
-    /// response is deterministically answered `503`, never `429`. The
-    /// first call snapshots the set of open jobs the eventual
-    /// [`DrainReport`] accounts for.
-    pub fn begin_drain(&self) {
-        {
-            let mut st = self.lock_state();
-            if st.drain_open.is_none() {
-                let open = st
-                    .jobs
-                    .values()
-                    .filter(|e| matches!(e.state, JobState::Queued | JobState::Running))
-                    .count();
-                st.drain_open = Some(open);
-                st.draining = true;
-            }
-        }
-        self.queue.close();
-    }
-
-    /// Whether a drain has started.
-    pub fn is_draining(&self) -> bool {
-        self.lock_state().draining
-    }
-
-    /// Opens a stream: validates the spec, builds its stateful pipeline,
-    /// and allocates it a trace track. Refused while draining or at the
-    /// [`MAX_STREAMS`] open-stream cap.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamRefused::Draining`], [`StreamRefused::LimitReached`], or
-    /// [`StreamRefused::BadSpec`].
-    pub fn open_stream(&self, spec: StreamSpec) -> Result<u64, StreamRefused> {
-        if self.lock_state().draining {
-            return Err(StreamRefused::Draining);
-        }
-        let pipeline = stream::build_for(&spec)?;
-        let mut tbl = self.lock_streams();
-        self.sweep_streams(&mut tbl);
-        if tbl.open_count() >= MAX_STREAMS {
-            self.incr("streams_refused_limit");
-            return Err(StreamRefused::LimitReached);
-        }
-        let id = tbl.next_id;
-        tbl.next_id += 1;
-        let track = alloc_track();
-        self.push_trace(TraceEvent::new(
-            format!("stream {id} ({})", spec.pipeline.label()),
-            "meta",
-            Phase::Meta,
-            0,
-            track,
-        ));
-        tbl.streams
-            .insert(id, Arc::new(StreamEntry::new(id, spec, track, pipeline)));
-        self.incr("streams_opened");
-        Ok(id)
-    }
-
-    /// Submits the next frame of stream `stream_id`. The backpressure
-    /// policy decides its fate at admission: process at full size,
-    /// process degraded, or drop (counted, never enqueued). A dropped
-    /// frame is a *successful* submission — the ticket says so — because
-    /// shedding is the declared contract, not a failure.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamRefused::NoSuchStream`], [`StreamRefused::Closed`], or
-    /// [`StreamRefused::Draining`] (the frame is then uncounted — the
-    /// client knows it never entered the stream).
-    pub fn submit_frame(&self, stream_id: u64) -> Result<FrameTicket, StreamRefused> {
-        let entry = self
-            .stream_entry(stream_id)
-            .ok_or(StreamRefused::NoSuchStream)?;
-        // Lock order: stream stats, then engine state. Workers take them
-        // one at a time, never nested in the other direction.
-        let mut stats = entry.lock_stats();
-        if stats.closed {
-            return Err(StreamRefused::Closed);
-        }
-        let frame = stats.submitted;
-        let decision = stats.admit(entry.spec.policy, entry.sla_ms);
-        if decision == FrameDecision::Drop {
-            stats.submitted += 1;
-            stats.dropped += 1;
-            drop(stats);
-            self.incr("stream_frames_submitted");
-            self.incr("stream_frames_dropped");
-            self.incr(&format!("stream_{stream_id}_frames_dropped"));
-            return Ok(FrameTicket {
-                job_id: None,
-                frame,
-                dropped: true,
-                degraded: false,
-            });
-        }
-        let degraded = matches!(decision, FrameDecision::Process { degraded: true });
-        let mut st = self.lock_state();
-        self.sweep_retired(&mut st);
-        if st.draining {
-            return Err(StreamRefused::Draining);
-        }
-        let id = st.next_id;
-        let seq = stats.next_seq;
-        st.jobs.insert(
-            id,
-            JobEntry {
-                payload: Payload::Frame(FrameTask {
-                    stream: stream_id,
-                    frame,
-                    seq,
-                    degraded,
-                    submitted: Instant::now(),
-                }),
-                digest: 0,
-                key: String::new(),
-                state: JobState::Queued,
-            },
-        );
-        match self
-            .queue
-            .try_push(id, &format!("stream:{stream_id}"), JobClass::Interactive)
-        {
-            Ok(()) => {
-                st.next_id += 1;
-                stats.submitted += 1;
-                stats.next_seq += 1;
-                stats.in_flight += 1;
-                drop(st);
-                drop(stats);
-                self.incr("stream_frames_submitted");
-                if degraded {
-                    self.incr("stream_frames_degraded");
-                    self.incr(&format!("stream_{stream_id}_frames_degraded"));
-                }
-                Ok(FrameTicket {
-                    job_id: Some(id),
-                    frame,
-                    dropped: false,
-                    degraded,
-                })
-            }
-            Err(SchedPushError::Full) => {
-                // Queue pressure sheds the frame under either policy —
-                // counted, like a policy drop, so accounting stays exact.
-                st.jobs.remove(&id);
-                stats.submitted += 1;
-                stats.dropped += 1;
-                drop(st);
-                drop(stats);
-                self.incr("stream_frames_submitted");
-                self.incr("stream_frames_dropped");
-                self.incr(&format!("stream_{stream_id}_frames_dropped"));
-                Ok(FrameTicket {
-                    job_id: None,
-                    frame,
-                    dropped: true,
-                    degraded: false,
-                })
-            }
-            Err(SchedPushError::Closed) => {
-                st.jobs.remove(&id);
-                Err(StreamRefused::Draining)
-            }
-        }
-    }
-
-    /// A point-in-time status of stream `id`, or `None` if unknown.
-    pub fn stream_status(&self, id: u64) -> Option<StreamStatus> {
-        Some(self.stream_entry(id)?.status())
-    }
-
-    /// Closes stream `id`: no further frames are accepted; in-flight
-    /// frames finish normally. Returns the status at close, or `None`
-    /// for an unknown id. Idempotent.
-    pub fn close_stream(&self, id: u64) -> Option<StreamStatus> {
-        let entry = self.stream_entry(id)?;
-        {
-            let mut stats = entry.lock_stats();
-            if !stats.closed {
-                stats.closed = true;
-                stats.closed_at = Some(self.cfg.clock.now());
-            } else {
-                return Some(entry.status());
-            }
-        }
-        self.incr("streams_closed");
-        Some(entry.status())
     }
 
     fn stream_entry(&self, id: u64) -> Option<Arc<StreamEntry>> {
         self.lock_streams().streams.get(&id).cloned()
     }
 
-    fn lock_streams(&self) -> std::sync::MutexGuard<'_, StreamTable> {
+    fn lock_streams(&self) -> MutexGuard<'_, StreamTable> {
         self.streams.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Retires closed streams with no in-flight frames once their close
-    /// is older than the poll-grace TTL — same contract as job-table
-    /// retirement: a long-lived daemon's memory does not grow with every
-    /// stream it has ever served.
-    fn sweep_streams(&self, tbl: &mut StreamTable) {
-        let now = self.cfg.clock.now();
-        let ttl = self.cfg.retire_ttl;
-        let before = tbl.streams.len();
-        tbl.streams.retain(|_, entry| {
-            let stats = entry.lock_stats();
-            !(stats.closed
-                && stats.in_flight == 0
-                && stats.closed_at.is_some_and(|at| at + ttl <= now))
-        });
-        let retired = before - tbl.streams.len();
-        if retired > 0 {
-            self.metrics
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .incr("streams_retired", retired as u64);
-        }
-    }
-
-    /// Renders the engine's process-lifetime metrics in the Prometheus
-    /// text format under the `sdvbs_serve` prefix.
-    pub fn metrics_text(&self) -> String {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_prometheus("sdvbs_serve")
-    }
-
-    /// Folds an external registry (e.g. a connection thread's request
-    /// stats) into the engine's lifetime registry.
-    pub fn merge_metrics(&self, other: &MetricsRegistry) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .merge(other);
-    }
-
-    /// Current value of a lifetime counter (for tests and the smoke gate).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .counter(name)
-    }
-
-    /// Execution-side trace events: one track per engine worker carrying
-    /// a span per batch, with the jobs' spans nested inside.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// A standalone copy of the lifetime registry, for shipping over the
     /// wire to a coordinator.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut out = MetricsRegistry::new();
-        out.merge(&self.metrics.lock().unwrap_or_else(PoisonError::into_inner));
+        out.merge(&self.metrics());
         out
     }
 
@@ -673,40 +212,6 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(event);
-    }
-
-    /// Retires terminal entries whose poll-grace TTL has elapsed, in
-    /// deadline order, so a sweep costs the jobs it retires rather than
-    /// the table size. Called with the state lock held, from the
-    /// submission path only — a job that just went terminal always
-    /// survives until the next submission, so a client never loses the
-    /// poll race to its own job's retirement.
-    fn sweep_retired(&self, st: &mut EngineState) {
-        let now = self.cfg.clock.now();
-        let mut retired = 0;
-        while let Some(&(at, id)) = st.retiring.front() {
-            if at > now {
-                break;
-            }
-            st.retiring.pop_front();
-            if st.jobs.remove(&id).is_some() {
-                retired += 1;
-            }
-        }
-        if retired > 0 {
-            self.metrics
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .incr("jobs_retired", retired);
-        }
-    }
-
-    /// Queues terminal job `id` for retirement once the poll-grace TTL has
-    /// passed. Caller holds the state lock, which keeps the retirement
-    /// queue in deadline order.
-    fn schedule_retirement(&self, st: &mut EngineState, id: u64) {
-        st.retiring
-            .push_back((self.cfg.clock.now() + self.cfg.retire_ttl, id));
     }
 
     fn worker_loop(&self, worker: usize) {
@@ -746,8 +251,8 @@ impl Engine {
             let n = batch.ids.len();
             for (i, &id) in batch.ids.iter().enumerate() {
                 if frames {
-                    self.run_frame(&batch, id, track, i + 1 == n);
-                } else if self.run_one(&batch, id, warm, track, i + 1 == n) {
+                    self.run_frame(&batch, id, worker, i + 1 == n);
+                } else if self.run_one(&batch, id, warm, worker, i + 1 == n) {
                     warm = true;
                 }
             }
@@ -768,40 +273,46 @@ impl Engine {
         ));
     }
 
+    /// Moves job `id` to a terminal state and wakes the pollers. `false`
+    /// when the job was already terminal.
+    fn finish(&self, st: &mut JobTable<Payload>, id: u64, state: JobState) -> bool {
+        let put = st.finish(id, state, self.cfg.clock.now());
+        if let Some(put) = put {
+            count_put(&mut self.metrics(), put);
+            self.changed.notify_all();
+        }
+        put.is_some()
+    }
+
+    /// Rejects a job dequeued after the drain began.
+    fn reject_draining(&self, st: &mut JobTable<Payload>, id: u64) {
+        if self.finish(st, id, JobState::Rejected(SHUTTING_DOWN.into())) {
+            self.incr("rejected_draining");
+        }
+    }
+
     /// Executes (or drain-rejects) one job of a batch. Returns whether the
     /// benchmark actually ran (and the batch is therefore warm).
-    fn run_one(&self, batch: &Batch, id: u64, warm: bool, track: u32, last: bool) -> bool {
+    fn run_one(&self, batch: &Batch, id: u64, warm: bool, worker: usize, last: bool) -> bool {
+        let track = worker as u32;
         let spec = {
             let mut st = self.lock_state();
-            if st.draining {
+            if st.is_draining() {
                 // Dequeued after the drain began: reject without executing.
                 // The window span closes while the state lock is still
                 // held, so the rejection is never visible before it.
                 if last {
                     self.push_batch_end(batch, track);
                 }
-                if let Some(entry) = st.jobs.get_mut(&id) {
-                    entry.state =
-                        JobState::Rejected("server shutting down before execution".into());
-                    let digest = entry.digest;
-                    st.inflight.release(digest, id);
-                    self.schedule_retirement(&mut st, id);
-                    note_terminal(&mut st, false);
-                    self.incr("rejected_draining");
-                    self.changed.notify_all();
-                }
+                self.reject_draining(&mut st, id);
                 return false;
             }
-            let entry = st
-                .jobs
-                .get_mut(&id)
-                .expect("a queued job stays in the table until terminal + TTL");
-            entry.state = JobState::Running;
+            let Some(Payload::Bench(spec)) = st.start(id, worker) else {
+                unreachable!("a queued bench job stays in the table until terminal + TTL")
+            };
+            let spec = spec.clone();
             self.changed.notify_all();
-            match &entry.payload {
-                Payload::Bench(spec) => spec.clone(),
-                Payload::Frame(_) => unreachable!("frame jobs dispatch through run_frame"),
-            }
+            spec
         };
         if let Some(hold) = self.cfg.hold {
             thread::sleep(hold);
@@ -809,8 +320,12 @@ impl Engine {
         // Auto policies go through the scaling model; everything else is
         // exactly what the client asked for.
         let tuned = matches!(spec.policy, ExecPolicy::Auto).then(|| {
-            let reg = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-            sched::pick_threads(&reg, &batch.group, &spec.benchmark, self.auto_threads)
+            sched::pick_threads(
+                &self.metrics(),
+                &batch.group,
+                &spec.benchmark,
+                self.auto_threads,
+            )
         });
         let auto_threads = tuned.unwrap_or(self.auto_threads);
         self.push_trace(TraceEvent::new(
@@ -836,56 +351,38 @@ impl Engine {
         if last {
             self.push_batch_end(batch, track);
         }
+        // Counters move under the state lock, before the terminal state is
+        // visible: a client that polls `done` reads them already counted.
         let mut st = self.lock_state();
-        let entry = st
-            .jobs
-            .get_mut(&id)
-            .expect("a running job stays in the table until terminal + TTL");
-        let digest = entry.digest;
-        let executed = match result {
+        match result {
             Ok(served) => {
-                let outcome = self.cache.put(digest, &entry.key, &served);
-                if outcome.evicted {
-                    self.incr("cache_evictions");
-                }
-                if outcome.collided {
-                    self.incr("cache_key_collisions");
-                }
                 // Feed the scaling model: the best pipeline time at this
                 // thread width, windowed so a long-lived daemon tracks
                 // recent behavior in bounded memory.
                 let record = served.record();
+                let mut metrics = self.metrics();
                 if record.status == RunStatus::Completed && record.min_ms > 0.0 {
-                    self.metrics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .observe_windowed(
-                            &sched::exec_hist_name(&batch.group, record.threads),
-                            record.min_ms,
-                            EXEC_HISTORY_WINDOW,
-                        );
+                    metrics.observe_windowed(
+                        &sched::exec_hist_name(&batch.group, record.threads),
+                        record.min_ms,
+                        EXEC_HISTORY_WINDOW,
+                    );
                 }
                 if tuned.is_some() {
-                    self.incr("sched_tuned_jobs");
+                    metrics.incr("sched_tuned_jobs", 1);
                 }
-                entry.state = JobState::Done(served);
-                self.schedule_retirement(&mut st, id);
-                note_terminal(&mut st, true);
-                self.incr("jobs_executed");
-                self.observe("job_exec_ms", exec_ms);
+                metrics.incr("jobs_executed", 1);
+                metrics.observe("job_exec_ms", exec_ms);
+                drop(metrics);
+                self.finish(&mut st, id, JobState::Done(served));
                 true
             }
             Err(e) => {
-                entry.state = JobState::Rejected(e.to_string());
-                self.schedule_retirement(&mut st, id);
-                note_terminal(&mut st, false);
                 self.incr("jobs_invalid");
+                self.finish(&mut st, id, JobState::Rejected(e.to_string()));
                 false
             }
-        };
-        st.inflight.release(digest, id);
-        self.changed.notify_all();
-        executed
+        }
     }
 
     /// Executes (or drain-rejects) one stream frame. Frames never touch
@@ -894,40 +391,26 @@ impl Engine {
     /// execution: even when frames of one stream land on several
     /// workers, they process strictly in submission order (pipeline
     /// state makes order a correctness property).
-    fn run_frame(&self, batch: &Batch, id: u64, track: u32, last: bool) {
+    fn run_frame(&self, batch: &Batch, id: u64, worker: usize, last: bool) {
+        let track = worker as u32;
         let (task, draining) = {
             let mut st = self.lock_state();
-            let draining = st.draining;
-            let entry = st
-                .jobs
-                .get_mut(&id)
-                .expect("a queued frame stays in the table until terminal + TTL");
-            let Payload::Frame(task) = &entry.payload else {
-                unreachable!("stream-group jobs always carry frame payloads")
+            let draining = st.is_draining();
+            let Some(Payload::Frame(task)) = st.get(id).map(|e| &e.payload) else {
+                unreachable!("a queued frame stays in the table until terminal + TTL")
             };
             let task = task.clone();
             if !draining {
-                entry.state = JobState::Running;
+                st.start(id, worker);
                 self.changed.notify_all();
             }
             (task, draining)
         };
-        let Some(stream) = self.stream_entry(task.stream) else {
-            // Unreachable in practice: a stream is only swept once it has
-            // no in-flight frames. Account the frame as failed anyway
-            // rather than wedging the drain.
-            let mut st = self.lock_state();
-            if let Some(entry) = st.jobs.get_mut(&id) {
-                entry.state = JobState::Rejected("stream no longer exists".into());
-                self.schedule_retirement(&mut st, id);
-                note_terminal(&mut st, false);
-                self.changed.notify_all();
-            }
-            if last {
-                self.push_batch_end(batch, track);
-            }
-            return;
-        };
+        // A stream retires only once closed with no frame in flight, and
+        // this frame is in flight.
+        let stream = self
+            .stream_entry(task.stream)
+            .expect("a stream with a frame in flight is never retired");
         if draining {
             // Honest drain accounting: wait for this frame's turn (so the
             // stream's execution order never inverts), reject it, then
@@ -937,22 +420,13 @@ impl Engine {
                 self.push_batch_end(batch, track);
             }
             stream.wait_turn(task.seq);
-            {
-                let mut st = self.lock_state();
-                if let Some(entry) = st.jobs.get_mut(&id) {
-                    entry.state =
-                        JobState::Rejected("server shutting down before execution".into());
-                    self.schedule_retirement(&mut st, id);
-                    note_terminal(&mut st, false);
-                    self.incr("rejected_draining");
-                    self.changed.notify_all();
-                }
-            }
+            self.reject_draining(&mut self.lock_state(), id);
             stream.advance_turn(task.seq);
             let mut stats = stream.lock_stats();
-            stats.in_flight = stats.in_flight.saturating_sub(1);
             stats.rejected += 1;
+            let idle = stats.leave_flight();
             drop(stats);
+            self.retire_stream_if(idle, stream.id);
             self.incr("stream_frames_rejected");
             return;
         }
@@ -1003,16 +477,16 @@ impl Engine {
         stream.advance_turn(task.seq);
         let latency_ms = task.submitted.elapsed().as_secs_f64() * 1e3;
         let completed = result.is_ok();
-        let state = {
+        let (state, idle) = {
             let mut stats = stream.lock_stats();
-            stats.in_flight = stats.in_flight.saturating_sub(1);
+            let idle = stats.leave_flight();
             stats.note_exec(exec_ms);
             let violated = stats.note_latency(latency_ms, stream.sla_ms);
             if violated {
                 self.incr("stream_sla_violations");
                 self.incr(&format!("stream_{}_sla_violations", stream.id));
             }
-            match result {
+            let state = match result {
                 Ok(r) => {
                     stats.completed += 1;
                     if task.degraded {
@@ -1027,96 +501,265 @@ impl Engine {
                     stats.failed += 1;
                     JobState::Rejected(e.to_string())
                 }
-            }
+            };
+            (state, idle)
         };
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe_windowed(
-                &format!("stream_{}_frame_latency_ms", stream.id),
-                latency_ms,
-                FRAME_LATENCY_WINDOW,
-            );
+        self.retire_stream_if(idle, stream.id);
+        self.metrics().observe_windowed(
+            &format!("stream_{}_frame_latency_ms", stream.id),
+            latency_ms,
+            LATENCY_WINDOW,
+        );
         self.observe("stream_frame_exec_ms", exec_ms);
         if completed {
             self.incr("stream_frames_completed");
         } else {
             self.incr("stream_frames_failed");
         }
-        let mut st = self.lock_state();
-        if let Some(entry) = st.jobs.get_mut(&id) {
-            entry.state = state;
-            self.schedule_retirement(&mut st, id);
-            note_terminal(&mut st, completed);
-            self.changed.notify_all();
-        }
+        self.finish(&mut self.lock_state(), id, state);
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, EngineState> {
+    fn lock_state(&self) -> MutexGuard<'_, JobTable<Payload>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn incr(&self, name: &str) {
-        self.metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .incr(name, 1);
+        self.metrics().incr(name, 1);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        self.metrics
+        self.metrics().observe(name, value);
+    }
+}
+
+impl Backend for Engine {
+    fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
+        let key = CacheKey::of(&spec);
+        let mut st = self.lock_state();
+        // try_push under the state lock keeps the entry/queue transition
+        // atomic; workers take the queue lock only with the state lock
+        // released, so the ordering is acyclic.
+        let admission = st.submit(
+            Payload::Bench(spec),
+            Some(key),
+            fresh,
+            self.cfg.clock.now(),
+            |id, job| {
+                self.queue
+                    .try_push(id, &job.group(), class)
+                    .map_err(refused)
+            },
+        );
+        admission.count(&mut self.metrics(), class);
+        admission.answer
+    }
+
+    fn get(&self, id: u64) -> Option<JobSnapshot> {
+        self.lock_state().snapshot(id)
+    }
+
+    fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
+        backend::wait_terminal(&self.state, &self.changed, wait, |table| table.snapshot(id))
+    }
+
+    /// Lets running jobs finish, rejects everything still queued, then
+    /// joins the worker threads. Idempotent. The report counts **only the
+    /// work resolved by this drain**: jobs already terminal when it began
+    /// are history, not drain work.
+    fn drain(&self) -> DrainReport {
+        self.begin_drain();
+        let report = self
+            .changed
+            .wait_while(self.lock_state(), |table| table.outstanding() > 0)
+            .unwrap_or_else(PoisonError::into_inner)
+            .drained();
+        let handles: Vec<_> = self
+            .workers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .observe(name, value);
-    }
-}
-
-/// Accounts a terminal transition against an in-progress drain (a no-op
-/// before `begin_drain`; afterwards no new jobs are admitted, so every
-/// transition belongs to the drain-open set).
-fn note_terminal(st: &mut EngineState, completed: bool) {
-    if let Some(open) = st.drain_open {
-        if completed {
-            st.drain_completed += 1;
-        } else {
-            st.drain_rejected += 1;
+            .drain(..)
+            .collect();
+        for handle in handles {
+            let _ = handle.join();
         }
-        st.drain_open = Some(open.saturating_sub(1));
+        report
     }
-}
 
-fn snapshot(id: u64, entry: &JobEntry) -> JobSnapshot {
-    match &entry.state {
-        JobState::Queued => JobSnapshot {
-            id,
-            state: "queued",
-            record: None,
-            detail: String::new(),
-        },
-        JobState::Running => JobSnapshot {
-            id,
-            state: "running",
-            record: None,
-            detail: String::new(),
-        },
-        JobState::Done(record) => JobSnapshot {
-            id,
-            state: "done",
-            record: Some(Arc::clone(record)),
-            detail: String::new(),
-        },
-        JobState::FrameDone(detail) => JobSnapshot {
-            id,
-            state: "done",
-            record: None,
-            detail: detail.clone(),
-        },
-        JobState::Rejected(why) => JobSnapshot {
-            id,
-            state: "rejected",
-            record: None,
-            detail: why.clone(),
-        },
+    /// Refuses new submissions and closes the queue. The shutdown endpoint
+    /// calls this inline before responding, so a submission that arrives
+    /// after the shutdown response is answered `503`, never `429`.
+    fn begin_drain(&self) {
+        self.lock_state().begin_drain();
+        self.queue.close();
+    }
+
+    fn is_draining(&self) -> bool {
+        self.lock_state().is_draining()
+    }
+
+    /// Validates the spec, builds its stateful pipeline, and allocates it
+    /// a trace track. Refused while draining or at the [`MAX_STREAMS`]
+    /// open-stream cap.
+    fn open_stream(&self, spec: StreamSpec) -> Result<u64, StreamRefused> {
+        if self.is_draining() {
+            return Err(StreamRefused::Draining);
+        }
+        let pipeline = stream::build_for(&spec)?;
+        let mut tbl = self.lock_streams();
+        // Same contract as job retirement: a long-lived daemon's memory
+        // does not grow with every stream it has ever served.
+        let tbl = &mut *tbl;
+        let retired = tbl.retiring.sweep(self.cfg.clock.now(), &mut tbl.streams);
+        if retired > 0 {
+            self.metrics().incr("streams_retired", retired);
+        }
+        if tbl.open >= MAX_STREAMS {
+            self.incr("streams_refused_limit");
+            return Err(StreamRefused::LimitReached);
+        }
+        let id = tbl.next_id;
+        tbl.next_id += 1;
+        tbl.open += 1;
+        let track = alloc_track();
+        self.push_trace(TraceEvent::new(
+            format!("stream {id} ({})", spec.pipeline.label()),
+            "meta",
+            Phase::Meta,
+            0,
+            track,
+        ));
+        tbl.streams
+            .insert(id, Arc::new(StreamEntry::new(id, spec, track, pipeline)));
+        self.incr("streams_opened");
+        Ok(id)
+    }
+
+    /// The backpressure policy decides the frame's fate at admission:
+    /// process at full size, process degraded, or drop. A dropped frame is
+    /// a *successful* submission — shedding is the declared contract — but
+    /// a frame refused as draining is uncounted.
+    fn submit_frame(&self, stream_id: u64) -> Result<FrameTicket, StreamRefused> {
+        let entry = self
+            .stream_entry(stream_id)
+            .ok_or(StreamRefused::NoSuchStream)?;
+        // Lock order: stream stats, then engine state. Workers take them
+        // one at a time, never nested in the other direction.
+        let mut stats = entry.lock_stats();
+        if stats.closed {
+            return Err(StreamRefused::Closed);
+        }
+        let frame = stats.submitted;
+        let decision = stats.admit(entry.spec.policy, entry.sla_ms);
+        let degraded = decision == FrameDecision::Process { degraded: true };
+        // A policy drop and queue pressure both shed the frame: counted,
+        // never enqueued, so the accounting stays exact.
+        let answer = match decision {
+            FrameDecision::Drop => Submission::QueueFull,
+            FrameDecision::Process { .. } => {
+                let task = FrameTask {
+                    stream: stream_id,
+                    frame,
+                    seq: stats.next_seq,
+                    degraded,
+                    submitted: Instant::now(),
+                };
+                let mut st = self.lock_state();
+                let admission = st.submit(
+                    Payload::Frame(task),
+                    None,
+                    true,
+                    self.cfg.clock.now(),
+                    |id, job| {
+                        let class = JobClass::Interactive;
+                        self.queue
+                            .try_push(id, &job.group(), class)
+                            .map_err(refused)
+                    },
+                );
+                if admission.retired > 0 {
+                    self.metrics().incr("jobs_retired", admission.retired);
+                }
+                admission.answer
+            }
+        };
+        let job_id = match answer {
+            Submission::Queued(id) => Some(id),
+            Submission::QueueFull => None,
+            _ => return Err(StreamRefused::Draining),
+        };
+        let shed = job_id.is_none();
+        stats.submitted += 1;
+        if shed {
+            stats.dropped += 1;
+        } else {
+            stats.next_seq += 1;
+            stats.in_flight += 1;
+        }
+        drop(stats);
+        self.incr("stream_frames_submitted");
+        if shed || degraded {
+            let outcome = if shed { "dropped" } else { "degraded" };
+            self.incr(&format!("stream_frames_{outcome}"));
+            self.incr(&format!("stream_{stream_id}_frames_{outcome}"));
+        }
+        Ok(FrameTicket {
+            job_id,
+            frame,
+            dropped: shed,
+            degraded: degraded && !shed,
+        })
+    }
+
+    fn stream_status(&self, id: u64) -> Option<StreamStatus> {
+        Some(self.stream_entry(id)?.status())
+    }
+
+    /// No further frames are accepted; in-flight frames finish normally.
+    fn close_stream(&self, id: u64) -> Option<StreamStatus> {
+        let entry = self.stream_entry(id)?;
+        let (first, idle) = {
+            let mut stats = entry.lock_stats();
+            let first = !stats.closed;
+            stats.closed = true;
+            (first, stats.in_flight == 0)
+        };
+        if first {
+            let mut tbl = self.lock_streams();
+            tbl.open -= 1;
+            // With a frame in flight, the last frame's completion queues
+            // the stream instead.
+            if idle {
+                tbl.retiring.schedule(self.cfg.clock.now(), id);
+            }
+            drop(tbl);
+            self.incr("streams_closed");
+        }
+        Some(entry.status())
+    }
+
+    fn metrics_text(&self) -> String {
+        self.metrics().to_prometheus("sdvbs_serve")
+    }
+
+    fn merge_metrics(&self, other: &MetricsRegistry) {
+        self.metrics().merge(other);
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.metrics().counter(name)
+    }
+
+    /// One track per engine worker carrying a span per batch, with the
+    /// jobs' spans nested inside.
+    fn trace_events(&self) -> Vec<TraceEvent> {
+        self.trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -1426,6 +1069,41 @@ mod tests {
             engine.open_stream(stream_spec(1, 1.0)),
             Err(StreamRefused::Draining)
         ));
+    }
+
+    #[test]
+    fn a_closed_stream_retires_only_after_its_last_frame_finishes() {
+        let engine = Engine::start(EngineConfig {
+            retire_ttl: Duration::ZERO,
+            hold: Some(Duration::from_millis(300)),
+            ..EngineConfig::default()
+        });
+        let id = engine
+            .open_stream(stream_spec(2, 1.0))
+            .expect("open stream");
+        let ticket = engine.submit_frame(id).expect("submit frame");
+        engine.close_stream(id).expect("close stream");
+        // A sweep past the TTL while the frame is held in flight keeps it.
+        engine
+            .open_stream(stream_spec(3, 1.0))
+            .expect("open stream");
+        assert_eq!(engine.counter("streams_retired"), 0);
+        assert_eq!(engine.stream_status(id).expect("still known").in_flight, 1);
+        let job = ticket.job_id.expect("frame accepted");
+        assert_eq!(wait_done(&engine, job).state, "done");
+        // The first sweep after the frame finished retires the stream.
+        engine
+            .open_stream(stream_spec(4, 1.0))
+            .expect("open stream");
+        assert_eq!(engine.counter("streams_retired"), 1);
+        assert!(engine.stream_status(id).is_none());
+        // Closing twice is idempotent.
+        let other = engine
+            .open_stream(stream_spec(5, 1.0))
+            .expect("open stream");
+        engine.close_stream(other).expect("close");
+        assert_eq!(engine.close_stream(other).expect("known").state, "closed");
+        engine.drain();
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod cluster;
 pub mod coalesce;
 pub mod engine;
 pub mod http;
+pub mod jobs;
 pub mod loadgen;
 pub mod protocol;
 pub mod router;
@@ -58,8 +59,9 @@ pub use backend::Backend;
 pub use cache::{fnv1a, spec_digest, ResultCache, ServedRecord};
 pub use cluster::{ClusterConfig, ClusterEngine, CLUSTER_TRACK_BASE};
 pub use coalesce::InflightMap;
-pub use engine::{Engine, EngineConfig, JobSnapshot, Submission};
+pub use engine::{Engine, EngineConfig};
 pub use http::{parse_request, parse_response, Framing, HttpError, Request, Response, ResponseMsg};
+pub use jobs::{Coordinator, JobSnapshot, Submission};
 pub use loadgen::{
     run_loadgen, run_stream_loadgen, spec_body, stream_spec_body, Client, LoadgenConfig,
     LoadgenReport, StreamLoadConfig, StreamLoadReport, StreamRun, TargetStats,

@@ -44,7 +44,7 @@ use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs_runner::{parse_policy, parse_size, Job, RunRecord};
 use sdvbs_serve::{
     run_loadgen, run_stream_loadgen, run_worker, spec_body, starvation_bound, stream_spec_body,
-    Client, ClusterConfig, ClusterEngine, Engine, EngineConfig, JobClass, LoadgenConfig,
+    Backend, Client, ClusterConfig, ClusterEngine, Engine, EngineConfig, JobClass, LoadgenConfig,
     LoadgenReport, SchedConfig, Server, ServerConfig, StreamLoadConfig, StreamRun, Submission,
     WorkerConfig,
 };

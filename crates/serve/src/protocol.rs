@@ -3,11 +3,11 @@
 //! Every judgment call the coordinator makes — which worker a job lands
 //! on, what happens to a dead worker's orphans, when a silent worker is
 //! declared dead, how many failures exhaust a retry budget — lives here
-//! as a pure function of explicit inputs. [`crate::cluster`] calls these
-//! from its threaded production loops; the `sdvbs-sim` discrete-event
-//! harness calls the *same* functions from its single-threaded model, so
-//! a policy bug found under simulation is by construction the production
-//! policy's bug.
+//! as a pure function of explicit inputs, called by the sans-IO
+//! [`Coordinator`](crate::jobs::Coordinator) core that both
+//! [`crate::cluster`]'s threads and the `sdvbs-sim` discrete-event
+//! harness drive — the simulator runs the production core, not a mirror
+//! — so a bug found under simulation is by construction production's.
 //!
 //! ## Attempt accounting (unified with the runner)
 //!

@@ -25,6 +25,7 @@
 //! [`SchedQueue`] wraps it with a mutex + condvar for the single-process
 //! engine's blocking workers.
 
+use sdvbs_runner::{size_label, Job};
 use sdvbs_trace::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -140,6 +141,11 @@ pub fn starvation_bound(cfg: &SchedConfig, interactive_ahead: usize) -> usize {
     let qb = cfg.quantum_batch.max(1) as usize;
     let rounds = interactive_ahead / qi + 1;
     qb * (rounds + 1)
+}
+
+/// The scheduler group key a spec batches under: `benchmark|size`.
+pub fn group_key(spec: &Job) -> String {
+    format!("{}|{}", spec.benchmark, size_label(spec.size))
 }
 
 /// One dispatch window: consecutive jobs from a single benchmark×size

@@ -21,8 +21,8 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// the shutdown itself did, not the process's lifetime history. The
 /// cluster coordinator keeps **lifetime** totals instead — its report
 /// doubles as the final accounting for jobs retried across worker
-/// deaths, where "what was in flight at drain time" is not well defined
-/// per worker.
+/// deaths, kept by the [`crate::jobs::JobTable`] at each terminal
+/// transition so the totals survive the retirement of the jobs counted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DrainReport {
     /// Jobs that executed to a record during the drain (engine) or over

@@ -12,12 +12,14 @@
 //! sequence gate serializes execution (pipelines are stateful — frame
 //! order is correctness, not politeness).
 
+use crate::jobs::RetireQueue;
 use sdvbs_runner::{parse_size, size_label};
 use sdvbs_stream::{
     build_pipeline, DegradePolicy, FrameResult, PipelineKind, StreamPipeline, StreamSpec,
     DIGEST_SEED,
 };
 use sdvbs_trace::jsonl::Value;
+use sdvbs_trace::Histogram;
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -26,8 +28,9 @@ use std::time::{Duration, Instant};
 pub(crate) const MAX_STREAMS: usize = 64;
 /// Per-frame summaries retained in a stream's status window.
 const RESULT_WINDOW: usize = 32;
-/// Latency samples retained per stream for the percentile report.
-const LATENCY_WINDOW: usize = 1024;
+/// Latency samples retained per stream, for the status percentiles and
+/// the engine's per-stream latency histogram alike.
+pub(crate) const LATENCY_WINDOW: usize = 1024;
 /// Consecutive healthy frames required before degrade disengages —
 /// hysteresis so the mode doesn't oscillate every other frame.
 const HEALTHY_RUN: u64 = 6;
@@ -131,14 +134,12 @@ pub(crate) struct StreamStats {
     pub ewma_exec_ms: f64,
     /// FNV-1a fold of completed frames' digests in execution order.
     pub rolling_digest: u64,
-    /// Ring of recent latencies for the percentile report.
-    latencies: Vec<f64>,
-    latency_next: usize,
+    /// The most recent [`LATENCY_WINDOW`] latencies, for the percentile
+    /// report.
+    latencies: Histogram,
     /// Ring of recent frame summaries.
     recent: Vec<FrameSummary>,
     pub closed: bool,
-    /// Clock time the stream was closed at (drives table sweeping).
-    pub closed_at: Option<Duration>,
 }
 
 /// What [`StreamStats::admit`] decided for a submitted frame.
@@ -157,6 +158,7 @@ impl StreamStats {
     fn new() -> StreamStats {
         StreamStats {
             rolling_digest: DIGEST_SEED,
+            latencies: Histogram::windowed(LATENCY_WINDOW),
             ..StreamStats::default()
         }
     }
@@ -198,12 +200,7 @@ impl StreamStats {
     /// after [`HEALTHY_RUN`] consecutive healthy, backlog-free frames.
     pub(crate) fn note_latency(&mut self, latency_ms: f64, sla_ms: f64) -> bool {
         self.last_latency_ms = latency_ms;
-        if self.latencies.len() < LATENCY_WINDOW {
-            self.latencies.push(latency_ms);
-        } else {
-            self.latencies[self.latency_next] = latency_ms;
-            self.latency_next = (self.latency_next + 1) % LATENCY_WINDOW;
-        }
+        self.latencies.observe(latency_ms);
         let violated = latency_ms > sla_ms;
         if violated {
             self.sla_violations += 1;
@@ -223,6 +220,13 @@ impl StreamStats {
         violated
     }
 
+    /// Accounts one frame leaving flight. Returns whether that leaves a
+    /// closed stream idle — the moment its retirement is queued.
+    pub(crate) fn leave_flight(&mut self) -> bool {
+        self.in_flight = self.in_flight.saturating_sub(1);
+        self.closed && self.in_flight == 0
+    }
+
     pub(crate) fn note_exec(&mut self, exec_ms: f64) {
         self.ewma_exec_ms = if self.ewma_exec_ms == 0.0 {
             exec_ms
@@ -236,16 +240,6 @@ impl StreamStats {
             self.recent.remove(0);
         }
         self.recent.push(summary);
-    }
-
-    fn percentile(&self, q: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
     }
 }
 
@@ -308,6 +302,7 @@ impl StreamEntry {
     /// A point-in-time status snapshot.
     pub(crate) fn status(&self) -> StreamStatus {
         let stats = self.lock_stats();
+        let percentile = |p: f64| stats.latencies.percentile(p).unwrap_or(0.0);
         StreamStatus {
             id: self.id,
             pipeline: self.spec.pipeline.label(),
@@ -328,27 +323,33 @@ impl StreamEntry {
             degrade_transitions: stats.degrade_transitions,
             rolling_digest: stats.rolling_digest,
             last_latency_ms: stats.last_latency_ms,
-            p50_ms: stats.percentile(0.50),
-            p95_ms: stats.percentile(0.95),
-            p99_ms: stats.percentile(0.99),
+            p50_ms: percentile(50.0),
+            p95_ms: percentile(95.0),
+            p99_ms: percentile(99.0),
             recent: stats.recent.clone(),
         }
     }
 }
 
 /// The engine's stream table.
-#[derive(Default)]
 pub(crate) struct StreamTable {
     pub streams: HashMap<u64, std::sync::Arc<StreamEntry>>,
     pub next_id: u64,
+    /// Streams not yet closed.
+    pub open: usize,
+    /// Closed streams with no frame in flight, in deadline order.
+    pub retiring: RetireQueue,
 }
 
 impl StreamTable {
-    pub(crate) fn open_count(&self) -> usize {
-        self.streams
-            .values()
-            .filter(|e| !e.lock_stats().closed)
-            .count()
+    /// An empty table retiring idle closed streams after `ttl`.
+    pub(crate) fn new(ttl: Duration) -> StreamTable {
+        StreamTable {
+            streams: HashMap::new(),
+            next_id: 0,
+            open: 0,
+            retiring: RetireQueue::new(ttl),
+        }
     }
 }
 
@@ -651,6 +652,26 @@ mod tests {
         assert_eq!(v.get("state").and_then(Value::as_str), Some("open"));
         let digest = v.get("rolling_digest").and_then(Value::as_str).unwrap();
         assert!(digest.starts_with("0x") && digest.len() == 18, "{digest}");
+    }
+
+    #[test]
+    fn status_percentiles_cover_the_last_window_of_latencies() {
+        let spec = parse_stream_spec(b"{\"pipeline\":\"tracking\",\"size\":\"sqcif\"}").unwrap();
+        let entry = StreamEntry::new(0, spec, 2050, build_for(&spec).unwrap());
+        // 1500 distinct latencies: the window wraps, dropping the oldest.
+        let latencies: Vec<f64> = (0..1500u64)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / 1e3)
+            .collect();
+        for &ms in &latencies {
+            entry.lock_stats().note_latency(ms, entry.sla_ms);
+        }
+        let mut last = latencies[latencies.len() - LATENCY_WINDOW..].to_vec();
+        last.sort_by(f64::total_cmp);
+        let rank = |q: f64| last[(q * last.len() as f64).ceil() as usize - 1];
+        let status = entry.status();
+        assert_eq!(status.p50_ms.to_bits(), rank(0.50).to_bits());
+        assert_eq!(status.p95_ms.to_bits(), rank(0.95).to_bits());
+        assert_eq!(status.p99_ms.to_bits(), rank(0.99).to_bits());
     }
 
     #[test]

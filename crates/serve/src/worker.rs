@@ -22,6 +22,7 @@
 //! drains itself and exits — an orphaned worker holding a port and a
 //! thread pool is a leak, not a service.
 
+use crate::backend::Backend;
 use crate::engine::{Engine, EngineConfig, Submission};
 use crate::sched::JobClass;
 use sdvbs_trace::now_us;

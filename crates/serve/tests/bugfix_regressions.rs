@@ -7,7 +7,7 @@
 use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
-use sdvbs_serve::{fnv1a, DrainReport, JobClass, ResultCache, ServedRecord};
+use sdvbs_serve::{fnv1a, Backend, DrainReport, JobClass, ResultCache, ServedRecord};
 use sdvbs_stream::{DegradePolicy, PipelineKind, StreamSpec};
 use std::time::{Duration, Instant};
 

@@ -11,7 +11,7 @@ use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
 use sdvbs_serve::sched::Drr;
-use sdvbs_serve::{starvation_bound, JobClass, SchedConfig};
+use sdvbs_serve::{starvation_bound, Backend, JobClass, SchedConfig};
 use std::time::Duration;
 
 /// Splitmix-style step: deterministic, well-mixed, dependency-free.

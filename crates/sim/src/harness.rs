@@ -13,7 +13,7 @@
 
 use crate::faults::{plan, FaultSchedule, FaultSpec};
 use crate::invariants::{check, CheckContext};
-use crate::model::{JobState, ModelConfig, SimModel};
+use crate::model::{ModelConfig, SimModel};
 use crate::net::NetConfig;
 use crate::rng::SimRng;
 use sdvbs_runner::Job;
@@ -157,24 +157,20 @@ pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
         horizon_us,
     };
     let violations = check(&model, &ctx);
-    let mut stats = SimStats {
-        admitted: model.jobs().len() as u64,
+    let table = model.core().table();
+    let tally = table.lifetime();
+    let stats = SimStats {
+        admitted: table.issued(),
+        completed: tally.completed as u64,
+        rejected: tally.rejected as u64,
+        quarantined: tally.quarantined as u64,
         refused_admission: model.audit.refused_admission,
         requeues: model.audit.requeues,
         busy_bounces: model.audit.busy_bounces,
         stolen: model.audit.stolen,
         deaths: model.audit.deaths.len() as u64,
         stale_deaths: model.audit.deaths.iter().filter(|d| d.stale).count() as u64,
-        ..SimStats::default()
     };
-    for job in model.jobs() {
-        match job.state {
-            JobState::Done => stats.completed += 1,
-            JobState::Rejected(_) => stats.rejected += 1,
-            JobState::Quarantined(_) => stats.quarantined += 1,
-            _ => {}
-        }
-    }
     let mut preimage = Vec::new();
     for line in &model.log {
         preimage.extend_from_slice(line.as_bytes());

@@ -43,8 +43,9 @@ pub struct CheckContext<'a> {
 /// clean.
 pub fn check(model: &SimModel, ctx: &CheckContext<'_>) -> Vec<String> {
     let mut violations = Vec::new();
-    no_lost_or_double(model.jobs(), &mut violations);
-    retry_budget(model.jobs(), ctx.retry_budget, &mut violations);
+    let jobs = model.jobs();
+    no_lost_or_double(&jobs, &mut violations);
+    retry_budget(&jobs, ctx.retry_budget, &mut violations);
     drain_terminates(model, ctx, &mut violations);
     staleness_honesty(model, ctx, &mut violations);
     violations
@@ -53,7 +54,7 @@ pub fn check(model: &SimModel, ctx: &CheckContext<'_>) -> Vec<String> {
 /// Invariant 1: terminal exactly once.
 fn no_lost_or_double(jobs: &[SimJob], out: &mut Vec<String>) {
     for (id, job) in jobs.iter().enumerate() {
-        if !job.state.is_terminal() {
+        if matches!(job.state, JobState::Pending | JobState::Dispatched(_)) {
             out.push(format!(
                 "job {id} lost: final state {:?} after quiescence",
                 job.state

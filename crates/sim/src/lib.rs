@@ -20,9 +20,10 @@
 //!   heal;
 //! * faults are planned from the seed ([`faults`]): crashes, stalls,
 //!   partitions, reorder — so **the failing seed is the reproduction**;
-//! * the protocol logic is *shared with production*: every decision goes
-//!   through [`sdvbs_serve::protocol`], and every message round-trips
-//!   the real [`sdvbs_wire`] frame codec.
+//! * the coordinator *is production's* sans-IO
+//!   [`sdvbs_serve::jobs::Coordinator`], deciding through
+//!   [`sdvbs_serve::protocol`], and every message round-trips the real
+//!   [`sdvbs_wire`] frame codec.
 //!
 //! [`harness::run_sim`] executes one seed and checks the invariants in
 //! [`invariants`]; [`harness::explore`] sweeps a seed range; the

@@ -1,9 +1,12 @@
 //! The deterministic model of the coordinator/worker cluster.
 //!
-//! This is the production protocol of [`sdvbs_serve::cluster`] and
-//! [`sdvbs_serve::worker`] re-hosted on a single-threaded discrete-event
-//! scheduler. Three things are shared with production outright, so the
-//! model cannot drift from the code it tests:
+//! The coordinator here *is* production's: the model drives the same
+//! sans-IO [`Coordinator`] that [`sdvbs_serve::cluster`] holds under its
+//! lock — job table, cache front, DRR pending queue, dispatch window,
+//! per-worker in-flight sets, attempts, orphan judgement, drain — from a
+//! single-threaded discrete-event loop, so the invariants check the
+//! production bookkeeping, not a copy of it. Beside the core, three
+//! things are shared with production outright:
 //!
 //! * **every decision** — shard choice, orphan fate, retry exhaustion,
 //!   staleness — is the corresponding pure function in
@@ -28,10 +31,12 @@ use crate::rng::SimRng;
 use crate::sched::EventQueue;
 use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{policy_label, size_label, HostMeta, Job, RunRecord, RunStatus};
-use sdvbs_serve::protocol::{self, OrphanDisposition, RetryPolicy};
-use sdvbs_serve::spec_digest;
+use sdvbs_serve::jobs::{self, Step};
+use sdvbs_serve::protocol::{self, OrphanDisposition};
+use sdvbs_serve::{spec_digest, ClusterConfig, Coordinator, JobClass, ServedRecord, Submission};
 use sdvbs_wire::{decode_frame, encode_frame, Message};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cluster sizing and timing knobs, all in virtual microseconds.
@@ -80,7 +85,8 @@ impl Default for ModelConfig {
     }
 }
 
-/// Mirror of the coordinator's `CJobState`.
+/// A production lifecycle state ([`jobs::JobState`]) as the invariant
+/// checks read it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobState {
     /// Admitted, awaiting dispatch.
@@ -96,35 +102,34 @@ pub enum JobState {
 }
 
 impl JobState {
-    /// Whether the job can never change state again.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Rejected(_) | JobState::Quarantined(_)
-        )
+    fn of(state: &jobs::JobState) -> JobState {
+        match state {
+            jobs::JobState::Queued => JobState::Pending,
+            jobs::JobState::Running(w) => JobState::Dispatched(*w),
+            jobs::JobState::Done(_) | jobs::JobState::FrameDone(_) => JobState::Done,
+            jobs::JobState::Rejected(why) => JobState::Rejected(why.clone()),
+            jobs::JobState::Quarantined(why) => JobState::Quarantined(why.clone()),
+        }
     }
 }
 
-/// One admitted cluster job plus its audit trail.
+/// One job in the coordinator's table, beside what the audit saw happen
+/// to it.
 #[derive(Debug, Clone)]
 pub struct SimJob {
-    /// The real spec (digested for sharding exactly as production).
-    pub spec: Job,
-    /// `spec_digest(&spec)`.
-    pub digest: u64,
-    /// Lifecycle state.
+    /// Lifecycle state, read from the production table.
     pub state: JobState,
-    /// Executions begun (the unified accounting of
-    /// [`sdvbs_serve::protocol`]).
+    /// Executions begun, read from the production table (the unified
+    /// accounting of [`sdvbs_serve::protocol`]).
     pub attempts: u32,
-    /// Highest `attempts` ever observed (Busy refunds lower `attempts`,
-    /// never this).
+    /// Highest attempt the job was ever dispatched with (a Busy refund
+    /// lowers `attempts`, never this).
     pub attempts_high: u32,
-    /// Times the job entered a terminal state. The no-lost/no-double
-    /// invariant demands exactly 1.
+    /// Terminal transitions the core reported for the job. The
+    /// no-lost/no-double invariant demands exactly 1.
     pub terminal_transitions: u32,
     /// The completed record, when `Done`.
-    pub record: Option<Box<RunRecord>>,
+    pub record: Option<Arc<ServedRecord>>,
 }
 
 /// A recorded worker death.
@@ -161,6 +166,10 @@ pub struct RunAudit {
     pub requeues: u64,
     /// Jobs stolen off their home shard.
     pub stolen: u64,
+    /// The highest attempt each job was dispatched with.
+    pub attempts_high: BTreeMap<u64, u32>,
+    /// Terminal transitions the core reported, per job.
+    pub terminal_transitions: BTreeMap<u64, u32>,
 }
 
 struct SimWorker {
@@ -225,15 +234,13 @@ pub struct SimModel {
     clock: ClockHandle,
     virt: std::sync::Arc<sdvbs_exec::VirtualClock>,
 
-    // Coordinator state (mirrors ClusterState + WorkerLink fields).
-    jobs: Vec<SimJob>,
-    pending: VecDeque<u64>,
-    outstanding: usize,
-    draining: bool,
+    /// The production coordinator core.
+    core: Coordinator,
+    // The coordinator's thread-side state (ClusterEngine's flags and
+    // WorkerLink fields).
     stopping: bool,
     alive: Vec<bool>,
     last_beat: Vec<Duration>,
-    dispatched: Vec<BTreeSet<u64>>,
     hb_seq: u64,
 
     workers: Vec<SimWorker>,
@@ -274,6 +281,17 @@ impl SimModel {
         queue.push(0, Ev::HeartbeatTick);
         queue.push(drain_at_us, Ev::BeginDrain);
         let t0 = clock.now();
+        // Heartbeat/liveness are the model's own; the core takes the rest
+        // of the production config.
+        let core = Coordinator::new(
+            n,
+            &ClusterConfig {
+                queue_capacity: cfg.queue_capacity,
+                per_worker_inflight: cfg.per_worker_inflight,
+                retry_budget: cfg.retry_budget,
+                ..ClusterConfig::default()
+            },
+        );
         SimModel {
             cfg,
             rng,
@@ -281,14 +299,10 @@ impl SimModel {
             queue,
             clock,
             virt,
-            jobs: Vec::new(),
-            pending: VecDeque::new(),
-            outstanding: 0,
-            draining: false,
+            core,
             stopping: false,
             alive: vec![true; n],
             last_beat: vec![t0; n],
-            dispatched: vec![BTreeSet::new(); n],
             hb_seq: 0,
             workers: (0..n).map(|_| SimWorker::new()).collect(),
             planned,
@@ -313,9 +327,33 @@ impl SimModel {
         self.queue.now_us()
     }
 
-    /// The admitted jobs, for invariant checks and reporting.
-    pub fn jobs(&self) -> &[SimJob] {
-        &self.jobs
+    /// The jobs in the coordinator's table, in id order, for invariant
+    /// checks and reporting: each one's production state and attempts
+    /// beside the transitions the audit observed.
+    pub fn jobs(&self) -> Vec<SimJob> {
+        let table = self.core.table();
+        let seen = |audit: &BTreeMap<u64, u32>, id| audit.get(&id).copied().unwrap_or(0);
+        (0..table.issued())
+            .filter_map(|id| {
+                let entry = table.get(id)?;
+                let record = match &entry.state {
+                    jobs::JobState::Done(record) => Some(Arc::clone(record)),
+                    _ => None,
+                };
+                Some(SimJob {
+                    state: JobState::of(&entry.state),
+                    attempts: entry.attempts,
+                    attempts_high: seen(&self.audit.attempts_high, id),
+                    terminal_transitions: seen(&self.audit.terminal_transitions, id),
+                    record,
+                })
+            })
+            .collect()
+    }
+
+    /// The production coordinator core the model drives.
+    pub fn core(&self) -> &Coordinator {
+        &self.core
     }
 
     /// Events still scheduled (nonzero only when the horizon tripped).
@@ -404,117 +442,82 @@ impl SimModel {
 
     // ---- coordinator ---------------------------------------------------
 
-    /// Mirrors `ClusterEngine::submit` (always `fresh`: the sim's load
-    /// has distinct specs, so cache/coalescing — which sit above the
-    /// dispatch layer — never engage in production either).
+    /// Mirrors `ClusterEngine::submit`. The load's specs are distinct, so
+    /// the cache and coalescing front answer misses — exactly what
+    /// production would answer.
     fn submit(&mut self, now: u64, i: usize) {
         let spec = self.planned[i].clone();
-        if self.draining {
-            self.audit.refused_admission += 1;
-            self.note(now, format!("submit refused (draining): load[{i}]"));
-            return;
-        }
-        if self.outstanding >= self.cfg.queue_capacity.max(1) {
-            self.audit.refused_admission += 1;
-            self.note(now, format!("submit refused (queue full): load[{i}]"));
-            return;
-        }
-        let id = self.jobs.len() as u64;
         let digest = spec_digest(&spec);
-        self.jobs.push(SimJob {
-            spec,
-            digest,
-            state: JobState::Pending,
-            attempts: 0,
-            attempts_high: 0,
-            terminal_transitions: 0,
-            record: None,
-        });
-        self.pending.push_back(id);
-        self.outstanding += 1;
-        self.note(now, format!("submit id={id} digest={digest:#018x}"));
-        self.try_dispatch(now);
+        let at = self.clock.now();
+        let refused = match self
+            .core
+            .submit(spec, false, JobClass::Interactive, at)
+            .answer
+        {
+            Submission::Queued(id) => {
+                self.note(now, format!("submit id={id} digest={digest:#018x}"));
+                self.dispatch(now);
+                return;
+            }
+            Submission::Draining => "draining",
+            Submission::QueueFull => "queue full",
+            Submission::Cached(_) | Submission::Coalesced(_) => "answered without a job",
+        };
+        self.audit.refused_admission += 1;
+        self.note(now, format!("submit refused ({refused}): load[{i}]"));
     }
 
-    /// Mirrors the dispatcher: drains the pending queue as far as
-    /// `protocol::pick_target` allows.
-    fn try_dispatch(&mut self, now: u64) {
-        while let Some(&id) = self.pending.front() {
-            if self.alive.iter().all(|a| !a) {
-                self.pending.pop_front();
-                self.set_terminal(now, id, JobState::Quarantined("no live workers".into()));
-                continue;
+    /// Mirrors the dispatcher thread: sends as far as the core allows.
+    fn dispatch(&mut self, now: u64) {
+        loop {
+            match self.core.next_dispatch(&self.alive, self.clock.now()).step {
+                Step::Send(d) => {
+                    let high = self.audit.attempts_high.entry(d.id).or_insert(0);
+                    *high = (*high).max(d.attempt);
+                    if d.stolen {
+                        self.audit.stolen += 1;
+                    }
+                    let (id, w) = (d.id, d.worker);
+                    self.note(
+                        now,
+                        format!("dispatch id={id} -> w{w} attempt={}", d.attempt),
+                    );
+                    self.send_to_worker(now, w, &Message::Dispatch { id, spec: d.spec });
+                }
+                Step::Quarantined(id) => self.observe_terminal(now, id),
+                Step::Blocked | Step::Idle => return,
             }
-            let digest = self.jobs[id as usize].digest;
-            let inflight: Vec<usize> = self.dispatched.iter().map(BTreeSet::len).collect();
-            let Some(w) =
-                protocol::pick_target(digest, &self.alive, &inflight, self.cfg.per_worker_inflight)
-            else {
-                // Every live worker at its cap: a completion or death
-                // will re-trigger dispatch.
-                return;
-            };
-            self.pending.pop_front();
-            let job = &mut self.jobs[id as usize];
-            job.state = JobState::Dispatched(w);
-            job.attempts += 1;
-            job.attempts_high = job.attempts_high.max(job.attempts);
-            let attempt = job.attempts;
-            let spec = job.spec.clone();
-            let home = (digest % self.alive.len() as u64) as usize;
-            if w != home {
-                self.audit.stolen += 1;
-            }
-            self.dispatched[w].insert(id);
-            self.note(now, format!("dispatch id={id} -> w{w} attempt={attempt}"));
-            self.send_to_worker(now, w, &Message::Dispatch { id, spec });
         }
     }
 
     /// Mirrors `reader_loop` message handling.
     fn coord_message(&mut self, now: u64, w: usize, msg: Message) {
+        let at = self.clock.now();
         match msg {
             Message::Done { id, record } => {
-                self.dispatched[w].remove(&id);
-                let Some(job) = self.jobs.get_mut(id as usize) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Dispatched(_)) {
+                if self
+                    .core
+                    .done(w, id, ServedRecord::new(*record), at)
+                    .is_some()
+                {
+                    self.observe_terminal(now, id);
+                } else {
                     self.note(now, format!("late done id={id} from w{w} ignored"));
-                    return;
                 }
-                job.record = Some(record);
-                self.set_terminal(now, id, JobState::Done);
-                self.try_dispatch(now);
+                self.dispatch(now);
             }
             Message::Rejected { id, detail } => {
-                self.dispatched[w].remove(&id);
-                let Some(job) = self.jobs.get(id as usize) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Dispatched(_)) {
-                    return;
+                if self.core.rejected(w, id, detail, at) {
+                    self.observe_terminal(now, id);
                 }
-                self.set_terminal(now, id, JobState::Rejected(detail));
-                self.try_dispatch(now);
+                self.dispatch(now);
             }
             Message::Busy { id } => {
-                // The bounced dispatch never executed: give back the
-                // charged attempt (unified accounting; see
-                // `sdvbs_serve::protocol`).
-                self.dispatched[w].remove(&id);
-                let Some(job) = self.jobs.get_mut(id as usize) else {
-                    return;
-                };
-                if !matches!(job.state, JobState::Dispatched(_)) {
-                    return;
+                if self.core.busy(w, id) {
+                    self.audit.busy_bounces += 1;
+                    self.note(now, format!("busy id={id} from w{w}; requeued"));
                 }
-                job.state = JobState::Pending;
-                job.attempts = job.attempts.saturating_sub(1);
-                self.pending.push_back(id);
-                self.audit.busy_bounces += 1;
-                self.note(now, format!("busy id={id} from w{w}; requeued"));
-                self.try_dispatch(now);
+                self.dispatch(now);
             }
             Message::HeartbeatOk { .. } => {
                 // A stale-marked worker's late replies refresh the beat
@@ -540,7 +543,7 @@ impl SimModel {
     }
 
     /// Mirrors `ClusterEngine::mark_dead`: idempotent, orphans judged by
-    /// the shared policy.
+    /// the core.
     fn mark_dead(&mut self, now: u64, w: usize, why: &str, stale: bool) {
         if !self.alive[w] {
             return;
@@ -553,57 +556,29 @@ impl SimModel {
             stale,
         });
         self.note(now, format!("worker w{w} declared dead: {why}"));
-        let orphans: Vec<u64> = std::mem::take(&mut self.dispatched[w])
-            .into_iter()
-            .collect();
-        let policy = RetryPolicy {
-            budget: self.cfg.retry_budget,
-        };
-        for id in orphans {
-            let Some(job) = self.jobs.get(id as usize) else {
-                continue;
-            };
-            if !matches!(job.state, JobState::Dispatched(d) if d == w) {
-                continue;
-            }
-            let attempts = job.attempts;
-            match protocol::orphan_disposition(attempts, policy, self.draining) {
-                OrphanDisposition::Quarantine => {
-                    let detail =
-                        format!("quarantined after {attempts} attempts; worker w{w} died mid-run");
-                    self.set_terminal(now, id, JobState::Quarantined(detail));
-                }
-                OrphanDisposition::RejectDraining => {
-                    let detail = format!("worker w{w} died during drain");
-                    self.set_terminal(now, id, JobState::Rejected(detail));
-                }
-                OrphanDisposition::Requeue => {
-                    self.jobs[id as usize].state = JobState::Pending;
-                    self.pending.push_front(id);
-                    self.audit.requeues += 1;
-                    self.note(now, format!("requeue id={id} (orphan of w{w})"));
-                }
+        for (id, fate) in self.core.worker_dead(w, self.clock.now()) {
+            if fate == OrphanDisposition::Requeue {
+                self.audit.requeues += 1;
+                self.note(now, format!("requeue id={id} (orphan of w{w})"));
+            } else {
+                self.observe_terminal(now, id);
             }
         }
-        self.try_dispatch(now);
-        self.drain_check(now);
+        self.dispatch(now);
+        self.drain_wait(now);
     }
 
-    /// Moves a job to a terminal state — the single chokepoint, so the
-    /// no-double-terminal invariant is counted exactly.
-    fn set_terminal(&mut self, now: u64, id: u64, terminal: JobState) {
-        let line = match &terminal {
-            JobState::Done => format!("done id={id}"),
-            JobState::Rejected(why) => format!("rejected id={id}: {why}"),
-            JobState::Quarantined(why) => format!("quarantined id={id}: {why}"),
-            other => unreachable!("set_terminal({other:?})"),
+    /// Records a terminal transition the core reported — the audit's one
+    /// chokepoint, so the no-double-terminal invariant is counted exactly.
+    fn observe_terminal(&mut self, now: u64, id: u64) {
+        *self.audit.terminal_transitions.entry(id).or_insert(0) += 1;
+        let line = match self.core.table().get(id).map(|e| &e.state) {
+            Some(jobs::JobState::Rejected(why)) => format!("rejected id={id}: {why}"),
+            Some(jobs::JobState::Quarantined(why)) => format!("quarantined id={id}: {why}"),
+            _ => format!("done id={id}"),
         };
-        let job = &mut self.jobs[id as usize];
-        job.state = terminal;
-        job.terminal_transitions += 1;
-        self.outstanding = self.outstanding.saturating_sub(1);
         self.note(now, line);
-        self.drain_check(now);
+        self.drain_wait(now);
     }
 
     /// Mirrors `heartbeat_loop`'s body: send to the living, then judge
@@ -614,7 +589,7 @@ impl SimModel {
         }
         self.hb_seq += 1;
         let seq = self.hb_seq;
-        let draining = self.draining;
+        let draining = self.core.table().is_draining();
         for w in 0..self.alive.len() {
             if !self.alive[w] {
                 continue;
@@ -631,30 +606,22 @@ impl SimModel {
 
     /// Mirrors `begin_drain`: stop admission, reject the undispatched.
     fn begin_drain(&mut self, now: u64) {
-        if self.draining {
+        if self.core.table().is_draining() {
             return;
         }
-        self.draining = true;
         self.audit.drain_started_us = Some(now);
         self.note(now, "drain begins".to_string());
-        let pending: Vec<u64> = self.pending.drain(..).collect();
-        for id in pending {
-            self.set_terminal(
-                now,
-                id,
-                JobState::Rejected("server shutting down before execution".into()),
-            );
+        for id in self.core.begin_drain(self.clock.now()) {
+            self.observe_terminal(now, id);
         }
-        self.drain_check(now);
+        self.drain_wait(now);
     }
 
-    /// Mirrors the tail of `drain`: once every admitted job is terminal,
+    /// Mirrors `drain`'s wait: once the core has nothing outstanding,
     /// raise `stopping` and tell each survivor to drain and exit.
-    fn drain_check(&mut self, now: u64) {
-        if !self.draining || self.stopping {
-            return;
-        }
-        if !self.jobs.iter().all(|j| j.state.is_terminal()) {
+    fn drain_wait(&mut self, now: u64) {
+        let table = self.core.table();
+        if !table.is_draining() || table.outstanding() > 0 || self.stopping {
             return;
         }
         self.stopping = true;
@@ -688,11 +655,11 @@ impl SimModel {
                 } else {
                     worker.queue.push_back((id, exec));
                 }
-                // The spec round-tripped the codec; sanity-pin the digest
-                // so a codec regression surfaces as a loud sim failure.
+                // The spec round-tripped the codec; sanity-pin it so a
+                // codec regression surfaces as a loud sim failure.
                 assert_eq!(
-                    spec_digest(&spec),
-                    self.jobs[id as usize].digest,
+                    Some(&spec),
+                    self.core.table().get(id).map(|e| &e.payload.spec),
                     "spec mutated in transit"
                 );
             }
@@ -794,16 +761,21 @@ impl SimModel {
     /// nothing, but every field the wire schema and store care about is
     /// populated and survives the codec round trip.
     fn synthesize_record(&self, id: u64) -> RunRecord {
-        let job = &self.jobs[id as usize];
+        let job = self
+            .core
+            .table()
+            .get(id)
+            .expect("a job outlives its run: retirement waits a TTL past any planned fault");
+        let spec = &job.payload.spec;
         let exec_ms = self.cfg.exec_min_us as f64 / 1e3;
         RunRecord {
             job_id: id,
-            benchmark: job.spec.benchmark.clone(),
-            size: size_label(job.spec.size),
-            policy: policy_label(job.spec.policy),
+            benchmark: spec.benchmark.clone(),
+            size: size_label(spec.size),
+            policy: policy_label(spec.policy),
             threads: 1,
-            seed: job.spec.seed,
-            iterations: job.spec.iterations,
+            seed: spec.seed,
+            iterations: spec.iterations,
             status: RunStatus::Completed,
             times_ms: vec![exec_ms],
             min_ms: exec_ms,
