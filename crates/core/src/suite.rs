@@ -6,7 +6,6 @@ use crate::meta::{BenchmarkInfo, Characteristic, ConcentrationArea};
 use crate::poison::{poison_image, poison_slice};
 use sdvbs_exec::ExecPolicy;
 use sdvbs_profile::Profiler;
-use std::sync::OnceLock;
 
 /// Result of one benchmark run.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,8 +75,8 @@ pub trait Benchmark {
     }
 
     /// One-time preparation excluded from timed runs (e.g. face detection
-    /// trains its cascade model once — SD-VBS ships that model
-    /// pre-trained, so its cost is not part of the benchmark).
+    /// parses its shipped cascade model once — SD-VBS ships that model
+    /// pre-trained, so loading it is not part of the benchmark).
     fn warmup(&self) {}
 }
 
@@ -472,24 +471,15 @@ static FACEDETECT_INFO: BenchmarkInfo = BenchmarkInfo {
     kernels: &["IntegralImage", "ExtractFaces", "StabilizeWindows"],
 };
 
-/// The cascade is a model, not per-run work (SD-VBS ships its model
-/// pre-trained); train it once and share across runs.
-fn shared_cascade() -> &'static sdvbs_facedetect::Cascade {
-    static CASCADE: OnceLock<sdvbs_facedetect::Cascade> = OnceLock::new();
-    CASCADE.get_or_init(|| {
-        let mut prof = Profiler::new();
-        sdvbs_facedetect::Cascade::train(&sdvbs_facedetect::CascadeConfig::default(), &mut prof)
-            .expect("default cascade training succeeds")
-    })
-}
-
 impl Benchmark for FaceDetectBench {
     fn info(&self) -> &BenchmarkInfo {
         &FACEDETECT_INFO
     }
 
+    /// The cascade is a model, not per-run work: SD-VBS ships its model
+    /// pre-trained, and so does `sdvbs-facedetect`. Warming parses it.
     fn warmup(&self) {
-        let _ = shared_cascade();
+        let _ = sdvbs_facedetect::Cascade::pretrained();
     }
 
     fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
@@ -519,7 +509,7 @@ impl Benchmark for FaceDetectBench {
         let n_faces = 2 + (size.pixels() / InputSize::Sqcif.pixels()).min(4);
         let mut scene = sdvbs_synth::face_scene(w, h, seed, n_faces);
         poison_image(&mut scene.image);
-        let cascade = shared_cascade();
+        let cascade = sdvbs_facedetect::Cascade::pretrained();
         let cfg = DetectorConfig {
             exec: policy,
             ..DetectorConfig::default()

@@ -519,15 +519,11 @@ fn merge_detections(raw: &[Detection], merge_iou: f64, min_support: usize) -> Ve
 mod tests {
     use super::*;
     use sdvbs_synth::{face_scene, FaceBox};
-    use std::sync::OnceLock;
 
-    /// Training is the expensive part; share one cascade across tests.
+    /// The shipped default cascade (a unit test in `model_io` pins it to
+    /// the default training output).
     fn cascade() -> &'static Cascade {
-        static CASCADE: OnceLock<Cascade> = OnceLock::new();
-        CASCADE.get_or_init(|| {
-            let mut prof = Profiler::new();
-            Cascade::train(&CascadeConfig::default(), &mut prof).expect("training succeeds")
-        })
+        Cascade::pretrained()
     }
 
     #[test]

@@ -11,22 +11,26 @@
 //!
 //! The original SD-VBS code ships a cascade trained offline on a face
 //! corpus that isn't distributed with the paper; this reproduction instead
-//! *trains its own cascade from scratch* with AdaBoost over decision
-//! stumps, on synthetically rendered faces and hard-negative clutter from
-//! [`sdvbs_synth`] — exercising the full training and detection pipeline
-//! end to end (see DESIGN.md §5 for the substitution rationale).
+//! *trains its own cascade* with AdaBoost over decision stumps, on
+//! synthetically rendered faces and hard-negative clutter from
+//! [`sdvbs_synth`] (see DESIGN.md §5 for the substitution rationale). Like
+//! SD-VBS it ships that model pre-trained: [`Cascade::pretrained`] is the
+//! default training output, committed as `models/default.cascade`, so
+//! detection never pays for training. [`Cascade::train`] stays available
+//! for other configurations (the `train_cascade` example regenerates the
+//! shipped file).
 //!
 //! # Examples
 //!
-//! ```no_run
-//! use sdvbs_facedetect::{Cascade, CascadeConfig, detect_faces, DetectorConfig};
+//! ```
+//! use sdvbs_facedetect::{Cascade, detect_faces, DetectorConfig};
 //! use sdvbs_profile::Profiler;
 //! use sdvbs_synth::face_scene;
 //!
 //! let mut prof = Profiler::new();
-//! let cascade = Cascade::train(&CascadeConfig::default(), &mut prof).unwrap();
+//! let cascade = Cascade::pretrained();
 //! let scene = face_scene(160, 120, 7, 2);
-//! let found = detect_faces(&scene.image, &cascade, &DetectorConfig::default(), &mut prof);
+//! let found = detect_faces(&scene.image, cascade, &DetectorConfig::default(), &mut prof);
 //! assert!(!found.is_empty());
 //! ```
 

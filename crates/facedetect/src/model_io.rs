@@ -1,18 +1,20 @@
-//! Cascade model serialization.
+//! Cascade model serialization and the shipped pre-trained cascade.
 //!
-//! SD-VBS ships its Viola–Jones model pre-trained; this module provides
-//! the equivalent workflow for the Rust reproduction — train once, save
-//! the cascade, and load it in later runs without paying training time.
-//! The format is a small, versioned, line-oriented text file (stable
-//! across platforms, diffable, no serialization dependency).
+//! SD-VBS ships its Viola–Jones model pre-trained; so does this crate:
+//! [`Cascade::pretrained`] parses the committed `models/default.cascade`,
+//! the output of the default training configuration. Training stays a
+//! library feature — train once, [`Cascade::save`] the cascade, and
+//! [`Cascade::load`] it in later runs without paying training time. The
+//! format is a small, versioned, line-oriented text file (stable across
+//! platforms, diffable, no serialization dependency).
 
 use crate::boost::{StrongClassifier, Stump};
 use crate::cascade::Cascade;
 use crate::haar::{HaarFeature, HaarKind};
 use std::error::Error;
-use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::fmt::{self, Write as _};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Errors from cascade model I/O.
 #[derive(Debug)]
@@ -72,23 +74,52 @@ fn kind_from(name: &str) -> Option<HaarKind> {
     })
 }
 
+/// The shipped default cascade: the model file [`Cascade::pretrained`]
+/// parses, compiled into the crate.
+const PRETRAINED: &str = include_str!("../models/default.cascade");
+
 impl Cascade {
-    /// Writes the cascade to a text model file.
+    /// The default cascade, shipped pre-trained as SD-VBS ships its model.
     ///
-    /// # Errors
+    /// It is exactly what `Cascade::train(&CascadeConfig::default(), ..)`
+    /// produces, as written by [`Cascade::to_model_string`] into
+    /// `models/default.cascade` and compiled into the crate; it is parsed
+    /// once per process, on first use, so detection never pays for
+    /// training. After a change to training or to the synthetic faces it
+    /// learns from, regenerate the file with
     ///
-    /// Returns [`ModelIoError::Io`] on filesystem failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{MAGIC}")?;
-        writeln!(f, "window {}", self.window())?;
-        writeln!(f, "stages {}", self.stages())?;
+    /// ```text
+    /// cargo run --release -p sdvbs-facedetect --example train_cascade -- \
+    ///     crates/facedetect/models/default.cascade
+    /// ```
+    ///
+    /// A unit test retrains the default cascade and fails if the shipped
+    /// bytes differ.
+    pub fn pretrained() -> &'static Cascade {
+        static CASCADE: OnceLock<Cascade> = OnceLock::new();
+        CASCADE.get_or_init(|| Cascade::parse(PRETRAINED).expect("the shipped cascade parses"))
+    }
+
+    /// The cascade as model-file text, the inverse of [`Cascade::parse`].
+    /// Numbers are written as `{:.17e}`, which round-trips every `f64`
+    /// exactly.
+    pub fn to_model_string(&self) -> String {
+        let mut out = String::new();
+        self.write_model(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_model(&self, out: &mut String) -> fmt::Result {
+        writeln!(out, "{MAGIC}")?;
+        writeln!(out, "window {}", self.window())?;
+        writeln!(out, "stages {}", self.stages())?;
         for stage in self.stage_slice() {
-            writeln!(f, "stage {} {:.17e}", stage.stumps.len(), stage.threshold)?;
+            writeln!(out, "stage {} {:.17e}", stage.stumps.len(), stage.threshold)?;
             for stump in &stage.stumps {
                 let feat = stage.features[stump.feature];
                 writeln!(
-                    f,
+                    out,
                     "stump {} {} {} {} {} {:.17e} {} {:.17e}",
                     kind_name(feat.kind),
                     feat.x,
@@ -104,27 +135,24 @@ impl Cascade {
         Ok(())
     }
 
-    /// Reads a cascade from a text model file written by [`Cascade::save`].
+    /// Parses model-file text written by [`Cascade::to_model_string`].
     ///
     /// # Errors
     ///
-    /// * [`ModelIoError::Io`] on filesystem failure.
-    /// * [`ModelIoError::Malformed`] for syntax errors, wrong magic, or
-    ///   inconsistent counts.
-    pub fn load(path: impl AsRef<Path>) -> Result<Cascade, ModelIoError> {
-        let f = std::fs::File::open(path)?;
-        let mut lines = BufReader::new(f).lines();
-        let mut next = |what: &str| -> Result<String, ModelIoError> {
+    /// [`ModelIoError::Malformed`] for syntax errors, wrong magic, or
+    /// inconsistent counts.
+    pub fn parse(text: &str) -> Result<Cascade, ModelIoError> {
+        let mut lines = text.lines();
+        let mut next = |what: &str| -> Result<&str, ModelIoError> {
             lines
                 .next()
-                .transpose()?
                 .ok_or_else(|| ModelIoError::Malformed(format!("missing {what}")))
         };
         if next("magic")? != MAGIC {
             return Err(ModelIoError::Malformed("bad magic line".into()));
         }
-        let window: usize = parse_kv(&next("window line")?, "window")?;
-        let n_stages: usize = parse_kv(&next("stages line")?, "stages")?;
+        let window: usize = parse_kv(next("window line")?, "window")?;
+        let n_stages: usize = parse_kv(next("stages line")?, "stages")?;
         if window < 12 || n_stages == 0 || n_stages > 1000 {
             return Err(ModelIoError::Malformed(format!(
                 "implausible header: window {window}, stages {n_stages}"
@@ -132,8 +160,7 @@ impl Cascade {
         }
         let mut stages = Vec::with_capacity(n_stages);
         for s in 0..n_stages {
-            let line = next("stage line")?;
-            let mut parts = line.split_whitespace();
+            let mut parts = next("stage line")?.split_whitespace();
             if parts.next() != Some("stage") {
                 return Err(ModelIoError::Malformed(format!(
                     "stage {s}: expected 'stage'"
@@ -144,8 +171,7 @@ impl Cascade {
             let mut stumps = Vec::with_capacity(n_stumps);
             let mut features = Vec::with_capacity(n_stumps);
             for k in 0..n_stumps {
-                let line = next("stump line")?;
-                let mut p = line.split_whitespace();
+                let mut p = next("stump line")?.split_whitespace();
                 if p.next() != Some("stump") {
                     return Err(ModelIoError::Malformed(format!(
                         "stage {s} stump {k}: expected 'stump'"
@@ -186,6 +212,28 @@ impl Cascade {
             });
         }
         Ok(Cascade::from_parts(stages, window))
+    }
+
+    /// Writes the cascade to a text model file ([`Cascade::to_model_string`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelIoError::Io`] on filesystem failure.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
+        std::fs::write(path, self.to_model_string())?;
+        Ok(())
+    }
+
+    /// Reads a cascade from a text model file written by [`Cascade::save`]
+    /// ([`Cascade::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`ModelIoError::Io`] on filesystem failure.
+    /// * [`ModelIoError::Malformed`] for syntax errors, wrong magic, or
+    ///   inconsistent counts.
+    pub fn load(path: impl AsRef<Path>) -> Result<Cascade, ModelIoError> {
+        Cascade::parse(&std::fs::read_to_string(path)?)
     }
 }
 
@@ -246,6 +294,69 @@ mod tests {
                 cascade.accepts_patch(&clutter),
                 loaded.accepts_patch(&clutter)
             );
+        }
+    }
+
+    /// The one test that trains the default cascade. The shipped model
+    /// must be its exact serialization, and [`Cascade::pretrained`] must
+    /// equal it bit for bit.
+    #[test]
+    fn shipped_model_is_the_default_training_output() {
+        let mut prof = Profiler::new();
+        let trained = Cascade::train(&CascadeConfig::default(), &mut prof).unwrap();
+        assert!(
+            trained.to_model_string() == PRETRAINED,
+            "models/default.cascade differs from the default training output; \
+             regenerate it with `cargo run --release -p sdvbs-facedetect \
+             --example train_cascade -- crates/facedetect/models/default.cascade`"
+        );
+        let shipped = Cascade::pretrained();
+        assert_eq!(shipped.window(), trained.window());
+        assert_eq!(shipped.stages(), trained.stages());
+        for (a, b) in shipped.stage_slice().iter().zip(trained.stage_slice()) {
+            assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
+            assert_eq!(a.features, b.features);
+            assert_eq!(a.stumps.len(), b.stumps.len());
+            for (s, t) in a.stumps.iter().zip(&b.stumps) {
+                assert_eq!(s.feature, t.feature);
+                assert_eq!(s.threshold.to_bits(), t.threshold.to_bits());
+                assert_eq!(s.polarity.to_bits(), t.polarity.to_bits());
+                assert_eq!(s.alpha.to_bits(), t.alpha.to_bits());
+            }
+        }
+    }
+
+    /// The model's number format loses no bit of any finite `f64`.
+    fn assert_round_trips(v: f64) {
+        let back: f64 = format!("{v:.17e}").parse().unwrap();
+        assert_eq!(back.to_bits(), v.to_bits(), "{v:e} did not round-trip");
+    }
+
+    #[test]
+    fn number_format_round_trips_extremes() {
+        for v in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1,
+            1.0 / 3.0,
+        ] {
+            assert_round_trips(v);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn number_format_round_trips_every_f64(bits in 0u64..u64::MAX) {
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                assert_round_trips(v);
+            }
         }
     }
 

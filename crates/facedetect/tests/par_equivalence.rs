@@ -8,21 +8,16 @@
 
 use proptest::prelude::*;
 use sdvbs_exec::ExecPolicy;
-use sdvbs_facedetect::{detect_faces, Cascade, CascadeConfig, DetectorConfig};
+use sdvbs_facedetect::{detect_faces, Cascade, DetectorConfig};
 use sdvbs_profile::Profiler;
 use sdvbs_synth::face_scene;
-use std::sync::OnceLock;
 
 /// The paper's three input sizes: SQCIF, QCIF, CIF.
 const SIZES: [(usize, usize); 3] = [(128, 96), (176, 144), (352, 288)];
 
-/// Training dominates the test cost; share one cascade across all cases.
+/// The shipped default cascade.
 fn cascade() -> &'static Cascade {
-    static CASCADE: OnceLock<Cascade> = OnceLock::new();
-    CASCADE.get_or_init(|| {
-        let mut prof = Profiler::new();
-        Cascade::train(&CascadeConfig::default(), &mut prof).expect("training succeeds")
-    })
+    Cascade::pretrained()
 }
 
 proptest! {

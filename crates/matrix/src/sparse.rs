@@ -147,6 +147,12 @@ impl CsrMatrix {
     /// [`CsrMatrix::submatrix`] is this over a CSR matrix's own rows; other
     /// sparse layouts use it to convert straight to CSR, one row at a time.
     ///
+    /// The kept rows are walked twice: once to count the surviving
+    /// entries, so the index and value arrays are allocated at their final
+    /// size, and once to fill them. A single pass would grow them by
+    /// doubling, holding up to twice the entries, and three times while a
+    /// doubling copies.
+    ///
     /// # Panics
     ///
     /// Panics if `keep` is not strictly increasing or indexes out of
@@ -168,9 +174,17 @@ impl CsrMatrix {
             remap[old] = new;
         }
         let mut row_ptr = Vec::with_capacity(keep.len() + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
         row_ptr.push(0);
+        for &old_row in keep {
+            let kept = row(old_row)
+                .into_iter()
+                .filter(|&(old_col, _)| remap[old_col] != usize::MAX)
+                .count();
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + kept);
+        }
+        let nnz = row_ptr[keep.len()];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         for &old_row in keep {
             for (old_col, v) in row(old_row) {
                 let new_col = remap[old_col];
@@ -179,8 +193,8 @@ impl CsrMatrix {
                     values.push(v);
                 }
             }
-            row_ptr.push(col_idx.len());
         }
+        debug_assert_eq!(col_idx.len(), nnz, "row() yielded different entries twice");
         CsrMatrix {
             n: keep.len(),
             row_ptr,

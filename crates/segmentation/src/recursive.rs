@@ -128,6 +128,8 @@ fn split_region<A: Affinity>(
                 .expect("finite eigenvector")
         });
         let candidates = 24usize.min(m - 1);
+        // The degrees do not depend on the threshold: sum them once.
+        let degree = sub_plain.row_sums();
         let mut best_cut = f64::INFINITY;
         let mut best_split = m / 2;
         for c in 1..=candidates {
@@ -137,7 +139,7 @@ fn split_region<A: Affinity>(
             }
             // Membership: side[i] = true if i falls in the low group.
             let threshold = fiedler[order[split]];
-            let ncut = ncut_value(&sub_plain, &fiedler, threshold);
+            let ncut = ncut_value(&sub_plain, &degree, &fiedler, threshold);
             if ncut < best_cut {
                 best_cut = ncut;
                 best_split = split;
@@ -151,14 +153,13 @@ fn split_region<A: Affinity>(
 }
 
 /// Normalized-cut value of the split `{ fiedler < threshold }` vs the
-/// rest: `cut/assoc(A) + cut/assoc(B)`.
-fn ncut_value(w: &sdvbs_matrix::CsrMatrix, fiedler: &[f64], threshold: f64) -> f64 {
+/// rest: `cut/assoc(A) + cut/assoc(B)`, where `degree` is `w`'s row sums.
+fn ncut_value(w: &sdvbs_matrix::CsrMatrix, degree: &[f64], fiedler: &[f64], threshold: f64) -> f64 {
     let n = w.dim();
     let side: Vec<bool> = fiedler.iter().map(|&v| v < threshold).collect();
     let mut cut = 0.0f64;
     let mut assoc_a = 0.0f64;
     let mut assoc_b = 0.0f64;
-    let degree = w.row_sums();
     for i in 0..n {
         if side[i] {
             assoc_a += degree[i];

@@ -23,10 +23,14 @@
 //!   lookup whose digest matches but whose preimage differs is a
 //!   [`CacheLookup::Collision`] — treated as a miss so the right spec
 //!   executes, and counted so `/metrics` surfaces it.
+//!
+//! The cache is plain owned data with no lock of its own: the backends
+//! reach it only through their job table, under the lock that already
+//! guards that table.
 
 use sdvbs_runner::{Job, RunRecord, RunStatus};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Default cache capacity when no `--cache-capacity` flag is given.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
@@ -118,18 +122,13 @@ struct CacheEntry {
     last_used: u64,
 }
 
+/// A digest-addressed, capacity-bounded store of completed run records.
 #[derive(Debug)]
-struct CacheInner {
+pub struct ResultCache {
     entries: HashMap<u64, CacheEntry>,
     capacity: usize,
     tick: u64,
     evictions: u64,
-}
-
-/// A digest-addressed, capacity-bounded store of completed run records.
-#[derive(Debug)]
-pub struct ResultCache {
-    inner: Mutex<CacheInner>,
 }
 
 impl Default for ResultCache {
@@ -147,22 +146,19 @@ impl ResultCache {
     /// A cache holding at most `capacity` records (clamped ≥ 1).
     pub fn with_capacity(capacity: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                capacity: capacity.max(1),
-                tick: 0,
-                evictions: 0,
-            }),
+            entries: HashMap::new(),
+            capacity: capacity.max(1),
+            tick: 0,
+            evictions: 0,
         }
     }
 
     /// Looks up `digest`, verifying the stored preimage against `key`.
     /// A hit refreshes the entry's LRU stamp.
-    pub fn get(&self, digest: u64, key: &str) -> CacheLookup {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.entries.get_mut(&digest) {
+    pub fn get(&mut self, digest: u64, key: &str) -> CacheLookup {
+        self.tick += 1;
+        let tick = self.tick;
+        match self.entries.get_mut(&digest) {
             None => CacheLookup::Miss,
             Some(entry) if entry.key != key => CacheLookup::Collision,
             Some(entry) => {
@@ -176,33 +172,32 @@ impl ResultCache {
     /// non-quarantined record is worth serving again; failures must
     /// re-execute on resubmission. At capacity, the least-recently-used
     /// entry is evicted first.
-    pub fn put(&self, digest: u64, key: &str, record: &Arc<ServedRecord>) -> PutOutcome {
+    pub fn put(&mut self, digest: u64, key: &str, record: &Arc<ServedRecord>) -> PutOutcome {
         if record.record.status != RunStatus::Completed || record.record.quarantined {
             return PutOutcome::default();
         }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
+        self.tick += 1;
+        let tick = self.tick;
         let mut outcome = PutOutcome {
             stored: true,
             ..PutOutcome::default()
         };
-        if let Some(existing) = inner.entries.get(&digest) {
+        if let Some(existing) = self.entries.get(&digest) {
             // Same digest: replace in place (collision or refresh);
             // capacity is unchanged either way.
             outcome.collided = existing.key != key;
-        } else if inner.entries.len() >= inner.capacity {
-            let lru = inner
+        } else if self.entries.len() >= self.capacity {
+            let lru = self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&d, _)| d)
                 .expect("cache at capacity is non-empty");
-            inner.entries.remove(&lru);
-            inner.evictions += 1;
+            self.entries.remove(&lru);
+            self.evictions += 1;
             outcome.evicted = true;
         }
-        inner.entries.insert(
+        self.entries.insert(
             digest,
             CacheEntry {
                 key: key.to_string(),
@@ -215,23 +210,17 @@ impl ResultCache {
 
     /// Lifetime count of LRU evictions.
     pub fn evictions(&self) -> u64 {
-        self.lock().evictions
+        self.evictions
     }
 
     /// Number of cached records.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.entries.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -300,7 +289,7 @@ mod tests {
 
     #[test]
     fn only_clean_completed_records_are_cached() {
-        let cache = ResultCache::new();
+        let mut cache = ResultCache::new();
         assert!(!cache.put(7, "k", &record(RunStatus::Failed, false)).stored);
         assert!(
             !cache
@@ -316,7 +305,7 @@ mod tests {
 
     #[test]
     fn filling_past_capacity_evicts_the_least_recently_used() {
-        let cache = ResultCache::with_capacity(3);
+        let mut cache = ResultCache::with_capacity(3);
         for digest in 0..3u64 {
             assert!(!cache.put(digest, &format!("k{digest}"), &clean()).evicted);
         }
@@ -345,7 +334,7 @@ mod tests {
         // collision produces; finding a natural one needs ~2^32 work, so
         // the test injects the collision at the digest layer the engine
         // actually trusts).
-        let cache = ResultCache::new();
+        let mut cache = ResultCache::new();
         let key_a = "Disparity Map|sqcif|serial|seed1|iters:1";
         let key_b = "Image Stitch|cif|serial|seed9|iters:1";
         assert!(cache.put(0xdead_beef, key_a, &clean()).stored);

@@ -124,7 +124,7 @@ fn serve_coordinator(
         Ok(other) => return Err(format!("expected hello, got {}", other.kind())),
         Err(e) => return Err(e.to_string()),
     }
-    let mut waiters: Vec<thread::JoinHandle<()>> = Vec::new();
+    let mut waiters = Waiters::default();
     loop {
         match reader.recv() {
             Ok(Message::Dispatch { id, spec }) => {
@@ -179,9 +179,7 @@ fn serve_coordinator(
                 let report = engine.drain();
                 // Every result frame precedes DrainOk: the waiters hold
                 // the writer, so joining them orders the stream.
-                for handle in waiters {
-                    let _ = handle.join();
-                }
+                waiters.join_all();
                 send(
                     writer,
                     &Message::DrainOk {
@@ -207,11 +205,43 @@ fn serve_coordinator(
                 );
             }
             Err(e) => {
-                for handle in waiters {
-                    let _ = handle.join();
-                }
+                waiters.join_all();
                 return Err(e.to_string());
             }
+        }
+    }
+}
+
+/// The per-job waiter threads of one coordinator session. A finished
+/// waiter is joined when the next one is added, so the set holds the jobs
+/// still in flight rather than every job the worker has run.
+#[derive(Default)]
+struct Waiters(Vec<thread::JoinHandle<()>>);
+
+impl Waiters {
+    /// Joins the finished waiters, then adds `handle`.
+    fn push(&mut self, handle: thread::JoinHandle<()>) {
+        let mut i = 0;
+        while i < self.0.len() {
+            if self.0[i].is_finished() {
+                let _ = self.0.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        self.0.push(handle);
+    }
+
+    /// Waiters not yet joined.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Joins every waiter: each has sent its job's result frame.
+    fn join_all(self) {
+        for handle in self.0 {
+            let _ = handle.join();
         }
     }
 }
@@ -257,4 +287,32 @@ fn report_when_terminal(engine: &Arc<Engine>, writer: &Arc<dyn FrameTx>, id: u64
 /// gone, and the read loop will observe that on its side.
 fn send(writer: &Arc<dyn FrameTx>, msg: &Message) {
     let _ = writer.send(msg);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_waiters_are_joined_as_new_ones_arrive() {
+        let mut waiters = Waiters::default();
+        for _ in 0..200 {
+            let handle = thread::spawn(|| {});
+            while !handle.is_finished() {
+                thread::yield_now();
+            }
+            waiters.push(handle);
+            // Every earlier waiter had finished before this push.
+            assert_eq!(waiters.len(), 1);
+        }
+        // A waiter still in flight is kept until it finishes.
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        waiters.push(thread::spawn(move || {
+            let _ = wait.recv();
+        }));
+        waiters.push(thread::spawn(|| {}));
+        assert!(waiters.len() >= 2, "an unfinished waiter was dropped");
+        release.send(()).expect("the waiter is listening");
+        waiters.join_all();
+    }
 }

@@ -75,7 +75,7 @@ fn digest_collisions_are_detected_not_served() {
     // Two hand-constructed colliding keys: distinct canonical preimages
     // behind one digest value (the situation a real 2^32-work FNV-1a
     // collision produces), injected at the digest layer the cache trusts.
-    let cache = ResultCache::with_capacity(8);
+    let mut cache = ResultCache::with_capacity(8);
     let key_a = "Disparity Map|sqcif|serial|seed1|iters:1";
     let key_b = "SVM|cif|serial|seed2|iters:3";
     assert_ne!(key_a, key_b);

@@ -7,7 +7,7 @@ use crate::spec::StreamSpec;
 use sdvbs_disparity::{disparity_accuracy, try_compute_disparity, DisparityConfig};
 use sdvbs_image::Image;
 use sdvbs_profile::Profiler;
-use sdvbs_synth::{moving_stereo_pair, CameraMotion};
+use sdvbs_synth::{CameraMotion, StereoWorld};
 
 /// Block-matching aggregation window (odd, per the suite's config).
 const WINDOW: usize = 5;
@@ -19,6 +19,9 @@ const TRUTH_TOL: f32 = 1.5;
 
 pub(crate) struct DisparityStream {
     seed: u64,
+    /// The layered world the camera pair translates over, built on the
+    /// first frame.
+    world: Option<StereoWorld>,
     full: (usize, usize),
     deg: (usize, usize),
     motion: CameraMotion,
@@ -31,6 +34,7 @@ impl DisparityStream {
     pub(crate) fn new(spec: &StreamSpec) -> DisparityStream {
         DisparityStream {
             seed: spec.seed,
+            world: None,
             full: spec.full_dims(),
             deg: spec.degraded_dims(),
             motion: spec.pipeline.motion(),
@@ -42,7 +46,11 @@ impl DisparityStream {
 impl StreamPipeline for DisparityStream {
     fn process(&mut self, frame: u64, degraded: bool) -> Result<FrameResult, StreamError> {
         let dims = if degraded { self.deg } else { self.full };
-        let pair = moving_stereo_pair(self.full.0, self.full.1, self.seed, self.motion, frame);
+        let (seed, (w, h)) = (self.seed, self.full);
+        let pair = self
+            .world
+            .get_or_insert_with(|| StereoWorld::new(w, h, seed))
+            .frame(self.motion, frame);
         let (left, right, truth) = if dims == self.full {
             (pair.left, pair.right, pair.truth)
         } else {

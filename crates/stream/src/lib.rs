@@ -8,10 +8,10 @@
 //! [`StreamPipeline`]s driven one frame at a time:
 //!
 //! * **Tracking** — KLT feature tracking across a seeded synthetic pan
-//!   ([`sdvbs_tracking::Tracker`] over [`sdvbs_synth::motion_frame`]),
-//!   carrying live tracks and the previous frame.
+//!   ([`sdvbs_tracking::Tracker`] over [`sdvbs_synth::MotionWorld`]
+//!   frames), carrying live tracks and the previous frame.
 //! * **Disparity** — stereo block matching on a moving camera pair
-//!   ([`sdvbs_synth::moving_stereo_pair`]), scored against per-frame
+//!   ([`sdvbs_synth::StereoWorld`] frames), scored against per-frame
 //!   ground truth and checked for temporal stability.
 //! * **Stitch** — SIFT-style match-and-stitch over the pan, composing
 //!   pairwise alignments into a running mosaic transform with bounded
@@ -20,7 +20,10 @@
 //!
 //! Every frame is a *pure function* of `(spec, frame index, degraded)`:
 //! the synthetic world wraps toroidally, so frame `i` regenerates
-//! bit-identically without any sequence state. That is what lets a
+//! bit-identically without any sequence state. The world itself depends
+//! only on the spec's size and seed, so a pipeline builds it on its first
+//! frame and keeps it until the pipeline is dropped; each frame only
+//! samples it. That is what lets a
 //! serving layer prove an unloaded stream equals a one-shot run — both
 //! paths call [`StreamPipeline::process`] with the same arguments and
 //! compare [`FrameResult::digest`]s.

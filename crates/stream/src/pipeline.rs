@@ -6,7 +6,7 @@ use crate::spec::{PipelineKind, StreamSpec};
 use crate::stitch::StitchStream;
 use crate::tracking::TrackingStream;
 use sdvbs_image::Image;
-use sdvbs_synth::{motion_frame, CameraMotion};
+use sdvbs_synth::{CameraMotion, MotionWorld};
 use std::error::Error;
 use std::fmt;
 
@@ -145,18 +145,22 @@ pub fn run_one_shot(spec: &StreamSpec, frames: u64) -> Result<Vec<FrameResult>, 
     (0..frames).map(|i| pipeline.process(i, false)).collect()
 }
 
-/// Generates frame `frame` of the spec's scene at `dims`: the full-
-/// resolution frame, downsampled when a degraded size is requested —
-/// degraded frames see the *same scene* at lower resolution, so state
-/// (feature identities, mosaic alignment) survives the switch.
+/// Generates frame `frame` of a pan over the world of `seed` at `dims`,
+/// building that world into `world` on first use: the full-resolution
+/// frame, downsampled when a degraded size is requested — degraded frames
+/// see the *same scene* at lower resolution, so state (feature
+/// identities, mosaic alignment) survives the switch.
 pub(crate) fn frame_at(
+    world: &mut Option<MotionWorld>,
+    seed: u64,
     full: (usize, usize),
     dims: (usize, usize),
-    seed: u64,
     motion: CameraMotion,
     frame: u64,
 ) -> Image {
-    let img = motion_frame(full.0, full.1, seed, motion, frame);
+    let img = world
+        .get_or_insert_with(|| MotionWorld::new(full.0, full.1, seed))
+        .frame(motion, frame);
     if dims == full {
         img
     } else {
@@ -218,6 +222,60 @@ mod tests {
             let back = p.process(2, false).expect("recovered frame");
             assert!(!full.degraded && deg.degraded && !back.degraded);
             assert!(deg.quality > 0.0, "{kind:?} degraded quality collapsed");
+        }
+    }
+
+    /// Each pipeline's rolling digest over a short run, pinned to the
+    /// values the per-frame world synthesis produced before streams kept
+    /// their world: full-size runs at two sizes, and a run that degrades
+    /// two frames in the middle.
+    #[test]
+    fn digests_match_the_pinned_values() {
+        let fold =
+            |rs: &[FrameResult]| rs.iter().fold(DIGEST_SEED, |a, r| fold_digest(a, r.digest));
+        let pinned = [
+            (
+                PipelineKind::Tracking,
+                [
+                    0x2ce1_1c6e_0ca6_6f32,
+                    0x098a_34fd_e788_6b03,
+                    0xa0d3_083a_4269_acb0,
+                ],
+            ),
+            (
+                PipelineKind::Disparity,
+                [
+                    0x28a0_3201_aafd_166a,
+                    0x8390_42f3_c0c1_8e21,
+                    0x3d9a_de7d_80bb_d8ed,
+                ],
+            ),
+            (
+                PipelineKind::Stitch,
+                [
+                    0x4fed_6572_d031_8c20,
+                    0x9f82_d634_1cea_42f1,
+                    0x91da_81b0_2947_2fec,
+                ],
+            ),
+        ];
+        for (kind, [sqcif, qcif, degraded]) in pinned {
+            let at = |size, seed| StreamSpec {
+                size,
+                seed,
+                ..spec(kind)
+            };
+            let run = run_one_shot(&at(InputSize::Sqcif, 42), 5).expect("SQCIF run");
+            assert_eq!(fold(&run), sqcif, "{kind:?} SQCIF");
+            let run = run_one_shot(&at(InputSize::Qcif, 7), 3).expect("QCIF run");
+            assert_eq!(fold(&run), qcif, "{kind:?} QCIF");
+            let mut p = build_pipeline(&at(InputSize::Qcif, 7)).expect("build");
+            let run: Vec<FrameResult> = [false, true, true, false]
+                .into_iter()
+                .zip(0..)
+                .map(|(degraded, frame)| p.process(frame, degraded).expect("frame"))
+                .collect();
+            assert_eq!(fold(&run), degraded, "{kind:?} degraded run");
         }
     }
 

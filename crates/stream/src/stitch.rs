@@ -10,10 +10,12 @@ use crate::spec::StreamSpec;
 use sdvbs_image::Image;
 use sdvbs_profile::Profiler;
 use sdvbs_stitch::{stitch, Affine, StitchConfig};
-use sdvbs_synth::CameraMotion;
+use sdvbs_synth::{CameraMotion, MotionWorld};
 
 pub(crate) struct StitchStream {
     seed: u64,
+    /// The world the camera pans over, built on the first frame.
+    world: Option<MotionWorld>,
     full: (usize, usize),
     deg: (usize, usize),
     motion: CameraMotion,
@@ -38,6 +40,7 @@ impl StitchStream {
         let (w, h) = spec.full_dims();
         StitchStream {
             seed: spec.seed,
+            world: None,
             full: spec.full_dims(),
             deg: spec.degraded_dims(),
             motion: spec.pipeline.motion(),
@@ -65,7 +68,14 @@ impl StitchStream {
 impl StreamPipeline for StitchStream {
     fn process(&mut self, frame: u64, degraded: bool) -> Result<FrameResult, StreamError> {
         let dims = if degraded { self.deg } else { self.full };
-        let img = frame_at(self.full, dims, self.seed, self.motion, frame);
+        let img = frame_at(
+            &mut self.world,
+            self.seed,
+            self.full,
+            dims,
+            self.motion,
+            frame,
+        );
         let mut inliers = 0usize;
         let mut matches = 0usize;
         if frame > 0 {
@@ -74,7 +84,14 @@ impl StreamPipeline for StitchStream {
             // are pure functions of the index, so this is deterministic.
             let prev_at = match self.prev.take() {
                 Some((p, pdims)) if pdims == dims => p,
-                _ => frame_at(self.full, dims, self.seed, self.motion, frame - 1),
+                _ => frame_at(
+                    &mut self.world,
+                    self.seed,
+                    self.full,
+                    dims,
+                    self.motion,
+                    frame - 1,
+                ),
             };
             let mut prof = Profiler::new();
             let r = stitch(&prev_at, &img, &self.cfg, &mut prof)

@@ -4,11 +4,13 @@
 use crate::pipeline::{frame_at, Digest, FrameResult, StreamError, StreamPipeline};
 use crate::spec::StreamSpec;
 use sdvbs_profile::Profiler;
-use sdvbs_synth::CameraMotion;
+use sdvbs_synth::{CameraMotion, MotionWorld};
 use sdvbs_tracking::{Tracker, TrackingConfig};
 
 pub(crate) struct TrackingStream {
     seed: u64,
+    /// The world the camera pans over, built on the first frame.
+    world: Option<MotionWorld>,
     full: (usize, usize),
     deg: (usize, usize),
     motion: CameraMotion,
@@ -25,6 +27,7 @@ impl TrackingStream {
         let tracker = Tracker::new(config).map_err(|e| StreamError::new(e.to_string()))?;
         Ok(TrackingStream {
             seed: spec.seed,
+            world: None,
             full: spec.full_dims(),
             deg: spec.degraded_dims(),
             motion: spec.pipeline.motion(),
@@ -38,7 +41,14 @@ impl TrackingStream {
 impl StreamPipeline for TrackingStream {
     fn process(&mut self, frame: u64, degraded: bool) -> Result<FrameResult, StreamError> {
         let dims = if degraded { self.deg } else { self.full };
-        let img = frame_at(self.full, dims, self.seed, self.motion, frame);
+        let img = frame_at(
+            &mut self.world,
+            self.seed,
+            self.full,
+            dims,
+            self.motion,
+            frame,
+        );
         if self.cur.is_some_and(|cur| cur != dims) {
             self.tracker.rescale(dims.0, dims.1);
         }

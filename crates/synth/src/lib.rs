@@ -29,6 +29,7 @@
 mod faces;
 mod noise;
 mod scenes;
+mod world;
 
 pub use faces::{face_scene, render_face_patch, render_non_face_patch, FaceBox, FaceScene};
 pub use noise::{textured_image, value_noise};
@@ -37,3 +38,4 @@ pub use scenes::{
     segmentable_scene, stereo_pair, texture_swatch, CameraMotion, OverlapPair, SegmentScene,
     StereoPair, TextureKind,
 };
+pub use world::{MotionWorld, StereoWorld};

@@ -2,6 +2,7 @@
 //! segmentable images, overlapping views and texture swatches.
 
 use crate::noise::{textured_image, value_noise};
+use crate::world::{MotionWorld, StereoWorld};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdvbs_image::Image;
@@ -146,33 +147,6 @@ impl CameraMotion {
     }
 }
 
-/// Bilinear sample with toroidal (wrap-around) coordinates, so a camera
-/// can pan indefinitely over a finite world texture.
-fn wrap_sample(img: &Image, x: f64, y: f64) -> f32 {
-    let w = img.width();
-    let h = img.height();
-    let xm = x.rem_euclid(w as f64);
-    let ym = y.rem_euclid(h as f64);
-    let x0 = xm.floor() as usize % w;
-    let y0 = ym.floor() as usize % h;
-    let tx = (xm - xm.floor()) as f32;
-    let ty = (ym - ym.floor()) as f32;
-    let x1 = (x0 + 1) % w;
-    let y1 = (y0 + 1) % h;
-    let top = img.get(x0, y0) * (1.0 - tx) + img.get(x1, y0) * tx;
-    let bot = img.get(x0, y1) * (1.0 - tx) + img.get(x1, y1) * tx;
-    top * (1.0 - ty) + bot * ty
-}
-
-/// The camera offset of frame `frame` under `motion`, computed in `f64`
-/// so large frame indices keep sub-pixel precision, reduced modulo the
-/// world size so the sequence is periodic rather than unbounded.
-fn camera_offset(motion: CameraMotion, frame: u64, ww: usize, wh: usize) -> (f64, f64) {
-    let ox = (motion.vx as f64 * frame as f64).rem_euclid(ww as f64);
-    let oy = (motion.vy as f64 * frame as f64).rem_euclid(wh as f64);
-    (ox, oy)
-}
-
 /// Generates frame `frame` of an endless camera pan over a seeded
 /// textured world. Unlike [`frame_sequence`], each frame is a pure
 /// function of `(w, h, seed, motion, frame)` — frame `i` can be
@@ -181,16 +155,12 @@ fn camera_offset(motion: CameraMotion, frame: u64, ww: usize, wh: usize) -> (f64
 /// toroidally, so consecutive frames stay photometrically consistent for
 /// arbitrarily long sequences: frame `i+1` content at `(x, y)` equals
 /// frame `i` content at `(x + vx, y + vy)`.
+///
+/// This builds the world on every call; a caller generating many frames
+/// of one world builds a [`MotionWorld`] once and calls
+/// [`MotionWorld::frame`], which returns the same pixels.
 pub fn motion_frame(w: usize, h: usize, seed: u64, motion: CameraMotion, frame: u64) -> Image {
-    // The world is twice the view in each axis so the repeat period is
-    // well clear of any feature-matching window.
-    let ww = 2 * w.max(1);
-    let wh = 2 * h.max(1);
-    let world = textured_image(ww, wh, seed);
-    let (ox, oy) = camera_offset(motion, frame, ww, wh);
-    Image::from_fn(w, h, |x, y| {
-        wrap_sample(&world, x as f64 + ox, y as f64 + oy)
-    })
+    MotionWorld::new(w, h, seed).frame(motion, frame)
 }
 
 /// Generates frame `frame` of a stereo camera pair translating over a
@@ -203,6 +173,10 @@ pub fn motion_frame(w: usize, h: usize, seed: u64, motion: CameraMotion, frame: 
 /// The disparity convention matches [`stereo_pair`]: a scene point at
 /// `(x, y)` in the left image appears at `(x − d, y)` in the right.
 ///
+/// This builds the world on every call; a caller generating many frames
+/// of one world builds a [`StereoWorld`] once and calls
+/// [`StereoWorld::frame`], which returns the same pixels.
+///
 /// # Panics
 ///
 /// Panics if the image is smaller than 48×36 (the foreground layout
@@ -214,67 +188,7 @@ pub fn moving_stereo_pair(
     motion: CameraMotion,
     frame: u64,
 ) -> StereoPair {
-    assert!(w >= 48 && h >= 36, "stereo scene requires at least 48x36");
-    let d_bg = 2usize;
-    let d_near = 10usize;
-    let d_mid = 6usize;
-    let max_disparity = 16;
-    let ww = 2 * w;
-    let wh = 2 * h;
-    let background = textured_image(ww, wh, seed);
-    let tex_near = textured_image(ww, wh, seed ^ 0x9e3779b97f4a7c15);
-    let tex_mid = textured_image(ww, wh, seed ^ 0x5851f42d4c957f2d);
-    // Foreground rectangles live at fixed *world* coordinates; the camera
-    // pans past them (and wraps around to meet them again).
-    let near_rect = (w / 6, h / 5, w / 4, h / 3); // (x0, y0, width, height)
-    let mid_rect = (w / 2, h / 2, w / 3, h / 3);
-    let in_rect = |r: (usize, usize, usize, usize), wx: f64, wy: f64| {
-        let dx = (wx - r.0 as f64).rem_euclid(ww as f64);
-        let dy = (wy - r.1 as f64).rem_euclid(wh as f64);
-        dx < r.2 as f64 && dy < r.3 as f64
-    };
-    let (ox, oy) = camera_offset(motion, frame, ww, wh);
-    let left = Image::from_fn(w, h, |x, y| {
-        let wx = x as f64 + ox;
-        let wy = y as f64 + oy;
-        if in_rect(near_rect, wx, wy) {
-            wrap_sample(&tex_near, wx, wy)
-        } else if in_rect(mid_rect, wx, wy) {
-            wrap_sample(&tex_mid, wx, wy)
-        } else {
-            wrap_sample(&background, wx, wy)
-        }
-    });
-    // The right camera samples each layer at world x + d_layer: layers
-    // closer to the camera shift more.
-    let right = Image::from_fn(w, h, |x, y| {
-        let wx = x as f64 + ox;
-        let wy = y as f64 + oy;
-        if in_rect(near_rect, wx + d_near as f64, wy) {
-            wrap_sample(&tex_near, wx + d_near as f64, wy)
-        } else if in_rect(mid_rect, wx + d_mid as f64, wy) {
-            wrap_sample(&tex_mid, wx + d_mid as f64, wy)
-        } else {
-            wrap_sample(&background, wx + d_bg as f64, wy)
-        }
-    });
-    let truth = Image::from_fn(w, h, |x, y| {
-        let wx = x as f64 + ox;
-        let wy = y as f64 + oy;
-        if in_rect(near_rect, wx, wy) {
-            d_near as f32
-        } else if in_rect(mid_rect, wx, wy) {
-            d_mid as f32
-        } else {
-            d_bg as f32
-        }
-    });
-    StereoPair {
-        left,
-        right,
-        truth,
-        max_disparity,
-    }
+    StereoWorld::new(w, h, seed).frame(motion, frame)
 }
 
 /// A synthetic segmentation scene with ground-truth region labels.

@@ -1,31 +1,35 @@
 //! Face detection: the paper's video-surveillance scenario.
 //!
-//! Trains a compact Viola–Jones cascade from scratch on synthetic faces,
+//! Loads the shipped Viola–Jones cascade (trained on synthetic faces),
 //! scans a rendered scene, and writes an annotated image with detection
 //! boxes.
 //!
 //! ```text
 //! cargo run --release --example find_faces
 //! ```
+//!
+//! The cascade is `Cascade::pretrained()`, the output of the default
+//! training configuration committed as a model file. To retrain it, run
+//! `Cascade::train(&CascadeConfig::default(), ..)` or the
+//! `sdvbs-facedetect` example `train_cascade`, which writes the file.
 
-use sdvbs::facedetect::{detect_faces, Cascade, CascadeConfig, DetectorConfig};
+use sdvbs::facedetect::{detect_faces, Cascade, DetectorConfig};
 use sdvbs::image::{write_ppm, RgbImage};
 use sdvbs::profile::Profiler;
 use sdvbs::synth::face_scene;
 use std::path::PathBuf;
 
 fn main() {
-    let mut prof = Profiler::new();
-    println!("training a Viola-Jones cascade on synthetic faces...");
-    let cascade = prof
-        .run(|p| Cascade::train(&CascadeConfig::default(), p))
-        .expect("default training configuration succeeds");
-    println!("trained {} stages\n", cascade.stages());
+    let cascade = Cascade::pretrained();
+    println!(
+        "loaded the shipped {}-stage Viola-Jones cascade\n",
+        cascade.stages()
+    );
 
     let scene = face_scene(352, 288, 11, 4);
     let mut detect_prof = Profiler::new();
     let found =
-        detect_prof.run(|p| detect_faces(&scene.image, &cascade, &DetectorConfig::default(), p));
+        detect_prof.run(|p| detect_faces(&scene.image, cascade, &DetectorConfig::default(), p));
     println!(
         "scene has {} faces; detector reported {}:",
         scene.faces.len(),
