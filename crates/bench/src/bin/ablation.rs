@@ -141,7 +141,7 @@ fn main() {
         "double_size", "time (ms)", "keypoints"
     );
     {
-        use sdvbs_sift::{detect_and_describe, SiftConfig};
+        use sdvbs_sift::{try_detect_and_describe, SiftConfig};
         let img = sdvbs_synth::textured_image(176, 144, 4);
         for double in [true, false] {
             let cfg = SiftConfig {
@@ -151,7 +151,9 @@ fn main() {
             let mut feats = 0usize;
             let t = best_of(3, || {
                 let mut prof = Profiler::new();
-                feats = prof.run(|p| detect_and_describe(&img, &cfg, p)).len();
+                feats = prof
+                    .run(|p| try_detect_and_describe(&img, &cfg, p).expect("valid image"))
+                    .len();
                 prof.total()
             });
             println!("   {:>12} {:>12} {:>10}", double, fmt_ms(t), feats);
@@ -245,14 +247,17 @@ fn main() {
     println!("5. Disparity aggregation window (176x144 stereo pair)");
     println!("   {:>8} {:>12} {:>10}", "window", "time (ms)", "accuracy");
     {
-        use sdvbs_disparity::{compute_disparity, disparity_accuracy, DisparityConfig};
+        use sdvbs_disparity::{disparity_accuracy, try_compute_disparity, DisparityConfig};
         let scene = sdvbs_synth::stereo_pair(176, 144, 3);
         for window in [3usize, 5, 9, 13, 17] {
             let cfg = DisparityConfig::new(scene.max_disparity, window).expect("odd window");
             let mut acc = 0.0;
             let t = best_of(3, || {
                 let mut prof = Profiler::new();
-                let disp = prof.run(|p| compute_disparity(&scene.left, &scene.right, &cfg, p));
+                let disp = prof.run(|p| {
+                    try_compute_disparity(&scene.left, &scene.right, &cfg, p)
+                        .expect("valid stereo pair")
+                });
                 acc = disparity_accuracy(&disp, &scene.truth, 1.0);
                 prof.total()
             });

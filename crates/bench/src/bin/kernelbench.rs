@@ -13,7 +13,7 @@
 //! the min being the standard noise-robust statistic the runner's
 //! `compare` gate uses too.
 
-use sdvbs_disparity::{compute_disparity, DisparityConfig};
+use sdvbs_disparity::{try_compute_disparity, DisparityConfig};
 use sdvbs_image::Image;
 use sdvbs_kernels::conv::{convolve_2d, gaussian_blur};
 use sdvbs_kernels::gradient::{gradient_x, gradient_y};
@@ -129,12 +129,15 @@ fn main() {
             "DisparitySearch d=16",
             time_us(reps, || {
                 let mut prof = Profiler::new();
-                std::hint::black_box(compute_disparity(
-                    std::hint::black_box(&img),
-                    std::hint::black_box(&right),
-                    &cfg,
-                    &mut prof,
-                ));
+                std::hint::black_box(
+                    try_compute_disparity(
+                        std::hint::black_box(&img),
+                        std::hint::black_box(&right),
+                        &cfg,
+                        &mut prof,
+                    )
+                    .expect("valid stereo pair"),
+                );
             }),
         );
     }

@@ -21,15 +21,12 @@
 //! `cargo run --release -p sdvbs-bench --bin scaling`.
 
 use sdvbs_bench::{header, json_flag, run_suite, save_json};
-use sdvbs_core::{ExecPolicy, InputSize};
+use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs_runner::{Job, RunRecord};
 use std::num::NonZeroUsize;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 2;
-
-/// The benchmarks whose kernels honor `ExecPolicy`.
-const SWEPT: [&str; 3] = ["Disparity Map", "Image Segmentation", "Face Detection"];
 
 /// Table IV parallelism figures for the disparity kernels the runner
 /// records, used for the ranking cross-check (name, paper figure).
@@ -61,8 +58,14 @@ fn main() {
         );
     }
 
+    // The benchmarks whose kernels honor `ExecPolicy`, disparity first.
+    let swept: Vec<&str> = all_benchmarks()
+        .iter()
+        .filter(|b| b.info().honors_exec_policy)
+        .map(|b| b.info().name)
+        .collect();
     // One job per benchmark × thread count; records come back in this order.
-    let jobs: Vec<Job> = SWEPT
+    let jobs: Vec<Job> = swept
         .iter()
         .flat_map(|&name| {
             THREADS
@@ -79,7 +82,7 @@ fn main() {
     }
     println!(" {:>8} {:>8}", "4T speed", "8T speed");
     println!("{}", "-".repeat(84));
-    for (name, row) in SWEPT.iter().zip(records.chunks(THREADS.len())) {
+    for (name, row) in swept.iter().zip(records.chunks(THREADS.len())) {
         print!("{:<22}", name);
         for rec in row {
             print!(" {:>10.2}", rec.min_ms);

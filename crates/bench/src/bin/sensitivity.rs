@@ -4,38 +4,40 @@
 //! on five distinct inputs per size class and reports the runtime and
 //! quality spread.
 
-use sdvbs_bench::{fmt_ms, header, run_timed};
-use sdvbs_core::{all_benchmarks, InputSize};
-use sdvbs_profile::Profiler;
+use sdvbs_bench::{fmt_ms, header, run_suite};
+use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
+use sdvbs_runner::Job;
 use std::time::Duration;
 
 fn main() {
     header("Input sensitivity — five distinct inputs per benchmark (SQCIF)");
     let seeds = [1u64, 2, 3, 4, 5];
+    let names: Vec<&str> = all_benchmarks().iter().map(|b| b.info().name).collect();
+    // One job per benchmark × seed, best of two timed runs after a warm-up;
+    // records come back in this order.
+    let jobs: Vec<Job> = names
+        .iter()
+        .flat_map(|&name| {
+            seeds
+                .iter()
+                .map(move |&seed| Job::new(name, InputSize::Sqcif, ExecPolicy::Serial, seed, 2))
+        })
+        .collect();
+    let records = run_suite(&jobs);
     println!(
         "{:<20} {:>10} {:>10} {:>9} {:>10} {:>10}",
         "benchmark", "min (ms)", "max (ms)", "spread", "min qual", "max qual"
     );
     println!("{}", "-".repeat(76));
-    for bench in all_benchmarks() {
-        bench.warmup();
-        let mut times: Vec<Duration> = Vec::new();
-        let mut qualities: Vec<f64> = Vec::new();
-        for &seed in &seeds {
-            let (t, _) = run_timed(bench.as_ref(), InputSize::Sqcif, seed, 2);
-            times.push(t);
-            let mut prof = Profiler::new();
-            let outcome = bench.run(InputSize::Sqcif, seed, &mut prof);
-            if let Some(q) = outcome.quality {
-                qualities.push(q);
-            }
-        }
-        let min_t = *times.iter().min().expect("five seeds");
-        let max_t = *times.iter().max().expect("five seeds");
-        let spread = max_t.as_secs_f64() / min_t.as_secs_f64();
-        let (min_q, max_q) = qualities
+    for (name, row) in names.iter().zip(records.chunks(seeds.len())) {
+        let (min_t, max_t) = row.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |a, r| {
+            (a.0.min(r.min_ms), a.1.max(r.min_ms))
+        });
+        let spread = max_t / min_t;
+        let (min_q, max_q) = row
             .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |a, &q| {
+            .filter_map(|r| r.quality)
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |a, q| {
                 (a.0.min(q), a.1.max(q))
             });
         let fq = |q: f64| {
@@ -45,11 +47,12 @@ fn main() {
                 "n/a".to_string()
             }
         };
+        let ms = |t: f64| fmt_ms(Duration::from_secs_f64(t / 1e3));
         println!(
             "{:<20} {:>10} {:>10} {:>8.2}x {:>10} {:>10}",
-            bench.info().name,
-            fmt_ms(min_t),
-            fmt_ms(max_t),
+            name,
+            ms(min_t),
+            ms(max_t),
             spread,
             fq(min_q),
             fq(max_q),

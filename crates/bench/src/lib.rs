@@ -16,35 +16,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sdvbs_core::{Benchmark, InputSize};
-use sdvbs_profile::{Profiler, Report};
 use sdvbs_runner::{run_jobs, Job, RunRecord, RunnerConfig};
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Runs a benchmark `reps` times at `size` (after a warmup call) and
-/// returns the best wall-clock time with its kernel report.
-pub fn run_timed(
-    bench: &(dyn Benchmark + Send + Sync),
-    size: InputSize,
-    seed: u64,
-    reps: usize,
-) -> (Duration, Report) {
-    bench.warmup();
-    // Untimed warmup run (page-faults, allocator growth).
-    let mut warm = Profiler::new();
-    bench.run(size, seed, &mut warm);
-    let mut best: Option<(Duration, Report)> = None;
-    for _ in 0..reps.max(1) {
-        let mut prof = Profiler::new();
-        bench.run(size, seed, &mut prof);
-        let total = prof.total();
-        if best.as_ref().is_none_or(|(t, _)| total < *t) {
-            best = Some((total, prof.report()));
-        }
-    }
-    best.expect("at least one rep")
-}
 
 /// Runs a batch of jobs through the `sdvbs-runner` engine (single worker
 /// for timing fidelity) and returns one record per job, in submission
@@ -105,19 +79,7 @@ pub fn fmt_ms(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdvbs_core::all_benchmarks;
-
-    #[test]
-    fn run_timed_returns_consistent_report() {
-        let suite = all_benchmarks();
-        let size = InputSize::Custom {
-            width: 64,
-            height: 48,
-        };
-        let (time, report) = run_timed(suite[0].as_ref(), size, 1, 2);
-        assert!(time.as_nanos() > 0);
-        assert!(!report.kernels().is_empty());
-    }
+    use sdvbs_core::InputSize;
 
     #[test]
     fn run_suite_returns_records_in_submission_order() {

@@ -1,6 +1,7 @@
 //! The paper's input-size spectrum.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// An input-size class. The paper provides every benchmark "with inputs of
 /// three different sizes, which enable architects to control simulation
@@ -74,6 +75,31 @@ impl fmt::Display for InputSize {
     }
 }
 
+/// Parses the canonical size labels `"sqcif"`, `"qcif"`, `"cif"` and
+/// `"WxH"`, case-insensitively. The error is a human-readable message.
+impl FromStr for InputSize {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Self, Self::Err> {
+        match text.to_ascii_lowercase().as_str() {
+            "sqcif" => Ok(InputSize::Sqcif),
+            "qcif" => Ok(InputSize::Qcif),
+            "cif" => Ok(InputSize::Cif),
+            custom => {
+                let (w, h) = custom
+                    .split_once('x')
+                    .ok_or_else(|| format!("size must be sqcif, qcif, cif or WxH, got {text:?}"))?;
+                let width = w.parse().map_err(|_| format!("invalid width {w:?}"))?;
+                let height = h.parse().map_err(|_| format!("invalid height {h:?}"))?;
+                if width == 0 || height == 0 {
+                    return Err("dimensions must be positive".into());
+                }
+                Ok(InputSize::Custom { width, height })
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,6 +132,27 @@ mod tests {
             "10x5"
         );
         assert!(InputSize::Qcif.to_string().contains("176x144"));
+    }
+
+    #[test]
+    fn size_labels_roundtrip() {
+        for (label, size) in [
+            ("sqcif", InputSize::Sqcif),
+            ("qcif", InputSize::Qcif),
+            ("cif", InputSize::Cif),
+            (
+                "64x48",
+                InputSize::Custom {
+                    width: 64,
+                    height: 48,
+                },
+            ),
+        ] {
+            assert_eq!(label.parse(), Ok(size));
+            assert_eq!(label.to_ascii_uppercase().parse(), Ok(size));
+        }
+        assert!("vga".parse::<InputSize>().is_err());
+        assert!("0x5".parse::<InputSize>().is_err());
     }
 
     #[test]

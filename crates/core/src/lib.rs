@@ -3,20 +3,23 @@
 //!
 //! This is the crate a downstream user adopts. It re-exports each
 //! benchmark's native API and wraps them behind the [`Benchmark`] trait so
-//! harnesses (the table/figure regenerators in `sdvbs-bench`, Criterion
-//! benches, CI smoke tests) can iterate the whole suite uniformly:
+//! harnesses (the table/figure regenerators in `sdvbs-bench`, the runner,
+//! CI smoke tests) can iterate the whole suite uniformly. A run is
+//! fallible: a degenerate input is a typed [`SdvbsError`], never a panic.
 //!
 //! ```
-//! use sdvbs_core::{all_benchmarks, InputSize};
+//! use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
 //! use sdvbs_profile::Profiler;
 //!
 //! let suite = all_benchmarks();
 //! assert_eq!(suite.len(), 9);
 //! let disparity = &suite[0];
 //! let mut prof = Profiler::new();
-//! let outcome = disparity.run(InputSize::Custom { width: 64, height: 48 }, 1, &mut prof);
+//! let size = InputSize::Custom { width: 64, height: 48 };
+//! let outcome = disparity.try_run_with(size, 1, ExecPolicy::Serial, &mut prof)?;
 //! assert!(outcome.quality.unwrap_or(0.0) > 0.5);
 //! assert!(prof.total().as_nanos() > 0); // pipeline time, input gen excluded
+//! # Ok::<(), sdvbs_core::SdvbsError>(())
 //! ```
 //!
 //! The three named input sizes follow the paper exactly: SQCIF (128×96),

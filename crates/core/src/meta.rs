@@ -70,6 +70,10 @@ pub struct BenchmarkInfo {
     /// Major kernels, using the scope names the implementation reports to
     /// the profiler (Figure 1 / Figure 3 series).
     pub kernels: &'static [&'static str],
+    /// Whether the implementation plumbs its [`sdvbs_exec::ExecPolicy`]
+    /// into its kernels. Every other benchmark runs serially under any
+    /// policy, so a harness records one thread for it.
+    pub honors_exec_policy: bool,
 }
 
 #[cfg(test)]
@@ -94,7 +98,9 @@ mod tests {
             characteristic: Characteristic::ComputeIntensive,
             domain: "testing",
             kernels: &["A", "B"],
+            honors_exec_policy: false,
         };
         assert_eq!(info.kernels.len(), 2);
+        assert!(!info.honors_exec_policy);
     }
 }

@@ -27,52 +27,36 @@ pub trait Benchmark {
     /// Static metadata (Tables I/II rows and the kernel list).
     fn info(&self) -> &BenchmarkInfo;
 
-    /// Runs the benchmark at `size` with the input-generation seed `seed`.
+    /// Runs the benchmark at `size` with the input-generation seed `seed`,
+    /// its data-parallel kernels under `policy`.
     ///
     /// Implementations call [`Profiler::run`] around the *pipeline only*:
     /// synthetic input generation is excluded from the measured region,
     /// just as SD-VBS reads its input files before timing. Callers read
     /// the measured time from `prof.total()` — do not wrap this call in
     /// another `prof.run`.
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome;
-
-    /// Runs the benchmark with its data-parallel kernels under `policy`.
     ///
-    /// Benchmarks that plumb an [`ExecPolicy`] through their configuration
-    /// (disparity's shift search, segmentation's affinity build, face
-    /// detection's cascade scan) override this; the default ignores the
-    /// policy and runs serially, which is every other benchmark's only
-    /// mode. All policies produce bit-identical outcomes, so `policy` only
-    /// affects timing. Callers that record the policy should resolve
-    /// [`ExecPolicy::Auto`] once per run (see [`ExecPolicy::resolve`]) so
-    /// records stay consistent.
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        let _ = policy;
-        self.run(size, seed, prof)
-    }
-
-    /// Runs the benchmark fallibly: degenerate or corrupted inputs (for
-    /// example NaN pixels armed via [`crate::set_poison`]) surface as a
-    /// typed [`crate::SdvbsError`] instead of a panic, so a harness can
-    /// record a failed cell as an outcome rather than aborting the
-    /// process. The suite's nine implementations all override this; the
-    /// default delegates to the infallible [`Benchmark::run_with`] for
-    /// third-party implementations that predate the fallible path.
+    /// Only the benchmarks whose [`BenchmarkInfo::honors_exec_policy`] is
+    /// set plumb `policy` into their kernels (disparity's shift search,
+    /// segmentation's affinity build, face detection's cascade scan); every
+    /// other benchmark runs serially under any policy. All policies produce
+    /// bit-identical outcomes, so `policy` only affects timing. Callers
+    /// that record the policy should resolve [`ExecPolicy::Auto`] once per
+    /// run (see [`ExecPolicy::resolve`]) so records stay consistent.
+    ///
+    /// # Errors
+    ///
+    /// Degenerate or corrupted inputs (for example NaN pixels armed via
+    /// [`crate::set_poison`]) surface as a typed [`crate::SdvbsError`]
+    /// instead of a panic, so a harness can record a failed cell as an
+    /// outcome rather than aborting the process.
     fn try_run_with(
         &self,
         size: InputSize,
         seed: u64,
         policy: ExecPolicy,
         prof: &mut Profiler,
-    ) -> SdvbsResult<RunOutcome> {
-        Ok(self.run_with(size, seed, policy, prof))
-    }
+    ) -> SdvbsResult<RunOutcome>;
 
     /// One-time preparation excluded from timed runs (e.g. face detection
     /// parses its shipped cascade model once — SD-VBS ships that model
@@ -106,25 +90,12 @@ static DISPARITY_INFO: BenchmarkInfo = BenchmarkInfo {
     characteristic: Characteristic::DataIntensive,
     domain: "Robot vision for Adaptive Cruise Control, Stereo Vision",
     kernels: &["SSD", "IntegralImage", "Correlation", "Sort"],
+    honors_exec_policy: true,
 };
 
 impl Benchmark for DisparityBench {
     fn info(&self) -> &BenchmarkInfo {
         &DISPARITY_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        self.run_with(size, seed, ExecPolicy::Serial, prof)
-    }
-
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, policy, prof))
     }
 
     fn try_run_with(
@@ -152,16 +123,6 @@ impl Benchmark for DisparityBench {
     }
 }
 
-/// Maps a fallible run into the infallible [`RunOutcome`] contract: a
-/// typed error becomes a zero-quality outcome whose detail names the
-/// failure.
-fn outcome_or_failure(result: SdvbsResult<RunOutcome>) -> RunOutcome {
-    result.unwrap_or_else(|e| RunOutcome {
-        quality: Some(0.0),
-        detail: format!("failed: {e}"),
-    })
-}
-
 // ----------------------------------------------------------------- tracking
 
 struct TrackingBench;
@@ -179,15 +140,12 @@ static TRACKING_INFO: BenchmarkInfo = BenchmarkInfo {
         "AreaSum",
         "MatrixInversion",
     ],
+    honors_exec_policy: false,
 };
 
 impl Benchmark for TrackingBench {
     fn info(&self) -> &BenchmarkInfo {
         &TRACKING_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -243,25 +201,12 @@ static SEGMENTATION_INFO: BenchmarkInfo = BenchmarkInfo {
         "Eigensolve",
         "QRfactorizations",
     ],
+    honors_exec_policy: true,
 };
 
 impl Benchmark for SegmentationBench {
     fn info(&self) -> &BenchmarkInfo {
         &SEGMENTATION_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        self.run_with(size, seed, ExecPolicy::Serial, prof)
-    }
-
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, policy, prof))
     }
 
     fn try_run_with(
@@ -301,15 +246,12 @@ static SIFT_INFO: BenchmarkInfo = BenchmarkInfo {
     characteristic: Characteristic::ComputeIntensive,
     domain: "Object recognition",
     kernels: &["IntegralImage", "Interpolation", "SIFT"],
+    honors_exec_policy: false,
 };
 
 impl Benchmark for SiftBench {
     fn info(&self) -> &BenchmarkInfo {
         &SIFT_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -342,15 +284,12 @@ static LOCALIZATION_INFO: BenchmarkInfo = BenchmarkInfo {
     characteristic: Characteristic::ComputeIntensive,
     domain: "Robotics",
     kernels: &["ParticleFilter", "Sampling"],
+    honors_exec_policy: false,
 };
 
 impl Benchmark for LocalizationBench {
     fn info(&self) -> &BenchmarkInfo {
         &LOCALIZATION_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -414,15 +353,12 @@ static SVM_INFO: BenchmarkInfo = BenchmarkInfo {
     characteristic: Characteristic::ComputeIntensive,
     domain: "Machine learning",
     kernels: &["MatrixOps", "Learning", "ConjugateMatrix"],
+    honors_exec_policy: false,
 };
 
 impl Benchmark for SvmBench {
     fn info(&self) -> &BenchmarkInfo {
         &SVM_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -469,6 +405,7 @@ static FACEDETECT_INFO: BenchmarkInfo = BenchmarkInfo {
     characteristic: Characteristic::ComputeIntensive,
     domain: "Video Surveillance, Image Database Management",
     kernels: &["IntegralImage", "ExtractFaces", "StabilizeWindows"],
+    honors_exec_policy: true,
 };
 
 impl Benchmark for FaceDetectBench {
@@ -480,20 +417,6 @@ impl Benchmark for FaceDetectBench {
     /// pre-trained, and so does `sdvbs-facedetect`. Warming parses it.
     fn warmup(&self) {
         let _ = sdvbs_facedetect::Cascade::pretrained();
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        self.run_with(size, seed, ExecPolicy::Serial, prof)
-    }
-
-    fn run_with(
-        &self,
-        size: InputSize,
-        seed: u64,
-        policy: ExecPolicy,
-        prof: &mut Profiler,
-    ) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, policy, prof))
     }
 
     fn try_run_with(
@@ -562,15 +485,12 @@ static STITCH_INFO: BenchmarkInfo = BenchmarkInfo {
         "SVD",
         "Blend",
     ],
+    honors_exec_policy: false,
 };
 
 impl Benchmark for StitchBench {
     fn info(&self) -> &BenchmarkInfo {
         &STITCH_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -610,15 +530,12 @@ static TEXTURE_INFO: BenchmarkInfo = BenchmarkInfo {
     characteristic: Characteristic::ComputeIntensive,
     domain: "Computational photography and movie making",
     kernels: &["Analysis", "PCA", "Sampling", "Kurtosis"],
+    honors_exec_policy: false,
 };
 
 impl Benchmark for TextureBench {
     fn info(&self) -> &BenchmarkInfo {
         &TEXTURE_INFO
-    }
-
-    fn run(&self, size: InputSize, seed: u64, prof: &mut Profiler) -> RunOutcome {
-        outcome_or_failure(self.try_run_with(size, seed, ExecPolicy::Serial, prof))
     }
 
     fn try_run_with(
@@ -722,11 +639,10 @@ mod tests {
         };
         for b in all_benchmarks() {
             let info_name = b.info().name;
-            if info_name == "Face Detection" {
-                continue; // cascade training is exercised in its own crate
-            }
             let mut prof = Profiler::new();
-            let outcome = b.run(size, 3, &mut prof);
+            let outcome = b
+                .try_run_with(size, 3, ExecPolicy::Serial, &mut prof)
+                .unwrap_or_else(|e| panic!("{info_name} failed: {e}"));
             if let Some(q) = outcome.quality {
                 assert!(q > 0.3, "{info_name} quality {q}: {}", outcome.detail);
             }
@@ -747,31 +663,18 @@ mod tests {
             width: 64,
             height: 48,
         };
-        let suite = all_benchmarks();
-        // Disparity and Image Segmentation plumb the policy through; their
-        // parallel kernels promise bit-identical outputs, so the outcome
-        // (quality and detail) must not change with the policy.
-        for name in ["Disparity Map", "Image Segmentation"] {
-            let bench = suite
-                .iter()
-                .find(|b| b.info().name == name)
-                .expect("registered");
+        // Benchmarks that plumb the policy through promise bit-identical
+        // outputs from their parallel kernels, and the others ignore it, so
+        // no outcome (quality and detail) may change with the policy.
+        for bench in all_benchmarks() {
+            let name = bench.info().name;
             let mut ps = Profiler::new();
             let mut pt = Profiler::new();
-            let serial = bench.run_with(size, 5, ExecPolicy::Serial, &mut ps);
-            let threaded = bench.run_with(size, 5, ExecPolicy::Threads(3), &mut pt);
+            let serial = bench.try_run_with(size, 5, ExecPolicy::Serial, &mut ps);
+            let threaded = bench.try_run_with(size, 5, ExecPolicy::Threads(3), &mut pt);
             assert_eq!(serial, threaded, "{name} outcome changed under Threads(3)");
+            assert!(serial.is_ok(), "{name} failed: {serial:?}");
         }
-        // A benchmark without policy support falls back to its serial run.
-        let sift = suite
-            .iter()
-            .find(|b| b.info().name == "SIFT")
-            .expect("registered");
-        let mut pa = Profiler::new();
-        let mut pb = Profiler::new();
-        let a = sift.run_with(size, 5, ExecPolicy::Threads(3), &mut pa);
-        let b = sift.run(size, 5, &mut pb);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -784,8 +687,9 @@ mod tests {
         let disparity = &suite[0];
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        let a = disparity.run(size, 9, &mut p1);
-        let b = disparity.run(size, 9, &mut p2);
+        let a = disparity.try_run_with(size, 9, ExecPolicy::Serial, &mut p1);
+        let b = disparity.try_run_with(size, 9, ExecPolicy::Serial, &mut p2);
         assert_eq!(a, b);
+        assert!(a.is_ok());
     }
 }

@@ -18,7 +18,7 @@
 //! # Examples
 //!
 //! ```
-//! use sdvbs_disparity::{compute_disparity, DisparityConfig};
+//! use sdvbs_disparity::{try_compute_disparity, DisparityConfig};
 //! use sdvbs_image::Image;
 //! use sdvbs_profile::Profiler;
 //!
@@ -27,8 +27,9 @@
 //! let right = Image::from_fn(64, 32, |x, y| left.get_clamped(x as isize + 2, y as isize));
 //! let cfg = DisparityConfig::new(8, 5).unwrap();
 //! let mut prof = Profiler::new();
-//! let disp = compute_disparity(&left, &right, &cfg, &mut prof);
+//! let disp = try_compute_disparity(&left, &right, &cfg, &mut prof)?;
 //! assert_eq!(disp.get(32, 16), 2.0);
+//! # Ok::<(), sdvbs_disparity::DisparityError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -167,7 +168,8 @@ impl Default for DisparityConfig {
     }
 }
 
-/// Computes the dense disparity map for a stereo pair.
+/// Computes the dense disparity map for a stereo pair, rejecting
+/// degenerate inputs with a typed error instead of panicking.
 ///
 /// Convention: a scene point at `(x, y)` in `left` appears at `(x − d, y)`
 /// in `right`; the returned image holds `d` per left pixel.
@@ -180,28 +182,6 @@ impl Default for DisparityConfig {
 /// Kernel attribution (visible through `prof`): `SSD`, `IntegralImage`,
 /// `Correlation`, `Sort` — the decomposition of Figure 1/Figure 3 in the
 /// paper.
-///
-/// # Panics
-///
-/// Panics if the two images differ in size or are smaller than the
-/// aggregation window. This is the thin panicking wrapper over
-/// [`try_compute_disparity`] kept for call sites with pre-validated
-/// inputs; new code (and the suite runner) should prefer the fallible
-/// entry.
-pub fn compute_disparity(
-    left: &Image,
-    right: &Image,
-    cfg: &DisparityConfig,
-    prof: &mut Profiler,
-) -> Image {
-    match try_compute_disparity(left, right, cfg, prof) {
-        Ok(disp) => disp,
-        Err(e) => panic!("compute_disparity: {e}"),
-    }
-}
-
-/// Computes the dense disparity map, rejecting degenerate inputs with a
-/// typed error instead of panicking.
 ///
 /// # Errors
 ///
@@ -401,7 +381,8 @@ impl ConsistencyMask {
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`compute_disparity`].
+/// Panics if `left_disp` does not match `left` in size, or if
+/// [`try_compute_disparity`] rejects the pair.
 pub fn left_right_consistency(
     left: &Image,
     right: &Image,
@@ -421,7 +402,8 @@ pub fn left_right_consistency(
     // by mirroring both images horizontally.
     let left_m = left.flip_horizontal();
     let right_m = right.flip_horizontal();
-    let right_disp_m = compute_disparity(&right_m, &left_m, cfg, prof);
+    let right_disp_m = try_compute_disparity(&right_m, &left_m, cfg, prof)
+        .unwrap_or_else(|e| panic!("left_right_consistency: {e}"));
     let w = left.width();
     let h = left.height();
     let mut valid = vec![false; w * h];
@@ -466,7 +448,7 @@ pub struct SparseDisparity {
 /// interest"). Features too close to the border for a full window are
 /// skipped.
 ///
-/// Unlike [`compute_disparity`], which amortizes window sums over the
+/// Unlike [`try_compute_disparity`], which amortizes window sums over the
 /// whole frame with integral images, the sparse variant evaluates each
 /// window directly: it is the right tool when features are few and the
 /// frame is large.
@@ -573,7 +555,8 @@ mod tests {
         });
         let cfg = DisparityConfig::new(10, 7).unwrap();
         let mut prof = Profiler::new();
-        let disp = compute_disparity(&left, &right, &cfg, &mut prof);
+        let disp =
+            try_compute_disparity(&left, &right, &cfg, &mut prof).expect("valid stereo pair");
         // Interior pixels (excluding border effects and clamped columns).
         let mut correct = 0;
         let mut total = 0;
@@ -593,7 +576,8 @@ mod tests {
         let s = stereo_pair(96, 72, 21);
         let cfg = DisparityConfig::new(s.max_disparity, 9).unwrap();
         let mut prof = Profiler::new();
-        let disp = prof.run(|p| compute_disparity(&s.left, &s.right, &cfg, p));
+        let disp = prof
+            .run(|p| try_compute_disparity(&s.left, &s.right, &cfg, p).expect("valid stereo pair"));
         let acc = disparity_accuracy(&disp, &s.truth, 1.0);
         assert!(acc > 0.80, "accuracy {acc} too low");
     }
@@ -603,7 +587,7 @@ mod tests {
         let s = stereo_pair(48, 36, 2);
         let cfg = DisparityConfig::new(4, 5).unwrap();
         let mut prof = Profiler::new();
-        prof.run(|p| compute_disparity(&s.left, &s.right, &cfg, p));
+        prof.run(|p| try_compute_disparity(&s.left, &s.right, &cfg, p).expect("valid stereo pair"));
         let report = prof.report();
         for k in ["SSD", "IntegralImage", "Correlation", "Sort"] {
             assert!(report.occupancy(k).is_some(), "kernel {k} missing");
@@ -617,7 +601,7 @@ mod tests {
         let img = Image::from_fn(40, 30, |x, y| ((x * 3 + y * 7) % 50) as f32);
         let cfg = DisparityConfig::new(6, 5).unwrap();
         let mut prof = Profiler::new();
-        let disp = compute_disparity(&img, &img, &cfg, &mut prof);
+        let disp = try_compute_disparity(&img, &img, &cfg, &mut prof).expect("valid stereo pair");
         assert!(disp.as_slice().iter().all(|&v| v == 0.0));
     }
 
@@ -634,7 +618,8 @@ mod tests {
         let s = stereo_pair(96, 72, 4);
         let cfg = DisparityConfig::new(s.max_disparity, 9).unwrap();
         let mut prof = Profiler::new();
-        let disp = compute_disparity(&s.left, &s.right, &cfg, &mut prof);
+        let disp =
+            try_compute_disparity(&s.left, &s.right, &cfg, &mut prof).expect("valid stereo pair");
         let mask = left_right_consistency(&s.left, &s.right, &disp, &cfg, 1.0, &mut prof);
         // Most pixels are consistent.
         assert!(
@@ -669,7 +654,8 @@ mod tests {
         let s = stereo_pair(96, 72, 8);
         let cfg = DisparityConfig::new(s.max_disparity, 9).unwrap();
         let mut prof = Profiler::new();
-        let dense = compute_disparity(&s.left, &s.right, &cfg, &mut prof);
+        let dense =
+            try_compute_disparity(&s.left, &s.right, &cfg, &mut prof).expect("valid stereo pair");
         let features: Vec<(usize, usize)> = (0..12)
             .map(|i| (12 + (i * 61) % 72, 10 + (i * 37) % 52))
             .collect();
@@ -752,7 +738,8 @@ mod tests {
             let right = Image::from_fn(w, h, |x, y| ((x * 13 + y * 7) % 89) as f32);
             let cfg = DisparityConfig::new(max_d, 5).unwrap();
             let mut prof = Profiler::new();
-            let disp = compute_disparity(&left, &right, &cfg, &mut prof);
+            let disp =
+                try_compute_disparity(&left, &right, &cfg, &mut prof).expect("valid stereo pair");
             assert_eq!(disp, naive_disparity(&left, &right, max_d, 5), "width {w}");
         }
     }
@@ -772,20 +759,27 @@ mod tests {
                 .unwrap()
                 .with_exec(policy);
             let mut prof = Profiler::new();
-            let disp = compute_disparity(&s.left, &s.right, &cfg, &mut prof);
+            let disp = try_compute_disparity(&s.left, &s.right, &cfg, &mut prof)
+                .expect("valid stereo pair");
             assert_eq!(disp, naive, "{policy:?}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "stereo images differ in size")]
-    fn mismatched_images_panic() {
+    fn mismatched_images_are_rejected() {
         let mut prof = Profiler::new();
-        compute_disparity(
+        let result = try_compute_disparity(
             &Image::new(10, 10),
             &Image::new(11, 10),
             &DisparityConfig::default(),
             &mut prof,
+        );
+        assert_eq!(
+            result,
+            Err(DisparityError::DimensionMismatch {
+                left: (10, 10),
+                right: (11, 10),
+            })
         );
     }
 }

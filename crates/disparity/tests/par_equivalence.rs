@@ -6,7 +6,7 @@
 //! input sizes.
 
 use proptest::prelude::*;
-use sdvbs_disparity::{compute_disparity, DisparityConfig};
+use sdvbs_disparity::{try_compute_disparity, DisparityConfig};
 use sdvbs_exec::ExecPolicy;
 use sdvbs_profile::Profiler;
 use sdvbs_synth::stereo_pair;
@@ -23,11 +23,11 @@ proptest! {
         let s = stereo_pair(w, h, seed);
         let base = DisparityConfig::new(s.max_disparity.max(1), 9).expect("valid config");
         let mut prof = Profiler::new();
-        let serial = compute_disparity(&s.left, &s.right, &base, &mut prof);
+        let serial = try_compute_disparity(&s.left, &s.right, &base, &mut prof).expect("valid stereo pair");
         for n in [1usize, 2, 4] {
             let cfg = base.with_exec(ExecPolicy::Threads(n));
             let mut prof = Profiler::new();
-            let par = compute_disparity(&s.left, &s.right, &cfg, &mut prof);
+            let par = try_compute_disparity(&s.left, &s.right, &cfg, &mut prof).expect("valid stereo pair");
             prop_assert_eq!(&par, &serial, "threads = {}", n);
             // Kernel attribution survives the parallel run: all four
             // kernels are present with one call per shift (plus the
@@ -45,9 +45,11 @@ fn auto_policy_matches_serial_too() {
     let s = stereo_pair(128, 96, 5);
     let base = DisparityConfig::new(s.max_disparity.max(1), 9).expect("valid config");
     let mut prof = Profiler::new();
-    let serial = compute_disparity(&s.left, &s.right, &base, &mut prof);
+    let serial =
+        try_compute_disparity(&s.left, &s.right, &base, &mut prof).expect("valid stereo pair");
     let auto = base.with_exec(ExecPolicy::Auto);
-    let par = compute_disparity(&s.left, &s.right, &auto, &mut prof);
+    let par =
+        try_compute_disparity(&s.left, &s.right, &auto, &mut prof).expect("valid stereo pair");
     assert_eq!(par, serial);
     assert_eq!(auto.exec(), ExecPolicy::Auto);
 }

@@ -351,30 +351,13 @@ impl fmt::Display for DetectError {
 
 impl Error for DetectError {}
 
-/// Runs the multi-scale sliding-window detector.
+/// Runs the multi-scale sliding-window detector, rejecting degenerate
+/// inputs with a typed error.
 ///
 /// Kernel attribution: `IntegralImage` (plain + squared tables),
 /// `ExtractFaces` (the cascade scan), `StabilizeWindows` (merging /
 /// non-maximum suppression) — the paper's three face-detection
 /// components.
-///
-/// # Panics
-///
-/// Panics on degenerate inputs; this is the thin panicking wrapper over
-/// [`try_detect_faces`] kept for call sites with pre-validated inputs.
-pub fn detect_faces(
-    img: &Image,
-    cascade: &Cascade,
-    cfg: &DetectorConfig,
-    prof: &mut Profiler,
-) -> Vec<Detection> {
-    match try_detect_faces(img, cascade, cfg, prof) {
-        Ok(dets) => dets,
-        Err(e) => panic!("detect_faces: {e}"),
-    }
-}
-
-/// Runs the detector, rejecting degenerate inputs with a typed error.
 ///
 /// # Errors
 ///
@@ -553,7 +536,8 @@ mod tests {
         let c = cascade();
         let scene = face_scene(200, 150, 31, 3);
         let mut prof = Profiler::new();
-        let found = detect_faces(&scene.image, c, &DetectorConfig::default(), &mut prof);
+        let found = try_detect_faces(&scene.image, c, &DetectorConfig::default(), &mut prof)
+            .expect("valid image");
         let mut hits = 0;
         for truth in &scene.faces {
             let tb = Detection {
@@ -580,7 +564,8 @@ mod tests {
         let c = cascade();
         let img = sdvbs_synth::textured_image(160, 120, 77);
         let mut prof = Profiler::new();
-        let found = detect_faces(&img, c, &DetectorConfig::default(), &mut prof);
+        let found =
+            try_detect_faces(&img, c, &DetectorConfig::default(), &mut prof).expect("valid image");
         assert!(
             found.len() <= 2,
             "{} false detections on texture",
@@ -655,7 +640,9 @@ mod tests {
         let c = cascade();
         let scene = face_scene(120, 100, 5, 1);
         let mut prof = Profiler::new();
-        prof.run(|p| detect_faces(&scene.image, c, &DetectorConfig::default(), p));
+        prof.run(|p| {
+            try_detect_faces(&scene.image, c, &DetectorConfig::default(), p).expect("valid image")
+        });
         let rep = prof.report();
         for k in ["IntegralImage", "ExtractFaces", "StabilizeWindows"] {
             assert!(rep.occupancy(k).is_some(), "kernel {k} missing");

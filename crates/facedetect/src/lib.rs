@@ -23,15 +23,16 @@
 //! # Examples
 //!
 //! ```
-//! use sdvbs_facedetect::{Cascade, detect_faces, DetectorConfig};
+//! use sdvbs_facedetect::{try_detect_faces, Cascade, DetectorConfig};
 //! use sdvbs_profile::Profiler;
 //! use sdvbs_synth::face_scene;
 //!
 //! let mut prof = Profiler::new();
 //! let cascade = Cascade::pretrained();
 //! let scene = face_scene(160, 120, 7, 2);
-//! let found = detect_faces(&scene.image, cascade, &DetectorConfig::default(), &mut prof);
+//! let found = try_detect_faces(&scene.image, cascade, &DetectorConfig::default(), &mut prof)?;
 //! assert!(!found.is_empty());
+//! # Ok::<(), sdvbs_facedetect::DetectError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,8 +45,7 @@ mod model_io;
 
 pub use boost::{train_adaboost, StrongClassifier, Stump};
 pub use cascade::{
-    detect_faces, try_detect_faces, Cascade, CascadeConfig, CascadeError, DetectError, Detection,
-    DetectorConfig,
+    try_detect_faces, Cascade, CascadeConfig, CascadeError, DetectError, Detection, DetectorConfig,
 };
 pub use haar::{generate_features, HaarFeature, HaarKind, NormalizedWindow};
 pub use model_io::ModelIoError;

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use sdvbs_exec::ExecPolicy;
-use sdvbs_facedetect::{detect_faces, Cascade, DetectorConfig};
+use sdvbs_facedetect::{try_detect_faces, Cascade, DetectorConfig};
 use sdvbs_profile::Profiler;
 use sdvbs_synth::face_scene;
 
@@ -29,11 +29,11 @@ proptest! {
         let scene = face_scene(w, h, seed, 2);
         let base = DetectorConfig::default();
         let mut prof = Profiler::new();
-        let serial = detect_faces(&scene.image, cascade(), &base, &mut prof);
+        let serial = try_detect_faces(&scene.image, cascade(), &base, &mut prof).expect("valid image");
         for n in [1usize, 2, 4] {
             let cfg = DetectorConfig { exec: ExecPolicy::Threads(n), ..base };
             let mut prof = Profiler::new();
-            let par = detect_faces(&scene.image, cascade(), &cfg, &mut prof);
+            let par = try_detect_faces(&scene.image, cascade(), &cfg, &mut prof).expect("valid image");
             prop_assert_eq!(&par, &serial, "threads = {}", n);
             // The scan kernel is still attributed after absorption.
             prop_assert!(
@@ -49,16 +49,17 @@ proptest! {
 fn auto_policy_matches_serial_too() {
     let scene = face_scene(128, 96, 3, 1);
     let mut prof = Profiler::new();
-    let serial = detect_faces(
+    let serial = try_detect_faces(
         &scene.image,
         cascade(),
         &DetectorConfig::default(),
         &mut prof,
-    );
+    )
+    .expect("valid image");
     let cfg = DetectorConfig {
         exec: ExecPolicy::Auto,
         ..DetectorConfig::default()
     };
-    let par = detect_faces(&scene.image, cascade(), &cfg, &mut prof);
+    let par = try_detect_faces(&scene.image, cascade(), &cfg, &mut prof).expect("valid image");
     assert_eq!(par, serial);
 }

@@ -15,7 +15,7 @@
 //! loop (see [`crate::reference`]), so results are **bit-identical** to the
 //! scalar reference; the equivalence suites in
 //! `tests/{simd,border}_equivalence.rs` pin this down. Interior work is
-//! additionally blocked into [`BLOCK`]-column tiles so the output tile and
+//! additionally blocked into `BLOCK`-column tiles so the output tile and
 //! its source taps stay L1-resident across the kernel taps.
 
 use sdvbs_exec::ExecPolicy;

@@ -14,8 +14,8 @@
 //! * [`features`] — Harris and KLT min-eigenvalue corner responses, local
 //!   maxima and top-k selection ("Sort" kernel), ANMS.
 //! * [`pyramid`] — Gaussian image pyramids.
-//! * [`reference`] — retained naive scalar implementations, the
-//!   bit-identity oracle for the vectorized fast paths above.
+//! * [`reference`](mod@reference) — retained naive scalar implementations,
+//!   the bit-identity oracle for the vectorized fast paths above.
 //!
 //! # Examples
 //!

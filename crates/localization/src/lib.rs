@@ -32,11 +32,12 @@
 //! let mut mcl = MonteCarloLocalizer::new(&world, &MclConfig::default());
 //! let mut prof = Profiler::new();
 //! for step in &traj.steps {
-//!     mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+//!     mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)?;
 //! }
 //! let est = mcl.estimate();
 //! let true_pose = traj.steps.last().unwrap().true_pose;
 //! assert!((est.x - true_pose.x).hypot(est.y - true_pose.y) < 1.5);
+//! # Ok::<(), sdvbs_localization::MclError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -167,22 +167,8 @@ impl MonteCarloLocalizer {
 
     /// Runs one filter step: motion update, measurement weighting
     /// (`ParticleFilter` kernel) and low-variance resampling (`Sampling`
-    /// kernel).
-    pub fn step(
-        &mut self,
-        odometry: &Odometry,
-        measurements: &[Measurement],
-        world: &World,
-        prof: &mut Profiler,
-    ) {
-        match self.try_step(odometry, measurements, world, prof) {
-            Ok(()) => {}
-            Err(e) => panic!("step: {e}"),
-        }
-    }
-
-    /// Runs one filter step, rejecting non-finite sensor data with a typed
-    /// error instead of silently corrupting every particle weight.
+    /// kernel), rejecting non-finite sensor data with a typed error
+    /// instead of silently corrupting every particle weight.
     ///
     /// # Errors
     ///
@@ -372,7 +358,8 @@ mod tests {
         let mut mcl = MonteCarloLocalizer::new(&world, &cfg);
         let mut prof = Profiler::new();
         for step in &traj.steps {
-            mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+            mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
         }
         (mcl.estimate(), traj.steps.last().unwrap().true_pose)
     }
@@ -424,7 +411,8 @@ mod tests {
         let mut mcl = MonteCarloLocalizer::new(&world, &cfg);
         let mut prof = Profiler::new();
         for step in &traj.steps {
-            mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+            mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
             assert_eq!(mcl.particles().len(), cfg.particles);
             let wsum: f64 = mcl.particles().iter().map(|p| p.weight).sum();
             assert!((wsum - 1.0).abs() < 1e-9, "weights sum to {wsum}");
@@ -461,8 +449,12 @@ mod tests {
         let mut global = MonteCarloLocalizer::new(&world, &cfg);
         let mut tracking = MonteCarloLocalizer::new_tracking(traj.start, 0.5, 0.1, &cfg);
         for step in &traj.steps {
-            global.step(&step.odometry, &step.measurements, &world, &mut prof);
-            tracking.step(&step.odometry, &step.measurements, &world, &mut prof);
+            global
+                .try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
+            tracking
+                .try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
         }
         let truth = traj.steps.last().unwrap().true_pose;
         let err_tracking = tracking.estimate().distance(&truth);
@@ -479,7 +471,8 @@ mod tests {
         let mut prof = Profiler::new();
         let initial_spread = mcl.position_spread();
         for step in &traj.steps {
-            mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+            mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
         }
         let final_spread = mcl.position_spread();
         assert!(
@@ -506,10 +499,12 @@ mod tests {
         );
         let mut prof = Profiler::new();
         for step in &before.steps {
-            mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+            mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
         }
         for step in &after.steps {
-            mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+            mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)
+                .expect("finite sensor data");
         }
         let truth = after.steps.last().unwrap().true_pose;
         let err = mcl.estimate().distance(&truth);
@@ -524,7 +519,8 @@ mod tests {
         let mut prof = Profiler::new();
         prof.run(|p| {
             for step in &traj.steps {
-                mcl.step(&step.odometry, &step.measurements, &world, p);
+                mcl.try_step(&step.odometry, &step.measurements, &world, p)
+                    .expect("finite sensor data");
             }
         });
         let rep = prof.report();

@@ -184,7 +184,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use super::Range;
 
-    /// Length specifications accepted by [`vec`]: a fixed `usize` or a
+    /// Length specifications accepted by [`vec`](fn@vec): a fixed `usize` or a
     /// `Range<usize>`.
     pub trait SizeRange {
         /// Draws a concrete length.

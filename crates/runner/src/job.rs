@@ -80,7 +80,11 @@ impl Job {
             .and_then(Value::as_str)
             .ok_or("missing required string field \"benchmark\"")?
             .to_string();
-        let size = parse_size(v.get("size").and_then(Value::as_str).unwrap_or("sqcif"))?;
+        let size = v
+            .get("size")
+            .and_then(Value::as_str)
+            .unwrap_or("sqcif")
+            .parse()?;
         let policy = parse_policy(v.get("policy").and_then(Value::as_str).unwrap_or("serial"))?;
         let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(1);
         let iterations = v.get("iterations").and_then(Value::as_u64).unwrap_or(1) as usize;
@@ -132,30 +136,6 @@ pub fn size_label(size: InputSize) -> String {
         InputSize::Qcif => "qcif".to_string(),
         InputSize::Cif => "cif".to_string(),
         InputSize::Custom { width, height } => format!("{width}x{height}"),
-    }
-}
-
-/// Parses a [`size_label`]-style string (case-insensitive).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown labels.
-pub fn parse_size(text: &str) -> Result<InputSize, String> {
-    match text.to_ascii_lowercase().as_str() {
-        "sqcif" => Ok(InputSize::Sqcif),
-        "qcif" => Ok(InputSize::Qcif),
-        "cif" => Ok(InputSize::Cif),
-        custom => {
-            let (w, h) = custom
-                .split_once('x')
-                .ok_or_else(|| format!("size must be sqcif, qcif, cif or WxH, got {text:?}"))?;
-            let width = w.parse().map_err(|_| format!("invalid width {w:?}"))?;
-            let height = h.parse().map_err(|_| format!("invalid height {h:?}"))?;
-            if width == 0 || height == 0 {
-                return Err("dimensions must be positive".into());
-            }
-            Ok(InputSize::Custom { width, height })
-        }
     }
 }
 
@@ -293,7 +273,9 @@ pub struct RunRecord {
     pub size: String,
     /// Requested policy label ([`policy_label`]).
     pub policy: String,
-    /// Concrete worker count after resolving `Auto` once per run.
+    /// Concrete worker count after resolving `Auto` once per run; 1 for a
+    /// benchmark that does not honor its policy (see
+    /// [`sdvbs_core::BenchmarkInfo::honors_exec_policy`]).
     pub threads: usize,
     /// Input-generation seed.
     pub seed: u64,
@@ -686,23 +668,6 @@ mod tests {
         assert!(Job::from_value(&Value::parse("{}").unwrap()).is_err());
         let bad = Value::parse("{\"benchmark\":\"SVM\",\"size\":\"huge\"}").unwrap();
         assert!(Job::from_value(&bad).is_err());
-    }
-
-    #[test]
-    fn size_labels_roundtrip() {
-        for size in [
-            InputSize::Sqcif,
-            InputSize::Qcif,
-            InputSize::Cif,
-            InputSize::Custom {
-                width: 64,
-                height: 48,
-            },
-        ] {
-            assert_eq!(parse_size(&size_label(size)).unwrap(), size);
-        }
-        assert!(parse_size("vga").is_err());
-        assert!(parse_size("0x5").is_err());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`job`] / [`store`] — the job model and a JSONL result store
 //!   recording timing percentiles, per-kernel profile breakdowns, quality
 //!   scores, and host metadata;
-//! * [`compare`] — the perf-regression gate that diffs a candidate run
-//!   against a committed baseline with a slowdown limit and a min-runtime
-//!   noise floor;
+//! * [`compare`](mod@compare) — the perf-regression gate that diffs a
+//!   candidate run against a committed baseline with a slowdown limit and
+//!   a min-runtime noise floor;
 //! * [`fault`] — deterministic, seeded fault injection (worker panics,
 //!   watchdog stalls, NaN-poisoned inputs, torn store writes) feeding the
 //!   retry/quarantine machinery in [`run`].
@@ -45,14 +45,12 @@ pub use compare::{
 };
 pub use fault::{FaultKind, FaultPlan};
 pub use job::{
-    cell_key, parse_policy, parse_size, policy_label, size_label, HostMeta, Job, KernelStatRecord,
-    RunRecord, RunStatus,
+    cell_key, parse_policy, policy_label, size_label, HostMeta, Job, KernelStatRecord, RunRecord,
+    RunStatus,
 };
 pub use pool::{run_pool, supervise, Completion, PoolConfig, PoolJob, PoolOutcome};
 pub use queue::{BoundedQueue, PushError, QueueError, TryPushError};
-pub use run::{
-    execute_job, execute_job_warm, run_jobs, run_jobs_report, RunReport, RunnerConfig, RunnerError,
-};
+pub use run::{execute_job, run_jobs, run_jobs_report, RunReport, RunnerConfig, RunnerError};
 pub use store::{
     append_metrics, append_records, read_records, recover_records, write_records, StoreError,
 };

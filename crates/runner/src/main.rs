@@ -31,8 +31,8 @@
 
 use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs_runner::{
-    compare, job::parse_policy, job::parse_size, read_records, run_jobs_report, write_records,
-    AbsoluteLimit, CompareConfig, FaultPlan, Job, RunStatus, RunnerConfig,
+    compare, job::parse_policy, read_records, run_jobs_report, write_records, AbsoluteLimit,
+    CompareConfig, FaultPlan, Job, RunStatus, RunnerConfig,
 };
 use sdvbs_trace::Trace;
 use std::path::{Path, PathBuf};
@@ -190,7 +190,7 @@ fn cmd_run(rest: &[String]) -> Result<ExitCode, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--bench" => benches.push(next_value(arg, &mut it)?.clone()),
-            "--size" => size = parse_size(next_value(arg, &mut it)?)?,
+            "--size" => size = next_value(arg, &mut it)?.parse()?,
             "--policy" => policy = parse_policy(next_value(arg, &mut it)?)?,
             "--smoke" => smoke = true,
             flag => {
@@ -234,7 +234,7 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
             "--sizes" => {
                 sizes = next_value(arg, &mut it)?
                     .split(',')
-                    .map(parse_size)
+                    .map(str::parse)
                     .collect::<Result<_, _>>()?;
             }
             "--policies" => {

@@ -179,17 +179,10 @@ pub fn run_jobs(jobs: &[Job], cfg: &RunnerConfig) -> Result<Vec<RunRecord>, Runn
 /// not in the registry (checked upfront, before anything runs), or
 /// [`RunnerError::Queue`] for an invalid pool configuration.
 pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, RunnerError> {
-    let known: Vec<String> = all_benchmarks()
+    let honors_policy: Vec<bool> = jobs
         .iter()
-        .map(|b| b.info().name.to_string())
-        .collect();
-    for job in jobs {
-        if !known.iter().any(|n| n == &job.benchmark) {
-            return Err(RunnerError::UnknownBenchmark {
-                name: job.benchmark.clone(),
-            });
-        }
-    }
+        .map(honors_exec_policy)
+        .collect::<Result<_, _>>()?;
     // Resolve Auto once for the whole run (satellite f): every job sees the
     // same concrete width and every record reports the same thread count.
     let auto_threads = ExecPolicy::Auto.worker_count();
@@ -285,7 +278,11 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
         for outcome in outcomes {
             let idx = outcome.id as usize;
             let job = &jobs[idx];
-            let threads = resolved_threads(job.policy.resolve_with(auto_threads), auto_threads);
+            let threads = resolved_threads(
+                honors_policy[idx],
+                job.policy.resolve_with(auto_threads),
+                auto_threads,
+            );
             metrics.observe("queue_wait_ms", outcome.queue_wait.as_secs_f64() * 1e3);
             metrics.observe("job_wall_ms", outcome.wall.as_secs_f64() * 1e3);
             let mut rec = base_record(job, idx as u64, threads, &host);
@@ -432,22 +429,6 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
 /// once-per-process [`HostMeta::collect`], both hoisted so a long-lived
 /// server stamps every record consistently.
 ///
-/// # Errors
-///
-/// Returns [`RunnerError::UnknownBenchmark`] if the job names a benchmark
-/// not in the registry.
-pub fn execute_job(
-    job: &Job,
-    job_id: u64,
-    auto_threads: usize,
-    host: &HostMeta,
-    timeout: Option<Duration>,
-) -> Result<RunRecord, RunnerError> {
-    execute_job_warm(job, job_id, auto_threads, host, timeout, false)
-}
-
-/// [`execute_job`] with an explicit warm-start flag.
-///
 /// `warm = true` skips the benchmark's `warmup()` call and the untimed
 /// warmup iteration. The serve engine's scheduler sets it for every job
 /// after the first in a batch sharing one benchmark×size: the previous
@@ -461,7 +442,7 @@ pub fn execute_job(
 ///
 /// Returns [`RunnerError::UnknownBenchmark`] if the job names a benchmark
 /// not in the registry.
-pub fn execute_job_warm(
+pub fn execute_job(
     job: &Job,
     job_id: u64,
     auto_threads: usize,
@@ -469,16 +450,9 @@ pub fn execute_job_warm(
     timeout: Option<Duration>,
     warm: bool,
 ) -> Result<RunRecord, RunnerError> {
-    if !all_benchmarks()
-        .iter()
-        .any(|b| b.info().name == job.benchmark)
-    {
-        return Err(RunnerError::UnknownBenchmark {
-            name: job.benchmark.clone(),
-        });
-    }
+    let honors_policy = honors_exec_policy(job)?;
     let resolved = job.policy.resolve_with(auto_threads);
-    let threads = resolved_threads(resolved, auto_threads);
+    let threads = resolved_threads(honors_policy, resolved, auto_threads);
     let work = {
         let job = job.clone();
         Box::new(move || try_measure(&job, resolved, false, warm))
@@ -491,12 +465,31 @@ pub fn execute_job_warm(
     Ok(rec)
 }
 
-/// Concrete worker count a resolved policy reports in its record.
-fn resolved_threads(resolved: ExecPolicy, auto_threads: usize) -> usize {
+/// Whether the benchmark `job` names plumbs its policy into its kernels
+/// ([`sdvbs_core::BenchmarkInfo::honors_exec_policy`]).
+///
+/// # Errors
+///
+/// Returns [`RunnerError::UnknownBenchmark`] if the job names a benchmark
+/// not in the registry.
+fn honors_exec_policy(job: &Job) -> Result<bool, RunnerError> {
+    all_benchmarks()
+        .iter()
+        .find(|b| b.info().name == job.benchmark)
+        .map(|b| b.info().honors_exec_policy)
+        .ok_or_else(|| RunnerError::UnknownBenchmark {
+            name: job.benchmark.clone(),
+        })
+}
+
+/// Worker count a record reports: the resolved policy's width for a
+/// benchmark that honors its policy, and one for any other benchmark,
+/// which runs serially whatever the policy.
+fn resolved_threads(honors_policy: bool, resolved: ExecPolicy, auto_threads: usize) -> usize {
     match resolved {
-        ExecPolicy::Serial => 1,
-        ExecPolicy::Threads(n) => n.max(1),
-        ExecPolicy::Auto => auto_threads,
+        ExecPolicy::Threads(n) if honors_policy => n.max(1),
+        ExecPolicy::Auto if honors_policy => auto_threads,
+        _ => 1,
     }
 }
 
@@ -779,7 +772,7 @@ mod tests {
         };
         let job = Job::new("Disparity Map", size, ExecPolicy::Serial, 3, 2);
         let host = HostMeta::collect();
-        let rec = crate::run::execute_job(&job, 17, 4, &host, None).unwrap();
+        let rec = crate::run::execute_job(&job, 17, 4, &host, None, false).unwrap();
         assert_eq!(rec.job_id, 17);
         assert_eq!(rec.status, RunStatus::Completed);
         assert_eq!(rec.times_ms.len(), 2);
@@ -791,7 +784,7 @@ mod tests {
 
         let missing = Job::new("Not A Benchmark", size, ExecPolicy::Serial, 1, 1);
         assert_eq!(
-            crate::run::execute_job(&missing, 0, 1, &host, None).err(),
+            crate::run::execute_job(&missing, 0, 1, &host, None, false).err(),
             Some(RunnerError::UnknownBenchmark {
                 name: "Not A Benchmark".into()
             })
@@ -809,8 +802,8 @@ mod tests {
         };
         let job = Job::new("Disparity Map", size, ExecPolicy::Serial, 5, 1);
         let host = HostMeta::collect();
-        let cold = crate::run::execute_job_warm(&job, 0, 1, &host, None, false).unwrap();
-        let warm = crate::run::execute_job_warm(&job, 1, 1, &host, None, true).unwrap();
+        let cold = crate::run::execute_job(&job, 0, 1, &host, None, false).unwrap();
+        let warm = crate::run::execute_job(&job, 1, 1, &host, None, true).unwrap();
         assert_eq!(cold.status, RunStatus::Completed);
         assert_eq!(warm.status, RunStatus::Completed);
         assert_eq!(cold.quality, warm.quality);
@@ -832,6 +825,35 @@ mod tests {
         let recs = run_jobs(&jobs, &RunnerConfig::default()).unwrap();
         assert_eq!(recs[0].policy, "auto");
         assert!(recs[0].threads >= 1);
+    }
+
+    #[test]
+    fn records_count_only_the_threads_a_benchmark_uses() {
+        // Tracking ignores its policy, so it runs (and records) one
+        // thread under any policy; disparity records the resolved width.
+        let size = InputSize::Custom {
+            width: 64,
+            height: 48,
+        };
+        let host = HostMeta::collect();
+        for policy in [ExecPolicy::Auto, ExecPolicy::Threads(4)] {
+            let job = Job::new("Feature Tracking", size, policy, 1, 1);
+            let rec = crate::run::execute_job(&job, 0, 4, &host, None, false).unwrap();
+            assert_eq!(rec.threads, 1, "{policy:?}");
+        }
+        let job = Job::new("Disparity Map", size, ExecPolicy::Auto, 1, 1);
+        let rec = crate::run::execute_job(&job, 0, 4, &host, None, false).unwrap();
+        assert_eq!(rec.threads, 4);
+        // The pool path records the same.
+        let jobs = vec![Job::new(
+            "Feature Tracking",
+            size,
+            ExecPolicy::Threads(4),
+            1,
+            1,
+        )];
+        let recs = run_jobs(&jobs, &RunnerConfig::default()).unwrap();
+        assert_eq!(recs[0].threads, 1);
     }
 
     #[test]

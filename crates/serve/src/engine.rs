@@ -44,7 +44,7 @@ use crate::stream::{
 };
 use sdvbs_core::ExecPolicy;
 use sdvbs_exec::ClockHandle;
-use sdvbs_runner::{execute_job_warm, HostMeta, Job, RunStatus};
+use sdvbs_runner::{execute_job, HostMeta, Job, RunStatus};
 use sdvbs_stream::{fold_digest, StreamSpec};
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{alloc_track, now_us, MetricsRegistry, Phase, TraceEvent};
@@ -336,7 +336,7 @@ impl Engine {
             track,
         ));
         let started = Instant::now();
-        let result = execute_job_warm(&spec, id, auto_threads, &self.host, self.cfg.timeout, warm);
+        let result = execute_job(&spec, id, auto_threads, &self.host, self.cfg.timeout, warm);
         let exec_ms = started.elapsed().as_secs_f64() * 1e3;
         // Serialize once, outside the state lock: every later hit and poll
         // writes these bytes.
@@ -602,7 +602,7 @@ impl Backend for Engine {
     }
 
     /// Validates the spec, builds its stateful pipeline, and allocates it
-    /// a trace track. Refused while draining or at the [`MAX_STREAMS`]
+    /// a trace track. Refused while draining or at the `MAX_STREAMS`
     /// open-stream cap.
     fn open_stream(&self, spec: StreamSpec) -> Result<u64, StreamRefused> {
         if self.is_draining() {

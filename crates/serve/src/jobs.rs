@@ -177,7 +177,7 @@ pub struct Entry<P> {
     pub attempts: u32,
 }
 
-/// What [`JobTable::submit`] did.
+/// What `JobTable::submit` did.
 #[derive(Debug, Clone)]
 pub struct Admission {
     /// The answer for the client.

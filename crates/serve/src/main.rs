@@ -41,7 +41,7 @@
 //! runtime error.
 
 use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
-use sdvbs_runner::{parse_policy, parse_size, Job, RunRecord};
+use sdvbs_runner::{parse_policy, Job, RunRecord};
 use sdvbs_serve::{
     run_loadgen, run_stream_loadgen, run_worker, spec_body, starvation_bound, stream_spec_body,
     Backend, Client, ClusterConfig, ClusterEngine, Engine, EngineConfig, JobClass, LoadgenConfig,
@@ -302,7 +302,7 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
             "--conns" => conns = parse_num(&value("--conns")?, "--conns")?,
             "--requests" => requests = parse_num(&value("--requests")?, "--requests")?,
             "--bench" => bench = value("--bench")?,
-            "--size" => size = parse_size(&value("--size")?)?,
+            "--size" => size = value("--size")?.parse()?,
             "--policy" => policy = parse_policy(&value("--policy")?)?,
             "--seed" => seed = parse_num(&value("--seed")?, "--seed")?,
             "--iterations" => iterations = parse_num(&value("--iterations")?, "--iterations")?,

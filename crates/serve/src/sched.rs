@@ -1,6 +1,6 @@
 //! The scheduling tier: batching, QoS classes, and policy auto-tuning.
 //!
-//! Sits between [`Engine::submit`](crate::engine::Engine::submit) and the
+//! Sits between [`Backend::submit`](crate::Backend::submit) and the
 //! worker pool, replacing the plain FIFO queue with three mechanisms:
 //!
 //! * **Batching** — queued jobs sharing a benchmark×size *group* are

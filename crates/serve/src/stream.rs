@@ -13,7 +13,8 @@
 //! order is correctness, not politeness).
 
 use crate::jobs::RetireQueue;
-use sdvbs_runner::{parse_size, size_label};
+use sdvbs_core::InputSize;
+use sdvbs_runner::size_label;
 use sdvbs_stream::{
     build_pipeline, DegradePolicy, FrameResult, PipelineKind, StreamPipeline, StreamSpec,
     DIGEST_SEED,
@@ -492,11 +493,11 @@ pub fn parse_stream_spec(body: &[u8]) -> Result<StreamSpec, String> {
         .ok_or_else(|| "missing required field \"pipeline\"".to_string())
         .and_then(PipelineKind::parse)?;
     let size = match v.get("size") {
-        Some(s) => parse_size(
-            s.as_str()
-                .ok_or_else(|| "\"size\" must be a string".to_string())?,
-        )?,
-        None => parse_size("qcif")?,
+        Some(s) => s
+            .as_str()
+            .ok_or_else(|| "\"size\" must be a string".to_string())?
+            .parse()?,
+        None => InputSize::Qcif,
     };
     let seed = match v.get("seed") {
         Some(s) => s

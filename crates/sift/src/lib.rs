@@ -24,14 +24,15 @@
 //!
 //! ```
 //! use sdvbs_profile::Profiler;
-//! use sdvbs_sift::{detect_and_describe, SiftConfig};
+//! use sdvbs_sift::{try_detect_and_describe, SiftConfig};
 //! use sdvbs_synth::textured_image;
 //!
 //! let img = textured_image(96, 96, 3);
 //! let mut prof = Profiler::new();
-//! let feats = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
+//! let feats = try_detect_and_describe(&img, &SiftConfig::default(), &mut prof)?;
 //! assert!(!feats.is_empty());
 //! assert_eq!(feats[0].descriptor.len(), 128);
+//! # Ok::<(), sdvbs_sift::SiftError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -135,28 +136,14 @@ impl SiftConfig {
     }
 }
 
-/// Runs the full SIFT pipeline: keypoint detection plus descriptor
-/// computation.
+/// Runs the full SIFT pipeline, keypoint detection plus descriptor
+/// computation, rejecting degenerate inputs with a typed error instead of
+/// panicking.
 ///
 /// Kernel attribution follows the paper's Figure 3 grouping:
 /// `Interpolation` (upsampling), `IntegralImage` (intensity
 /// normalization), and `SIFT` (scale space, detection, orientation and
 /// descriptors).
-///
-/// # Panics
-///
-/// Panics if the image is smaller than 32×32 or `cfg` is invalid. This is
-/// the thin panicking wrapper over [`try_detect_and_describe`] kept for
-/// call sites with pre-validated inputs.
-pub fn detect_and_describe(img: &Image, cfg: &SiftConfig, prof: &mut Profiler) -> Vec<SiftFeature> {
-    match try_detect_and_describe(img, cfg, prof) {
-        Ok(feats) => feats,
-        Err(e) => panic!("detect_and_describe: {e}"),
-    }
-}
-
-/// Runs SIFT, rejecting degenerate inputs with a typed error instead of
-/// panicking.
 ///
 /// # Errors
 ///
@@ -227,7 +214,8 @@ mod tests {
     fn finds_features_on_texture() {
         let img = textured_image(96, 96, 1);
         let mut prof = Profiler::new();
-        let feats = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
+        let feats =
+            try_detect_and_describe(&img, &SiftConfig::default(), &mut prof).expect("valid image");
         assert!(feats.len() >= 10, "only {} features", feats.len());
     }
 
@@ -235,7 +223,8 @@ mod tests {
     fn descriptors_are_normalized() {
         let img = textured_image(96, 96, 2);
         let mut prof = Profiler::new();
-        let feats = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
+        let feats =
+            try_detect_and_describe(&img, &SiftConfig::default(), &mut prof).expect("valid image");
         for f in &feats {
             let norm: f32 = f.descriptor.iter().map(|v| v * v).sum::<f32>().sqrt();
             assert!((norm - 1.0).abs() < 1e-3, "descriptor norm {norm}");
@@ -247,7 +236,8 @@ mod tests {
     fn keypoints_lie_inside_the_image() {
         let img = textured_image(80, 64, 3);
         let mut prof = Profiler::new();
-        let feats = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
+        let feats =
+            try_detect_and_describe(&img, &SiftConfig::default(), &mut prof).expect("valid image");
         for f in &feats {
             assert!(f.keypoint.x >= 0.0 && f.keypoint.x < 80.0);
             assert!(f.keypoint.y >= 0.0 && f.keypoint.y < 64.0);
@@ -259,8 +249,10 @@ mod tests {
     fn deterministic() {
         let img = textured_image(64, 64, 4);
         let mut prof = Profiler::new();
-        let a = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
-        let b = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
+        let a =
+            try_detect_and_describe(&img, &SiftConfig::default(), &mut prof).expect("valid image");
+        let b =
+            try_detect_and_describe(&img, &SiftConfig::default(), &mut prof).expect("valid image");
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.keypoint.x, y.keypoint.x);
@@ -272,7 +264,8 @@ mod tests {
     fn flat_image_has_no_features() {
         let img = Image::filled(64, 64, 128.0);
         let mut prof = Profiler::new();
-        let feats = detect_and_describe(&img, &SiftConfig::default(), &mut prof);
+        let feats =
+            try_detect_and_describe(&img, &SiftConfig::default(), &mut prof).expect("valid image");
         assert!(feats.is_empty());
     }
 
@@ -280,7 +273,9 @@ mod tests {
     fn kernel_attribution_present() {
         let img = textured_image(64, 64, 5);
         let mut prof = Profiler::new();
-        prof.run(|p| detect_and_describe(&img, &SiftConfig::default(), p));
+        prof.run(|p| {
+            try_detect_and_describe(&img, &SiftConfig::default(), p).expect("valid image")
+        });
         let rep = prof.report();
         for k in ["Interpolation", "IntegralImage", "SIFT"] {
             assert!(rep.occupancy(k).is_some(), "kernel {k} missing");
@@ -294,8 +289,10 @@ mod tests {
         use sdvbs_synth::frame_pair;
         let (a, b) = frame_pair(96, 96, 6, 5.0, 3.0);
         let mut prof = Profiler::new();
-        let fa = detect_and_describe(&a, &SiftConfig::default(), &mut prof);
-        let fb = detect_and_describe(&b, &SiftConfig::default(), &mut prof);
+        let fa =
+            try_detect_and_describe(&a, &SiftConfig::default(), &mut prof).expect("valid image");
+        let fb =
+            try_detect_and_describe(&b, &SiftConfig::default(), &mut prof).expect("valid image");
         let matches = match_descriptors(&fa, &fb, 0.8);
         assert!(matches.len() >= 5, "only {} matches", matches.len());
         // Matched keypoints should be displaced by ~(5, 3).

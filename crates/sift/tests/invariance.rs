@@ -3,7 +3,7 @@
 
 use sdvbs_image::Image;
 use sdvbs_profile::Profiler;
-use sdvbs_sift::{detect_and_describe, match_descriptors, SiftConfig};
+use sdvbs_sift::{match_descriptors, try_detect_and_describe, SiftConfig};
 use sdvbs_synth::textured_image;
 
 fn config() -> SiftConfig {
@@ -20,8 +20,8 @@ fn rotation_by_90_degrees_preserves_matches() {
     let img = textured_image(96, 96, 31);
     let rot = img.rotate90_cw();
     let mut prof = Profiler::new();
-    let fa = detect_and_describe(&img, &config(), &mut prof);
-    let fb = detect_and_describe(&rot, &config(), &mut prof);
+    let fa = try_detect_and_describe(&img, &config(), &mut prof).expect("valid image");
+    let fb = try_detect_and_describe(&rot, &config(), &mut prof).expect("valid image");
     assert!(fa.len() >= 15, "only {} keypoints", fa.len());
     let matches = match_descriptors(&fa, &fb, 0.85);
     assert!(
@@ -60,8 +60,8 @@ fn keypoint_scale_follows_image_scale() {
         double_size: false,
         ..config()
     };
-    let fa = detect_and_describe(&img, &cfg, &mut prof);
-    let fb = detect_and_describe(&big, &cfg, &mut prof);
+    let fa = try_detect_and_describe(&img, &cfg, &mut prof).expect("valid image");
+    let fb = try_detect_and_describe(&big, &cfg, &mut prof).expect("valid image");
     assert!(!fa.is_empty() && !fb.is_empty());
     // Compare scales of *matched* pairs (the upscaled image also grows
     // brand-new fine-scale keypoints, so a global mean is meaningless).
@@ -90,8 +90,8 @@ fn descriptors_are_lighting_invariant() {
     let img = textured_image(80, 80, 23);
     let relit = img.map(|v| 0.5 * v + 60.0);
     let mut prof = Profiler::new();
-    let fa = detect_and_describe(&img, &config(), &mut prof);
-    let fb = detect_and_describe(&relit, &config(), &mut prof);
+    let fa = try_detect_and_describe(&img, &config(), &mut prof).expect("valid image");
+    let fb = try_detect_and_describe(&relit, &config(), &mut prof).expect("valid image");
     let matches = match_descriptors(&fa, &fb, 0.8);
     assert!(
         matches.len() >= 10,
@@ -123,8 +123,8 @@ fn robust_to_additive_noise() {
         img.get(x, y) + n
     });
     let mut prof = Profiler::new();
-    let fa = detect_and_describe(&img, &config(), &mut prof);
-    let fb = detect_and_describe(&noisy, &config(), &mut prof);
+    let fa = try_detect_and_describe(&img, &config(), &mut prof).expect("valid image");
+    let fb = try_detect_and_describe(&noisy, &config(), &mut prof).expect("valid image");
     let matches = match_descriptors(&fa, &fb, 0.8);
     assert!(
         matches.len() >= 8,

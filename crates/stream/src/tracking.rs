@@ -53,7 +53,10 @@ impl StreamPipeline for TrackingStream {
             self.tracker.rescale(dims.0, dims.1);
         }
         let mut prof = Profiler::new();
-        let dropped = self.tracker.advance(&img, &mut prof);
+        let dropped = self
+            .tracker
+            .advance(&img, &mut prof)
+            .map_err(|e| StreamError::new(e.to_string()))?;
         self.cur = Some(dims);
         let mut tracks: Vec<_> = self.tracker.tracks().to_vec();
         tracks.sort_by_key(|t| t.id);

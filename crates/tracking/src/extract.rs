@@ -9,7 +9,8 @@ use sdvbs_kernels::gradient::{gradient_x, gradient_y};
 use sdvbs_kernels::integral::IntegralImage;
 use sdvbs_profile::Profiler;
 
-/// Extracts up to `cfg.num_features` trackable features from `img`.
+/// Extracts up to `cfg.num_features` trackable features from `img`,
+/// rejecting degenerate inputs with a typed error.
 ///
 /// The pipeline is the SD-VBS decomposition: Gaussian smoothing →
 /// gradients → integral images of the gradient products → windowed sums
@@ -17,20 +18,6 @@ use sdvbs_profile::Profiler;
 ///
 /// Kernel attribution: `GaussianFilter`, `Gradient`, `IntegralImage`,
 /// `AreaSum`.
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid or the image is smaller than the window.
-/// This is the thin panicking wrapper over [`try_extract_features`] kept
-/// for call sites with pre-validated inputs.
-pub fn extract_features(img: &Image, cfg: &TrackingConfig, prof: &mut Profiler) -> Vec<Feature> {
-    match try_extract_features(img, cfg, prof) {
-        Ok(feats) => feats,
-        Err(e) => panic!("extract_features: {e}"),
-    }
-}
-
-/// Extracts features, rejecting degenerate inputs with a typed error.
 ///
 /// # Errors
 ///
@@ -107,7 +94,7 @@ mod tests {
         let img = textured_image(96, 72, 3);
         let cfg = TrackingConfig::default();
         let mut prof = Profiler::new();
-        let feats = extract_features(&img, &cfg, &mut prof);
+        let feats = try_extract_features(&img, &cfg, &mut prof).expect("valid frame");
         assert!(feats.len() >= 20, "only {} features", feats.len());
         assert!(feats.len() <= cfg.num_features);
     }
@@ -120,7 +107,7 @@ mod tests {
             ..TrackingConfig::default()
         };
         let mut prof = Profiler::new();
-        let feats = extract_features(&img, &cfg, &mut prof);
+        let feats = try_extract_features(&img, &cfg, &mut prof).expect("valid frame");
         for i in 0..feats.len() {
             for j in 0..i {
                 let d2 = (feats[i].x - feats[j].x).powi(2) + (feats[i].y - feats[j].y).powi(2);
@@ -134,7 +121,7 @@ mod tests {
         let img = Image::filled(64, 64, 100.0);
         let cfg = TrackingConfig::default();
         let mut prof = Profiler::new();
-        let feats = extract_features(&img, &cfg, &mut prof);
+        let feats = try_extract_features(&img, &cfg, &mut prof).expect("valid frame");
         assert!(
             feats.is_empty(),
             "found {} features on flat image",
@@ -156,7 +143,7 @@ mod tests {
             ..TrackingConfig::default()
         };
         let mut prof = Profiler::new();
-        let feats = extract_features(&img, &cfg, &mut prof);
+        let feats = try_extract_features(&img, &cfg, &mut prof).expect("valid frame");
         assert!(!feats.is_empty());
         for &(cx, cy) in &[(20.0f32, 20.0f32), (43.0, 43.0)] {
             assert!(
@@ -172,7 +159,9 @@ mod tests {
     fn kernel_attribution_is_complete() {
         let img = textured_image(64, 48, 5);
         let mut prof = Profiler::new();
-        prof.run(|p| extract_features(&img, &TrackingConfig::default(), p));
+        prof.run(|p| {
+            try_extract_features(&img, &TrackingConfig::default(), p).expect("valid frame")
+        });
         let report = prof.report();
         for k in ["GaussianFilter", "Gradient", "IntegralImage", "AreaSum"] {
             assert!(report.occupancy(k).is_some(), "kernel {k} missing");

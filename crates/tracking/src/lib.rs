@@ -20,13 +20,14 @@
 //! ```
 //! use sdvbs_profile::Profiler;
 //! use sdvbs_synth::frame_pair;
-//! use sdvbs_tracking::{track_pair, TrackingConfig};
+//! use sdvbs_tracking::{try_track_pair, TrackingConfig};
 //!
 //! let (a, b) = frame_pair(96, 72, 42, 2.0, 1.0);
 //! let cfg = TrackingConfig::default();
 //! let mut prof = Profiler::new();
-//! let tracks = track_pair(&a, &b, &cfg, &mut prof);
+//! let tracks = try_track_pair(&a, &b, &cfg, &mut prof)?;
 //! assert!(!tracks.is_empty());
+//! # Ok::<(), sdvbs_tracking::TrackingError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,8 +41,8 @@ mod track;
 
 pub use config::{InvalidConfig, TrackingConfig};
 pub use error::TrackingError;
-pub use extract::{extract_features, try_extract_features};
+pub use extract::try_extract_features;
 pub use sequence::{Track, Tracker};
-pub use track::{track_features, track_pair, try_track_features, try_track_pair, TrackedFeature};
+pub use track::{try_track_features, try_track_pair, TrackedFeature};
 
 pub use sdvbs_kernels::features::Feature;

@@ -7,8 +7,9 @@
 //! re-detection to maintain the feature population.
 
 use crate::config::TrackingConfig;
-use crate::extract::extract_features;
-use crate::track::track_features;
+use crate::error::TrackingError;
+use crate::extract::try_extract_features;
+use crate::track::try_track_features;
 use sdvbs_image::Image;
 use sdvbs_kernels::features::Feature;
 use sdvbs_profile::Profiler;
@@ -44,9 +45,10 @@ pub struct Track {
 /// let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
 /// let mut prof = Profiler::new();
 /// for frame in &frames {
-///     tracker.advance(frame, &mut prof);
+///     tracker.advance(frame, &mut prof)?;
 /// }
 /// assert!(!tracker.tracks().is_empty());
+/// # Ok::<(), sdvbs_tracking::TrackingError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tracker {
@@ -87,7 +89,7 @@ impl Tracker {
     /// can keep its feature identities across the switch. Track
     /// coordinates are scaled into the new resolution and the previous
     /// frame is resampled to match, so the next [`Tracker::advance`]
-    /// tracks across the switch instead of panicking on mismatched
+    /// tracks across the switch instead of failing on mismatched
     /// dimensions. A no-op before the first frame.
     ///
     /// # Panics
@@ -114,15 +116,20 @@ impl Tracker {
     /// Ingests the next frame: tracks existing features into it, drops
     /// lost ones, and re-detects to refill the population. Returns the
     /// number of features dropped this frame.
-    pub fn advance(&mut self, frame: &Image, prof: &mut Profiler) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`try_track_features`] (a frame whose size differs
+    /// from the previous one is [`TrackingError::DimensionMismatch`]) and
+    /// [`try_extract_features`]. A rejected frame leaves the tracker as it
+    /// was, so the next frame tracks from the last accepted one.
+    pub fn advance(&mut self, frame: &Image, prof: &mut Profiler) -> Result<usize, TrackingError> {
         let margin = (self.config.window_radius + 2) as f32;
         let mut dropped = 0usize;
-        if let Some(prev) = self.prev.take() {
-            assert_eq!(
-                (prev.width(), prev.height()),
-                (frame.width(), frame.height()),
-                "all frames in a sequence must share dimensions"
-            );
+        // Tracks exist only once a frame has been accepted, so without a
+        // previous frame the population starts empty.
+        let mut tracks = Vec::with_capacity(self.tracks.len());
+        if let Some(prev) = &self.prev {
             let features: Vec<Feature> = self
                 .tracks
                 .iter()
@@ -132,15 +139,14 @@ impl Tracker {
                     score: 0.0,
                 })
                 .collect();
-            let results = track_features(&prev, frame, &features, &self.config, prof);
-            let mut kept = Vec::with_capacity(self.tracks.len());
+            let results = try_track_features(prev, frame, &features, &self.config, prof)?;
             for (track, result) in self.tracks.iter().zip(&results) {
                 let inside = result.to_x >= margin
                     && result.to_y >= margin
                     && result.to_x < frame.width() as f32 - margin
                     && result.to_y < frame.height() as f32 - margin;
                 if result.converged && inside {
-                    kept.push(Track {
+                    tracks.push(Track {
                         id: track.id,
                         x: result.to_x,
                         y: result.to_y,
@@ -150,33 +156,34 @@ impl Tracker {
                     dropped += 1;
                 }
             }
-            self.tracks = kept;
         }
         // Top-up: detect fresh features away from the live ones.
-        if self.tracks.len() < self.config.num_features {
-            let candidates = extract_features(frame, &self.config, prof);
+        let mut next_id = self.next_id;
+        if tracks.len() < self.config.num_features {
+            let candidates = try_extract_features(frame, &self.config, prof)?;
             let min_d2 = self.config.min_distance * self.config.min_distance;
             for c in candidates {
-                if self.tracks.len() >= self.config.num_features {
+                if tracks.len() >= self.config.num_features {
                     break;
                 }
-                let clear = self
-                    .tracks
+                let clear = tracks
                     .iter()
                     .all(|t| (t.x - c.x).powi(2) + (t.y - c.y).powi(2) >= min_d2);
                 if clear {
-                    self.tracks.push(Track {
-                        id: self.next_id,
+                    tracks.push(Track {
+                        id: next_id,
                         x: c.x,
                         y: c.y,
                         age: 0,
                     });
-                    self.next_id += 1;
+                    next_id += 1;
                 }
             }
         }
+        self.tracks = tracks;
+        self.next_id = next_id;
         self.prev = Some(frame.clone());
-        dropped
+        Ok(dropped)
     }
 }
 
@@ -190,7 +197,7 @@ mod tests {
         let frames = frame_sequence(96, 72, 7, 5, 0.8, 0.4);
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         let mut prof = Profiler::new();
-        tracker.advance(&frames[0], &mut prof);
+        tracker.advance(&frames[0], &mut prof).expect("valid frame");
         let initial_ids: Vec<u64> = tracker.tracks().iter().map(|t| t.id).collect();
         assert!(
             initial_ids.len() >= 20,
@@ -198,7 +205,7 @@ mod tests {
             initial_ids.len()
         );
         for frame in &frames[1..] {
-            tracker.advance(frame, &mut prof);
+            tracker.advance(frame, &mut prof).expect("valid frame");
         }
         // Most original features survive this gentle motion with full age.
         let survivors = tracker
@@ -219,9 +226,9 @@ mod tests {
         let frames = frame_sequence(96, 72, 9, 4, vx, vy);
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         let mut prof = Profiler::new();
-        tracker.advance(&frames[0], &mut prof);
+        tracker.advance(&frames[0], &mut prof).expect("valid frame");
         let before: Vec<Track> = tracker.tracks().to_vec();
-        tracker.advance(&frames[1], &mut prof);
+        tracker.advance(&frames[1], &mut prof).expect("valid frame");
         let mut dxs = Vec::new();
         for t in tracker.tracks() {
             if let Some(b) = before.iter().find(|b| b.id == t.id) {
@@ -242,10 +249,10 @@ mod tests {
         let frames = frame_sequence(96, 72, 11, 6, 6.0, 0.0);
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         let mut prof = Profiler::new();
-        tracker.advance(&frames[0], &mut prof);
+        tracker.advance(&frames[0], &mut prof).expect("valid frame");
         let mut total_dropped = 0;
         for frame in &frames[1..] {
-            total_dropped += tracker.advance(frame, &mut prof);
+            total_dropped += tracker.advance(frame, &mut prof).expect("valid frame");
         }
         assert!(total_dropped > 0, "no features were ever dropped");
         // Population stays healthy thanks to re-detection.
@@ -264,7 +271,7 @@ mod tests {
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         let mut prof = Profiler::new();
         for frame in &frames {
-            tracker.advance(frame, &mut prof);
+            tracker.advance(frame, &mut prof).expect("valid frame");
             let mut ids: Vec<u64> = tracker.tracks().iter().map(|t| t.id).collect();
             let n = ids.len();
             ids.sort_unstable();
@@ -280,13 +287,15 @@ mod tests {
         let full = frame_sequence(128, 96, 21, 6, 1.0, 0.5);
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         let mut prof = Profiler::new();
-        tracker.advance(&full[0], &mut prof);
-        tracker.advance(&full[1], &mut prof);
+        tracker.advance(&full[0], &mut prof).expect("valid frame");
+        tracker.advance(&full[1], &mut prof).expect("valid frame");
         let before: Vec<u64> = tracker.tracks().iter().map(|t| t.id).collect();
         assert!(before.len() >= 20, "{} tracks before switch", before.len());
         tracker.rescale(64, 48);
         for frame in &full[2..] {
-            tracker.advance(&frame.resize_bilinear(64, 48), &mut prof);
+            tracker
+                .advance(&frame.resize_bilinear(64, 48), &mut prof)
+                .expect("valid frame");
         }
         // A solid share of pre-switch identities survives the switch and
         // the half-resolution frames that follow.
@@ -311,16 +320,28 @@ mod tests {
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         tracker.rescale(64, 48);
         let mut prof = Profiler::new();
-        tracker.advance(&Image::filled(96, 72, 1.0), &mut prof);
+        tracker
+            .advance(&Image::filled(96, 72, 1.0), &mut prof)
+            .expect("valid frame");
         assert!(tracker.prev.is_some());
     }
 
     #[test]
-    #[should_panic(expected = "share dimensions")]
-    fn mismatched_frame_sizes_panic() {
+    fn mismatched_frame_sizes_are_rejected() {
         let mut tracker = Tracker::new(TrackingConfig::default()).unwrap();
         let mut prof = Profiler::new();
-        tracker.advance(&Image::filled(96, 72, 1.0), &mut prof);
-        tracker.advance(&Image::filled(80, 72, 1.0), &mut prof);
+        tracker
+            .advance(&Image::filled(96, 72, 1.0), &mut prof)
+            .expect("valid frame");
+        assert_eq!(
+            tracker.advance(&Image::filled(80, 72, 1.0), &mut prof),
+            Err(TrackingError::DimensionMismatch {
+                a: (96, 72),
+                b: (80, 72),
+            })
+        );
+        // The rejected frame left the last accepted one in place.
+        let prev = tracker.prev.as_ref().expect("first frame kept");
+        assert_eq!((prev.width(), prev.height()), (96, 72));
     }
 }

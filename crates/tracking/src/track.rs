@@ -30,32 +30,12 @@ impl TrackedFeature {
 }
 
 /// Tracks `features` from frame `a` into frame `b` with pyramidal
-/// Lucas–Kanade.
+/// Lucas–Kanade, rejecting degenerate inputs with a typed error instead
+/// of panicking.
 ///
 /// Kernel attribution: `GaussianFilter` (pyramid construction), `Gradient`
 /// (per-level derivative images), `MatrixInversion` (the per-feature 2×2
 /// normal-equation solves).
-///
-/// # Panics
-///
-/// Panics if the frames differ in size or `cfg` is invalid. This is the
-/// thin panicking wrapper over [`try_track_features`] kept for call sites
-/// with pre-validated inputs.
-pub fn track_features(
-    a: &Image,
-    b: &Image,
-    features: &[Feature],
-    cfg: &TrackingConfig,
-    prof: &mut Profiler,
-) -> Vec<TrackedFeature> {
-    match try_track_features(a, b, features, cfg, prof) {
-        Ok(tracks) => tracks,
-        Err(e) => panic!("track_features: {e}"),
-    }
-}
-
-/// Tracks `features` from `a` into `b`, rejecting degenerate inputs with a
-/// typed error instead of panicking.
 ///
 /// An empty `features` slice is *not* an error: tracking zero features is
 /// a valid (empty) result, and the caller decides whether that is a
@@ -202,30 +182,13 @@ fn track_pipeline(
         .collect()
 }
 
-/// Convenience wrapper: extracts features in `a` and tracks them into `b`
-/// (the full two-frame SD-VBS tracking pipeline).
-///
-/// # Panics
-///
-/// Same conditions as [`crate::extract_features`] and [`track_features`]; thin
-/// panicking wrapper over [`try_track_pair`].
-pub fn track_pair(
-    a: &Image,
-    b: &Image,
-    cfg: &TrackingConfig,
-    prof: &mut Profiler,
-) -> Vec<TrackedFeature> {
-    match try_track_pair(a, b, cfg, prof) {
-        Ok(tracks) => tracks,
-        Err(e) => panic!("track_pair: {e}"),
-    }
-}
-
-/// The fallible two-frame pipeline: extract in `a`, track into `b`.
+/// The fallible two-frame pipeline: extracts features in `a` and tracks
+/// them into `b` (the full two-frame SD-VBS tracking pipeline).
 ///
 /// # Errors
 ///
-/// Same conditions as [`try_extract_features`] and [`try_track_features`].
+/// Same conditions as [`try_extract_features`](crate::try_extract_features)
+/// and [`try_track_features`].
 pub fn try_track_pair(
     a: &Image,
     b: &Image,
@@ -251,7 +214,7 @@ mod tests {
         let (a, b) = frame_pair(96, 72, 11, 3.0, 2.0);
         let cfg = TrackingConfig::default();
         let mut prof = Profiler::new();
-        let tracks = track_pair(&a, &b, &cfg, &mut prof);
+        let tracks = try_track_pair(&a, &b, &cfg, &mut prof).expect("valid frame pair");
         assert!(tracks.len() >= 10, "too few tracks: {}", tracks.len());
         let dx = median(tracks.iter().map(|t| t.motion().0).collect());
         let dy = median(tracks.iter().map(|t| t.motion().1).collect());
@@ -264,7 +227,7 @@ mod tests {
         let (a, b) = frame_pair(96, 72, 13, 1.5, -0.75);
         let cfg = TrackingConfig::default();
         let mut prof = Profiler::new();
-        let tracks = track_pair(&a, &b, &cfg, &mut prof);
+        let tracks = try_track_pair(&a, &b, &cfg, &mut prof).expect("valid frame pair");
         let dx = median(tracks.iter().map(|t| t.motion().0).collect());
         let dy = median(tracks.iter().map(|t| t.motion().1).collect());
         assert!((dx - 1.5).abs() < 0.3, "dx {dx}");
@@ -276,7 +239,7 @@ mod tests {
         let (a, _) = frame_pair(80, 60, 17, 0.0, 0.0);
         let cfg = TrackingConfig::default();
         let mut prof = Profiler::new();
-        let tracks = track_pair(&a, &a, &cfg, &mut prof);
+        let tracks = try_track_pair(&a, &a, &cfg, &mut prof).expect("valid frame pair");
         for t in &tracks {
             let (dx, dy) = t.motion();
             assert!(
@@ -296,7 +259,7 @@ mod tests {
             ..TrackingConfig::default()
         };
         let mut prof = Profiler::new();
-        let tracks = track_pair(&a, &b, &cfg, &mut prof);
+        let tracks = try_track_pair(&a, &b, &cfg, &mut prof).expect("valid frame pair");
         let dx = median(tracks.iter().map(|t| t.motion().0).collect());
         assert!((dx - 8.0).abs() < 0.8, "dx {dx}");
     }
@@ -306,7 +269,7 @@ mod tests {
         let (a, b) = frame_pair(96, 72, 23, 1.0, 1.0);
         let cfg = TrackingConfig::default();
         let mut prof = Profiler::new();
-        let tracks = track_pair(&a, &b, &cfg, &mut prof);
+        let tracks = try_track_pair(&a, &b, &cfg, &mut prof).expect("valid frame pair");
         let conv = tracks.iter().filter(|t| t.converged).count();
         assert!(conv * 10 >= tracks.len() * 7, "{conv}/{}", tracks.len());
     }
@@ -315,7 +278,9 @@ mod tests {
     fn kernel_attribution_includes_matrix_inversion() {
         let (a, b) = frame_pair(64, 48, 29, 1.0, 0.0);
         let mut prof = Profiler::new();
-        prof.run(|p| track_pair(&a, &b, &TrackingConfig::default(), p));
+        prof.run(|p| {
+            try_track_pair(&a, &b, &TrackingConfig::default(), p).expect("valid frame pair")
+        });
         let report = prof.report();
         assert!(report.occupancy("MatrixInversion").is_some());
         assert!(report.occupancy("GaussianFilter").is_some());

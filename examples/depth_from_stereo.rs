@@ -9,7 +9,7 @@
 //! cargo run --release --example depth_from_stereo
 //! ```
 
-use sdvbs::disparity::{compute_disparity, disparity_accuracy, DisparityConfig};
+use sdvbs::disparity::{disparity_accuracy, try_compute_disparity, DisparityConfig};
 use sdvbs::image::{write_pgm, write_ppm, RgbImage};
 use sdvbs::profile::Profiler;
 use sdvbs::synth::stereo_pair;
@@ -19,7 +19,9 @@ fn main() {
     let scene = stereo_pair(352, 288, 42);
     let cfg = DisparityConfig::default();
     let mut prof = Profiler::new();
-    let disp = prof.run(|p| compute_disparity(&scene.left, &scene.right, &cfg, p));
+    let disp = prof.run(|p| {
+        try_compute_disparity(&scene.left, &scene.right, &cfg, p).expect("valid stereo pair")
+    });
     let accuracy = disparity_accuracy(&disp, &scene.truth, 1.0);
     println!("dense disparity on a CIF stereo pair ({} px)", disp.len());
     println!(

@@ -12,7 +12,7 @@
 
 use sdvbs::image::{write_ppm, RgbImage};
 use sdvbs::profile::Profiler;
-use sdvbs::sift::{detect_and_describe, detect_mser, MserConfig, MserPolarity, SiftConfig};
+use sdvbs::sift::{detect_mser, try_detect_and_describe, MserConfig, MserPolarity, SiftConfig};
 use sdvbs::synth::textured_image;
 
 fn main() {
@@ -29,7 +29,8 @@ fn main() {
         }
     });
     let mut prof = Profiler::new();
-    let sift_features = prof.run(|p| detect_and_describe(&img, &SiftConfig::default(), p));
+    let sift_features = prof
+        .run(|p| try_detect_and_describe(&img, &SiftConfig::default(), p).expect("valid image"));
     let msers = detect_mser(&img, MserPolarity::Dark, &MserConfig::default());
     println!(
         "{} SIFT keypoints, {} MSER regions",

@@ -9,7 +9,7 @@
 //! ```
 
 use sdvbs::core::ExecPolicy;
-use sdvbs::disparity::{compute_disparity, DisparityConfig};
+use sdvbs::disparity::{try_compute_disparity, DisparityConfig};
 use sdvbs::image::Image;
 use sdvbs::kernels::conv::{gaussian_blur, gaussian_blur_with};
 use sdvbs::profile::Profiler;
@@ -29,7 +29,8 @@ fn main() {
     let scene = stereo_pair(352, 288, 42);
     let base = DisparityConfig::new(16, 9).expect("valid config");
     let mut serial_prof = Profiler::new();
-    let serial_disp = compute_disparity(&scene.left, &scene.right, &base, &mut serial_prof);
+    let serial_disp = try_compute_disparity(&scene.left, &scene.right, &base, &mut serial_prof)
+        .expect("valid stereo pair");
 
     // Threads(2) forces the parallel per-shift merge even on a single-core
     // host, where `Auto` would resolve to one worker and stay serial.
@@ -37,7 +38,8 @@ fn main() {
     for exec in [ExecPolicy::Threads(2), ExecPolicy::Auto] {
         let cfg = base.with_exec(exec);
         let mut prof = Profiler::new();
-        let disp = compute_disparity(&scene.left, &scene.right, &cfg, &mut prof);
+        let disp = try_compute_disparity(&scene.left, &scene.right, &cfg, &mut prof)
+            .expect("valid stereo pair");
         assert_eq!(serial_disp.as_slice(), disp.as_slice());
         println!("Disparity 352x288: {exec:?} == Serial (bit-identical)");
         if exec == ExecPolicy::Threads(2) {

@@ -13,7 +13,7 @@
 //! `Cascade::train(&CascadeConfig::default(), ..)` or the
 //! `sdvbs-facedetect` example `train_cascade`, which writes the file.
 
-use sdvbs::facedetect::{detect_faces, Cascade, DetectorConfig};
+use sdvbs::facedetect::{try_detect_faces, Cascade, DetectorConfig};
 use sdvbs::image::{write_ppm, RgbImage};
 use sdvbs::profile::Profiler;
 use sdvbs::synth::face_scene;
@@ -28,8 +28,9 @@ fn main() {
 
     let scene = face_scene(352, 288, 11, 4);
     let mut detect_prof = Profiler::new();
-    let found =
-        detect_prof.run(|p| detect_faces(&scene.image, cascade, &DetectorConfig::default(), p));
+    let found = detect_prof.run(|p| {
+        try_detect_faces(&scene.image, cascade, &DetectorConfig::default(), p).expect("valid image")
+    });
     println!(
         "scene has {} faces; detector reported {}:",
         scene.faces.len(),

@@ -27,7 +27,8 @@ fn main() {
         "step", "est (x, y)", "true (x, y)", "error m", "spread m"
     );
     for (i, step) in traj.steps.iter().enumerate() {
-        mcl.step(&step.odometry, &step.measurements, &world, &mut prof);
+        mcl.try_step(&step.odometry, &step.measurements, &world, &mut prof)
+            .expect("finite sensor data");
         if i % 5 == 0 || i + 1 == traj.steps.len() {
             let est = mcl.estimate();
             let t = step.true_pose;

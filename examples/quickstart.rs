@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sdvbs::core::{all_benchmarks, InputSize};
+use sdvbs::core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs::profile::{Profiler, SystemInfo};
 
 fn main() {
@@ -20,7 +20,9 @@ fn main() {
     println!("{}", "-".repeat(72));
     for bench in all_benchmarks() {
         let mut prof = Profiler::new();
-        let outcome = bench.run(size, seed, &mut prof);
+        let outcome = bench
+            .try_run_with(size, seed, ExecPolicy::Serial, &mut prof)
+            .expect("SQCIF inputs are valid");
         let report = prof.report();
         let hottest = report
             .kernels()

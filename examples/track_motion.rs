@@ -11,7 +11,7 @@
 
 use sdvbs::profile::Profiler;
 use sdvbs::synth::frame_sequence;
-use sdvbs::tracking::{extract_features, track_features, TrackingConfig};
+use sdvbs::tracking::{try_extract_features, try_track_features, TrackingConfig};
 
 fn main() {
     let (vx, vy) = (1.6f32, -0.9f32);
@@ -28,8 +28,12 @@ fn main() {
         "frame pair", "tracks", "median dx", "median dy"
     );
     for i in 0..frames.len() - 1 {
-        let features = prof.run(|p| extract_features(&frames[i], &cfg, p));
-        let tracks = prof.run(|p| track_features(&frames[i], &frames[i + 1], &features, &cfg, p));
+        let features =
+            prof.run(|p| try_extract_features(&frames[i], &cfg, p).expect("valid frame"));
+        let tracks = prof.run(|p| {
+            try_track_features(&frames[i], &frames[i + 1], &features, &cfg, p)
+                .expect("valid frame pair")
+        });
         let mut dxs: Vec<f32> = tracks.iter().map(|t| t.motion().0).collect();
         let mut dys: Vec<f32> = tracks.iter().map(|t| t.motion().1).collect();
         dxs.sort_by(|a, b| a.partial_cmp(b).expect("finite motion"));

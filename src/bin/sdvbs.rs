@@ -7,7 +7,7 @@
 //! sdvbs --bench "Disparity Map" --kernels
 //! ```
 
-use sdvbs::core::{all_benchmarks, InputSize};
+use sdvbs::core::{all_benchmarks, ExecPolicy, InputSize, RunOutcome};
 use sdvbs::profile::Profiler;
 use std::process::ExitCode;
 
@@ -40,7 +40,7 @@ fn parse_args() -> Result<Options, String> {
             "--kernels" => opts.kernels = true,
             "--size" => {
                 let v = args.next().ok_or("--size needs a value")?;
-                opts.size = parse_size(&v)?;
+                opts.size = v.parse()?;
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -73,25 +73,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-fn parse_size(v: &str) -> Result<InputSize, String> {
-    match v.to_ascii_lowercase().as_str() {
-        "sqcif" => Ok(InputSize::Sqcif),
-        "qcif" => Ok(InputSize::Qcif),
-        "cif" => Ok(InputSize::Cif),
-        custom => {
-            let (w, h) = custom
-                .split_once('x')
-                .ok_or_else(|| format!("size must be sqcif, qcif, cif or WxH, got {v:?}"))?;
-            let width = w.parse().map_err(|_| format!("invalid width {w:?}"))?;
-            let height = h.parse().map_err(|_| format!("invalid height {h:?}"))?;
-            if width == 0 || height == 0 {
-                return Err("dimensions must be positive".into());
-            }
-            Ok(InputSize::Custom { width, height })
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -153,7 +134,12 @@ fn main() -> ExitCode {
         let mut quality = None;
         for _ in 0..opts.reps {
             let mut prof = Profiler::new();
-            let outcome = bench.run(opts.size, opts.seed, &mut prof);
+            let outcome = bench
+                .try_run_with(opts.size, opts.seed, ExecPolicy::Serial, &mut prof)
+                .unwrap_or_else(|e| RunOutcome {
+                    quality: Some(0.0),
+                    detail: format!("failed: {e}"),
+                });
             quality = outcome.quality;
             let t = prof.total();
             if best.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {

@@ -10,13 +10,15 @@
 //! ([`core::InputSize`]), and per-benchmark re-exports.
 //!
 //! ```
-//! use sdvbs::core::{all_benchmarks, InputSize};
+//! use sdvbs::core::{all_benchmarks, ExecPolicy, InputSize};
 //! use sdvbs::profile::Profiler;
 //!
 //! let mut prof = Profiler::new();
 //! let suite = all_benchmarks();
-//! let outcome = suite[0].run(InputSize::Custom { width: 64, height: 48 }, 1, &mut prof);
+//! let size = InputSize::Custom { width: 64, height: 48 };
+//! let outcome = suite[0].try_run_with(size, 1, ExecPolicy::Serial, &mut prof)?;
 //! println!("{}", outcome.detail);
+//! # Ok::<(), sdvbs::core::SdvbsError>(())
 //! ```
 
 #![forbid(unsafe_code)]

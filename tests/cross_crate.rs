@@ -3,10 +3,10 @@
 //! estimation, trackers measuring stereo disparity).
 
 use sdvbs::profile::Profiler;
-use sdvbs::sift::{detect_and_describe, match_descriptors, SiftConfig};
+use sdvbs::sift::{match_descriptors, try_detect_and_describe, SiftConfig};
 use sdvbs::stitch::{estimate_affine_ransac, Affine};
 use sdvbs::synth::{overlapping_pair, stereo_pair};
-use sdvbs::tracking::{track_pair, TrackingConfig};
+use sdvbs::tracking::{try_track_pair, TrackingConfig};
 
 /// SIFT keypoints + stitch's RANSAC recover the transform between two
 /// views — the exact composition the paper describes for image stitch
@@ -22,8 +22,8 @@ fn sift_features_drive_ransac_alignment() {
         contrast_threshold: 0.012,
         ..SiftConfig::default()
     };
-    let fa = detect_and_describe(&pair.a, &cfg, &mut prof);
-    let fb = detect_and_describe(&pair.b, &cfg, &mut prof);
+    let fa = try_detect_and_describe(&pair.a, &cfg, &mut prof).expect("valid image");
+    let fb = try_detect_and_describe(&pair.b, &cfg, &mut prof).expect("valid image");
     let matches = match_descriptors(&fb, &fa, 0.9);
     assert!(matches.len() >= 8, "only {} SIFT matches", matches.len());
     let src: Vec<(f64, f64)> = matches
@@ -53,7 +53,8 @@ fn tracker_recovers_stereo_disparity_at_features() {
     let scene = stereo_pair(128, 96, 33);
     let cfg = TrackingConfig::default();
     let mut prof = Profiler::new();
-    let tracks = track_pair(&scene.left, &scene.right, &cfg, &mut prof);
+    let tracks =
+        try_track_pair(&scene.left, &scene.right, &cfg, &mut prof).expect("valid frame pair");
     assert!(tracks.len() >= 10, "too few tracks: {}", tracks.len());
     let mut checked = 0;
     let mut consistent = 0;

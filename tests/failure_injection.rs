@@ -2,7 +2,7 @@
 //! structured errors or graceful degradation — never panics — across the
 //! public API.
 
-use sdvbs::core::{all_benchmarks, InputSize};
+use sdvbs::core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs::image::Image;
 use sdvbs::profile::Profiler;
 
@@ -17,9 +17,12 @@ fn suite_survives_degenerate_sizes() {
     for bench in all_benchmarks() {
         bench.warmup();
         let mut prof = Profiler::new();
-        let outcome = bench.run(size, 1, &mut prof);
+        // A typed error is a structured outcome too; only a panic fails.
+        let detail = bench
+            .try_run_with(size, 1, ExecPolicy::Serial, &mut prof)
+            .map_or_else(|e| e.to_string(), |outcome| outcome.detail);
         assert!(
-            !outcome.detail.is_empty(),
+            !detail.is_empty(),
             "{} returned empty detail",
             bench.info().name
         );
@@ -32,16 +35,18 @@ fn flat_inputs_degrade_gracefully() {
     let flat = Image::filled(96, 72, 100.0);
     let mut prof = Profiler::new();
     // Tracking: no features, no tracks, no panic.
-    let tracks = sdvbs::tracking::track_pair(
+    let tracks = sdvbs::tracking::try_track_pair(
         &flat,
         &flat,
         &sdvbs::tracking::TrackingConfig::default(),
         &mut prof,
-    );
+    )
+    .expect("valid frame pair");
     assert!(tracks.is_empty());
     // SIFT: no keypoints.
     let feats =
-        sdvbs::sift::detect_and_describe(&flat, &sdvbs::sift::SiftConfig::default(), &mut prof);
+        sdvbs::sift::try_detect_and_describe(&flat, &sdvbs::sift::SiftConfig::default(), &mut prof)
+            .expect("valid image");
     assert!(feats.is_empty());
     // Stitch: structured error.
     assert!(matches!(
@@ -61,12 +66,13 @@ fn flat_inputs_degrade_gracefully() {
     )
     .is_empty());
     // Disparity on identical flat images: all-zero disparity, not a crash.
-    let disp = sdvbs::disparity::compute_disparity(
+    let disp = sdvbs::disparity::try_compute_disparity(
         &flat,
         &flat,
         &sdvbs::disparity::DisparityConfig::default(),
         &mut prof,
-    );
+    )
+    .expect("valid stereo pair");
     assert!(disp.as_slice().iter().all(|&v| v == 0.0));
 }
 
@@ -139,7 +145,8 @@ fn localization_survives_sensor_dropout() {
     let mut prof = Profiler::new();
     for step in &traj.steps {
         // Drop every measurement: the filter must keep predicting.
-        mcl.step(&step.odometry, &[], &world, &mut prof);
+        mcl.try_step(&step.odometry, &[], &world, &mut prof)
+            .expect("finite sensor data");
     }
     let est = mcl.estimate();
     assert!(est.x.is_finite() && est.y.is_finite() && est.theta.is_finite());

@@ -2,19 +2,23 @@
 //! claims of Figures 2 and 3 that the regenerator harnesses print. These
 //! pin the claims in CI, not just in EXPERIMENTS.md prose.
 
-use sdvbs::core::{all_benchmarks, Benchmark, InputSize};
+use sdvbs::core::{all_benchmarks, Benchmark, ExecPolicy, InputSize};
 use sdvbs::profile::{Profiler, Report};
 
 fn report_at(bench: &(dyn Benchmark + Send + Sync), size: InputSize) -> Report {
     bench.warmup();
     // Warm + best-of-2 to stabilize occupancies.
     let mut warm = Profiler::new();
-    bench.run(size, 1, &mut warm);
+    bench
+        .try_run_with(size, 1, ExecPolicy::Serial, &mut warm)
+        .expect("warm-up run");
     let mut best: Option<Report> = None;
     let mut best_t = std::time::Duration::MAX;
     for _ in 0..2 {
         let mut prof = Profiler::new();
-        bench.run(size, 1, &mut prof);
+        bench
+            .try_run_with(size, 1, ExecPolicy::Serial, &mut prof)
+            .expect("timed run");
         if prof.total() < best_t {
             best_t = prof.total();
             best = Some(prof.report());
@@ -116,7 +120,8 @@ fn figure2_extremes_hold() {
         (0..3)
             .map(|_| {
                 let mut prof = Profiler::new();
-                b.run(s, 1, &mut prof);
+                b.try_run_with(s, 1, ExecPolicy::Serial, &mut prof)
+                    .expect("timed run");
                 prof.total()
             })
             .min()

@@ -1,7 +1,7 @@
 //! Integration: the full nine-benchmark suite at the paper's smallest
 //! input class, exercised through the uniform `Benchmark` interface.
 
-use sdvbs::core::{all_benchmarks, InputSize};
+use sdvbs::core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs::profile::Profiler;
 
 #[test]
@@ -9,8 +9,10 @@ fn whole_suite_runs_at_sqcif_with_good_quality() {
     for bench in all_benchmarks() {
         bench.warmup();
         let mut prof = Profiler::new();
-        let outcome = bench.run(InputSize::Sqcif, 1, &mut prof);
         let name = bench.info().name;
+        let outcome = bench
+            .try_run_with(InputSize::Sqcif, 1, ExecPolicy::Serial, &mut prof)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         if let Some(q) = outcome.quality {
             assert!(q > 0.5, "{name}: quality {q} ({})", outcome.detail);
         }
@@ -33,8 +35,8 @@ fn suite_is_deterministic_per_seed() {
         };
         let mut p1 = Profiler::new();
         let mut p2 = Profiler::new();
-        let a = bench.run(size, 5, &mut p1);
-        let b = bench.run(size, 5, &mut p2);
+        let a = bench.try_run_with(size, 5, ExecPolicy::Serial, &mut p1);
+        let b = bench.try_run_with(size, 5, ExecPolicy::Serial, &mut p2);
         assert_eq!(a, b, "{} not deterministic", bench.info().name);
     }
 }
@@ -52,8 +54,8 @@ fn distinct_seeds_give_distinct_inputs() {
     for bench in all_benchmarks() {
         bench.warmup();
         let mut p = Profiler::new();
-        let a = bench.run(size, 1, &mut p);
-        let b = bench.run(size, 2, &mut p);
+        let a = bench.try_run_with(size, 1, ExecPolicy::Serial, &mut p);
+        let b = bench.try_run_with(size, 2, ExecPolicy::Serial, &mut p);
         if a != b {
             any_differ = true;
         }
@@ -75,14 +77,13 @@ fn data_intensive_benchmarks_scale_with_input_size() {
         (0..3)
             .map(|_| {
                 let mut prof = Profiler::new();
-                disparity.run(
-                    InputSize::Custom {
-                        width: w,
-                        height: h,
-                    },
-                    1,
-                    &mut prof,
-                );
+                let size = InputSize::Custom {
+                    width: w,
+                    height: h,
+                };
+                disparity
+                    .try_run_with(size, 1, ExecPolicy::Serial, &mut prof)
+                    .expect("valid stereo pair");
                 prof.total()
             })
             .min()
