@@ -456,11 +456,13 @@ impl Backend for ClusterEngine {
         self.begin_drain();
         // Wait for every dispatched job to resolve (a worker death mid-
         // drain resolves its orphans via `mark_dead`).
-        let report = self
-            .changed
-            .wait_while(self.lock_state(), |core| core.table().outstanding() > 0)
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain_report();
+        let report = {
+            let core = self
+                .changed
+                .wait_while(self.lock_state(), |core| core.table().outstanding() > 0)
+                .unwrap_or_else(PoisonError::into_inner);
+            core.table().drain_report(core.dead_workers())
+        };
         // Tear the cluster down: tell each surviving worker to drain and
         // exit. From here on link closure is shutdown, not death.
         self.stopping.store(true, Ordering::SeqCst);

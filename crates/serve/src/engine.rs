@@ -28,8 +28,9 @@
 //! Draining ([`Engine::drain`]) closes the queue: jobs currently on
 //! workers run to completion, everything still queued is dequeued and
 //! rejected (`503` when polled), and the workers exit once the queue is
-//! empty. The [`DrainReport`] counts **only the work that was open
-//! (queued or running) when the drain began** — not lifetime totals.
+//! empty. The [`DrainReport`]'s `drained` tally counts **only the work
+//! that was open (queued or running) when the drain began**; its
+//! `lifetime` tally counts every job the engine resolved.
 
 use crate::backend::{self, Backend};
 use crate::cache::{ServedRecord, DEFAULT_CACHE_CAPACITY};
@@ -567,16 +568,16 @@ impl Backend for Engine {
     }
 
     /// Lets running jobs finish, rejects everything still queued, then
-    /// joins the worker threads. Idempotent. The report counts **only the
-    /// work resolved by this drain**: jobs already terminal when it began
-    /// are history, not drain work.
+    /// joins the worker threads. Idempotent. The report's `drained` tally
+    /// counts **only the work resolved by this drain**: jobs already
+    /// terminal when it began are history, counted in `lifetime`.
     fn drain(&self) -> DrainReport {
         self.begin_drain();
         let report = self
             .changed
             .wait_while(self.lock_state(), |table| table.outstanding() > 0)
             .unwrap_or_else(PoisonError::into_inner)
-            .drained();
+            .drain_report(&[]);
         let handles: Vec<_> = self
             .workers
             .lock()
@@ -766,6 +767,7 @@ impl Backend for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shutdown::Tally;
     use sdvbs_core::InputSize;
     use sdvbs_stream::{run_one_shot, DegradePolicy, PipelineKind, DIGEST_SEED};
 
@@ -895,11 +897,11 @@ mod tests {
         assert_eq!(engine.get(running).unwrap().state, "done");
         assert_eq!(engine.get(queued).unwrap().state, "rejected");
         assert_eq!(
-            report,
-            DrainReport {
+            report.drained,
+            Tally {
                 completed: 1,
                 rejected: 1,
-                ..DrainReport::default()
+                ..Tally::default()
             }
         );
         // Post-drain submissions are refused.
@@ -911,7 +913,7 @@ mod tests {
 
     #[test]
     fn drain_report_excludes_jobs_already_terminal_when_drain_began() {
-        // Regression: DrainReport.completed used to count lifetime
+        // Regression: the drain report used to count lifetime
         // completions. A job finished *before* the drain begins must not
         // appear in the report; only drain-open work counts.
         let engine = Engine::start(EngineConfig {
@@ -926,8 +928,8 @@ mod tests {
         assert_eq!(wait_done(&engine, done_before).state, "done");
         let report = engine.drain();
         assert_eq!(
-            report,
-            DrainReport::default(),
+            report.drained,
+            Tally::default(),
             "a pre-drain completion is history, not drain work"
         );
         // The job itself is still pollable (within its TTL) as done.

@@ -20,7 +20,7 @@ use crate::cluster::ClusterConfig;
 use crate::coalesce::InflightMap;
 use crate::protocol::{self, OrphanDisposition, RetryPolicy};
 use crate::sched::{group_key, Drr, JobClass};
-use crate::shutdown::DrainReport;
+use crate::shutdown::{DrainReport, Tally};
 use sdvbs_runner::Job;
 use sdvbs_trace::MetricsRegistry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -115,12 +115,12 @@ impl CacheKey {
     }
 }
 
-/// Counts one terminal transition into a report's tallies.
-fn tally(report: &mut DrainReport, state: &JobState) {
+/// Counts one terminal transition into a tally.
+fn tally(tally: &mut Tally, state: &JobState) {
     match state {
-        JobState::Done(_) | JobState::FrameDone(_) => report.completed += 1,
-        JobState::Rejected(_) => report.rejected += 1,
-        JobState::Quarantined(_) => report.quarantined += 1,
+        JobState::Done(_) | JobState::FrameDone(_) => tally.completed += 1,
+        JobState::Rejected(_) => tally.rejected += 1,
+        JobState::Quarantined(_) => tally.quarantined += 1,
         JobState::Queued | JobState::Running(_) => {}
     }
 }
@@ -236,9 +236,9 @@ pub struct JobTable<P> {
     outstanding: usize,
     draining: bool,
     /// Every terminal transition; survives retirement.
-    lifetime: DrainReport,
+    lifetime: Tally,
     /// Terminal transitions since the drain began.
-    drain: Option<DrainReport>,
+    drain: Option<Tally>,
 }
 
 impl<P> JobTable<P> {
@@ -253,7 +253,7 @@ impl<P> JobTable<P> {
             inflight: InflightMap::new(),
             outstanding: 0,
             draining: false,
-            lifetime: DrainReport::default(),
+            lifetime: Tally::default(),
             drain: None,
         }
     }
@@ -382,7 +382,7 @@ impl<P> JobTable<P> {
     /// Stops admission and starts the drain-scoped tally (idempotent).
     pub(crate) fn begin_drain(&mut self) {
         self.draining = true;
-        self.drain.get_or_insert_with(DrainReport::default);
+        self.drain.get_or_insert_with(Tally::default);
     }
 
     /// Whether a drain has begun.
@@ -397,13 +397,19 @@ impl<P> JobTable<P> {
     }
 
     /// Every terminal transition so far, retired jobs included.
-    pub fn lifetime(&self) -> &DrainReport {
+    pub fn lifetime(&self) -> &Tally {
         &self.lifetime
     }
 
-    /// Terminal transitions since the drain began (zero before it).
-    pub fn drained(&self) -> DrainReport {
-        self.drain.clone().unwrap_or_default()
+    /// The drain report of either backend: the transitions since the
+    /// drain began (zero before it), the lifetime tally, and the workers
+    /// declared dead.
+    pub fn drain_report(&self, dead_workers: &[String]) -> DrainReport {
+        DrainReport {
+            drained: self.drain.unwrap_or_default(),
+            lifetime: self.lifetime,
+            dead_workers: dead_workers.to_vec(),
+        }
     }
 
     /// Entries in the table (retired jobs excluded).
@@ -697,15 +703,6 @@ impl Coordinator {
     pub fn dead_workers(&self) -> &[String] {
         &self.dead
     }
-
-    /// The cluster's drain report: lifetime totals, which survive
-    /// retirement, and the dead workers.
-    pub fn drain_report(&self) -> DrainReport {
-        DrainReport {
-            dead_workers: self.dead.clone(),
-            ..self.table.lifetime().clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -822,11 +819,10 @@ mod tests {
         table.finish(quarantined, JobState::Quarantined("dead".into()), at(0));
         let later = table.submit(9, None, true, at(60), |_, _| Ok(()));
         assert_eq!(later.retired, 3);
-        let expect = DrainReport {
+        let expect = Tally {
             completed: 1,
             rejected: 1,
             quarantined: 1,
-            dead_workers: Vec::new(),
         };
         assert_eq!(table.lifetime(), &expect);
         assert_eq!(table.outstanding(), 1);
@@ -841,7 +837,7 @@ mod tests {
         let waiting = queued(admit(&mut table, 3, false, at(0)));
         table.start(running, 0);
         table.begin_drain();
-        assert_eq!(table.drained(), DrainReport::default());
+        assert_eq!(table.drain_report(&[]).drained, Tally::default());
         assert!(matches!(
             admit(&mut table, 4, false, at(1)),
             Submission::Draining
@@ -850,17 +846,17 @@ mod tests {
         table.finish(waiting, JobState::Rejected("drain".into()), at(1));
         assert_eq!(table.outstanding(), 0);
         assert_eq!(
-            table.drained(),
-            DrainReport {
+            table.drain_report(&[]).drained,
+            Tally {
                 completed: 1,
                 rejected: 1,
-                ..DrainReport::default()
+                ..Tally::default()
             }
         );
         assert_eq!(table.lifetime().completed, 2);
         table.begin_drain();
         assert_eq!(
-            table.drained().completed,
+            table.drain_report(&[]).drained.completed,
             1,
             "a second begin keeps the tally"
         );
@@ -1029,8 +1025,11 @@ mod tests {
         assert_eq!(fates, vec![(id, OrphanDisposition::RejectDraining)]);
         assert!(matches!(state(&core, id), JobState::Rejected(_)));
         assert_eq!(core.table().outstanding(), 0);
-        let report = core.drain_report();
-        assert_eq!((report.completed, report.rejected), (0, 2));
+        let report = core.table().drain_report(core.dead_workers());
+        assert_eq!(
+            (report.lifetime.completed, report.lifetime.rejected),
+            (0, 2)
+        );
         assert_eq!(report.dead_workers, vec!["w0".to_string()]);
     }
 

@@ -4,8 +4,9 @@
 //! The daemon accepts job specs (benchmark × input size × execution
 //! policy × seed) over a hand-rolled HTTP/1.1 interface on
 //! `std::net::TcpListener` — no external dependencies — and executes them
-//! on the runner's bounded-queue worker pool. Three serving mechanisms
-//! sit between the socket and the pool:
+//! through the runner's single-job executor on the engine's own worker
+//! threads, fed by a bounded scheduling queue ([`sched`]). Three serving
+//! mechanisms sit between the socket and the workers:
 //!
 //! - **Result caching** ([`cache`]): a completed record is stored under
 //!   the content digest of its spec; an identical later submission is
@@ -69,6 +70,6 @@ pub use loadgen::{
 pub use protocol::{orphan_disposition, pick_target, OrphanDisposition, RetryPolicy};
 pub use sched::{starvation_bound, JobClass, SchedConfig, SchedQueue};
 pub use server::{Server, ServerConfig};
-pub use shutdown::{DrainReport, ShutdownController};
+pub use shutdown::{DrainReport, ShutdownController, Tally};
 pub use stream::{parse_stream_spec, FrameSummary, FrameTicket, StreamRefused, StreamStatus};
 pub use worker::{run_worker, WorkerConfig};

@@ -14,13 +14,16 @@
 //! thread, which drains the engine, stores the report, raises the stop
 //! flag, and pokes the accept loop awake with a loopback connection.
 //! [`Server::wait`] then joins the accept thread, the drain thread, and
-//! every connection thread — shutdown leaks nothing.
+//! every connection thread — shutdown leaks nothing. The accept loop
+//! joins finished connection threads as it admits new ones, so the
+//! server holds handles for the open connections only, not for every
+//! connection it ever accepted.
 
 use crate::backend::Backend;
 use crate::engine::{Engine, EngineConfig};
 use crate::http::{parse_request, HttpError, Response};
 use crate::router::{err_json, route, Ctx, Routed};
-use crate::shutdown::{DrainReport, ShutdownController};
+use crate::shutdown::{DrainReport, ShutdownController, ThreadSet};
 use sdvbs_trace::{MetricsRegistry, Recorder};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -58,7 +61,7 @@ struct Shared {
     addr: SocketAddr,
     stop: AtomicBool,
     next_conn: AtomicU64,
-    conns: Mutex<Vec<thread::JoinHandle<()>>>,
+    conns: Mutex<ThreadSet>,
     drainer: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
@@ -120,7 +123,7 @@ impl Server {
             addr,
             stop: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(ThreadSet::default()),
             drainer: Mutex::new(None),
         });
         let accept = {
@@ -141,7 +144,7 @@ impl Server {
         self.shared.addr
     }
 
-    /// The serving backend (for in-process tests and the smoke gates).
+    /// The serving backend (for in-process tests and benchmarks).
     pub fn backend(&self) -> &Arc<dyn Backend> {
         &self.shared.ctx.engine
     }
@@ -168,16 +171,14 @@ impl Server {
         {
             let _ = handle.join();
         }
-        let conns: Vec<_> = self
-            .shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        for handle in conns {
-            let _ = handle.join();
-        }
+        let conns = std::mem::take(
+            &mut *self
+                .shared
+                .conns
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        conns.join_all();
         report
     }
 
@@ -302,5 +303,31 @@ fn serve_conn(
             }
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let server = Server::start(ServerConfig::default()).expect("bind loopback");
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(server.addr()).expect("connect");
+            conn.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .expect("send");
+            let mut reply = String::new();
+            conn.read_to_string(&mut reply).expect("read to close");
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        }
+        let held = server
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        assert!(held <= 8, "{held} connection handles held after 200 closes");
+        server.shutdown();
     }
 }

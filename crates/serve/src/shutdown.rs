@@ -12,27 +12,29 @@
 //! both phases rendezvous on.
 
 use std::sync::{Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
-/// What a drain left behind.
-///
-/// For the single-process [`crate::engine::Engine`] the counts are
-/// **drain-scoped**: only jobs that were queued or running when the
-/// drain began are counted, so an operator reading the report sees what
-/// the shutdown itself did, not the process's lifetime history. The
-/// cluster coordinator keeps **lifetime** totals instead — its report
-/// doubles as the final accounting for jobs retried across worker
-/// deaths, kept by the [`crate::jobs::JobTable`] at each terminal
-/// transition so the totals survive the retirement of the jobs counted.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Jobs that executed to a record during the drain (engine) or over
-    /// the process lifetime (cluster).
+/// Terminal job transitions by outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Jobs that executed to a record.
     pub completed: usize,
     /// Jobs rejected without executing (queued at drain time, or invalid).
     pub rejected: usize,
     /// Jobs abandoned after exhausting their retry budget across worker
-    /// deaths (cluster mode; always 0 for a single-process engine).
+    /// deaths (always 0 for a single-process engine).
     pub quarantined: usize,
+}
+
+/// What a drain left behind, built the same way by both backends.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DrainReport {
+    /// Jobs resolved by the drain itself: those queued or running when
+    /// it began. What the shutdown did, not the process's history.
+    pub drained: Tally,
+    /// Every terminal transition over the backend's life, retired jobs
+    /// and jobs retried across worker deaths included.
+    pub lifetime: Tally,
     /// Names of workers that died before or during the drain (cluster
     /// mode; always empty for a single-process engine).
     pub dead_workers: Vec<String>,
@@ -104,6 +106,40 @@ impl ShutdownController {
     }
 }
 
+/// Spawned threads not yet joined. A finished thread is joined when the
+/// next one is added, so the set holds the threads still running rather
+/// than every thread ever spawned.
+#[derive(Default)]
+pub(crate) struct ThreadSet(Vec<JoinHandle<()>>);
+
+impl ThreadSet {
+    /// Joins the finished threads, then adds `handle`.
+    pub(crate) fn push(&mut self, handle: JoinHandle<()>) {
+        let mut i = 0;
+        while i < self.0.len() {
+            if self.0[i].is_finished() {
+                let _ = self.0.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        self.0.push(handle);
+    }
+
+    /// Threads not yet joined.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Joins every thread.
+    pub(crate) fn join_all(self) {
+        for handle in self.0 {
+            let _ = handle.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,13 +164,39 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(c.report().is_none());
         let report = DrainReport {
-            completed: 3,
-            rejected: 1,
+            drained: Tally {
+                completed: 3,
+                rejected: 1,
+                ..Tally::default()
+            },
             ..DrainReport::default()
         };
         c.finish(report.clone());
         assert_eq!(waiter.join().unwrap(), report);
         // A late waiter returns immediately.
         assert_eq!(c.wait(), report);
+    }
+
+    #[test]
+    fn finished_threads_are_joined_as_new_ones_arrive() {
+        let mut threads = ThreadSet::default();
+        for _ in 0..200 {
+            let handle = std::thread::spawn(|| {});
+            while !handle.is_finished() {
+                std::thread::yield_now();
+            }
+            threads.push(handle);
+            // Every earlier thread had finished before this push.
+            assert_eq!(threads.len(), 1);
+        }
+        // A thread still running is kept until it finishes.
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        threads.push(std::thread::spawn(move || {
+            let _ = wait.recv();
+        }));
+        threads.push(std::thread::spawn(|| {}));
+        assert!(threads.len() >= 2, "an unfinished thread was dropped");
+        release.send(()).expect("the thread is listening");
+        threads.join_all();
     }
 }

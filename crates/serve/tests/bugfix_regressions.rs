@@ -7,7 +7,7 @@
 use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
-use sdvbs_serve::{fnv1a, Backend, DrainReport, JobClass, ResultCache, ServedRecord};
+use sdvbs_serve::{fnv1a, Backend, JobClass, ResultCache, ServedRecord, Tally};
 use sdvbs_stream::{DegradePolicy, PipelineKind, StreamSpec};
 use std::time::{Duration, Instant};
 
@@ -193,10 +193,10 @@ fn job_table_stays_bounded_over_thousands_of_jobs() {
     assert!(engine.jobs_table_len() <= 256);
 }
 
-/// Bug 4: `DrainReport.completed` counted lifetime completions, so a
-/// drain that resolved one running job after a thousand served requests
-/// reported `completed: 1001`. The report now covers only the jobs that
-/// were queued or running when the drain began.
+/// Bug 4: the drain report's `completed` counted lifetime completions, so
+/// a drain that resolved one running job after a thousand served requests
+/// reported `completed: 1001`. Its `drained` tally now covers only the
+/// jobs that were queued or running when the drain began.
 #[test]
 fn drain_report_counts_drain_work_not_lifetime_history() {
     let engine = Engine::start(EngineConfig {
@@ -212,8 +212,8 @@ fn drain_report_counts_drain_work_not_lifetime_history() {
     assert_eq!(engine.counter("jobs_executed"), 3);
     let report = engine.drain();
     assert_eq!(
-        report,
-        DrainReport::default(),
+        report.drained,
+        Tally::default(),
         "nothing was open when the drain began, so the report must be empty"
     );
 }

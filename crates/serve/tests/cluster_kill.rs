@@ -137,12 +137,15 @@ fn killed_worker_loses_no_jobs_silently() {
     let report = cluster.drain();
     assert_eq!(report.dead_workers, vec!["w1".to_string()]);
     assert_eq!(
-        report.completed + report.rejected + report.quarantined,
+        report.lifetime.completed + report.lifetime.rejected + report.lifetime.quarantined,
         12,
         "drain report dropped jobs: {report:?}"
     );
-    assert_eq!(report.completed, done);
-    assert_eq!(report.rejected + report.quarantined, quarantined);
+    assert_eq!(report.lifetime.completed, done);
+    assert_eq!(
+        report.lifetime.rejected + report.lifetime.quarantined,
+        quarantined
+    );
 }
 
 #[test]
@@ -178,9 +181,9 @@ fn cluster_serves_and_drains_cleanly_without_faults() {
     }
 
     let report = cluster.drain();
-    assert_eq!(report.completed, 6);
-    assert_eq!(report.rejected, 0);
-    assert_eq!(report.quarantined, 0);
+    assert_eq!(report.lifetime.completed, 6);
+    assert_eq!(report.lifetime.rejected, 0);
+    assert_eq!(report.lifetime.quarantined, 0);
     assert!(report.dead_workers.is_empty());
     for mut w in workers {
         // Drained workers exit on their own; reap rather than kill.

@@ -128,8 +128,8 @@ fn drain_completes_running_rejects_queued_and_leaks_nothing() {
     drop(client);
     drop(second);
     let report = server.wait();
-    assert!(report.completed >= 1, "report: {report:?}");
-    assert!(report.rejected >= 1, "report: {report:?}");
+    assert!(report.drained.completed >= 1, "report: {report:?}");
+    assert!(report.drained.rejected >= 1, "report: {report:?}");
 
     // The listener is closed: new connections are refused.
     let refused = Instant::now() + Duration::from_secs(2);
