@@ -10,14 +10,13 @@
 //! caller sleeps them on its [`ClockHandle`], which under a
 //! [`VirtualClock`] advances simulated time instead of parking a thread.
 //!
-//! The jitter stream deliberately matches [`FaultPlan::jitter`]'s
-//! derivation (`unit(mix(seed ^ 0xb0ff ^ round))`), so runs recorded
-//! before this module existed replay with identical delays.
+//! The jitter of round `r` is `unit(mix(seed ^ 0xb0ff ^ r))`, drawn with
+//! the fault plan's splitmix64 helpers: a seed always yields the same delays.
 //!
 //! [`ClockHandle`]: sdvbs_exec::ClockHandle
 //! [`VirtualClock`]: sdvbs_exec::VirtualClock
-//! [`FaultPlan::jitter`]: crate::fault::FaultPlan::jitter
 
+use crate::fault::{mix, unit};
 use std::time::Duration;
 
 /// Decorrelated exponential backoff state: each delay lands between the
@@ -56,19 +55,6 @@ impl Backoff {
     }
 }
 
-/// splitmix64 finalizer (same constants as [`crate::fault`]).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps 64 random bits to `0.0..1.0`.
-fn unit(bits: u64) -> f64 {
-    (bits >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,16 +87,14 @@ mod tests {
     }
 
     #[test]
-    fn matches_fault_plan_jitter_stream() {
-        // The first delay must reproduce the legacy inline computation:
-        // jitter drawn as FaultPlan::jitter(1) with prev = base.
-        let seed = 7u64;
-        let plan = crate::fault::FaultPlan::none(seed);
-        let mut b = Backoff::new(BASE, CAP, seed);
-        let jitter = plan.jitter(1);
-        let span = (BASE.as_secs_f64() * 3.0 - BASE.as_secs_f64()).max(0.0);
-        let expect = Duration::from_secs_f64(BASE.as_secs_f64() + jitter * span).min(CAP);
-        assert_eq!(b.next_delay(), expect);
+    fn seed_7_replays_its_recorded_delays() {
+        // The delays `--fault-seed 7` chaos runs have always backed off by.
+        let mut b = Backoff::new(BASE, CAP, 7);
+        let delays: Vec<u64> = (0..6).map(|_| b.next_delay().as_nanos() as u64).collect();
+        assert_eq!(
+            delays,
+            [19_381_215, 12_645_926, 19_120_406, 29_545_215, 23_272_332, 13_358_733]
+        );
     }
 
     #[test]

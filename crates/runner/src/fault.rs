@@ -161,15 +161,10 @@ impl FaultPlan {
     pub fn decide_truncate(&self) -> bool {
         unit(mix(self.seed ^ 0x7472_756e_6361_7465)) < self.truncate_rate
     }
-
-    /// Deterministic backoff jitter in `0.0..1.0` for a retry round.
-    pub fn jitter(&self, round: u32) -> f64 {
-        unit(mix(self.seed ^ 0xb0ff ^ u64::from(round)))
-    }
 }
 
-/// splitmix64 finalizer.
-fn mix(mut z: u64) -> u64 {
+/// splitmix64 finalizer, shared with [`crate::backoff`]'s jitter stream.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -177,7 +172,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Maps 64 random bits to `0.0..1.0`.
-fn unit(bits: u64) -> f64 {
+pub(crate) fn unit(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -1,13 +1,15 @@
 //! `sdvbs-runner` — a benchmark execution service for the SD-VBS
 //! reproduction.
 //!
-//! The crate layers four pieces:
+//! The crate layers five pieces:
 //!
-//! * [`queue`] — a bounded MPMC work queue (Mutex + Condvar, no deps) with
-//!   producer backpressure and graceful drain-on-close;
-//! * [`pool`] — a worker pool over the queue with per-job watchdog
-//!   timeouts and panic isolation, returning deterministically ordered
-//!   outcomes;
+//! * [`run`] — the run engine: a sweep's worker threads claim jobs from a
+//!   list fixed before the run starts, retry failed cells after a seeded
+//!   [`backoff`], quarantine persistent failures, and return outcomes in
+//!   submission order;
+//! * [`supervise`](mod@supervise) — per-job watchdog timeouts and panic
+//!   isolation, under which every attempt of a sweep and every
+//!   [`execute_job`] call runs;
 //! * [`job`] / [`store`] — the job model and a JSONL result store
 //!   recording timing percentiles, per-kernel profile breakdowns, quality
 //!   scores, and host metadata;
@@ -19,8 +21,8 @@
 //!   retry/quarantine machinery in [`run`].
 //!
 //! The `sdvbs-runner` binary exposes it all as `list`, `run`, `sweep`,
-//! and `compare` subcommands; the `sdvbs-bench` figure regenerators reuse
-//! [`run::run_jobs`] through `sdvbs_bench::run_suite`.
+//! `compare` and `trace` subcommands; the `sdvbs-bench` figure regenerators
+//! reuse [`run::run_jobs`] through `sdvbs_bench::run_suite`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,10 +31,9 @@ pub mod backoff;
 pub mod compare;
 pub mod fault;
 pub mod job;
-pub mod pool;
-pub mod queue;
 pub mod run;
 pub mod store;
+pub mod supervise;
 
 // The hand-rolled JSON/JSONL module moved into `sdvbs-trace` (the trace
 // exporters need it below this crate in the dependency graph); re-exported
@@ -48,9 +49,8 @@ pub use job::{
     cell_key, parse_policy, policy_label, size_label, HostMeta, Job, KernelStatRecord, RunRecord,
     RunStatus,
 };
-pub use pool::{run_pool, supervise, Completion, PoolConfig, PoolJob, PoolOutcome};
-pub use queue::{BoundedQueue, PushError, QueueError, TryPushError};
 pub use run::{execute_job, run_jobs, run_jobs_report, RunReport, RunnerConfig, RunnerError};
 pub use store::{
     append_metrics, append_records, read_records, recover_records, write_records, StoreError,
 };
+pub use supervise::{supervise, Completion};

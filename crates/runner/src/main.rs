@@ -2,14 +2,9 @@
 //!
 //! ```text
 //! sdvbs-runner list
-//! sdvbs-runner run   [--bench NAME]... [--size S] [--policy P] [--seed N]
-//!                    [--iterations N] [--timeout-ms N] [--workers N]
-//!                    [--out FILE] [--append] [--smoke]
-//!                    [--inject SPEC] [--fault-seed N] [--max-retries N]
-//!                    [--trace FILE]
-//! sdvbs-runner sweep [--sizes S1,S2] [--policies P1,P2] [--seed N]
-//!                    [--iterations N] [--timeout-ms N] [--out FILE]
-//!                    [--trace FILE]
+//! sdvbs-runner run   [--bench NAME]... [--size S] [--policy P] [--smoke]
+//!                    [EXEC]
+//! sdvbs-runner sweep [--sizes S1,S2] [--policies P1,P2] [EXEC]
 //! sdvbs-runner compare --baseline FILE --candidate FILE
 //!                      [--regression-limit PCT] [--min-runtime-ms MS]
 //!                      [--allow-missing]
@@ -17,6 +12,10 @@
 //! sdvbs-runner trace summary --in FILE
 //! sdvbs-runner trace verify  --in FILE [--min-benchmarks N]
 //! sdvbs-runner trace convert --in FILE --out FILE
+//!
+//! EXEC: [--seed N] [--iterations N] [--timeout-ms N] [--workers N]
+//!       [--out FILE] [--append] [--trace FILE]
+//!       [--inject SPEC] [--fault-seed N] [--max-retries N]
 //! ```
 //!
 //! `--trace FILE` records a span trace of the run: Chrome trace format
@@ -68,14 +67,9 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   sdvbs-runner list
-  sdvbs-runner run   [--bench NAME]... [--size S] [--policy P] [--seed N]
-                     [--iterations N] [--timeout-ms N] [--workers N]
-                     [--out FILE] [--append] [--smoke]
-                     [--inject SPEC] [--fault-seed N] [--max-retries N]
-                     [--trace FILE]
-  sdvbs-runner sweep [--sizes S1,S2,..] [--policies P1,P2,..] [--seed N]
-                     [--iterations N] [--timeout-ms N] [--out FILE]
-                     [--trace FILE]
+  sdvbs-runner run   [--bench NAME]... [--size S] [--policy P] [--smoke]
+                     [EXEC]
+  sdvbs-runner sweep [--sizes S1,S2,..] [--policies P1,P2,..] [EXEC]
   sdvbs-runner compare --baseline FILE --candidate FILE
                        [--regression-limit PCT] [--min-runtime-ms MS]
                        [--allow-missing]
@@ -84,9 +78,13 @@ const USAGE: &str = "usage:
   sdvbs-runner trace verify  --in FILE [--min-benchmarks N]
   sdvbs-runner trace convert --in FILE --out FILE
 
+EXEC (run and sweep): [--seed N] [--iterations N] [--timeout-ms N]
+             [--workers N] [--out FILE] [--append] [--trace FILE]
+             [--inject SPEC] [--fault-seed N] [--max-retries N]
 sizes: sqcif | qcif | cif | WxH     policies: serial | threads:N | auto
 inject spec: kind:rate[,kind:rate..] over panic, timeout, nan, truncate
-             (e.g. panic:0.2,timeout:0.1,nan:0.1); seeded by --fault-seed
+             (e.g. panic:0.2,timeout:0.1,nan:0.1); seeded by --fault-seed;
+             timeout faults arm a 2 s watchdog unless --timeout-ms is set
 trace files: Chrome trace JSON, or the JSONL event log when the file name
              ends in .jsonl (both formats round-trip via trace convert)
 absolute limits: PATTERN is a |-separated prefix of the record key
@@ -271,17 +269,9 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
 fn execute(jobs: Vec<Job>, opts: &ExecOpts) -> Result<ExitCode, String> {
     let plan = opts.fault_plan()?;
     let injecting = plan.is_some_and(|p| p.is_active());
-    let timeout = match (opts.timeout, plan) {
-        // An injected stall only surfaces if a watchdog is armed; default a
-        // modest deadline when the operator asked for timeout faults but
-        // gave no --timeout-ms.
-        (None, Some(p)) if p.timeout_rate > 0.0 => Some(Duration::from_millis(2_000)),
-        (explicit, _) => explicit,
-    };
     let cfg = RunnerConfig {
         workers: opts.workers,
-        queue_capacity: jobs.len().max(1),
-        timeout,
+        timeout: opts.timeout,
         max_retries: opts.max_retries,
         fault_plan: plan,
         trace: opts.trace_out.is_some(),

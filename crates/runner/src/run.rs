@@ -1,5 +1,5 @@
-//! The run engine: turns [`Job`]s into [`RunRecord`]s through the worker
-//! pool, with retries, fault injection, and quarantine.
+//! The run engine: turns [`Job`]s into [`RunRecord`]s on a round of
+//! worker threads, with retries, fault injection, and quarantine.
 //!
 //! Each job looks up its benchmark in the registry, runs a warmup call
 //! plus one untimed iteration, then the requested timed iterations,
@@ -21,23 +21,26 @@
 use crate::backoff::Backoff;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::job::{size_label, HostMeta, Job, KernelStatRecord, RunRecord, RunStatus};
-use crate::pool::{run_pool, Completion, PoolConfig, PoolJob};
-use crate::queue::QueueError;
+use crate::supervise::{supervise, Completion};
 use sdvbs_core::{all_benchmarks, clear_poison, set_poison, ExecPolicy, PoisonSpec};
 use sdvbs_profile::Profiler;
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{nearest_rank, MetricsRegistry, Phase, Trace, TraceEvent, TrackId};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Configuration for one run of the engine.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Worker threads. Keep at 1 (the default) for timing fidelity —
-    /// concurrent jobs would contend inside each other's measured region.
+    /// Worker threads each retry round starts (at least 1); each claims
+    /// the round's next pending job until none is left. Keep at 1 (the
+    /// default) for timing fidelity — concurrent jobs would contend inside
+    /// each other's measured region.
     pub workers: usize,
-    /// Job-queue capacity (backpressure bound).
-    pub queue_capacity: usize,
-    /// Per-job wall-clock deadline; `None` disables the watchdog.
+    /// Per-job wall-clock deadline; `None` disables the watchdog, except
+    /// that a [`fault_plan`](Self::fault_plan) injecting stalls arms a
+    /// 2 s deadline, since a stall surfaces as a timeout only under one.
     pub timeout: Option<Duration>,
     /// How many times a failed cell (panic, timeout, or typed benchmark
     /// error) is re-run before quarantine. 0 disables retries.
@@ -62,7 +65,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             workers: 1,
-            queue_capacity: 64,
             timeout: None,
             max_retries: 2,
             fault_plan: None,
@@ -80,8 +82,6 @@ pub enum RunnerError {
         /// The unrecognized name.
         name: String,
     },
-    /// The pool configuration was invalid.
-    Queue(QueueError),
 }
 
 impl std::fmt::Display for RunnerError {
@@ -90,18 +90,11 @@ impl std::fmt::Display for RunnerError {
             RunnerError::UnknownBenchmark { name } => {
                 write!(f, "unknown benchmark {name:?} (see `sdvbs-runner list`)")
             }
-            RunnerError::Queue(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for RunnerError {}
-
-impl From<QueueError> for RunnerError {
-    fn from(e: QueueError) -> Self {
-        RunnerError::Queue(e)
-    }
-}
 
 /// The structured result of a run: records plus the failure bookkeeping a
 /// chaos run needs for its end-of-run report.
@@ -117,8 +110,9 @@ pub struct RunReport {
     pub injected_faults: usize,
     /// Cells that failed at least once but completed on a retry.
     pub recovered: usize,
-    /// Operational metrics for the whole run: queue-wait, job wall time,
-    /// watchdog margin, and attempt histograms plus outcome counters. The
+    /// Operational metrics for the whole run: queue wait (from a retry
+    /// round's start to a worker's claim), job wall time, watchdog
+    /// margin, and attempt histograms plus outcome counters. The
     /// store can serialize this alongside the records
     /// ([`crate::store::append_metrics`]).
     pub metrics: MetricsRegistry,
@@ -146,10 +140,36 @@ struct JobMeasurement {
     main_track: Option<TrackId>,
 }
 
+/// One attempt of one job in a retry round, as its worker saw it.
+struct Outcome {
+    /// The job's index in the submitted list.
+    idx: usize,
+    /// The fault the plan injected into this attempt, if any.
+    fault: Option<FaultKind>,
+    /// The round worker (`0..workers`) that claimed the job; trace
+    /// assembly maps it to a per-worker track.
+    worker: usize,
+    /// Time from the round's start to the worker's claim.
+    queue_wait: Duration,
+    /// Microseconds since the process trace epoch when the worker started
+    /// the job ([`sdvbs_trace::now_us`]).
+    start_us: u64,
+    /// Wall-clock time the worker spent on the job (for a timeout this is
+    /// about the deadline, not the runaway job's eventual runtime).
+    wall: Duration,
+    /// How the attempt ended.
+    completion: Completion<Result<JobMeasurement, String>>,
+}
+
 /// Base delay for the decorrelated-exponential retry backoff.
 const RETRY_BASE: Duration = Duration::from_millis(10);
 /// Backoff ceiling; keeps worst-case chaos runs bounded.
 const RETRY_CAP: Duration = Duration::from_millis(250);
+/// Deadline a run arms when its fault plan injects stalls and
+/// [`RunnerConfig::timeout`] sets none.
+const STALL_DEADLINE: Duration = Duration::from_secs(2);
+/// How far past the deadline an injected stall sleeps.
+const STALL_OVERRUN: Duration = Duration::from_millis(50);
 
 /// Runs every job and returns one record per job, ordered by submission.
 ///
@@ -176,8 +196,7 @@ pub fn run_jobs(jobs: &[Job], cfg: &RunnerConfig) -> Result<Vec<RunRecord>, Runn
 /// # Errors
 ///
 /// Returns [`RunnerError::UnknownBenchmark`] if any job names a benchmark
-/// not in the registry (checked upfront, before anything runs), or
-/// [`RunnerError::Queue`] for an invalid pool configuration.
+/// not in the registry (checked upfront, before anything runs).
 pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, RunnerError> {
     let honors_policy: Vec<bool> = jobs
         .iter()
@@ -187,19 +206,20 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
     // same concrete width and every record reports the same thread count.
     let auto_threads = ExecPolicy::Auto.worker_count();
     let host = HostMeta::collect();
-    let pool_cfg = PoolConfig {
-        workers: cfg.workers,
-        queue_capacity: cfg.queue_capacity,
-        timeout: cfg.timeout,
-    };
     let plan = cfg.fault_plan;
     let tracing = cfg.trace;
+    let workers = cfg.workers.max(1);
+    // An injected stall surfaces as a timeout only under a watchdog.
+    let timeout = match (cfg.timeout, plan) {
+        (None, Some(p)) if p.timeout_rate > 0.0 => Some(STALL_DEADLINE),
+        (explicit, _) => explicit,
+    };
 
     let mut metrics = MetricsRegistry::new();
     let mut trace_events: Option<Vec<TraceEvent>> = tracing.then(|| {
         // Label the pool-worker tracks up front (tracks 0..workers are
         // reserved below DYNAMIC_TRACK_BASE for exactly this).
-        (0..cfg.workers.max(1))
+        (0..workers)
             .map(|w| {
                 TraceEvent::new(
                     format!("pool worker {w}"),
@@ -216,7 +236,7 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
     // emitted on each worker track. Successive job spans are clamped to
     // start at or after it, so microsecond truncation can never make
     // spans on one track overlap (which would fail validation).
-    let mut worker_clock: Vec<u64> = vec![0; cfg.workers.max(1)];
+    let mut worker_clock: Vec<u64> = vec![0; workers];
 
     let mut records: Vec<Option<RunRecord>> = vec![None; jobs.len()];
     let mut injected: Vec<Vec<String>> = vec![Vec::new(); jobs.len()];
@@ -239,45 +259,15 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
             // round — failed cells re-run together.
             cfg.clock.sleep(backoff.next_delay());
         }
-        let pool_jobs: Vec<PoolJob<Result<JobMeasurement, String>>> = pending
-            .iter()
-            .map(|&idx| {
-                let job = jobs[idx].clone();
-                let resolved = job.policy.resolve_with(auto_threads);
-                let fault = plan.and_then(|p| p.decide(idx as u64, attempt));
-                let label = rec_label(&job);
-                let stall = cfg
-                    .timeout
-                    .unwrap_or(Duration::from_millis(100))
-                    .saturating_add(Duration::from_millis(50));
-                PoolJob::new(idx as u64, label, move || {
-                    match fault {
-                        Some(FaultKind::Panic) => panic!("injected fault: panic"),
-                        Some(FaultKind::Timeout) => std::thread::sleep(stall),
-                        Some(FaultKind::Nan) => set_poison(PoisonSpec {
-                            stride: 1 << 10,
-                            seed: job.seed ^ idx as u64,
-                        }),
-                        Some(FaultKind::Truncate) | None => {}
-                    }
-                    let result = try_measure(&job, resolved, tracing, false);
-                    clear_poison();
-                    result
-                })
-            })
-            .collect();
-        for &idx in &pending {
-            if let Some(f) = plan.and_then(|p| p.decide(idx as u64, attempt)) {
+        let outcomes = run_round(jobs, &pending, attempt, cfg, timeout, auto_threads);
+        let mut still_failing = Vec::new();
+        for outcome in outcomes {
+            let idx = outcome.idx;
+            let job = &jobs[idx];
+            if let Some(f) = outcome.fault {
                 injected[idx].push(f.as_str().to_string());
                 injected_faults += 1;
             }
-        }
-
-        let outcomes = run_pool(pool_jobs, &pool_cfg)?;
-        let mut still_failing = Vec::new();
-        for outcome in outcomes {
-            let idx = outcome.id as usize;
-            let job = &jobs[idx];
             let threads = resolved_threads(
                 honors_policy[idx],
                 job.policy.resolve_with(auto_threads),
@@ -312,7 +302,7 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
                     ),
                 ];
                 events.push(begin);
-                if let Some(f) = plan.and_then(|p| p.decide(idx as u64, attempt)) {
+                if let Some(f) = outcome.fault {
                     let mut ev = TraceEvent::new(
                         format!("inject:{}", f.as_str()),
                         "fault",
@@ -326,7 +316,7 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
             }
             let trace_payload = apply_completion(&mut rec, outcome.completion);
             if rec.status == RunStatus::Completed {
-                if let Some(limit) = cfg.timeout {
+                if let Some(limit) = timeout {
                     metrics.observe(
                         "watchdog_margin_ms",
                         (limit.saturating_sub(outcome.wall)).as_secs_f64() * 1e3,
@@ -377,7 +367,6 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
             }
             records[idx] = Some(rec);
         }
-        still_failing.sort_unstable();
         pending = still_failing;
     }
 
@@ -418,11 +407,12 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
     })
 }
 
-/// Executes one job synchronously under the pool's per-job supervision
-/// (panic isolation plus an optional watchdog deadline) and returns its
-/// record — the single-job entry point the serve daemon's engine workers
-/// embed. No retries and no fault injection: serving retries is the
-/// caller's policy, not the measurement's.
+/// Executes one job synchronously under per-job supervision (panic
+/// isolation plus an optional watchdog deadline) and returns its record —
+/// the single-job entry point the serve daemon's engine workers embed,
+/// and the supervised path every attempt of a sweep takes. No retries and
+/// no fault injection: serving retries is the caller's policy, not the
+/// measurement's.
 ///
 /// `auto_threads` is the once-per-process resolution of
 /// [`ExecPolicy::Auto`] (see [`ExecPolicy::worker_count`]) and `host` the
@@ -453,16 +443,101 @@ pub fn execute_job(
     let honors_policy = honors_exec_policy(job)?;
     let resolved = job.policy.resolve_with(auto_threads);
     let threads = resolved_threads(honors_policy, resolved, auto_threads);
-    let work = {
-        let job = job.clone();
-        Box::new(move || try_measure(&job, resolved, false, warm))
-    };
-    let start = std::time::Instant::now();
-    let completion = crate::pool::supervise(work, timeout);
+    let start = Instant::now();
+    let completion = supervised_attempt(job, job_id, resolved, None, timeout, false, warm);
     let mut rec = base_record(job, job_id, threads, host);
     rec.wall_ms = start.elapsed().as_secs_f64() * 1e3;
     apply_completion(&mut rec, completion);
     Ok(rec)
+}
+
+/// Runs one retry round: `cfg.workers` scoped threads each claim the next
+/// pending job until none is left, and run it through
+/// [`supervised_attempt`] with the fault the plan draws for this
+/// `attempt`. Outcomes come back sorted by job index; a worker claims
+/// indices in increasing order, so per worker that is execution order.
+fn run_round(
+    jobs: &[Job],
+    pending: &[usize],
+    attempt: u32,
+    cfg: &RunnerConfig,
+    timeout: Option<Duration>,
+    auto_threads: usize,
+) -> Vec<Outcome> {
+    let next = AtomicUsize::new(0);
+    let round_start = Instant::now();
+    let mut outcomes: Vec<Outcome> = thread::scope(|s| {
+        let workers: Vec<_> = (0..cfg.workers.max(1))
+            .map(|worker| {
+                let next = &next;
+                s.spawn(move || {
+                    let mut done = Vec::new();
+                    // Relaxed: the counter only hands out indices into
+                    // `pending`, which no thread writes during the round.
+                    while let Some(&idx) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let queue_wait = round_start.elapsed();
+                        let job = &jobs[idx];
+                        let fault = cfg.fault_plan.and_then(|p| p.decide(idx as u64, attempt));
+                        let resolved = job.policy.resolve_with(auto_threads);
+                        let start_us = sdvbs_trace::now_us();
+                        let start = Instant::now();
+                        let completion = supervised_attempt(
+                            job, idx as u64, resolved, fault, timeout, cfg.trace, false,
+                        );
+                        done.push(Outcome {
+                            idx,
+                            fault,
+                            worker,
+                            queue_wait,
+                            start_us,
+                            wall: start.elapsed(),
+                            completion,
+                        });
+                    }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a round worker runs every job supervised"))
+            .collect()
+    });
+    outcomes.sort_by_key(|o| o.idx);
+    outcomes
+}
+
+/// Runs one attempt of `job` under [`supervise`]: applies the injected
+/// `fault`, if any, then measures. The one supervised path of both a
+/// sweep and [`execute_job`], which injects nothing.
+fn supervised_attempt(
+    job: &Job,
+    job_id: u64,
+    resolved: ExecPolicy,
+    fault: Option<FaultKind>,
+    timeout: Option<Duration>,
+    tracing: bool,
+    warm: bool,
+) -> Completion<Result<JobMeasurement, String>> {
+    let job = job.clone();
+    let work = move || {
+        match fault {
+            Some(FaultKind::Panic) => panic!("injected fault: panic"),
+            Some(FaultKind::Timeout) => {
+                let limit = timeout.expect("a run that injects stalls arms a watchdog");
+                thread::sleep(limit.saturating_add(STALL_OVERRUN));
+            }
+            Some(FaultKind::Nan) => set_poison(PoisonSpec {
+                stride: 1 << 10,
+                seed: job.seed ^ job_id,
+            }),
+            Some(FaultKind::Truncate) | None => {}
+        }
+        let result = try_measure(&job, resolved, tracing, warm);
+        clear_poison();
+        result
+    };
+    supervise(Box::new(work), timeout)
 }
 
 /// Whether the benchmark `job` names plumbs its policy into its kernels
@@ -568,8 +643,7 @@ fn apply_completion(
     }
 }
 
-/// The label a job's record, pool entry, and trace span all share:
-/// `"<benchmark> <size> <policy>"`.
+/// The label of a job's trace span: `"<benchmark> <size> <policy>"`.
 fn rec_label(job: &Job) -> String {
     format!(
         "{} {} {}",
@@ -579,9 +653,9 @@ fn rec_label(job: &Job) -> String {
     )
 }
 
-/// Executes one job's iterations on the current thread. Runs inside a pool
-/// worker (or a watchdog-supervised job thread), so it re-resolves the
-/// benchmark from the registry instead of capturing a trait object.
+/// Executes one job's iterations on the current thread. Runs on a round or
+/// engine worker (or a watchdog-supervised job thread), so it re-resolves
+/// the benchmark from the registry instead of capturing a trait object.
 ///
 /// A typed benchmark error (from [`sdvbs_core::Benchmark::try_run_with`])
 /// short-circuits the iterations and surfaces as an `Err` whose message
@@ -993,6 +1067,25 @@ mod tests {
         assert_eq!(report.metrics.counter("faults_injected"), 2);
         assert_eq!(report.metrics.counter("jobs_quarantined"), 1);
         assert_eq!(report.metrics.counter("retries"), 1);
+    }
+
+    #[test]
+    fn injected_stall_times_out_without_a_configured_deadline() {
+        // A stall surfaces only under a watchdog, so a run that injects
+        // stalls arms one when the caller set none.
+        let size = InputSize::Custom {
+            width: 32,
+            height: 24,
+        };
+        let jobs = vec![Job::new("Disparity Map", size, ExecPolicy::Serial, 1, 1)];
+        let cfg = RunnerConfig {
+            fault_plan: Some(FaultPlan::parse("timeout:1.0", 1).unwrap()),
+            max_retries: 0,
+            ..RunnerConfig::default()
+        };
+        let rec = &run_jobs_report(&jobs, &cfg).unwrap().records[0];
+        assert_eq!(rec.status, RunStatus::TimedOut, "detail: {}", rec.detail);
+        assert_eq!(rec.detail, "exceeded 2000 ms deadline");
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn heavy_fault_injection_never_aborts_the_run() {
         .collect();
     let cfg = RunnerConfig {
         workers: 2,
-        queue_capacity: jobs.len(),
         timeout: Some(Duration::from_millis(500)),
         max_retries: 3,
         fault_plan: Some(plan),
@@ -111,7 +110,6 @@ fn same_seed_injects_identical_faults() {
         .collect();
     let cfg = RunnerConfig {
         workers: 1,
-        queue_capacity: jobs.len(),
         timeout: None,
         max_retries: 2,
         fault_plan: Some(plan),

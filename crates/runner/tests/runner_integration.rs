@@ -1,9 +1,10 @@
 //! Engine-level integration: a benchmark runs under every policy with a
-//! full kernel breakdown, and a job that exceeds its deadline is reported
-//! as `TimedOut` without stalling the rest of the run.
+//! full kernel breakdown, a job that exceeds its deadline is reported as
+//! `TimedOut` without stalling the rest of the run, and records come back
+//! in submission order however many workers raced.
 
 use sdvbs_core::{ExecPolicy, InputSize};
-use sdvbs_runner::{run_jobs, Job, RunStatus, RunnerConfig};
+use sdvbs_runner::{run_jobs, FaultKind, FaultPlan, Job, RunStatus, RunnerConfig};
 use std::time::Duration;
 
 fn tiny() -> InputSize {
@@ -73,7 +74,6 @@ fn deadline_overrun_yields_timed_out_record_and_run_continues() {
     ];
     let cfg = RunnerConfig {
         workers: 1,
-        queue_capacity: 4,
         timeout: Some(Duration::from_nanos(1)),
         max_retries: 0,
         fault_plan: None,
@@ -102,7 +102,6 @@ fn mixed_run_with_generous_timeout_completes_everything() {
     ];
     let cfg = RunnerConfig {
         workers: 1,
-        queue_capacity: 4,
         timeout: Some(Duration::from_secs(300)),
         max_retries: 0,
         fault_plan: None,
@@ -119,5 +118,73 @@ fn mixed_run_with_generous_timeout_completes_everything() {
             rec.detail
         );
         assert!(rec.min_ms > 0.0);
+    }
+}
+
+/// A stall injected into job 0 alone: the watchdog gives up on it at
+/// about the deadline and frees the only worker, so job 1 completes.
+#[test]
+fn stalled_job_times_out_at_its_deadline_and_the_next_job_completes() {
+    let jobs = vec![
+        Job::new("Disparity Map", tiny(), ExecPolicy::Serial, 1, 1),
+        Job::new("Feature Tracking", tiny(), ExecPolicy::Serial, 1, 1),
+    ];
+    let plan = (0..5000u64)
+        .map(|seed| FaultPlan::parse("timeout:0.5", seed).unwrap())
+        .find(|p| p.decide(0, 0) == Some(FaultKind::Timeout) && p.decide(1, 0).is_none())
+        .expect("some seed stalls only job 0");
+    let cfg = RunnerConfig {
+        workers: 1,
+        timeout: Some(Duration::from_millis(200)),
+        max_retries: 0,
+        fault_plan: Some(plan),
+        ..RunnerConfig::default()
+    };
+    let records = run_jobs(&jobs, &cfg).unwrap();
+    let (stalled, next) = (&records[0], &records[1]);
+    assert_eq!(stalled.status, RunStatus::TimedOut, "{}", stalled.detail);
+    assert_eq!(stalled.injected, ["timeout"]);
+    assert!(
+        (200.0..400.0).contains(&stalled.wall_ms),
+        "the watchdog gave up after {:.1} ms against a 200 ms deadline",
+        stalled.wall_ms
+    );
+    assert_eq!(next.status, RunStatus::Completed, "{}", next.detail);
+    assert!(next.injected.is_empty());
+}
+
+/// Four workers race over jobs whose runtimes fall with their index, so
+/// they finish out of order; the records still come back in submission
+/// order.
+#[test]
+fn records_return_in_submission_order_under_four_workers() {
+    let benches = [
+        "Texture Synthesis",
+        "Robot Localization",
+        "SVM",
+        "SIFT",
+        "Feature Tracking",
+        "Image Stitch",
+        "Face Detection",
+        "Disparity Map",
+    ];
+    let size = InputSize::Custom {
+        width: 32,
+        height: 24,
+    };
+    let jobs: Vec<Job> = benches
+        .iter()
+        .map(|b| Job::new(*b, size, ExecPolicy::Serial, 1, 1))
+        .collect();
+    let cfg = RunnerConfig {
+        workers: 4,
+        ..RunnerConfig::default()
+    };
+    let records = run_jobs(&jobs, &cfg).unwrap();
+    let keys: Vec<String> = records.iter().map(|r| r.key()).collect();
+    let submitted: Vec<String> = jobs.iter().map(|j| j.cache_key(None)).collect();
+    assert_eq!(keys, submitted);
+    for rec in &records {
+        assert_eq!(rec.status, RunStatus::Completed, "{}", rec.detail);
     }
 }

@@ -65,7 +65,7 @@ pub struct EngineConfig {
     /// Queue capacity — the admission-control bound. Submissions that
     /// find the queue full are refused with [`Submission::QueueFull`].
     pub queue_capacity: usize,
-    /// Per-job watchdog deadline (see [`sdvbs_runner::supervise`]).
+    /// Per-job watchdog deadline (see [`sdvbs_runner::supervise()`]).
     pub timeout: Option<Duration>,
     /// Deterministic test instrument: each worker sleeps this long after
     /// picking a job up, *before* executing it. Tests use the hold window

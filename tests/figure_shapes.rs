@@ -1,9 +1,15 @@
 //! Regression tests over the paper's evaluation *shapes*: the qualitative
 //! claims of Figures 2 and 3 that the regenerator harnesses print. These
 //! pin the claims in CI, not just in EXPERIMENTS.md prose.
+//!
+//! Every test here times benchmarks, so they take turns on `GATE`: no two
+//! measure at once.
 
 use sdvbs::core::{all_benchmarks, Benchmark, ExecPolicy, InputSize};
 use sdvbs::profile::{Profiler, Report};
+use std::sync::Mutex;
+
+static GATE: Mutex<()> = Mutex::new(());
 
 fn report_at(bench: &(dyn Benchmark + Send + Sync), size: InputSize) -> Report {
     bench.warmup();
@@ -43,6 +49,7 @@ fn by_name(name: &str) -> Box<dyn Benchmark + Send + Sync> {
 /// nearly all the time, with IntegralImage the largest single kernel.
 #[test]
 fn disparity_hot_spot_shifted_to_integral_image() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("Disparity Map");
     for size in [InputSize::Sqcif, InputSize::Qcif] {
         let r = report_at(bench.as_ref(), size);
@@ -70,6 +77,7 @@ fn disparity_hot_spot_shifted_to_integral_image() {
 /// pixel- vs feature-granularity split).
 #[test]
 fn tracking_preprocessing_grows_with_size() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("Feature Tracking");
     let pre = |r: &Report| {
         ["GaussianFilter", "Gradient", "IntegralImage", "AreaSum"]
@@ -97,6 +105,7 @@ fn tracking_preprocessing_grows_with_size() {
 /// across sizes.
 #[test]
 fn sift_occupancy_is_flat_and_dominant() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("SIFT");
     let small = report_at(bench.as_ref(), InputSize::Sqcif);
     let large = report_at(bench.as_ref(), InputSize::Qcif);
@@ -114,6 +123,7 @@ fn sift_occupancy_is_flat_and_dominant() {
 /// size label.
 #[test]
 fn figure2_extremes_hold() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let loc = by_name("Robot Localization");
     let time = |b: &(dyn Benchmark + Send + Sync), s: InputSize| {
         b.warmup();
@@ -152,6 +162,7 @@ fn figure2_extremes_hold() {
 /// across sizes (fixed iteration structure).
 #[test]
 fn texture_sampling_dominates_and_total_is_flat() {
+    let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("Texture Synthesis");
     let small = report_at(bench.as_ref(), InputSize::Sqcif);
     let large = report_at(bench.as_ref(), InputSize::Cif);
