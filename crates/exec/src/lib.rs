@@ -28,10 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-
-pub use clock::{Clock, ClockHandle, SystemClock, VirtualClock};
-
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::thread;

@@ -1,20 +1,12 @@
 //! Seeded decorrelated exponential backoff.
 //!
-//! The retry loop in [`crate::run`] used to compute its backoff inline
-//! and park the thread with `std::thread::sleep`, which made every chaos
-//! run's wall-clock profile — and under simulation, its schedule —
-//! unreproducible. [`Backoff`] packages the same decorrelated-exponential
-//! policy as a value: seeded, so the jitter stream is a pure function of
-//! the seed (a `--fault-seed` chaos run backs off identically every
-//! time), and clock-agnostic, because it only *computes* delays — the
-//! caller sleeps them on its [`ClockHandle`], which under a
-//! [`VirtualClock`] advances simulated time instead of parking a thread.
+//! [`Backoff`] packages the retry loop's decorrelated-exponential policy
+//! in [`crate::run`] as a value: seeded, so the jitter stream is a pure
+//! function of the seed (a `--fault-seed` chaos run backs off by the same
+//! delays every time). It only *computes* delays; the caller sleeps them.
 //!
 //! The jitter of round `r` is `unit(mix(seed ^ 0xb0ff ^ r))`, drawn with
 //! the fault plan's splitmix64 helpers: a seed always yields the same delays.
-//!
-//! [`ClockHandle`]: sdvbs_exec::ClockHandle
-//! [`VirtualClock`]: sdvbs_exec::VirtualClock
 
 use crate::fault::{mix, unit};
 use std::time::Duration;
@@ -95,20 +87,5 @@ mod tests {
             delays,
             [19_381_215, 12_645_926, 19_120_406, 29_545_215, 23_272_332, 13_358_733]
         );
-    }
-
-    #[test]
-    fn virtual_clock_sleeps_advance_instantly() {
-        use sdvbs_exec::Clock as _;
-        let (clock, virt) = sdvbs_exec::ClockHandle::simulated();
-        let mut b = Backoff::new(BASE, CAP, 5);
-        let mut expect = Duration::ZERO;
-        for _ in 0..4 {
-            let d = b.next_delay();
-            // The virtual clock ticks in whole microseconds.
-            expect += Duration::from_micros(d.as_micros() as u64);
-            clock.sleep(d);
-        }
-        assert_eq!(virt.now(), expect);
     }
 }

@@ -49,7 +49,10 @@ pub use job::{
     cell_key, parse_policy, policy_label, size_label, HostMeta, Job, KernelStatRecord, RunRecord,
     RunStatus,
 };
-pub use run::{execute_job, run_jobs, run_jobs_report, RunReport, RunnerConfig, RunnerError};
+pub use run::{
+    execute_job, honors_exec_policy, run_jobs, run_jobs_report, RunReport, RunnerConfig,
+    RunnerError,
+};
 pub use store::{
     append_metrics, append_records, read_records, recover_records, write_records, StoreError,
 };

@@ -275,7 +275,6 @@ fn execute(jobs: Vec<Job>, opts: &ExecOpts) -> Result<ExitCode, String> {
         max_retries: opts.max_retries,
         fault_plan: plan,
         trace: opts.trace_out.is_some(),
-        ..RunnerConfig::default()
     };
     eprintln!("running {} job(s)...", jobs.len());
     let mut report = run_jobs_report(&jobs, &cfg).map_err(|e| e.to_string())?;

@@ -53,12 +53,6 @@ pub struct RunnerConfig {
     /// pushes per scope, well under the <5% overhead budget, but a clean
     /// timing run should not pay even that.
     pub trace: bool,
-    /// The clock retry backoff sleeps on. The default system clock parks
-    /// the thread for real; a [`sdvbs_exec::VirtualClock`] (via
-    /// [`ClockHandle::simulated`](sdvbs_exec::ClockHandle::simulated))
-    /// advances simulated time instead, so a chaos run's backoff schedule
-    /// replays deterministically without wall-clock waits.
-    pub clock: sdvbs_exec::ClockHandle,
 }
 
 impl Default for RunnerConfig {
@@ -69,7 +63,6 @@ impl Default for RunnerConfig {
             max_retries: 2,
             fault_plan: None,
             trace: false,
-            clock: sdvbs_exec::ClockHandle::system(),
         }
     }
 }
@@ -246,8 +239,7 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
     let mut pending: Vec<usize> = (0..jobs.len()).collect();
     // Seed the backoff jitter from the fault plan so a `--fault-seed`
     // chaos run's delays replay bit-identically; a clean run uses the
-    // default stream. Sleeps go through the configured clock, so under a
-    // virtual clock the whole retry schedule is simulated time.
+    // default stream.
     let mut backoff = Backoff::new(RETRY_BASE, RETRY_CAP, plan.map_or(0, |p| p.seed));
 
     for attempt in 0..=cfg.max_retries {
@@ -257,7 +249,7 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
         if attempt > 0 {
             // Decorrelated exponential backoff: one sleep per retry
             // round — failed cells re-run together.
-            cfg.clock.sleep(backoff.next_delay());
+            thread::sleep(backoff.next_delay());
         }
         let outcomes = run_round(jobs, &pending, attempt, cfg, timeout, auto_threads);
         let mut still_failing = Vec::new();
@@ -547,7 +539,7 @@ fn supervised_attempt(
 ///
 /// Returns [`RunnerError::UnknownBenchmark`] if the job names a benchmark
 /// not in the registry.
-fn honors_exec_policy(job: &Job) -> Result<bool, RunnerError> {
+pub fn honors_exec_policy(job: &Job) -> Result<bool, RunnerError> {
     all_benchmarks()
         .iter()
         .find(|b| b.info().name == job.benchmark)

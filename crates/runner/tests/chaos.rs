@@ -49,7 +49,6 @@ fn heavy_fault_injection_never_aborts_the_run() {
         max_retries: 3,
         fault_plan: Some(plan),
         trace: true,
-        ..RunnerConfig::default()
     };
     let report = run_jobs_report(&jobs, &cfg).expect("injected faults must never abort the run");
     assert_eq!(report.records.len(), jobs.len(), "one record per cell");
@@ -114,7 +113,6 @@ fn same_seed_injects_identical_faults() {
         max_retries: 2,
         fault_plan: Some(plan),
         trace: false,
-        ..RunnerConfig::default()
     };
     let a = run_jobs_report(&jobs, &cfg).unwrap();
     let b = run_jobs_report(&jobs, &cfg).unwrap();

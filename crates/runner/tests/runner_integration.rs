@@ -78,7 +78,6 @@ fn deadline_overrun_yields_timed_out_record_and_run_continues() {
         max_retries: 0,
         fault_plan: None,
         trace: false,
-        ..RunnerConfig::default()
     };
     let records = run_jobs(&jobs, &cfg).unwrap();
     assert_eq!(records.len(), 2, "a timed-out job still yields a record");
@@ -106,7 +105,6 @@ fn mixed_run_with_generous_timeout_completes_everything() {
         max_retries: 0,
         fault_plan: None,
         trace: true,
-        ..RunnerConfig::default()
     };
     let records = run_jobs(&jobs, &cfg).unwrap();
     for rec in &records {

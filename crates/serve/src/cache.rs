@@ -1,28 +1,20 @@
-//! The content-addressed result cache: bounded, LRU-evicting, and
-//! collision-checked.
+//! The result cache: bounded and LRU-evicting.
 //!
-//! A completed, non-quarantined [`RunRecord`] is stored under the 64-bit
-//! FNV-1a digest of its spec's cache preimage; a later submission of the
-//! same spec is answered from the cache without re-executing (unless the
-//! client passes `?fresh=1`). The preimage is the workspace's canonical
-//! cell key ([`sdvbs_runner::cell_key`] via `Job::cache_key`) **plus the
-//! iteration count** — two requests for the same cell at different
-//! iteration counts measure different things and must not share a cache
-//! line.
+//! A completed, non-quarantined [`RunRecord`] is stored under its spec's
+//! canonical cache preimage ([`cache_preimage`]); a later submission of
+//! the same spec is answered from the cache without re-executing (unless
+//! the client passes `?fresh=1`). The preimage is the workspace's
+//! canonical cell key ([`sdvbs_runner::cell_key`] via `Job::cache_key`)
+//! **plus the iteration count** — two requests for the same cell at
+//! different iteration counts measure different things and must not
+//! share a cache line. Keying by the string itself rather than a digest
+//! of it means two distinct specs can never share an entry.
 //!
-//! Two production properties the first version lacked:
-//!
-//! * **Bounded memory.** The cache holds at most `capacity` records; an
-//!   insert past capacity evicts the least-recently-used entry (access
-//!   order is a monotone stamp, eviction is an O(capacity) scan — fine at
-//!   the few-thousand-entry scale this serves). A long-lived daemon's
-//!   cache no longer grows without limit.
-//! * **Collision safety.** A 64-bit digest *will* collide eventually
-//!   (birthday bound ≈ 5 billion distinct specs, but adversarial keys can
-//!   force it). Every entry stores its canonical preimage string, and a
-//!   lookup whose digest matches but whose preimage differs is a
-//!   [`CacheLookup::Collision`] — treated as a miss so the right spec
-//!   executes, and counted so `/metrics` surfaces it.
+//! The cache holds at most `capacity` records; an insert past capacity
+//! evicts the least-recently-used entry (access order is a monotone
+//! stamp, eviction is an O(capacity) scan — fine at the few-thousand-entry
+//! scale this serves), so a long-lived daemon's cache never grows without
+//! limit.
 //!
 //! The cache is plain owned data with no lock of its own: the backends
 //! reach it only through their job table, under the lock that already
@@ -46,13 +38,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The canonical cache preimage of a job spec:
-/// `benchmark|size|policy|seed|iters:N`. This exact string is stored
-/// beside each cache entry and verified on every hit.
+/// `benchmark|size|policy|seed|iters:N` — the key of its cache entry and
+/// of its coalescing claim.
 pub fn cache_preimage(spec: &Job) -> String {
     format!("{}|iters:{}", spec.cache_key(None), spec.iterations.max(1))
 }
 
-/// The cache digest of a job spec: FNV-1a over [`cache_preimage`].
+/// The digest of a job spec: FNV-1a over [`cache_preimage`]. The cluster
+/// picks a spec's home shard by it.
 pub fn spec_digest(spec: &Job) -> u64 {
     fnv1a(cache_preimage(spec).as_bytes())
 }
@@ -88,19 +81,6 @@ impl ServedRecord {
     }
 }
 
-/// What a cache lookup found.
-#[derive(Debug, Clone)]
-pub enum CacheLookup {
-    /// Digest and preimage both match: a true hit.
-    Hit(Arc<ServedRecord>),
-    /// Digest matches but the stored preimage differs — a 64-bit
-    /// collision. The caller must execute (miss semantics) and should
-    /// count it.
-    Collision,
-    /// Nothing stored under this digest.
-    Miss,
-}
-
 /// What a [`ResultCache::put`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PutOutcome {
@@ -108,24 +88,20 @@ pub struct PutOutcome {
     pub stored: bool,
     /// Storing it evicted the least-recently-used entry.
     pub evicted: bool,
-    /// The slot previously held a different preimage (digest collision);
-    /// the newer record replaced it.
-    pub collided: bool,
 }
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// The canonical preimage, verified on every hit.
-    key: String,
     record: Arc<ServedRecord>,
     /// Monotone access stamp; smallest = least recently used.
     last_used: u64,
 }
 
-/// A digest-addressed, capacity-bounded store of completed run records.
+/// A capacity-bounded store of completed run records, keyed by
+/// [`cache_preimage`].
 #[derive(Debug)]
 pub struct ResultCache {
-    entries: HashMap<u64, CacheEntry>,
+    entries: HashMap<String, CacheEntry>,
     capacity: usize,
     tick: u64,
     evictions: u64,
@@ -153,59 +129,47 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `digest`, verifying the stored preimage against `key`.
-    /// A hit refreshes the entry's LRU stamp.
-    pub fn get(&mut self, digest: u64, key: &str) -> CacheLookup {
+    /// The record stored under `key`, if any. A hit refreshes the
+    /// entry's LRU stamp.
+    pub fn get(&mut self, key: &str) -> Option<Arc<ServedRecord>> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&digest) {
-            None => CacheLookup::Miss,
-            Some(entry) if entry.key != key => CacheLookup::Collision,
-            Some(entry) => {
-                entry.last_used = tick;
-                CacheLookup::Hit(Arc::clone(&entry.record))
-            }
-        }
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = self.tick;
+        Some(Arc::clone(&entry.record))
     }
 
-    /// Stores `record` under `digest`/`key` — but only a completed,
+    /// Stores `record` under `key` — but only a completed,
     /// non-quarantined record is worth serving again; failures must
     /// re-execute on resubmission. At capacity, the least-recently-used
     /// entry is evicted first.
-    pub fn put(&mut self, digest: u64, key: &str, record: &Arc<ServedRecord>) -> PutOutcome {
+    pub fn put(&mut self, key: &str, record: &Arc<ServedRecord>) -> PutOutcome {
         if record.record.status != RunStatus::Completed || record.record.quarantined {
             return PutOutcome::default();
         }
         self.tick += 1;
-        let tick = self.tick;
-        let mut outcome = PutOutcome {
-            stored: true,
-            ..PutOutcome::default()
-        };
-        if let Some(existing) = self.entries.get(&digest) {
-            // Same digest: replace in place (collision or refresh);
-            // capacity is unchanged either way.
-            outcome.collided = existing.key != key;
-        } else if self.entries.len() >= self.capacity {
+        // A refresh replaces its entry in place; only a new key can evict.
+        let evicted = !self.entries.contains_key(key) && self.entries.len() >= self.capacity;
+        if evicted {
             let lru = self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(&d, _)| d)
+                .map(|(k, _)| k.clone())
                 .expect("cache at capacity is non-empty");
             self.entries.remove(&lru);
             self.evictions += 1;
-            outcome.evicted = true;
         }
         self.entries.insert(
-            digest,
+            key.to_string(),
             CacheEntry {
-                key: key.to_string(),
                 record: Arc::clone(record),
-                last_used: tick,
+                last_used: self.tick,
             },
         );
-        outcome
+        PutOutcome {
+            stored: true,
+            evicted,
+        }
     }
 
     /// Lifetime count of LRU evictions.
@@ -290,69 +254,36 @@ mod tests {
     #[test]
     fn only_clean_completed_records_are_cached() {
         let mut cache = ResultCache::new();
-        assert!(!cache.put(7, "k", &record(RunStatus::Failed, false)).stored);
-        assert!(
-            !cache
-                .put(7, "k", &record(RunStatus::Completed, true))
-                .stored
-        );
-        assert!(matches!(cache.get(7, "k"), CacheLookup::Miss));
-        assert!(cache.put(7, "k", &clean()).stored);
+        assert!(!cache.put("k", &record(RunStatus::Failed, false)).stored);
+        assert!(!cache.put("k", &record(RunStatus::Completed, true)).stored);
+        assert!(cache.get("k").is_none());
+        assert!(cache.put("k", &clean()).stored);
         assert_eq!(cache.len(), 1);
-        assert!(matches!(cache.get(7, "k"), CacheLookup::Hit(_)));
-        assert!(matches!(cache.get(8, "k"), CacheLookup::Miss));
+        assert!(cache.get("k").is_some());
+        assert!(cache.get("j").is_none());
     }
 
     #[test]
     fn filling_past_capacity_evicts_the_least_recently_used() {
         let mut cache = ResultCache::with_capacity(3);
-        for digest in 0..3u64 {
-            assert!(!cache.put(digest, &format!("k{digest}"), &clean()).evicted);
+        for i in 0..3u64 {
+            assert!(!cache.put(&format!("k{i}"), &clean()).evicted);
         }
         assert_eq!(cache.len(), 3);
         // Touch 0 so 1 becomes the LRU entry.
-        assert!(matches!(cache.get(0, "k0"), CacheLookup::Hit(_)));
-        let outcome = cache.put(3, "k3", &clean());
+        assert!(cache.get("k0").is_some());
+        let outcome = cache.put("k3", &clean());
         assert!(outcome.stored && outcome.evicted);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.evictions(), 1);
-        assert!(matches!(cache.get(1, "k1"), CacheLookup::Miss));
-        assert!(matches!(cache.get(0, "k0"), CacheLookup::Hit(_)));
-        assert!(matches!(cache.get(3, "k3"), CacheLookup::Hit(_)));
+        assert!(cache.get("k1").is_none());
+        assert!(cache.get("k0").is_some());
+        assert!(cache.get("k3").is_some());
         // Keep filling: the cache never exceeds its capacity.
-        for digest in 4..40u64 {
-            cache.put(digest, &format!("k{digest}"), &clean());
+        for i in 4..40u64 {
+            cache.put(&format!("k{i}"), &clean());
             assert!(cache.len() <= 3);
         }
         assert_eq!(cache.evictions(), 37);
-    }
-
-    #[test]
-    fn colliding_keys_never_serve_each_others_records() {
-        // Two hand-constructed colliding keys: distinct canonical
-        // preimages assigned the same 64-bit digest (what an FNV-1a
-        // collision produces; finding a natural one needs ~2^32 work, so
-        // the test injects the collision at the digest layer the engine
-        // actually trusts).
-        let mut cache = ResultCache::new();
-        let key_a = "Disparity Map|sqcif|serial|seed1|iters:1";
-        let key_b = "Image Stitch|cif|serial|seed9|iters:1";
-        assert!(cache.put(0xdead_beef, key_a, &clean()).stored);
-        // The colliding spec must MISS, not read A's record.
-        assert!(matches!(
-            cache.get(0xdead_beef, key_b),
-            CacheLookup::Collision
-        ));
-        assert!(matches!(cache.get(0xdead_beef, key_a), CacheLookup::Hit(_)));
-        // Writing B's record through the same digest replaces the slot
-        // and reports the collision; now A is the one that must miss.
-        let outcome = cache.put(0xdead_beef, key_b, &clean());
-        assert!(outcome.stored && outcome.collided && !outcome.evicted);
-        assert!(matches!(
-            cache.get(0xdead_beef, key_a),
-            CacheLookup::Collision
-        ));
-        assert!(matches!(cache.get(0xdead_beef, key_b), CacheLookup::Hit(_)));
-        assert_eq!(cache.len(), 1);
     }
 }

@@ -37,12 +37,11 @@ use crate::jobs::{count_put, Coordinator, JobSnapshot, Step, Submission};
 use crate::protocol::{self, OrphanDisposition};
 use crate::sched::{JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
-use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{Job, RunRecord};
 use sdvbs_trace::{
-    merge_process_traces, now_us, MetricsRegistry, ProcessTrace, TraceEvent, TrackId,
+    merge_process_traces, now_us, trace_epoch, MetricsRegistry, ProcessTrace, TraceEvent, TrackId,
 };
-use sdvbs_wire::{tcp_pair, FrameRx, FrameTx, Message, WireError, PROTO_VERSION};
+use sdvbs_wire::{tcp_pair, Message, TcpFrameRx, TcpFrameTx, WireError, PROTO_VERSION};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -81,10 +80,6 @@ pub struct ClusterConfig {
     /// [`crate::protocol::RetryPolicy`]). One worker death costs one
     /// attempt; a `Busy` bounce costs none.
     pub retry_budget: u32,
-    /// Time source for heartbeat pacing and staleness measurement. The
-    /// default system clock is production; tests substitute a virtual
-    /// one.
-    pub clock: ClockHandle,
     /// Coordinator-side result-cache bound (`--cache-capacity`).
     pub cache_capacity: usize,
     /// Scheduler knobs for the pending queue's deficit round robin.
@@ -100,7 +95,6 @@ impl Default for ClusterConfig {
             heartbeat: Duration::from_millis(300),
             liveness: Duration::from_secs(3),
             retry_budget: 2,
-            clock: ClockHandle::system(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             sched: SchedConfig::default(),
         }
@@ -113,10 +107,10 @@ struct WorkerLink {
     name: String,
     /// The sending half of the link; internally serialized, shared by
     /// the dispatcher, heartbeat, and rpc paths.
-    tx: Box<dyn FrameTx>,
+    tx: TcpFrameTx,
     alive: AtomicBool,
-    /// [`ClockHandle::now`] of the last heartbeat reply.
-    last_beat: Mutex<Duration>,
+    /// When the last heartbeat reply arrived.
+    last_beat: Mutex<Instant>,
     /// `coordinator_now_us - worker_now_us`, refreshed on every heartbeat
     /// reply; aligns the worker's trace epoch onto ours.
     offset_us: AtomicI64,
@@ -157,7 +151,7 @@ impl ClusterEngine {
         let mut links = Vec::new();
         let mut readers = Vec::new();
         for (index, addr) in cfg.workers.iter().enumerate() {
-            let (link, rx) = connect_worker(index, addr, &cfg.clock)?;
+            let (link, rx) = connect_worker(index, addr)?;
             links.push(Arc::new(link));
             readers.push(rx);
         }
@@ -179,7 +173,7 @@ impl ClusterEngine {
         let mut handles = Vec::new();
         for (link, mut rx) in engine.links.iter().zip(readers) {
             let (engine2, link2) = (Arc::clone(&engine), Arc::clone(link));
-            let read = move || engine2.reader_loop(&link2, rx.as_mut());
+            let read = move || engine2.reader_loop(&link2, &mut rx);
             handles.push(spawn(
                 format!("sdvbs-coord-read-{}", link.name),
                 Box::new(read),
@@ -232,7 +226,7 @@ impl ClusterEngine {
             let dispatch = {
                 let mut st = self.lock_state();
                 loop {
-                    let next = st.next_dispatch(&self.alive(), self.cfg.clock.now());
+                    let next = st.next_dispatch(&self.alive(), trace_epoch().elapsed());
                     if let Some(size) = next.batch {
                         self.metrics().observe("batch_size", size as f64);
                     }
@@ -279,13 +273,14 @@ impl ClusterEngine {
     }
 
     /// One link's read loop: results, heartbeat replies, and rpc replies.
-    fn reader_loop(&self, link: &Arc<WorkerLink>, rx: &mut dyn FrameRx) {
+    fn reader_loop(&self, link: &Arc<WorkerLink>, rx: &mut TcpFrameRx) {
         loop {
             match rx.recv() {
                 Ok(Message::Done { id, record }) => self.job_done(link.index, id, *record),
                 Ok(Message::Rejected { id, detail }) => {
-                    let now = self.cfg.clock.now();
-                    self.answer("jobs_invalid", |c| c.rejected(link.index, id, detail, now));
+                    self.answer("jobs_invalid", |c| {
+                        c.rejected(link.index, id, detail, trace_epoch().elapsed())
+                    });
                 }
                 // The dispatcher will steal it to a less loaded shard.
                 Ok(Message::Busy { id }) => {
@@ -295,7 +290,7 @@ impl ClusterEngine {
                     *link
                         .last_beat
                         .lock()
-                        .unwrap_or_else(PoisonError::into_inner) = self.cfg.clock.now();
+                        .unwrap_or_else(PoisonError::into_inner) = Instant::now();
                     link.offset_us
                         .store(now_us() as i64 - theirs as i64, Ordering::SeqCst);
                 }
@@ -332,7 +327,7 @@ impl ClusterEngine {
         eprintln!("worker {} declared dead: {why}", link.name);
         self.incr("workers_died");
         let mut st = self.lock_state();
-        for (_, fate) in st.worker_dead(w, self.cfg.clock.now()) {
+        for (_, fate) in st.worker_dead(w, trace_epoch().elapsed()) {
             self.incr(match fate {
                 OrphanDisposition::Requeue => "jobs_requeued",
                 OrphanDisposition::Quarantine => "jobs_quarantined",
@@ -357,7 +352,7 @@ impl ClusterEngine {
         let served = ServedRecord::new(record);
         let wall_ms = served.record().wall_ms;
         let mut st = self.lock_state();
-        if let Some(put) = st.done(w, id, served, self.cfg.clock.now()) {
+        if let Some(put) = st.done(w, id, served, trace_epoch().elapsed()) {
             let mut metrics = self.metrics();
             count_put(&mut metrics, put);
             metrics.observe("job_exec_ms", wall_ms);
@@ -382,18 +377,16 @@ impl ClusterEngine {
                 // Staleness is judged by the shared protocol policy: a
                 // draining worker is allowed to go quiet (its read loop
                 // is blocked finishing the queue); I/O errors still kill.
-                let age = {
-                    let beat = *link
-                        .last_beat
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    self.cfg.clock.since(beat)
-                };
+                let age = link
+                    .last_beat
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .elapsed();
                 if protocol::is_stale(age, self.cfg.liveness, draining) {
                     self.mark_dead(w, "missed heartbeats");
                 }
             }
-            self.cfg.clock.sleep(self.cfg.heartbeat);
+            thread::sleep(self.cfg.heartbeat);
         }
     }
 
@@ -422,7 +415,7 @@ impl ClusterEngine {
 impl Backend for ClusterEngine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
         let mut st = self.lock_state();
-        let admission = st.submit(spec, fresh, class, self.cfg.clock.now());
+        let admission = st.submit(spec, fresh, class, trace_epoch().elapsed());
         admission.count(&mut self.metrics(), class);
         if matches!(admission.answer, Submission::Queued(_)) {
             self.changed.notify_all();
@@ -444,7 +437,7 @@ impl Backend for ClusterEngine {
         // Reject everything admitted but not yet dispatched — the cluster
         // analog of the engine popping and rejecting its queue.
         let mut st = self.lock_state();
-        let rejected = st.begin_drain(self.cfg.clock.now());
+        let rejected = st.begin_drain(trace_epoch().elapsed());
         if !rejected.is_empty() {
             self.metrics()
                 .incr("rejected_draining", rejected.len() as u64);
@@ -574,11 +567,7 @@ impl Backend for ClusterEngine {
 
 /// Connects and handshakes one worker link, returning its send half
 /// (inside the [`WorkerLink`]) and receive half (for the reader thread).
-fn connect_worker(
-    index: usize,
-    addr: &str,
-    clock: &ClockHandle,
-) -> Result<(WorkerLink, Box<dyn FrameRx>), String> {
+fn connect_worker(index: usize, addr: &str) -> Result<(WorkerLink, TcpFrameRx), String> {
     let stream = TcpStream::connect(addr)
         .map_err(|e| format!("connecting worker {index} at {addr}: {e}"))?;
     stream
@@ -618,13 +607,13 @@ fn connect_worker(
     let link = WorkerLink {
         index,
         name: format!("w{index}"),
-        tx: Box::new(tx),
+        tx,
         alive: AtomicBool::new(true),
-        last_beat: Mutex::new(clock.now()),
+        last_beat: Mutex::new(Instant::now()),
         offset_us: AtomicI64::new(offset),
         rpc: Mutex::new(()),
         replies: Mutex::new(replies),
         reply_tx,
     };
-    Ok((link, Box::new(rx)))
+    Ok((link, rx))
 }

@@ -33,8 +33,8 @@
 //! `lifetime` tally counts every job the engine resolved.
 
 use crate::backend::{self, Backend};
-use crate::cache::{ServedRecord, DEFAULT_CACHE_CAPACITY};
-use crate::jobs::{count_put, CacheKey, JobState, JobTable, DEFAULT_RETIRE_TTL, SHUTTING_DOWN};
+use crate::cache::{cache_preimage, ServedRecord, DEFAULT_CACHE_CAPACITY};
+use crate::jobs::{count_put, JobState, JobTable, DEFAULT_RETIRE_TTL, SHUTTING_DOWN};
 pub use crate::jobs::{JobSnapshot, Submission};
 pub use crate::sched::group_key;
 use crate::sched::{self, Batch, JobClass, SchedConfig, SchedPushError, SchedQueue};
@@ -44,11 +44,10 @@ use crate::stream::{
     StreamTable, LATENCY_WINDOW, MAX_STREAMS,
 };
 use sdvbs_core::ExecPolicy;
-use sdvbs_exec::ClockHandle;
-use sdvbs_runner::{execute_job, HostMeta, Job, RunStatus};
+use sdvbs_runner::{execute_job, honors_exec_policy, HostMeta, Job, RunStatus};
 use sdvbs_stream::{fold_digest, StreamSpec};
 use sdvbs_trace::jsonl::Value;
-use sdvbs_trace::{alloc_track, now_us, MetricsRegistry, Phase, TraceEvent};
+use sdvbs_trace::{alloc_track, now_us, trace_epoch, MetricsRegistry, Phase, TraceEvent};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -80,8 +79,6 @@ pub struct EngineConfig {
     /// Poll-grace window: how long a terminal job stays pollable before
     /// its table entry is retired.
     pub retire_ttl: Duration,
-    /// The clock retirement ages against — virtual under `sdvbs-sim`.
-    pub clock: ClockHandle,
 }
 
 impl Default for EngineConfig {
@@ -94,7 +91,6 @@ impl Default for EngineConfig {
             sched: SchedConfig::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             retire_ttl: DEFAULT_RETIRE_TTL,
-            clock: ClockHandle::system(),
         }
     }
 }
@@ -188,7 +184,7 @@ impl Engine {
     fn retire_stream_if(&self, idle: bool, id: u64) {
         if idle {
             let mut tbl = self.lock_streams();
-            tbl.retiring.schedule(self.cfg.clock.now(), id);
+            tbl.retiring.schedule(trace_epoch().elapsed(), id);
         }
     }
 
@@ -277,7 +273,7 @@ impl Engine {
     /// Moves job `id` to a terminal state and wakes the pollers. `false`
     /// when the job was already terminal.
     fn finish(&self, st: &mut JobTable<Payload>, id: u64, state: JobState) -> bool {
-        let put = st.finish(id, state, self.cfg.clock.now());
+        let put = st.finish(id, state, trace_epoch().elapsed());
         if let Some(put) = put {
             count_put(&mut self.metrics(), put);
             self.changed.notify_all();
@@ -318,9 +314,12 @@ impl Engine {
         if let Some(hold) = self.cfg.hold {
             thread::sleep(hold);
         }
-        // Auto policies go through the scaling model; everything else is
-        // exactly what the client asked for.
-        let tuned = matches!(spec.policy, ExecPolicy::Auto).then(|| {
+        // An auto policy goes through the scaling model when the
+        // benchmark's kernels honor it; everything else is exactly what
+        // the client asked for (a benchmark that ignores its policy runs
+        // serially).
+        let tunable = spec.policy == ExecPolicy::Auto && honors_exec_policy(&spec) == Ok(true);
+        let tuned = tunable.then(|| {
             sched::pick_threads(
                 &self.metrics(),
                 &batch.group,
@@ -483,6 +482,13 @@ impl Engine {
             let idle = stats.leave_flight();
             stats.note_exec(exec_ms);
             let violated = stats.note_latency(latency_ms, stream.sla_ms);
+            // The stream's own series land under its stats lock, so it
+            // cannot be closed idle, and retired, before they do.
+            self.metrics().observe_windowed(
+                &format!("stream_{}_frame_latency_ms", stream.id),
+                latency_ms,
+                LATENCY_WINDOW,
+            );
             if violated {
                 self.incr("stream_sla_violations");
                 self.incr(&format!("stream_{}_sla_violations", stream.id));
@@ -506,11 +512,6 @@ impl Engine {
             (state, idle)
         };
         self.retire_stream_if(idle, stream.id);
-        self.metrics().observe_windowed(
-            &format!("stream_{}_frame_latency_ms", stream.id),
-            latency_ms,
-            LATENCY_WINDOW,
-        );
         self.observe("stream_frame_exec_ms", exec_ms);
         if completed {
             self.incr("stream_frames_completed");
@@ -539,7 +540,7 @@ impl Engine {
 
 impl Backend for Engine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
-        let key = CacheKey::of(&spec);
+        let key = cache_preimage(&spec);
         let mut st = self.lock_state();
         // try_push under the state lock keeps the entry/queue transition
         // atomic; workers take the queue lock only with the state lock
@@ -548,7 +549,7 @@ impl Backend for Engine {
             Payload::Bench(spec),
             Some(key),
             fresh,
-            self.cfg.clock.now(),
+            trace_epoch().elapsed(),
             |id, job| {
                 self.queue
                     .try_push(id, &job.group(), class)
@@ -614,9 +615,16 @@ impl Backend for Engine {
         // Same contract as job retirement: a long-lived daemon's memory
         // does not grow with every stream it has ever served.
         let tbl = &mut *tbl;
-        let retired = tbl.retiring.sweep(self.cfg.clock.now(), &mut tbl.streams);
-        if retired > 0 {
-            self.metrics().incr("streams_retired", retired);
+        let now = trace_epoch().elapsed();
+        let retired = tbl.retiring.sweep(now, &mut tbl.streams);
+        if !retired.is_empty() {
+            // A retired stream's own series go with it; the lifetime
+            // totals across streams stay.
+            let mut metrics = self.metrics();
+            metrics.incr("streams_retired", retired.len() as u64);
+            for id in retired {
+                metrics.remove_prefixed(&format!("stream_{id}_"));
+            }
         }
         if tbl.open >= MAX_STREAMS {
             self.incr("streams_refused_limit");
@@ -673,7 +681,7 @@ impl Backend for Engine {
                     Payload::Frame(task),
                     None,
                     true,
-                    self.cfg.clock.now(),
+                    trace_epoch().elapsed(),
                     |id, job| {
                         let class = JobClass::Interactive;
                         self.queue
@@ -700,11 +708,11 @@ impl Backend for Engine {
             stats.next_seq += 1;
             stats.in_flight += 1;
         }
-        drop(stats);
         self.incr("stream_frames_submitted");
         if shed || degraded {
             let outcome = if shed { "dropped" } else { "degraded" };
             self.incr(&format!("stream_frames_{outcome}"));
+            // Under the stats lock, like the frame path's series.
             self.incr(&format!("stream_{stream_id}_frames_{outcome}"));
         }
         Ok(FrameTicket {
@@ -734,7 +742,7 @@ impl Backend for Engine {
             // With a frame in flight, the last frame's completion queues
             // the stream instead.
             if idle {
-                tbl.retiring.schedule(self.cfg.clock.now(), id);
+                tbl.retiring.schedule(trace_epoch().elapsed(), id);
             }
             drop(tbl);
             self.incr("streams_closed");
@@ -1105,6 +1113,86 @@ mod tests {
             .expect("open stream");
         engine.close_stream(other).expect("close");
         assert_eq!(engine.close_stream(other).expect("known").state, "closed");
+        engine.drain();
+    }
+
+    #[test]
+    fn a_retired_streams_own_series_leave_the_metrics() {
+        // A 30 ms hold against a 60 fps (16.7 ms) SLA: each stream's first
+        // frame misses it and its policy sheds the second, so the two
+        // streams own all four per-stream series between them.
+        let engine = Engine::start(EngineConfig {
+            retire_ttl: Duration::ZERO,
+            hold: Some(Duration::from_millis(30)),
+            ..EngineConfig::default()
+        });
+        let ids: Vec<u64> = [DegradePolicy::Drop, DegradePolicy::Degrade]
+            .into_iter()
+            .map(|policy| {
+                let spec = StreamSpec {
+                    fps: 60.0,
+                    policy,
+                    ..stream_spec(6, 1.0)
+                };
+                engine.open_stream(spec).expect("open stream")
+            })
+            .collect();
+        for &id in &ids {
+            for _ in 0..2 {
+                if let Some(job) = engine.submit_frame(id).expect("submit frame").job_id {
+                    assert_eq!(wait_done(&engine, job).state, "done");
+                }
+            }
+            engine.close_stream(id).expect("close stream");
+        }
+        let text = engine.metrics_text();
+        for series in [
+            "frame_latency_ms",
+            "sla_violations",
+            "frames_dropped",
+            "frames_degraded",
+        ] {
+            assert!(
+                ids.iter()
+                    .any(|id| text.contains(&format!("_stream_{id}_{series}"))),
+                "no stream recorded {series}:\n{text}"
+            );
+        }
+        // The next open sweeps both closed, idle streams and their series.
+        engine
+            .open_stream(stream_spec(7, 1.0))
+            .expect("open stream");
+        assert_eq!(engine.counter("streams_retired"), 2);
+        let text = engine.metrics_text();
+        for id in ids {
+            let prefix = format!("sdvbs_serve_stream_{id}_");
+            assert!(
+                !text.lines().any(|line| line.starts_with(&prefix)),
+                "stream {id}'s series outlived it:\n{text}"
+            );
+        }
+        assert!(text.contains("sdvbs_serve_stream_sla_violations"));
+        engine.drain();
+    }
+
+    #[test]
+    fn only_policy_honoring_benchmarks_consult_the_scaling_model() {
+        let engine = Engine::start(EngineConfig::default());
+        let run_auto = |benchmark: &str| {
+            let job = Job::new(benchmark, InputSize::Sqcif, ExecPolicy::Auto, 1, 1);
+            let id = match submit(&engine, job, true) {
+                Submission::Queued(id) => id,
+                other => panic!("expected Queued, got {other:?}"),
+            };
+            let snap = wait_done(&engine, id);
+            snap.record.expect("a completed record").record().threads
+        };
+        // Feature Tracking ignores its policy: no pick, one thread.
+        let threads = run_auto("Feature Tracking");
+        assert_eq!(engine.counter("sched_tuned_jobs"), 0);
+        assert_eq!(threads, 1);
+        run_auto("Disparity Map");
+        assert_eq!(engine.counter("sched_tuned_jobs"), 1);
         engine.drain();
     }
 

@@ -13,9 +13,7 @@
 //! survives at least until the next submission, so a client never loses
 //! the poll race to its own job.
 
-use crate::cache::{
-    cache_preimage, spec_digest, CacheLookup, PutOutcome, ResultCache, ServedRecord,
-};
+use crate::cache::{cache_preimage, spec_digest, PutOutcome, ResultCache, ServedRecord};
 use crate::cluster::ClusterConfig;
 use crate::coalesce::InflightMap;
 use crate::protocol::{self, OrphanDisposition, RetryPolicy};
@@ -96,25 +94,6 @@ impl JobSnapshot {
     }
 }
 
-/// A spec's cache and coalescing identity.
-#[derive(Debug, Clone)]
-pub(crate) struct CacheKey {
-    /// [`spec_digest`] of the spec.
-    digest: u64,
-    /// The canonical preimage ([`cache_preimage`]), verified on every hit.
-    preimage: String,
-}
-
-impl CacheKey {
-    /// The key of `spec`.
-    pub(crate) fn of(spec: &Job) -> CacheKey {
-        CacheKey {
-            digest: spec_digest(spec),
-            preimage: cache_preimage(spec),
-        }
-    }
-}
-
 /// Counts one terminal transition into a tally.
 fn tally(tally: &mut Tally, state: &JobState) {
     match state {
@@ -149,15 +128,18 @@ impl RetireQueue {
         self.due.push_back((now + self.ttl, id));
     }
 
-    /// Removes from `table` every id due by `now`; returns how many.
-    pub(crate) fn sweep<V>(&mut self, now: Duration, table: &mut HashMap<u64, V>) -> u64 {
-        let mut retired = 0;
+    /// Removes from `table` every id due by `now`; returns the ids it
+    /// removed.
+    pub(crate) fn sweep<V>(&mut self, now: Duration, table: &mut HashMap<u64, V>) -> Vec<u64> {
+        let mut retired = Vec::new();
         while let Some(&(at, id)) = self.due.front() {
             if at > now {
                 break;
             }
             self.due.pop_front();
-            retired += u64::from(table.remove(&id).is_some());
+            if table.remove(&id).is_some() {
+                retired.push(id);
+            }
         }
         retired
     }
@@ -168,9 +150,9 @@ impl RetireQueue {
 pub struct Entry<P> {
     /// What the job executes.
     pub payload: P,
-    /// Cache and coalescing identity; `None` for jobs that never cache or
-    /// coalesce (stream frames).
-    key: Option<CacheKey>,
+    /// Cache and coalescing identity ([`cache_preimage`]); `None` for
+    /// jobs that never cache or coalesce (stream frames).
+    key: Option<String>,
     /// Lifecycle state.
     pub state: JobState,
     /// Executions begun (see [`crate::protocol`]'s attempt accounting).
@@ -184,8 +166,6 @@ pub struct Admission {
     pub answer: Submission,
     /// Terminal jobs the submission's sweep retired.
     pub retired: u64,
-    /// The cache lookup met a digest collision (answered as a miss).
-    pub collided: bool,
 }
 
 impl Admission {
@@ -193,9 +173,6 @@ impl Admission {
     pub(crate) fn count(&self, metrics: &mut MetricsRegistry, class: JobClass) {
         if self.retired > 0 {
             metrics.incr("jobs_retired", self.retired);
-        }
-        if self.collided {
-            metrics.incr("cache_key_collisions", 1);
         }
         let name = match &self.answer {
             Submission::Cached(_) => "cache_hits",
@@ -215,9 +192,6 @@ impl Admission {
 pub(crate) fn count_put(metrics: &mut MetricsRegistry, put: PutOutcome) {
     if put.evicted {
         metrics.incr("cache_evictions", 1);
-    }
-    if put.collided {
-        metrics.incr("cache_key_collisions", 1);
     }
 }
 
@@ -266,31 +240,24 @@ impl<P> JobTable<P> {
     pub(crate) fn submit(
         &mut self,
         payload: P,
-        key: Option<CacheKey>,
+        key: Option<String>,
         fresh: bool,
         now: Duration,
         enqueue: impl FnOnce(u64, &P) -> Result<(), Submission>,
     ) -> Admission {
         let mut admission = Admission {
             answer: Submission::Draining,
-            retired: self.retiring.sweep(now, &mut self.jobs),
-            collided: false,
+            retired: self.retiring.sweep(now, &mut self.jobs).len() as u64,
         };
         if self.draining {
             return admission;
         }
         if let (false, Some(key)) = (fresh, &key) {
-            match self.cache.get(key.digest, &key.preimage) {
-                CacheLookup::Hit(record) => {
-                    admission.answer = Submission::Cached(record);
-                    return admission;
-                }
-                // A 64-bit digest collision: a miss, so the right spec
-                // executes.
-                CacheLookup::Collision => admission.collided = true,
-                CacheLookup::Miss => {}
+            if let Some(record) = self.cache.get(key) {
+                admission.answer = Submission::Cached(record);
+                return admission;
             }
-            if let Some(id) = self.inflight.get(key.digest) {
+            if let Some(id) = self.inflight.get(key) {
                 admission.answer = Submission::Coalesced(id);
                 return admission;
             }
@@ -301,7 +268,7 @@ impl<P> JobTable<P> {
             Ok(()) => {
                 self.next_id += 1;
                 if let Some(key) = &key {
-                    self.inflight.claim(key.digest, id);
+                    self.inflight.claim(key, id);
                 }
                 self.jobs.insert(
                     id,
@@ -344,9 +311,9 @@ impl<P> JobTable<P> {
         let entry = self.jobs.get_mut(&id).filter(|e| !e.state.is_terminal())?;
         let mut put = PutOutcome::default();
         if let Some(key) = &entry.key {
-            self.inflight.release(key.digest, id);
+            self.inflight.release(key, id);
             if let JobState::Done(record) = &state {
-                put = self.cache.put(key.digest, &key.preimage, record);
+                put = self.cache.put(key, record);
             }
         }
         tally(&mut self.lifetime, &state);
@@ -520,7 +487,7 @@ impl Coordinator {
 
     /// Admits a submission; the admission bound counts outstanding jobs.
     pub fn submit(&mut self, spec: Job, fresh: bool, class: JobClass, now: Duration) -> Admission {
-        let key = CacheKey::of(&spec);
+        let key = cache_preimage(&spec);
         let full = self.table.outstanding() >= self.capacity;
         let pending = &mut self.pending;
         self.table.submit(
@@ -561,7 +528,7 @@ impl Coordinator {
                 Step::Quarantined(id)
             }
             Some(id) => {
-                let digest = self.table.jobs[&id].key.as_ref().map_or(0, |k| k.digest);
+                let digest = spec_digest(&self.table.jobs[&id].payload.spec);
                 let loads: Vec<usize> = self.inflight.iter().map(BTreeSet::len).collect();
                 match protocol::pick_target(digest, alive, &loads, self.per_worker) {
                     None => Step::Blocked,
@@ -761,7 +728,7 @@ mod tests {
 
     /// A table whose queue accepts everything; returns the new id.
     fn admit(table: &mut JobTable<u64>, seed: u64, fresh: bool, now: Duration) -> Submission {
-        let key = CacheKey::of(&spec(seed));
+        let key = cache_preimage(&spec(seed));
         table
             .submit(seed, Some(key), fresh, now, |_, _| Ok(()))
             .answer
@@ -882,7 +849,7 @@ mod tests {
             other => panic!("expected Cached, got {other:?}"),
         }
         // The queue's refusal is the answer, and no job is entered.
-        let key = CacheKey::of(&spec(7));
+        let key = cache_preimage(&spec(7));
         let refused = table.submit(7, Some(key), false, at(0), |_, _| {
             Err(Submission::QueueFull)
         });

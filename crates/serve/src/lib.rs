@@ -9,8 +9,8 @@
 //! mechanisms sit between the socket and the workers:
 //!
 //! - **Result caching** ([`cache`]): a completed record is stored under
-//!   the content digest of its spec; an identical later submission is
-//!   answered immediately (`?fresh=1` opts out).
+//!   its spec's canonical key; an identical later submission is answered
+//!   immediately (`?fresh=1` opts out).
 //! - **Request coalescing** ([`coalesce`]): a submission identical to a
 //!   queued or running job attaches to that job instead of duplicating
 //!   the execution.

@@ -16,7 +16,7 @@
 //! not treated as an error — that is the admission-control contract.
 
 use crate::http::{parse_response, HttpError, ResponseMsg};
-use sdvbs_runner::{policy_label, size_label, Job};
+use sdvbs_runner::{size_label, Job};
 use sdvbs_stream::StreamSpec;
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::Histogram;
@@ -218,18 +218,14 @@ impl fmt::Display for LoadgenReport {
     }
 }
 
-/// The JSON job-spec body for `spec` with `seed` substituted.
+/// The JSON job-spec body ([`Job::to_value`]) for `spec` with `seed`
+/// substituted.
 pub fn spec_body(spec: &Job, seed: u64) -> String {
-    Value::Obj(vec![
-        ("benchmark".to_string(), Value::Str(spec.benchmark.clone())),
-        ("size".to_string(), Value::Str(size_label(spec.size))),
-        ("policy".to_string(), Value::Str(policy_label(spec.policy))),
-        ("seed".to_string(), Value::Num(seed as f64)),
-        (
-            "iterations".to_string(),
-            Value::Num(spec.iterations.max(1) as f64),
-        ),
-    ])
+    Job {
+        seed,
+        ..spec.clone()
+    }
+    .to_value()
     .to_string()
 }
 
@@ -719,6 +715,10 @@ mod tests {
         assert_eq!(v.get("policy").and_then(Value::as_str), Some("threads:2"));
         assert_eq!(v.get("seed").and_then(Value::as_u64), Some(9));
         assert_eq!(v.get("iterations").and_then(Value::as_u64), Some(3));
+        assert_eq!(
+            body,
+            r#"{"benchmark":"Disparity Map","size":"32x24","policy":"threads:2","seed":9,"iterations":3}"#
+        );
     }
 
     #[test]

@@ -109,26 +109,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = value("--addr")?,
-            "--workers" => cfg.engine.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--queue" => {
-                cfg.engine.queue_capacity = parse_num(&value("--queue")?, "--queue")?;
-            }
-            "--timeout-ms" => {
-                let ms: u64 = parse_num(&value("--timeout-ms")?, "--timeout-ms")?;
-                cfg.engine.timeout = Some(Duration::from_millis(ms));
-            }
-            "--hold-ms" => {
-                let ms: u64 = parse_num(&value("--hold-ms")?, "--hold-ms")?;
-                cfg.engine.hold = Some(Duration::from_millis(ms));
-            }
-            "--cache-capacity" => {
-                cfg.engine.cache_capacity =
-                    parse_num(&value("--cache-capacity")?, "--cache-capacity")?;
-            }
-            "--max-batch" => {
-                cfg.engine.sched.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?;
-            }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => engine_flag(other, value, &mut cfg.engine)?,
         }
     }
     let (workers, queue) = (cfg.engine.workers.max(1), cfg.engine.queue_capacity.max(1));
@@ -153,30 +134,31 @@ fn cmd_worker(args: &[String]) -> Result<ExitCode, String> {
         match flag.as_str() {
             "--addr" => cfg.addr = value("--addr")?,
             "--name" => cfg.name = value("--name")?,
-            "--workers" => cfg.engine.workers = parse_num(&value("--workers")?, "--workers")?,
-            "--queue" => {
-                cfg.engine.queue_capacity = parse_num(&value("--queue")?, "--queue")?;
-            }
-            "--timeout-ms" => {
-                let ms: u64 = parse_num(&value("--timeout-ms")?, "--timeout-ms")?;
-                cfg.engine.timeout = Some(Duration::from_millis(ms));
-            }
-            "--hold-ms" => {
-                let ms: u64 = parse_num(&value("--hold-ms")?, "--hold-ms")?;
-                cfg.engine.hold = Some(Duration::from_millis(ms));
-            }
-            "--cache-capacity" => {
-                cfg.engine.cache_capacity =
-                    parse_num(&value("--cache-capacity")?, "--cache-capacity")?;
-            }
-            "--max-batch" => {
-                cfg.engine.sched.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?;
-            }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => engine_flag(other, value, &mut cfg.engine)?,
         }
     }
     run_worker(cfg)?;
     Ok(ExitCode::SUCCESS)
+}
+
+/// Applies one of the engine flags `serve` and `worker` share;
+/// `value` yields the flag's argument. Any other flag is a usage error.
+fn engine_flag(
+    flag: &str,
+    mut value: impl FnMut(&str) -> Result<String, String>,
+    engine: &mut EngineConfig,
+) -> Result<(), String> {
+    let ms = |text: String| parse_num(&text, flag).map(Duration::from_millis);
+    match flag {
+        "--workers" => engine.workers = parse_num(&value(flag)?, flag)?,
+        "--queue" => engine.queue_capacity = parse_num(&value(flag)?, flag)?,
+        "--timeout-ms" => engine.timeout = Some(ms(value(flag)?)?),
+        "--hold-ms" => engine.hold = Some(ms(value(flag)?)?),
+        "--cache-capacity" => engine.cache_capacity = parse_num(&value(flag)?, flag)?,
+        "--max-batch" => engine.sched.max_batch = parse_num(&value(flag)?, flag)?,
+        other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+    }
+    Ok(())
 }
 
 fn cmd_coordinator(args: &[String]) -> Result<ExitCode, String> {

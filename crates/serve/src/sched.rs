@@ -8,7 +8,7 @@
 //!   warmup (LUTs, lazy allocations, instruction cache) across the whole
 //!   window instead of paying it per job. Batches are formed at dequeue
 //!   time from whatever is pending — no timers, no artificial delay, and
-//!   fully deterministic under a virtual clock.
+//!   no clock read, so a batch depends only on the order of arrivals.
 //! * **QoS classes** — every submission carries a [`JobClass`]
 //!   (`interactive` or `batch`), and the queue dequeues by deficit round
 //!   robin: each class accrues a per-visit quantum of jobs and spends it

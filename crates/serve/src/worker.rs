@@ -27,7 +27,7 @@ use crate::engine::{Engine, EngineConfig, Submission};
 use crate::sched::JobClass;
 use crate::shutdown::ThreadSet;
 use sdvbs_trace::now_us;
-use sdvbs_wire::{tcp_pair, FrameRx, FrameTx, Message, WireError, PROTO_VERSION};
+use sdvbs_wire::{tcp_pair, Message, TcpFrameRx, TcpFrameTx, WireError, PROTO_VERSION};
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -72,7 +72,7 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), String> {
     let (stream, peer) = listener.accept().map_err(|e| format!("accept: {e}"))?;
     let _ = stream.set_nodelay(true);
     let (tx, mut rx) = tcp_pair(stream).map_err(|e| e.to_string())?;
-    let tx: Arc<dyn FrameTx> = Arc::new(tx);
+    let tx = Arc::new(tx);
     let engine = Engine::start(cfg.engine.clone());
     match serve_coordinator(&tx, &mut rx, &cfg, &engine) {
         Ok(()) => Ok(()),
@@ -92,8 +92,8 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), String> {
 /// The coordinator session. Returns `Ok(())` after a clean `Drain`
 /// exchange, `Err` when the connection failed first.
 fn serve_coordinator(
-    writer: &Arc<dyn FrameTx>,
-    reader: &mut dyn FrameRx,
+    writer: &Arc<TcpFrameTx>,
+    reader: &mut TcpFrameRx,
     cfg: &WorkerConfig,
     engine: &Arc<Engine>,
 ) -> Result<(), String> {
@@ -215,7 +215,7 @@ fn serve_coordinator(
 
 /// Waits for local job `local` to finish and reports it upstream as
 /// cluster job `id`.
-fn report_when_terminal(engine: &Arc<Engine>, writer: &Arc<dyn FrameTx>, id: u64, local: u64) {
+fn report_when_terminal(engine: &Arc<Engine>, writer: &TcpFrameTx, id: u64, local: u64) {
     loop {
         let Some(snap) = engine.wait_terminal(local, Duration::from_secs(60)) else {
             send(
@@ -252,6 +252,6 @@ fn report_when_terminal(engine: &Arc<Engine>, writer: &Arc<dyn FrameTx>, id: u64
 
 /// One frame out, best-effort: a failed write means the coordinator is
 /// gone, and the read loop will observe that on its side.
-fn send(writer: &Arc<dyn FrameTx>, msg: &Message) {
+fn send(writer: &TcpFrameTx, msg: &Message) {
     let _ = writer.send(msg);
 }

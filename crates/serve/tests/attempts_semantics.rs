@@ -4,13 +4,11 @@
 //! Both sides count `attempts` as executions begun, allow `budget + 1`
 //! of them, and quarantine at exactly that count. The runner expresses
 //! it as `max_retries`; the coordinator as `RetryPolicy::budget` and
-//! `orphan_disposition`. This test runs the real runner (on a virtual
-//! clock, so the retry backoff costs no wall time) against
+//! `orphan_disposition`. This test runs the real runner against
 //! `sdvbs_serve::protocol` for every small budget and pins that the two
 //! agree execution for execution.
 
 use sdvbs_core::{ExecPolicy, InputSize};
-use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{run_jobs_report, FaultPlan, Job, RunStatus, RunnerConfig};
 use sdvbs_serve::{orphan_disposition, OrphanDisposition, RetryPolicy};
 
@@ -34,12 +32,10 @@ fn runner_and_coordinator_agree_on_attempt_accounting() {
 
         // Runner side: a job that fails every attempt is quarantined
         // with `attempts` equal to the same budget + 1.
-        let (clock, _virtual) = ClockHandle::simulated();
         let jobs = vec![Job::new("Disparity Map", tiny(), ExecPolicy::Serial, 1, 1)];
         let cfg = RunnerConfig {
             fault_plan: Some(FaultPlan::parse("panic:1.0", 9).expect("valid plan")),
             max_retries: budget,
-            clock,
             ..RunnerConfig::default()
         };
         let report = run_jobs_report(&jobs, &cfg).expect("runner never aborts");
@@ -74,11 +70,9 @@ fn runner_and_coordinator_agree_on_attempt_accounting() {
 
 #[test]
 fn clean_runs_cost_exactly_one_attempt_on_both_sides() {
-    let (clock, _virtual) = ClockHandle::simulated();
     let jobs = vec![Job::new("Disparity Map", tiny(), ExecPolicy::Serial, 1, 1)];
     let cfg = RunnerConfig {
         max_retries: 2,
-        clock,
         ..RunnerConfig::default()
     };
     let report = run_jobs_report(&jobs, &cfg).expect("clean run");

@@ -1,13 +1,12 @@
 //! Regression tests for the serving layer's production bugs: unbounded
-//! cache growth, digest-collision cache poisoning, unbounded job-table
-//! growth, lifetime-counting drain reports, and a stream-retirement
-//! counter that counted sweeps. Each test pins the fixed behavior at the
-//! engine's public surface.
+//! cache growth, unbounded job-table growth, lifetime-counting drain
+//! reports, and a stream-retirement counter that counted sweeps. Each
+//! test pins the fixed behavior at the engine's public surface.
 
 use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
 use sdvbs_serve::engine::{Engine, EngineConfig, Submission};
-use sdvbs_serve::{fnv1a, Backend, JobClass, ResultCache, ServedRecord, Tally};
+use sdvbs_serve::{Backend, JobClass, Tally};
 use sdvbs_stream::{DegradePolicy, PipelineKind, StreamSpec};
 use std::time::{Duration, Instant};
 
@@ -65,72 +64,7 @@ fn result_cache_fill_past_capacity_evicts_instead_of_growing() {
     engine.drain();
 }
 
-/// Bug 2: cache hits trusted the 64-bit FNV-1a digest alone, so a digest
-/// collision served one spec's record for a different spec. The canonical
-/// preimage is now stored beside each record and verified on every hit:
-/// a collision is a miss, never a wrong answer.
-#[test]
-fn digest_collisions_are_detected_not_served() {
-    use sdvbs_serve::cache::CacheLookup;
-    // Two hand-constructed colliding keys: distinct canonical preimages
-    // behind one digest value (the situation a real 2^32-work FNV-1a
-    // collision produces), injected at the digest layer the cache trusts.
-    let mut cache = ResultCache::with_capacity(8);
-    let key_a = "Disparity Map|sqcif|serial|seed1|iters:1";
-    let key_b = "SVM|cif|serial|seed2|iters:3";
-    assert_ne!(key_a, key_b);
-    let digest = fnv1a(b"whatever both specs hash to");
-    // Store A's record under the shared digest, then look B up: the old
-    // code returned A's record; the fix answers a collision-miss.
-    assert!(
-        cache
-            .put(digest, key_a, &ServedRecord::new(test_record()))
-            .stored
-    );
-    match cache.get(digest, key_b) {
-        CacheLookup::Collision => {}
-        other => panic!("colliding key must not hit: {other:?}"),
-    }
-    match cache.get(digest, key_a) {
-        CacheLookup::Hit(r) => assert_eq!(r.record().seed, 1),
-        other => panic!("own key must still hit: {other:?}"),
-    }
-}
-
-/// A minimal completed run record — enough for the cache to store.
-fn test_record() -> sdvbs_runner::RunRecord {
-    sdvbs_runner::RunRecord {
-        job_id: 0,
-        benchmark: "Disparity Map".into(),
-        size: "sqcif".into(),
-        policy: "serial".into(),
-        threads: 1,
-        seed: 1,
-        iterations: 1,
-        status: sdvbs_runner::RunStatus::Completed,
-        times_ms: vec![1.0],
-        min_ms: 1.0,
-        p50_ms: 1.0,
-        mean_ms: 1.0,
-        max_ms: 1.0,
-        wall_ms: 2.0,
-        quality: None,
-        detail: String::new(),
-        kernels: Vec::new(),
-        non_kernel_percent: 0.0,
-        occupancy_mode: "wall-clock".into(),
-        host: sdvbs_runner::HostMeta {
-            os: "t".into(),
-            cpu: "t".into(),
-            logical_cpus: 1,
-        },
-        attempts: 1,
-        injected: Vec::new(),
-        quarantined: false,
-    }
-}
-
-/// Bug 3: `EngineState.jobs` was a `Vec` that retained every terminal
+/// Bug 2: `EngineState.jobs` was a `Vec` that retained every terminal
 /// job forever — the job table grew monotonically for the life of the
 /// daemon. Terminal entries now retire after a poll-grace TTL, ids stay
 /// stable, and a few thousand jobs leave the table bounded. The
@@ -193,7 +127,7 @@ fn job_table_stays_bounded_over_thousands_of_jobs() {
     assert!(engine.jobs_table_len() <= 256);
 }
 
-/// Bug 4: the drain report's `completed` counted lifetime completions, so
+/// Bug 3: the drain report's `completed` counted lifetime completions, so
 /// a drain that resolved one running job after a thousand served requests
 /// reported `completed: 1001`. Its `drained` tally now covers only the
 /// jobs that were queued or running when the drain began.
@@ -218,7 +152,7 @@ fn drain_report_counts_drain_work_not_lifetime_history() {
     );
 }
 
-/// Bug 5: `streams_retired` grew by one per retirement sweep, however many
+/// Bug 4: `streams_retired` grew by one per retirement sweep, however many
 /// closed streams the sweep removed. It now counts retired streams, as
 /// `jobs_retired` counts jobs.
 #[test]

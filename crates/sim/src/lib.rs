@@ -12,9 +12,9 @@
 //! This crate runs that protocol on a **single-threaded discrete-event
 //! simulator** instead:
 //!
-//! * time is a [`sdvbs_exec::VirtualClock`] advanced by the event loop —
-//!   a thousand simulated seconds of heartbeats and backoff replay in
-//!   milliseconds;
+//! * time is the event loop's virtual microsecond, handed to the sans-IO
+//!   core as its `now` — a thousand simulated seconds of heartbeats and
+//!   liveness judgements replay in milliseconds;
 //! * the network is a model of TCP ([`net::SimNet`]): per-link FIFO, no
 //!   silent loss, seeded latency, partitions that hold frames until they
 //!   heal;

@@ -14,10 +14,10 @@
 //! * **every message** is a real [`sdvbs_wire::Message`], round-tripped
 //!   through [`encode_frame`]/[`decode_frame`] on each hop, so the sim
 //!   exercises the production codec on every delivery;
-//! * **time** is a real [`sdvbs_exec::VirtualClock`] behind a
-//!   [`ClockHandle`] — the same handle type the production config
-//!   carries — advanced by the event loop; heartbeat staleness is
-//!   measured with `ClockHandle::since` exactly as the coordinator does.
+//! * **time** is the event loop's virtual microsecond, passed to the
+//!   core as its `now` where production passes its monotonic clock;
+//!   heartbeat staleness is the same [`protocol::is_stale`] test over
+//!   virtual ages.
 //!
 //! What the model replaces is the *mechanics*: threads become events,
 //! TCP becomes [`SimNet`] (which keeps TCP's FIFO-per-link, no-silent-
@@ -29,7 +29,6 @@ use crate::faults::FaultSchedule;
 use crate::net::{Dir, NetConfig, SimNet};
 use crate::rng::SimRng;
 use crate::sched::EventQueue;
-use sdvbs_exec::ClockHandle;
 use sdvbs_runner::{policy_label, size_label, HostMeta, Job, RunRecord, RunStatus};
 use sdvbs_serve::jobs::{self, Step};
 use sdvbs_serve::protocol::{self, OrphanDisposition};
@@ -225,14 +224,12 @@ enum Ev {
     BeginDrain,
 }
 
-/// The whole simulated cluster: coordinator, workers, network, clock.
+/// The whole simulated cluster: coordinator, workers, network, events.
 pub struct SimModel {
     cfg: ModelConfig,
     rng: SimRng,
     net: SimNet,
     queue: EventQueue<Ev>,
-    clock: ClockHandle,
-    virt: std::sync::Arc<sdvbs_exec::VirtualClock>,
 
     /// The production coordinator core.
     core: Coordinator,
@@ -240,7 +237,8 @@ pub struct SimModel {
     // WorkerLink fields).
     stopping: bool,
     alive: Vec<bool>,
-    last_beat: Vec<Duration>,
+    /// Virtual time of each worker's last heartbeat reply.
+    last_beat: Vec<u64>,
     hb_seq: u64,
 
     workers: Vec<SimWorker>,
@@ -250,6 +248,11 @@ pub struct SimModel {
     pub log: Vec<String>,
     /// Invariant-relevant observations.
     pub audit: RunAudit,
+}
+
+/// A virtual microsecond as the `now` the production core takes.
+fn at(now_us: u64) -> Duration {
+    Duration::from_micros(now_us)
 }
 
 impl SimModel {
@@ -264,7 +267,6 @@ impl SimModel {
         drain_at_us: u64,
     ) -> Self {
         let n = cfg.workers.max(1);
-        let (clock, virt) = ClockHandle::simulated();
         let net = SimNet::new(net_cfg, n, schedule.partitions.clone());
         let mut queue = EventQueue::new();
         let mut planned = Vec::with_capacity(load.len());
@@ -280,7 +282,6 @@ impl SimModel {
         }
         queue.push(0, Ev::HeartbeatTick);
         queue.push(drain_at_us, Ev::BeginDrain);
-        let t0 = clock.now();
         // Heartbeat/liveness are the model's own; the core takes the rest
         // of the production config.
         let core = Coordinator::new(
@@ -297,12 +298,10 @@ impl SimModel {
             rng,
             net,
             queue,
-            clock,
-            virt,
             core,
             stopping: false,
             alive: vec![true; n],
-            last_beat: vec![t0; n],
+            last_beat: vec![0; n],
             hb_seq: 0,
             workers: (0..n).map(|_| SimWorker::new()).collect(),
             planned,
@@ -321,7 +320,6 @@ impl SimModel {
                 self.note(now, "HORIZON exceeded; aborting event loop".to_string());
                 return now;
             }
-            self.virt.advance_to(Duration::from_micros(now));
             self.handle(now, ev);
         }
         self.queue.now_us()
@@ -448,10 +446,9 @@ impl SimModel {
     fn submit(&mut self, now: u64, i: usize) {
         let spec = self.planned[i].clone();
         let digest = spec_digest(&spec);
-        let at = self.clock.now();
         let refused = match self
             .core
-            .submit(spec, false, JobClass::Interactive, at)
+            .submit(spec, false, JobClass::Interactive, at(now))
             .answer
         {
             Submission::Queued(id) => {
@@ -470,7 +467,7 @@ impl SimModel {
     /// Mirrors the dispatcher thread: sends as far as the core allows.
     fn dispatch(&mut self, now: u64) {
         loop {
-            match self.core.next_dispatch(&self.alive, self.clock.now()).step {
+            match self.core.next_dispatch(&self.alive, at(now)).step {
                 Step::Send(d) => {
                     let high = self.audit.attempts_high.entry(d.id).or_insert(0);
                     *high = (*high).max(d.attempt);
@@ -492,12 +489,11 @@ impl SimModel {
 
     /// Mirrors `reader_loop` message handling.
     fn coord_message(&mut self, now: u64, w: usize, msg: Message) {
-        let at = self.clock.now();
         match msg {
             Message::Done { id, record } => {
                 if self
                     .core
-                    .done(w, id, ServedRecord::new(*record), at)
+                    .done(w, id, ServedRecord::new(*record), at(now))
                     .is_some()
                 {
                     self.observe_terminal(now, id);
@@ -507,7 +503,7 @@ impl SimModel {
                 self.dispatch(now);
             }
             Message::Rejected { id, detail } => {
-                if self.core.rejected(w, id, detail, at) {
+                if self.core.rejected(w, id, detail, at(now)) {
                     self.observe_terminal(now, id);
                 }
                 self.dispatch(now);
@@ -522,7 +518,7 @@ impl SimModel {
             Message::HeartbeatOk { .. } => {
                 // A stale-marked worker's late replies refresh the beat
                 // but never resurrect it — exactly production.
-                self.last_beat[w] = self.clock.now();
+                self.last_beat[w] = now;
             }
             Message::DrainOk {
                 completed,
@@ -556,7 +552,7 @@ impl SimModel {
             stale,
         });
         self.note(now, format!("worker w{w} declared dead: {why}"));
-        for (id, fate) in self.core.worker_dead(w, self.clock.now()) {
+        for (id, fate) in self.core.worker_dead(w, at(now)) {
             if fate == OrphanDisposition::Requeue {
                 self.audit.requeues += 1;
                 self.note(now, format!("requeue id={id} (orphan of w{w})"));
@@ -595,7 +591,7 @@ impl SimModel {
                 continue;
             }
             self.send_to_worker(now, w, &Message::Heartbeat { seq });
-            let age = self.clock.since(self.last_beat[w]);
+            let age = at(now.saturating_sub(self.last_beat[w]));
             if protocol::is_stale(age, Duration::from_micros(self.cfg.liveness_us), draining) {
                 self.mark_dead(now, w, "missed heartbeats", true);
             }
@@ -611,7 +607,7 @@ impl SimModel {
         }
         self.audit.drain_started_us = Some(now);
         self.note(now, "drain begins".to_string());
-        for id in self.core.begin_drain(self.clock.now()) {
+        for id in self.core.begin_drain(at(now)) {
             self.observe_terminal(now, id);
         }
         self.drain_wait(now);

@@ -75,3 +75,27 @@ fn exploration_is_deterministic() {
     assert_eq!(da, db);
     assert_eq!(a.total_sim_us, b.total_sim_us);
 }
+
+#[test]
+fn pinned_seeds_replay_their_recorded_digests() {
+    // Digests `sdvbs-sim replay` printed for these runs. A change that
+    // alters any scheduling, retirement or liveness decision moves them;
+    // one that only restructures the code must leave them exactly.
+    const ALL: &str = "crash,partition,stall,reorder";
+    for (seed, faults, secs, digest) in [
+        (9, "crash,partition", 20, 0xc0a2_5afe_0a37_7164),
+        (7, ALL, 15, 0xbaf7_1086_5411_42d6),
+        (11, ALL, 15, 0x1b24_27eb_cbc8_a08e),
+    ] {
+        let cfg = SimConfig::new(
+            seed,
+            Duration::from_secs(secs),
+            FaultSpec::parse(faults).expect("valid fault spec"),
+        );
+        assert_eq!(
+            run_sim(&cfg).digest,
+            digest,
+            "seed {seed} under faults={faults} for {secs} s"
+        );
+    }
+}

@@ -201,6 +201,14 @@ impl MetricsRegistry {
             .map(|(_, h)| h)
     }
 
+    /// Drops every counter and histogram whose name starts with
+    /// `prefix` — how a series scoped to something that ended (a retired
+    /// stream) leaves a long-lived registry.
+    pub fn remove_prefixed(&mut self, prefix: &str) {
+        self.counters.retain(|(n, _)| !n.starts_with(prefix));
+        self.histograms.retain(|(n, _)| !n.starts_with(prefix));
+    }
+
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
@@ -444,6 +452,24 @@ mod tests {
         let before = a.clone();
         a.merge(&MetricsRegistry::new());
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn remove_prefixed_drops_only_the_matching_series() {
+        let mut m = MetricsRegistry::new();
+        m.incr("stream_1_sla_violations", 1);
+        m.incr("stream_10_sla_violations", 1);
+        m.incr("stream_sla_violations", 2);
+        m.observe("stream_1_frame_latency_ms", 4.0);
+        m.observe("stream_frame_exec_ms", 3.0);
+        m.remove_prefixed("stream_1_");
+        let counters: Vec<&str> = m.counters().map(|(n, _)| n).collect();
+        let histograms: Vec<&str> = m.histograms().map(|(n, _)| n).collect();
+        assert_eq!(
+            counters,
+            ["stream_10_sla_violations", "stream_sla_violations"]
+        );
+        assert_eq!(histograms, ["stream_frame_exec_ms"]);
     }
 
     #[test]

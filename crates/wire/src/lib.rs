@@ -12,6 +12,8 @@
 //!   message per frame, capped at [`frame::MAX_FRAME`]. Buffer-level
 //!   (`decode_frame`) and stream-level (`read_msg`/`write_msg`) APIs.
 //! * [`message`] — the [`Message`] vocabulary and its JSON mapping.
+//! * [`transport`] — [`tcp_pair`] splits a connected stream into a
+//!   shareable sender and a single-reader receiver.
 //! * [`error`] — the typed [`WireError`] taxonomy. Torn frames, EOF, bad
 //!   versions, and malformed payloads are all distinct, typed, and
 //!   panic-free, so the coordinator can tell a dead worker from a broken
@@ -28,4 +30,4 @@ pub mod transport;
 pub use error::WireError;
 pub use frame::{decode_frame, encode_frame, read_msg, write_msg, MAX_FRAME, PROTO_VERSION};
 pub use message::Message;
-pub use transport::{tcp_pair, FrameRx, FrameTx, TcpFrameRx, TcpFrameTx};
+pub use transport::{tcp_pair, TcpFrameRx, TcpFrameTx};

@@ -1,18 +1,12 @@
-//! The transport abstraction under the cluster protocol.
+//! The two halves of a framed TCP link.
 //!
-//! The coordinator and worker loops never touch `TcpStream` directly —
-//! they speak through [`FrameTx`] (a shareable, internally serialized
-//! sender) and [`FrameRx`] (a blocking single-reader receiver). Production
-//! code wires these to TCP with [`TcpFrameTx`]/[`TcpFrameRx`]
-//! ([`tcp_pair`] splits one connected stream into both halves); the
-//! `sdvbs-sim` crate substitutes a deterministic in-memory network whose
-//! delivery order, latency, drops, and partitions come from a seeded
-//! schedule — same protocol logic, simulated wire.
-//!
-//! The split mirrors how the cluster actually uses a link: several
-//! threads send on it (dispatcher, heartbeat, rpc) while exactly one
-//! reader thread drains it, so `FrameTx::send` takes `&self` and
-//! serializes internally while `FrameRx::recv` takes `&mut self`.
+//! [`tcp_pair`] splits one connected stream into a [`TcpFrameTx`] (a
+//! shareable, internally serialized sender) and a [`TcpFrameRx`] (a
+//! blocking single-reader receiver). The split mirrors how the cluster
+//! uses a link: several threads send on it (dispatcher, heartbeat, rpc)
+//! while exactly one reader thread drains it, so [`TcpFrameTx::send`]
+//! takes `&self` and serializes internally while [`TcpFrameRx::recv`]
+//! takes `&mut self`.
 
 use crate::error::WireError;
 use crate::frame::{read_msg, write_msg};
@@ -20,35 +14,9 @@ use crate::message::Message;
 use std::net::TcpStream;
 use std::sync::{Mutex, PoisonError};
 
-/// The sending half of a framed link. Shareable across threads; each
-/// `send` writes one whole frame atomically with respect to other senders
-/// on the same handle.
-pub trait FrameTx: Send + Sync {
-    /// Writes one message as a complete frame and flushes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] (or transport-specific `Closed`) when the peer
-    /// is unreachable — the caller treats any error as a broken link.
-    fn send(&self, msg: &Message) -> Result<(), WireError>;
-}
-
-/// The receiving half of a framed link: a blocking read of exactly one
-/// message at a time, owned by a single reader.
-pub trait FrameRx: Send {
-    /// Blocks until one full message arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Closed`] for a clean EOF between frames,
-    /// [`WireError::Truncated`] for EOF inside one, and the codec's
-    /// `Malformed`/`TooLarge` for corrupt payloads.
-    fn recv(&mut self) -> Result<Message, WireError>;
-}
-
-/// [`FrameTx`] over a shared [`TcpStream`]: writes are serialized by an
-/// internal mutex so concurrent senders interleave whole frames, never
-/// bytes.
+/// The sending half of a framed link over a shared [`TcpStream`]: each
+/// `send` writes one whole frame under an internal mutex, so concurrent
+/// senders interleave whole frames, never bytes.
 pub struct TcpFrameTx {
     stream: Mutex<TcpStream>,
 }
@@ -61,16 +29,21 @@ impl TcpFrameTx {
             stream: Mutex::new(stream),
         }
     }
-}
 
-impl FrameTx for TcpFrameTx {
-    fn send(&self, msg: &Message) -> Result<(), WireError> {
+    /// Writes one message as a complete frame and flushes.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Io`] when the peer is unreachable — the caller treats
+    /// any error as a broken link.
+    pub fn send(&self, msg: &Message) -> Result<(), WireError> {
         let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         write_msg(&mut *stream, msg)
     }
 }
 
-/// [`FrameRx`] over an owned [`TcpStream`].
+/// The receiving half of a framed link over an owned [`TcpStream`]: a
+/// blocking read of exactly one message at a time.
 pub struct TcpFrameRx {
     stream: TcpStream,
 }
@@ -80,10 +53,15 @@ impl TcpFrameRx {
     pub fn new(stream: TcpStream) -> Self {
         TcpFrameRx { stream }
     }
-}
 
-impl FrameRx for TcpFrameRx {
-    fn recv(&mut self) -> Result<Message, WireError> {
+    /// Blocks until one full message arrives.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Closed`] for a clean EOF between frames,
+    /// [`WireError::Truncated`] for EOF inside one, and the codec's
+    /// `Malformed`/`TooLarge` for corrupt payloads.
+    pub fn recv(&mut self) -> Result<Message, WireError> {
         read_msg(&mut self.stream)
     }
 }
