@@ -2,9 +2,12 @@
 //!
 //! The figure regenerators time whole benchmarks; this binary times the
 //! individual hot kernels (convolution/Gaussian, SSD disparity search,
-//! integral image, area sum, gradient) in isolation at the paper's three
-//! input sizes, which is the measurement the EXPERIMENTS.md
-//! "Kernel fast paths" before/after table is built from.
+//! integral image, area sum, gradient, and the three loops that dominate
+//! segmentation, face detection and texture synthesis: the deflated
+//! Lanczos eigensolve, the cascade scan and the sampling search) in
+//! isolation at the paper's three input sizes, which is the measurement
+//! the EXPERIMENTS.md "Kernel fast paths" before/after table is built
+//! from.
 //!
 //! Usage: `cargo run --release -p sdvbs-bench --bin kernelbench
 //! [-- --reps N] [--size sqcif|qcif|cif]`
@@ -14,11 +17,17 @@
 //! `compare` gate uses too.
 
 use sdvbs_disparity::{try_compute_disparity, DisparityConfig};
+use sdvbs_exec::ExecPolicy;
+use sdvbs_facedetect::{try_detect_faces, Cascade, DetectorConfig};
 use sdvbs_image::Image;
 use sdvbs_kernels::conv::{convolve_2d, gaussian_blur};
 use sdvbs_kernels::gradient::{gradient_x, gradient_y};
 use sdvbs_kernels::integral::{area_sum, IntegralImage};
+use sdvbs_matrix::lanczos_deflated;
 use sdvbs_profile::Profiler;
+use sdvbs_segmentation::{adjacency_matrix_with, filter_bank_features};
+use sdvbs_synth::{face_scene, segmentable_scene, texture_swatch, TextureKind};
+use sdvbs_texture::{synthesize, TextureConfig};
 use std::time::Instant;
 
 /// The paper's named sizes.
@@ -137,6 +146,75 @@ fn main() {
                         &mut prof,
                     )
                     .expect("valid stereo pair"),
+                );
+            }),
+        );
+        // Segmentation's Eigensolve: four deflated Lanczos runs of 60 steps
+        // on a 4-region scene's normalized affinity stencil, as `segment`
+        // builds it at its default radius and bandwidths.
+        let scene = segmentable_scene(w, h, 7, 4);
+        let mut stencil = adjacency_matrix_with(
+            &filter_bank_features(&scene.image),
+            3,
+            25.0,
+            6.0,
+            ExecPolicy::Serial,
+        );
+        let dinv_sqrt: Vec<f64> = stencil
+            .row_sums()
+            .iter()
+            .map(|&v| if v > 0.0 { 1.0 / v.sqrt() } else { 0.0 })
+            .collect();
+        stencil.scale_sym(&dinv_sqrt);
+        let start: Vec<f64> = (0..w * h).map(|i| 0.1 + (i % 97) as f64 / 97.0).collect();
+        row(
+            "Lanczos k=4 60 steps",
+            time_us(reps, || {
+                std::hint::black_box(
+                    lanczos_deflated(&stencil, 4, std::hint::black_box(&start), 60)
+                        .expect("nonzero start"),
+                );
+            }),
+        );
+        // Face detection's ExtractFaces: the whole detector on a face scene
+        // (the cascade scan is over 99% of it).
+        let faces = face_scene(w, h, 7, 2 + (w * h / (128 * 96)).min(4));
+        row(
+            "DetectFaces cascade",
+            time_us(reps, || {
+                let mut prof = Profiler::new();
+                std::hint::black_box(
+                    try_detect_faces(
+                        std::hint::black_box(&faces.image),
+                        Cascade::pretrained(),
+                        &DetectorConfig::default(),
+                        &mut prof,
+                    )
+                    .expect("valid image"),
+                );
+            }),
+        );
+        // Texture synthesis's Sampling: a 40x40 output from the swatch the
+        // suite cuts for this size.
+        let swatch = texture_swatch(
+            (w / 2).clamp(24, 64),
+            (h / 2).clamp(24, 64),
+            7,
+            TextureKind::Stochastic,
+        );
+        row(
+            "Synthesize 40x40",
+            time_us(reps, || {
+                let mut prof = Profiler::new();
+                std::hint::black_box(
+                    synthesize(
+                        std::hint::black_box(&swatch),
+                        40,
+                        40,
+                        &TextureConfig::default(),
+                        &mut prof,
+                    )
+                    .expect("valid swatch"),
                 );
             }),
         );

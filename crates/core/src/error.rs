@@ -259,6 +259,7 @@ impl From<sdvbs_facedetect::DetectError> for SdvbsError {
             DetectError::NonFinitePixels => SdvbsError::NonFiniteData {
                 what: "detection image pixels",
             },
+            e @ DetectError::ScaleDoesNotGrow { .. } => SdvbsError::InvalidConfig(e.to_string()),
             other => SdvbsError::Pipeline(other.to_string()),
         }
     }
@@ -328,6 +329,19 @@ mod tests {
         assert_eq!(
             SdvbsError::from(MatrixError::Empty),
             SdvbsError::EmptyInput { what: "matrix" }
+        );
+    }
+
+    #[test]
+    fn a_non_growing_detector_scale_is_a_config_error() {
+        use sdvbs_facedetect::DetectError;
+        let e = DetectError::ScaleDoesNotGrow {
+            window: 24,
+            next: 24,
+        };
+        assert_eq!(
+            SdvbsError::from(e.clone()),
+            SdvbsError::InvalidConfig(e.to_string())
         );
     }
 

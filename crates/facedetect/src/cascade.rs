@@ -3,7 +3,7 @@
 //! stabilization (non-maximum suppression).
 
 use crate::boost::{train_adaboost, StrongClassifier};
-use crate::haar::{generate_features, HaarFeature, NormalizedWindow};
+use crate::haar::{generate_features, HaarFeature, NormalizedWindow, ScaledFeature};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdvbs_image::Image;
@@ -110,14 +110,25 @@ impl Cascade {
     /// [`StrongClassifier::classify`] on a collected value vector, minus
     /// the allocation the old scan paid for every window.
     pub fn accepts(&self, ii: &IntegralImage, win: &NormalizedWindow) -> bool {
-        self.stages.iter().all(|stage| {
-            let score: f64 = stage
-                .stumps
-                .iter()
-                .map(|st| st.alpha * st.vote(stage.features[st.feature].eval(ii, win)))
-                .sum();
-            score >= stage.threshold
-        })
+        self.accepts_values(0, |s, f| self.stages[s].features[f].eval(ii, win))
+    }
+
+    /// Whether every stage from `first` on has a committee score that
+    /// reaches its threshold, where `value(s, f)` is the value of stage
+    /// `s`'s feature `f` in the window.
+    fn accepts_values(&self, first: usize, value: impl Fn(usize, usize) -> f64) -> bool {
+        self.stages
+            .iter()
+            .enumerate()
+            .skip(first)
+            .all(|(s, stage)| {
+                let score: f64 = stage
+                    .stumps
+                    .iter()
+                    .map(|st| st.alpha * st.vote(value(s, st.feature)))
+                    .sum();
+                score >= stage.threshold
+            })
     }
 
     /// Classifies a standalone `window × window` patch.
@@ -336,6 +347,14 @@ pub enum DetectError {
     },
     /// The image contains NaN or infinite pixels.
     NonFinitePixels,
+    /// `scale_factor` does not grow the window (it is at most about
+    /// `1 + 0.5 / window`, or NaN), so the scale loop would never end.
+    ScaleDoesNotGrow {
+        /// The cascade's base window side.
+        window: usize,
+        /// The side `scale_factor` makes of it.
+        next: usize,
+    },
 }
 
 impl fmt::Display for DetectError {
@@ -345,6 +364,10 @@ impl fmt::Display for DetectError {
                 write!(f, "image side {side} below the {window}-pixel window")
             }
             DetectError::NonFinitePixels => write!(f, "image contains non-finite pixels"),
+            DetectError::ScaleDoesNotGrow { window, next } => write!(
+                f,
+                "scale_factor takes the {window}-pixel window to {next} pixels; it must grow"
+            ),
         }
     }
 }
@@ -362,28 +385,54 @@ impl Error for DetectError {}
 /// # Errors
 ///
 /// * [`DetectError::ImageTooSmall`] if the image cannot host one window;
-/// * [`DetectError::NonFinitePixels`] for NaN/Inf pixels.
+/// * [`DetectError::NonFinitePixels`] for NaN/Inf pixels;
+/// * [`DetectError::ScaleDoesNotGrow`] if `cfg.scale_factor` leaves the
+///   window side where it is or shrinks it.
 pub fn try_detect_faces(
     img: &Image,
     cascade: &Cascade,
     cfg: &DetectorConfig,
     prof: &mut Profiler,
 ) -> Result<Vec<Detection>, DetectError> {
+    let window = cascade.window();
     let side = img.width().min(img.height());
-    if side < cascade.window() {
-        return Err(DetectError::ImageTooSmall {
-            window: cascade.window(),
-            side,
-        });
+    if side < window {
+        return Err(DetectError::ImageTooSmall { window, side });
     }
     if !img.all_finite() {
         return Err(DetectError::NonFinitePixels);
     }
-    Ok(detect_pipeline(img, cascade, cfg, prof))
+    // Growing the base window suffices: a factor that adds at least half a
+    // pixel to it adds more to every larger side.
+    let next = next_size(window, cfg.scale_factor);
+    if next <= window {
+        return Err(DetectError::ScaleDoesNotGrow { window, next });
+    }
+    let raw = raw_detections(img, cascade, cfg, prof);
+    Ok(prof.kernel("StabilizeWindows", |_| {
+        merge_detections(&raw, cfg.merge_iou, cfg.min_support)
+    }))
 }
 
-/// The validated multi-scale scan.
-fn detect_pipeline(
+/// The window side after `size` at `scale_factor`.
+fn next_size(size: usize, scale_factor: f64) -> usize {
+    ((size as f64) * scale_factor).round() as usize
+}
+
+/// One window size of the scan: its side, its stride, every stage
+/// feature scaled to it (`scaled[s][f]` is stage `s`'s feature `f`), and
+/// the largest window corner at which no first-stage feature needs a clamp
+/// (`None` if there is none).
+struct Level {
+    size: usize,
+    stride: usize,
+    scaled: Vec<Vec<ScaledFeature>>,
+    room: Option<(usize, usize)>,
+}
+
+/// The validated multi-scale scan's raw (unmerged) window hits, in serial
+/// scan order, with the `IntegralImage` and `ExtractFaces` kernels.
+pub(crate) fn raw_detections(
     img: &Image,
     cascade: &Cascade,
     cfg: &DetectorConfig,
@@ -392,23 +441,58 @@ fn detect_pipeline(
     let (ii, ii2) = prof.kernel("IntegralImage", |_| {
         (IntegralImage::new(img), IntegralImage::squared(img))
     });
-    // Enumerate the scan rows of every scale in serial scan order
-    // (size-major, then y); each row is an independent unit of work.
-    let mut rows: Vec<(usize, usize, usize)> = Vec::new(); // (size, stride, y)
+    // Every window size, with the stage features scaled to it once, and
+    // the scan rows of every size in serial scan order (size-major, then
+    // y); each row is an independent unit of work.
+    let mut levels: Vec<Level> = Vec::new();
+    let mut rows: Vec<(usize, usize)> = Vec::new(); // (level, y)
     let mut size = cascade.window();
     let max_size = img.width().min(img.height());
     while size <= max_size {
-        let stride = ((size as f64 * cfg.stride_frac).round() as usize).max(1);
+        // A stride past the image's longer side places one window per row
+        // and column, as any longer one would, and keeps `y + size` and
+        // `x + size` from overflowing.
+        let stride = ((size as f64 * cfg.stride_frac).round() as usize)
+            .clamp(1, img.width().max(img.height()));
         let mut y = 0;
         while y + size <= img.height() {
-            rows.push((size, stride, y));
+            rows.push((levels.len(), y));
             y += stride;
         }
-        size = ((size as f64) * cfg.scale_factor).round() as usize;
+        let scale = size as f64 / cascade.window() as f64;
+        let scaled: Vec<Vec<ScaledFeature>> = cascade
+            .stages
+            .iter()
+            .map(|stage| stage.features.iter().map(|f| f.scaled(scale)).collect())
+            .collect();
+        let room = scaled.first().and_then(|first| {
+            first
+                .iter()
+                .try_fold((usize::MAX, usize::MAX), |(x, y), f| {
+                    let (fx, fy) = f.room(img.width(), img.height())?;
+                    Some((x.min(fx), y.min(fy)))
+                })
+        });
+        levels.push(Level {
+            size,
+            stride,
+            scaled,
+            room,
+        });
+        size = next_size(size, cfg.scale_factor);
     }
-    let scan = |rows: &[(usize, usize, usize)]| {
+    let scan = |rows: &[(usize, usize)]| {
         let mut out = Vec::new();
-        for &(size, stride, y) in rows {
+        // Per-window buffers of one scan row: normalization, first-stage
+        // score and one stump's unnormalized feature responses.
+        let (mut inv_norm, mut score, mut responses) = (Vec::new(), Vec::new(), Vec::new());
+        for &(level, y) in rows {
+            let Level {
+                size,
+                stride,
+                ref scaled,
+                room,
+            } = levels[level];
             // All windows of this scan row share the same two table-row
             // bands of each integral image; borrowing them once turns the
             // per-window normalization sums into four fixed-offset slice
@@ -418,14 +502,44 @@ fn detect_pipeline(
             let bot = ii.table_row(y + size);
             let top2 = ii2.table_row(y);
             let bot2 = ii2.table_row(y + size);
-            let mut x = 0;
-            while x + size <= img.width() {
-                let x1 = x + size;
+            let windows = (img.width() - size) / stride + 1;
+            inv_norm.clear();
+            inv_norm.extend((0..windows).map(|i| {
+                let (x, x1) = (i * stride, i * stride + size);
                 let sum = bot[x1] - top[x1] - bot[x] + top[x];
                 let sum2 = bot2[x1] - top2[x1] - bot2[x] + top2[x];
-                let win =
-                    NormalizedWindow::from_window_sums(sum, sum2, x, y, size, cascade.window());
-                if cascade.accepts(&ii, &win) {
+                NormalizedWindow::from_window_sums(sum, sum2, x, y, size, cascade.window()).inv_norm
+            }));
+            // The first stage, stump by stump over the windows in which no
+            // first-stage feature needs a clamp: the same committee sums as
+            // `Cascade::accepts`, in the same order (a zero score passes or
+            // fails its threshold alike whatever its sign).
+            let inner = match room {
+                Some((rx, ry)) if y <= ry => (rx / stride + 1).min(windows),
+                _ => 0,
+            };
+            score.clear();
+            score.resize(inner, 0.0);
+            if inner > 0 {
+                let stage = &cascade.stages[0];
+                responses.resize(inner, 0.0);
+                for st in &stage.stumps {
+                    scaled[0][st.feature].raw_row(&ii, (0, y), stride, &mut responses);
+                    for ((s, &r), &n) in score.iter_mut().zip(&responses).zip(&inv_norm) {
+                        *s += st.alpha * st.vote(r * n);
+                    }
+                }
+            }
+            for (i, &n) in inv_norm.iter().enumerate() {
+                let x = i * stride;
+                let value = |s: usize, f: usize| scaled[s][f].eval(&ii, x, y, n);
+                let accepted = match score.get(i) {
+                    Some(&s) => {
+                        s >= cascade.stages[0].threshold && cascade.accepts_values(1, value)
+                    }
+                    None => cascade.accepts_values(0, value),
+                };
+                if accepted {
                     out.push(Detection {
                         x,
                         y,
@@ -433,12 +547,11 @@ fn detect_pipeline(
                         support: 1,
                     });
                 }
-                x += stride;
             }
         }
         out
     };
-    let raw: Vec<Detection> = if !cfg.exec.is_parallel(rows.len()) {
+    if !cfg.exec.is_parallel(rows.len()) {
         prof.kernel("ExtractFaces", |_| scan(&rows))
     } else {
         // Each worker scans a contiguous run of rows with a private
@@ -460,10 +573,7 @@ fn detect_pipeline(
             raw.extend(dets);
         }
         raw
-    };
-    prof.kernel("StabilizeWindows", |_| {
-        merge_detections(&raw, cfg.merge_iou, cfg.min_support)
-    })
+    }
 }
 
 /// Greedy connected-component merging of overlapping raw windows; groups
@@ -649,6 +759,63 @@ mod tests {
         }
         // The scan dominates.
         assert!(rep.occupancy("ExtractFaces").unwrap() > 50.0);
+    }
+
+    /// A factor that leaves the 24-pixel window at 24 pixels (1.0, or
+    /// anything below 1 + 0.5/24), shrinks it (0.5) or is NaN is rejected
+    /// before any kernel runs; the scale loop would never end on it.
+    #[test]
+    fn non_growing_scale_factors_are_rejected_before_the_scan() {
+        let scene = face_scene(64, 64, 5, 1);
+        for (scale_factor, next) in [(1.0, 24), (1.02, 24), (0.5, 12), (f64::NAN, 0)] {
+            let cfg = DetectorConfig {
+                scale_factor,
+                ..DetectorConfig::default()
+            };
+            let mut prof = Profiler::new();
+            let got = try_detect_faces(&scene.image, cascade(), &cfg, &mut prof);
+            assert_eq!(
+                got,
+                Err(DetectError::ScaleDoesNotGrow { window: 24, next }),
+                "scale_factor {scale_factor}"
+            );
+            assert!(
+                prof.report().kernels().is_empty(),
+                "scale_factor {scale_factor}"
+            );
+        }
+        // The smallest growth, 24 -> 25 pixels, still scans every size.
+        let cfg = DetectorConfig {
+            scale_factor: 1.021,
+            ..DetectorConfig::default()
+        };
+        let mut prof = Profiler::new();
+        assert!(try_detect_faces(&scene.image, cascade(), &cfg, &mut prof).is_ok());
+    }
+
+    /// A `stride_frac` whose stride overflows `usize` (infinite or huge)
+    /// scans one window per row and column at each size, as a stride just
+    /// past the image side does.
+    #[test]
+    fn overflowing_strides_scan_one_window_per_row() {
+        let scene = face_scene(80, 64, 5, 1);
+        let raw = |stride_frac: f64| {
+            let cfg = DetectorConfig {
+                stride_frac,
+                ..DetectorConfig::default()
+            };
+            raw_detections(&scene.image, cascade(), &cfg, &mut Profiler::new())
+        };
+        let sparse = raw(3.0);
+        for stride_frac in [f64::INFINITY, 1e300] {
+            assert_eq!(raw(stride_frac), sparse, "stride_frac {stride_frac}");
+        }
+        let mut prof = Profiler::new();
+        let cfg = DetectorConfig {
+            stride_frac: f64::INFINITY,
+            ..DetectorConfig::default()
+        };
+        assert!(try_detect_faces(&scene.image, cascade(), &cfg, &mut prof).is_ok());
     }
 
     #[test]

@@ -107,46 +107,21 @@ impl HaarFeature {
     /// black-minus-white rectangle contrast divided by the window's
     /// standard deviation (Viola–Jones lighting correction).
     pub fn eval(&self, ii: &IntegralImage, win: &NormalizedWindow) -> f64 {
-        let s = win.scale;
-        let sx = |v: usize| (v as f64 * s).round() as usize;
-        let x = win.x0 + sx(self.x);
-        let y = win.y0 + sx(self.y);
-        let w = sx(self.w).max(2);
-        let h = sx(self.h).max(2);
-        // Clamp to the integral-image bounds (rounding can push the scaled
-        // rectangle one pixel over).
-        let w = w.min(ii.width().saturating_sub(x));
-        let h = h.min(ii.height().saturating_sub(y));
-        if w < 2 || h < 2 {
-            return 0.0;
+        self.scaled(win.scale)
+            .eval(ii, win.x0, win.y0, win.inv_norm)
+    }
+
+    /// The feature's offsets and sizes in a window `scale` times the
+    /// canonical one, before the clamp to the image edge.
+    pub(crate) fn scaled(&self, scale: f64) -> ScaledFeature {
+        let sx = |v: usize| (v as f64 * scale).round() as usize;
+        ScaledFeature {
+            kind: self.kind,
+            x: sx(self.x),
+            y: sx(self.y),
+            w: sx(self.w).max(2),
+            h: sx(self.h).max(2),
         }
-        let raw = match self.kind {
-            HaarKind::TwoVertical => {
-                let hh = h / 2;
-                ii.sum(x, y, w, hh) - ii.sum(x, y + hh, w, hh)
-            }
-            HaarKind::TwoHorizontal => {
-                let hw = w / 2;
-                ii.sum(x, y, hw, h) - ii.sum(x + hw, y, hw, h)
-            }
-            HaarKind::ThreeHorizontal => {
-                // Zero-mean weighting: 2*center - outer pair.
-                let tw = w / 3;
-                2.0 * ii.sum(x + tw, y, tw, h) - ii.sum(x, y, tw, h) - ii.sum(x + 2 * tw, y, tw, h)
-            }
-            HaarKind::ThreeVertical => {
-                let th = h / 3;
-                2.0 * ii.sum(x, y + th, w, th) - ii.sum(x, y, w, th) - ii.sum(x, y + 2 * th, w, th)
-            }
-            HaarKind::Four => {
-                let hw = w / 2;
-                let hh = h / 2;
-                ii.sum(x, y, hw, hh) + ii.sum(x + hw, y + hh, hw, hh)
-                    - ii.sum(x + hw, y, hw, hh)
-                    - ii.sum(x, y + hh, hw, hh)
-            }
-        };
-        raw * win.inv_norm
     }
 
     /// Evaluates the feature on a full `base × base` patch (training
@@ -156,6 +131,135 @@ impl HaarFeature {
         let ii2 = IntegralImage::squared(patch);
         let win = NormalizedWindow::new(&ii, &ii2, 0, 0, base, base);
         self.eval(&ii, &win)
+    }
+}
+
+/// A [`HaarFeature`] at one window scale: offsets `(v·scale).round()`,
+/// sizes the same but at least 2. A sliding-window scan computes it once
+/// per window size; [`HaarFeature::eval`] computes it per call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScaledFeature {
+    kind: HaarKind,
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+}
+
+impl ScaledFeature {
+    /// The feature's normalized response in the window with top-left
+    /// corner `(x0, y0)` and normalization factor `inv_norm`.
+    pub(crate) fn eval(&self, ii: &IntegralImage, x0: usize, y0: usize, inv_norm: f64) -> f64 {
+        let x = x0 + self.x;
+        let y = y0 + self.y;
+        // Clamp to the integral-image bounds (rounding can push the scaled
+        // rectangle one pixel over).
+        let w = self.w.min(ii.width().saturating_sub(x));
+        let h = self.h.min(ii.height().saturating_sub(y));
+        if w < 2 || h < 2 {
+            return 0.0;
+        }
+        let mut raw = [0.0];
+        contrasts(self.kind, ii, (x, y), (w, h), 1, &mut raw);
+        raw[0] * inv_norm
+    }
+
+    /// The unnormalized responses in the windows with top-left corners
+    /// `(x0 + i·step, y0)`, one per `out[i]`, for windows in which the
+    /// feature needs no clamp (see [`ScaledFeature::room`]).
+    pub(crate) fn raw_row(
+        &self,
+        ii: &IntegralImage,
+        (x0, y0): (usize, usize),
+        step: usize,
+        out: &mut [f64],
+    ) {
+        contrasts(
+            self.kind,
+            ii,
+            (x0 + self.x, y0 + self.y),
+            (self.w, self.h),
+            step,
+            out,
+        );
+    }
+
+    /// The largest window corner `(x0, y0)` at which the feature lies
+    /// inside a `width × height` image, so needs no clamp; `None` if it
+    /// lies outside at every corner.
+    pub(crate) fn room(&self, width: usize, height: usize) -> Option<(usize, usize)> {
+        Some((
+            width.checked_sub(self.x + self.w)?,
+            height.checked_sub(self.y + self.h)?,
+        ))
+    }
+}
+
+/// `out[i]` is the black-minus-white contrast of a `kind` feature of size
+/// `w × h` with its top-left corner at `(x + i·step, y)`. Each rectangle
+/// sum is `IntegralImage::sum`'s `d − b − c + a`, read from the table rows
+/// the feature spans, and the sums combine in the same order.
+///
+/// # Panics
+///
+/// Panics if a feature leaves the table.
+fn contrasts(
+    kind: HaarKind,
+    ii: &IntegralImage,
+    (x, y): (usize, usize),
+    (w, h): (usize, usize),
+    step: usize,
+    out: &mut [f64],
+) {
+    // The sum over columns `x0 .. x0 + w` between table rows `top` and
+    // `bot`.
+    fn band(top: &[f64], bot: &[f64], x0: usize, w: usize) -> f64 {
+        bot[x0 + w] - top[x0 + w] - bot[x0] + top[x0]
+    }
+    let row = |dy: usize| ii.table_row(y + dy);
+    let cols = out.iter_mut().enumerate().map(|(i, o)| (o, x + i * step));
+    match kind {
+        HaarKind::TwoVertical => {
+            let hh = h / 2;
+            let (r0, r1, r2) = (row(0), row(hh), row(2 * hh));
+            for (o, x) in cols {
+                *o = band(r0, r1, x, w) - band(r1, r2, x, w);
+            }
+        }
+        HaarKind::TwoHorizontal => {
+            let hw = w / 2;
+            let (r0, r1) = (row(0), row(h));
+            for (o, x) in cols {
+                *o = band(r0, r1, x, hw) - band(r0, r1, x + hw, hw);
+            }
+        }
+        HaarKind::ThreeHorizontal => {
+            // Zero-mean weighting: 2*center - outer pair.
+            let tw = w / 3;
+            let (r0, r1) = (row(0), row(h));
+            for (o, x) in cols {
+                *o = 2.0 * band(r0, r1, x + tw, tw)
+                    - band(r0, r1, x, tw)
+                    - band(r0, r1, x + 2 * tw, tw);
+            }
+        }
+        HaarKind::ThreeVertical => {
+            let th = h / 3;
+            let (r0, r1, r2, r3) = (row(0), row(th), row(2 * th), row(3 * th));
+            for (o, x) in cols {
+                *o = 2.0 * band(r1, r2, x, w) - band(r0, r1, x, w) - band(r2, r3, x, w);
+            }
+        }
+        HaarKind::Four => {
+            let hw = w / 2;
+            let hh = h / 2;
+            let (r0, r1, r2) = (row(0), row(hh), row(2 * hh));
+            for (o, x) in cols {
+                *o = band(r0, r1, x, hw) + band(r1, r2, x + hw, hw)
+                    - band(r0, r1, x + hw, hw)
+                    - band(r1, r2, x, hw);
+            }
+        }
     }
 }
 

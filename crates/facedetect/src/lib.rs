@@ -42,6 +42,8 @@ mod boost;
 mod cascade;
 mod haar;
 mod model_io;
+#[cfg(test)]
+mod oracle;
 
 pub use boost::{train_adaboost, StrongClassifier, Stump};
 pub use cascade::{

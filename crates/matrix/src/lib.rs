@@ -41,6 +41,8 @@
 mod cg;
 mod eigen;
 mod error;
+#[cfg(test)]
+mod lanczos_reference;
 mod lu;
 mod mat;
 mod qr;

@@ -324,7 +324,8 @@ pub struct LanczosResult {
 ///
 /// `start` seeds the Krylov subspace (any nonzero vector; callers typically
 /// pass a deterministic pseudo-random vector). `max_steps` bounds the Krylov
-/// dimension; accuracy improves with more steps.
+/// dimension; accuracy improves with more steps. The basis is one block,
+/// reserved up front for `max_steps.min(n)` vectors (at least `k`).
 ///
 /// # Errors
 ///
@@ -348,6 +349,14 @@ pub fn lanczos<A: LinearOperator + ?Sized>(
     start: &[f64],
     max_steps: usize,
 ) -> Result<LanczosResult> {
+    let n = check_operands(a, k, start)?;
+    let mut krylov = Krylov::new(n, max_steps.min(n).max(k.min(n)));
+    krylov.basis.extend_from_slice(start);
+    krylov.run(a, &[], &[], k)
+}
+
+/// Rejects an empty problem or a mis-sized start vector; returns `n`.
+fn check_operands<A: LinearOperator + ?Sized>(a: &A, k: usize, start: &[f64]) -> Result<usize> {
     let n = a.dim();
     if n == 0 || k == 0 {
         return Err(MatrixError::Empty);
@@ -358,115 +367,182 @@ pub fn lanczos<A: LinearOperator + ?Sized>(
             found: (start.len(), 1),
         });
     }
-    let steps = max_steps.min(n).max(k.min(n));
-    let mut q: Vec<Vec<f64>> = Vec::with_capacity(steps);
-    let mut alphas: Vec<f64> = Vec::with_capacity(steps);
-    let mut betas: Vec<f64> = Vec::with_capacity(steps);
+    Ok(n)
+}
 
-    let snorm = start.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if snorm == 0.0 {
-        return Err(MatrixError::NoConvergence { iterations: 0 });
+/// The workspace of one eigensolve, which every deflation pass reuses: the
+/// Krylov basis as one block of up to `steps` vectors of length `n`, back
+/// to back, and the residual `w`.
+struct Krylov {
+    n: usize,
+    steps: usize,
+    basis: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl Krylov {
+    fn new(n: usize, steps: usize) -> Krylov {
+        Krylov {
+            n,
+            steps,
+            basis: Vec::with_capacity(steps * n),
+            w: vec![0.0; n],
+        }
     }
-    q.push(start.iter().map(|v| v / snorm).collect());
-    let mut w = vec![0.0; n];
-    for j in 0..steps {
-        a.apply(&q[j], &mut w);
-        let alpha: f64 = w.iter().zip(&q[j]).map(|(x, y)| x * y).sum();
-        alphas.push(alpha);
-        // w ← w − α qⱼ − β qⱼ₋₁, then full reorthogonalization for
-        // numerical robustness (classic Lanczos loses orthogonality fast).
-        for i in 0..n {
-            w[i] -= alpha * q[j][i];
+
+    /// One Lanczos run on `A − Σ λᵢ vᵢ vᵢᵀ` (`lambdas[i]`, `deflate[i]`;
+    /// both empty for plain Lanczos), started from the vector the basis
+    /// holds on entry, returning the `k` largest Ritz pairs.
+    ///
+    /// Full reorthogonalization is modified Gram–Schmidt against every
+    /// basis vector. Each subtraction `w ← w − d·qᵢ` runs in the same pass
+    /// as the next dot product `w·qᵢ₊₁` (the last one with `w·w`), so `w`
+    /// is read once per projection instead of twice. Per element the
+    /// operations, the `d != 0.0` skip and the sequential order of every
+    /// sum are those of separate passes, so every bit is too.
+    fn run<A: LinearOperator + ?Sized>(
+        &mut self,
+        a: &A,
+        lambdas: &[f64],
+        deflate: &[Vec<f64>],
+        k: usize,
+    ) -> Result<LanczosResult> {
+        let Krylov { n, steps, basis, w } = self;
+        let (n, steps) = (*n, *steps);
+        let snorm = basis.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if snorm == 0.0 {
+            return Err(MatrixError::NoConvergence { iterations: 0 });
         }
-        if j > 0 {
-            let beta_prev = betas[j - 1];
-            for i in 0..n {
-                w[i] -= beta_prev * q[j - 1][i];
-            }
+        for v in basis.iter_mut() {
+            *v /= snorm;
         }
-        for qv in &q {
-            let d: f64 = w.iter().zip(qv).map(|(x, y)| x * y).sum();
-            if d != 0.0 {
-                for i in 0..n {
-                    w[i] -= d * qv[i];
+        let mut alphas: Vec<f64> = Vec::with_capacity(steps);
+        let mut betas: Vec<f64> = Vec::with_capacity(steps);
+        for j in 0..steps {
+            let q = |i: usize| &basis[i * n..(i + 1) * n];
+            let qj = q(j);
+            a.apply(qj, w);
+            for (lam, v) in lambdas.iter().zip(deflate) {
+                let dot: f64 = v.iter().zip(qj).map(|(a, b)| a * b).sum();
+                let scale = lam * dot;
+                for (yi, vi) in w.iter_mut().zip(v) {
+                    *yi -= scale * vi;
                 }
             }
+            let alpha: f64 = w.iter().zip(qj).map(|(x, y)| x * y).sum();
+            alphas.push(alpha);
+            // w ← w − α qⱼ − β qⱼ₋₁, fused with the first projection's
+            // dot product w·q₀.
+            let mut d: f64 = match j.checked_sub(1) {
+                None => w
+                    .iter_mut()
+                    .zip(qj)
+                    .map(|(wv, qv)| {
+                        *wv -= alpha * qv;
+                        *wv * qv
+                    })
+                    .sum(),
+                Some(prev) => {
+                    let beta_prev = betas[prev];
+                    w.iter_mut()
+                        .zip(qj)
+                        .zip(q(prev))
+                        .zip(q(0))
+                        .map(|(((wv, qv), pv), zv)| {
+                            *wv -= alpha * qv;
+                            *wv -= beta_prev * pv;
+                            *wv * zv
+                        })
+                        .sum()
+                }
+            };
+            // Full reorthogonalization (classic Lanczos loses
+            // orthogonality fast).
+            for i in 0..j {
+                d = subtract_then_dot(w, d, q(i), q(i + 1));
+            }
+            let beta = subtract_then_norm2(w, d, qj).sqrt();
+            if beta < 1e-12 || j + 1 == steps {
+                break;
+            }
+            betas.push(beta);
+            basis.extend(w.iter().map(|v| v / beta));
         }
-        let beta = w.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if beta < 1e-12 || j + 1 == steps {
-            break;
-        }
-        betas.push(beta);
-        q.push(w.iter().map(|v| v / beta).collect());
-    }
-    let m = alphas.len();
-    // Solve the small tridiagonal eigenproblem densely.
-    let mut t = Matrix::zeros(m, m);
-    for i in 0..m {
-        t[(i, i)] = alphas[i];
-        if i + 1 < m {
-            t[(i, i + 1)] = betas[i];
-            t[(i + 1, i)] = betas[i];
-        }
-    }
-    let eig = SymEigen::new(&t)?;
-    // SymEigen sorts ascending; we want the k largest.
-    let kk = k.min(m);
-    let mut values = Vec::with_capacity(kk);
-    let mut vectors = Vec::with_capacity(kk);
-    for idx in 0..kk {
-        let col = m - 1 - idx;
-        values.push(eig.values()[col]);
-        let s = eig.vectors().col(col);
-        let mut ritz = vec![0.0; n];
-        for (j, qv) in q.iter().enumerate() {
-            let sj = s[j];
-            for i in 0..n {
-                ritz[i] += sj * qv[i];
+        let m = alphas.len();
+        // Solve the small tridiagonal eigenproblem densely.
+        let mut t = Matrix::zeros(m, m);
+        for i in 0..m {
+            t[(i, i)] = alphas[i];
+            if i + 1 < m {
+                t[(i, i + 1)] = betas[i];
+                t[(i + 1, i)] = betas[i];
             }
         }
-        let rn = ritz.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if rn > 0.0 {
-            for v in &mut ritz {
-                *v /= rn;
+        let eig = SymEigen::new(&t)?;
+        // SymEigen sorts ascending; we want the k largest.
+        let kk = k.min(m);
+        let mut values = Vec::with_capacity(kk);
+        let mut vectors = Vec::with_capacity(kk);
+        for idx in 0..kk {
+            let col = m - 1 - idx;
+            values.push(eig.values()[col]);
+            let s = eig.vectors().col(col);
+            let mut ritz = vec![0.0; n];
+            for (sj, qv) in s.iter().zip(basis.chunks_exact(n)) {
+                for (r, qi) in ritz.iter_mut().zip(qv) {
+                    *r += sj * qi;
+                }
             }
+            let rn = ritz.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if rn > 0.0 {
+                for v in &mut ritz {
+                    *v /= rn;
+                }
+            }
+            vectors.push(ritz);
         }
-        vectors.push(ritz);
+        Ok(LanczosResult {
+            values,
+            vectors,
+            steps: m,
+        })
     }
-    Ok(LanczosResult {
-        values,
-        vectors,
-        steps: m,
-    })
 }
 
-/// A linear operator with rank-one spectral deflations applied:
-/// `A' = A − Σ λᵢ vᵢ vᵢᵀ`.
-struct Deflated<'a, A: ?Sized> {
-    inner: &'a A,
-    pairs: Vec<(f64, Vec<f64>)>,
+/// `w ← w − d·q` (skipped when `d` is zero), then the dot product of the
+/// updated `w` with `next`, in one pass.
+fn subtract_then_dot(w: &mut [f64], d: f64, q: &[f64], next: &[f64]) -> f64 {
+    if d == 0.0 {
+        return w.iter().zip(next).map(|(x, y)| x * y).sum();
+    }
+    w.iter_mut()
+        .zip(q)
+        .zip(next)
+        .map(|((wv, qv), nv)| {
+            *wv -= d * qv;
+            *wv * nv
+        })
+        .sum()
 }
 
-impl<A: LinearOperator + ?Sized> LinearOperator for Deflated<'_, A> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
+/// `w ← w − d·q` (skipped when `d` is zero), then `w·w`, in one pass.
+fn subtract_then_norm2(w: &mut [f64], d: f64, q: &[f64]) -> f64 {
+    if d == 0.0 {
+        return w.iter().map(|v| v * v).sum();
     }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        for (lam, v) in &self.pairs {
-            let dot: f64 = v.iter().zip(x).map(|(a, b)| a * b).sum();
-            let scale = lam * dot;
-            for (yi, vi) in y.iter_mut().zip(v) {
-                *yi -= scale * vi;
-            }
-        }
-    }
+    w.iter_mut()
+        .zip(q)
+        .map(|(wv, qv)| {
+            *wv -= d * qv;
+            *wv * *wv
+        })
+        .sum()
 }
 
 /// Computes the `k` algebraically largest eigenpairs by *sequential
-/// deflation*: one single-vector Lanczos run per eigenpair, subtracting
-/// each converged pair from the operator before the next run.
+/// deflation*: one single-vector Lanczos run per eigenpair, each on the
+/// operator minus every pair found before it (`A − Σ λᵢ vᵢ vᵢᵀ`). All runs
+/// share one Krylov basis block.
 ///
 /// Plain Lanczos ([`lanczos`]) extracts at most one eigenvector per
 /// *distinct* eigenvalue — a Krylov space contains only the starting
@@ -484,46 +560,24 @@ pub fn lanczos_deflated<A: LinearOperator + ?Sized>(
     start: &[f64],
     max_steps: usize,
 ) -> Result<LanczosResult> {
-    let n = a.dim();
-    if n == 0 || k == 0 {
-        return Err(MatrixError::Empty);
-    }
-    if start.len() != n {
-        return Err(MatrixError::DimensionMismatch {
-            expected: (n, 1),
-            found: (start.len(), 1),
-        });
-    }
-    let mut deflated = Deflated {
-        inner: a,
-        pairs: Vec::with_capacity(k),
-    };
+    let n = check_operands(a, k, start)?;
+    let mut krylov = Krylov::new(n, max_steps.min(n).max(1));
     let mut values = Vec::with_capacity(k);
     let mut vectors = Vec::with_capacity(k);
     let mut total_steps = 0;
     for j in 0..k.min(n) {
         // Perturb the start vector per round so it has a component in the
         // next eigendirection even if the original was unluckily aligned.
-        let s: Vec<f64> = start
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let mix = 0x9e3779b97f4a7c15u64 ^ (j as u64 + 1).wrapping_mul(0xd1342543de82ef95);
-                let x = ((i + 1) as u64).wrapping_mul(mix | 1);
-                v + 1e-3 * (((x >> 40) % 1000) as f64 / 1000.0 - 0.5)
-            })
-            .collect();
-        let r = lanczos(&deflated, 1, &s, max_steps)?;
-        let lam = r.values[0];
-        let vec = r
-            .vectors
-            .into_iter()
-            .next()
-            .expect("k=1 returns one vector");
+        let mix = 0x9e3779b97f4a7c15u64 ^ (j as u64 + 1).wrapping_mul(0xd1342543de82ef95);
+        krylov.basis.clear();
+        krylov.basis.extend(start.iter().enumerate().map(|(i, v)| {
+            let x = ((i + 1) as u64).wrapping_mul(mix | 1);
+            v + 1e-3 * (((x >> 40) % 1000) as f64 / 1000.0 - 0.5)
+        }));
+        let r = krylov.run(a, &values, &vectors, 1)?;
         total_steps += r.steps;
-        values.push(lam);
-        vectors.push(vec.clone());
-        deflated.pairs.push((lam, vec));
+        values.extend(r.values);
+        vectors.extend(r.vectors);
     }
     Ok(LanczosResult {
         values,
@@ -535,6 +589,8 @@ pub fn lanczos_deflated<A: LinearOperator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanczos_reference as reference;
+    use proptest::prelude::*;
 
     fn laplacian_path(n: usize) -> CsrMatrix {
         // 1-D path-graph Laplacian: known spectrum 2 - 2cos(pi k / n).
@@ -720,5 +776,112 @@ mod tests {
         for (p, d) in plain.values.iter().zip(&defl.values) {
             assert!((p - d).abs() < 1e-6, "{p} vs {d}");
         }
+    }
+
+    /// A deterministic value in [-1, 1) for index `i`, or a signed zero at
+    /// every seventh (`+0.0`) and eleventh (`-0.0`) index after the first.
+    fn entry(seed: u64, i: usize) -> f64 {
+        match i {
+            0 => 0.5 + (seed % 7) as f64 / 16.0,
+            _ if i % 7 == 3 => 0.0,
+            _ if i % 11 == 5 => -0.0,
+            _ => {
+                let x = (i as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                ((x >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            }
+        }
+    }
+
+    /// A symmetric `n × n` test operator. Shape 0 is dense with signed
+    /// zeros; shape 1 is rank one (`u uᵀ`), and shape 2 diagonal with
+    /// three distinct values, so their Krylov spaces close after two and
+    /// three steps (`beta < 1e-12`).
+    fn operator(shape: usize, n: usize, seed: u64) -> Matrix {
+        match shape {
+            0 => {
+                let mut m = Matrix::zeros(n, n);
+                for i in 0..n {
+                    for j in 0..=i {
+                        let v = entry(seed, i * n + j);
+                        m[(i, j)] = v;
+                        m[(j, i)] = v;
+                    }
+                }
+                m
+            }
+            1 => Matrix::from_fn(n, n, |i, j| entry(seed, i + 1) * entry(seed, j + 1)),
+            _ => Matrix::from_fn(n, n, |i, j| {
+                if i == j {
+                    [2.0, -0.0, -1.5][i % 3]
+                } else {
+                    0.0
+                }
+            }),
+        }
+    }
+
+    /// Asserts two eigensolves agree to the bit, or fail with equal errors.
+    fn assert_same_solve(got: Result<LanczosResult>, want: Result<LanczosResult>, what: &str) {
+        let (got, want) = match (got, want) {
+            (Ok(g), Ok(w)) => (g, w),
+            (Err(g), Err(w)) => return assert_eq!(g, w, "{what}: errors"),
+            (g, w) => panic!("{what}: {g:?} against reference {w:?}"),
+        };
+        assert_eq!(got.steps, want.steps, "{what}: steps");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.values), bits(&want.values), "{what}: values");
+        assert_eq!(got.vectors.len(), want.vectors.len(), "{what}: vectors");
+        for (j, (g, w)) in got.vectors.iter().zip(&want.vectors).enumerate() {
+            assert!(bits(g) == bits(w), "{what}: vector {j} differs");
+        }
+    }
+
+    /// Both entry points against the reference copies on one operator.
+    fn assert_matches_reference(a: &Matrix, k: usize, start: &[f64], max_steps: usize, what: &str) {
+        assert_same_solve(
+            lanczos(a, k, start, max_steps),
+            reference::lanczos(a, k, start, max_steps),
+            &format!("lanczos {what}"),
+        );
+        assert_same_solve(
+            lanczos_deflated(a, k, start, max_steps),
+            reference::lanczos_deflated(a, k, start, max_steps),
+            &format!("lanczos_deflated {what}"),
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random symmetric operators, start vectors with signed zeros,
+        /// `k` up to 5 and `max_steps` from 0 (so often below `k`).
+        #[test]
+        fn fused_krylov_loop_matches_the_reference_bit_for_bit(
+            shape in 0usize..3,
+            n in 1usize..24,
+            k in 1usize..6,
+            max_steps in 0usize..26,
+            seed in 0u64..1_000_000,
+        ) {
+            let a = operator(shape, n, seed);
+            let start: Vec<f64> = (0..n).map(|i| entry(seed ^ 0x5eed, i)).collect();
+            let what = format!("shape {shape} n {n} k {k} max_steps {max_steps} seed {seed}");
+            assert_matches_reference(&a, k, &start, max_steps, &what);
+        }
+    }
+
+    #[test]
+    fn closed_krylov_spaces_and_zero_starts_match_the_reference() {
+        for (shape, closes_after) in [(1, 2), (2, 3)] {
+            let n = 12;
+            let a = operator(shape, n, 41);
+            let start: Vec<f64> = (0..n).map(|i| entry(77, i)).collect();
+            // The case is exercised: the space closes before `max_steps`.
+            assert_eq!(lanczos(&a, 1, &start, n).unwrap().steps, closes_after);
+            assert_matches_reference(&a, 3, &start, n, &format!("shape {shape}"));
+        }
+        let a = operator(0, 5, 3);
+        assert_matches_reference(&a, 2, &[0.0, -0.0, 0.0, 0.0, -0.0], 5, "zero start");
+        assert_matches_reference(&a, 2, &[1.0; 4], 5, "short start");
     }
 }

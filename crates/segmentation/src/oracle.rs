@@ -11,6 +11,8 @@ use proptest::prelude::*;
 use sdvbs_exec::{map_chunks, ExecPolicy};
 use sdvbs_image::Image;
 use sdvbs_matrix::{lanczos_deflated, CsrMatrix, LinearOperator, SparseBuilder};
+// What the shared reference Lanczos file imports from its parent module.
+use sdvbs_matrix::{LanczosResult, Matrix, MatrixError, Result, SymEigen};
 use sdvbs_profile::Profiler;
 use sdvbs_synth::segmentable_scene;
 
@@ -230,6 +232,35 @@ fn lanczos_eigenvectors_match_at_sqcif() {
     let b = lanczos_deflated(&csr, 4, &start, 60).expect("reference eigensolve");
     assert_same_bits(&a.values, &b.values, "eigenvalues");
     assert_eq!(a.steps, b.steps);
+    for (j, (va, vb)) in a.vectors.iter().zip(&b.vectors).enumerate() {
+        assert_same_bits(va, vb, &format!("eigenvector {j}"));
+    }
+}
+
+/// The Lanczos loops the fused Krylov loop replaced (the matrix crate's
+/// test-only copy).
+#[path = "../../matrix/src/lanczos_reference.rs"]
+mod lanczos_reference;
+
+/// The fused Krylov loop returns the replaced loop's eigenpairs and step
+/// count, to the bit, on the normalized CIF stencil of one seed with the
+/// start vector and step count `segment` uses.
+#[test]
+fn fused_lanczos_matches_the_replaced_loop_on_the_cif_stencil() {
+    let (w, h) = SIZES[2];
+    let feats = features(w, h, 3, true);
+    let mut stencil = adjacency_matrix_with(&feats, 3, 25.0, 6.0, ExecPolicy::Serial);
+    stencil.scale_sym(&inv_sqrt(&stencil.row_sums()));
+    let start: Vec<f64> = (0..w * h)
+        .map(|i| {
+            let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((x >> 33) % 1000) as f64 / 1000.0 + 0.1
+        })
+        .collect();
+    let a = lanczos_deflated(&stencil, 4, &start, 60).expect("fused eigensolve");
+    let b = lanczos_reference::lanczos_deflated(&stencil, 4, &start, 60).expect("reference");
+    assert_eq!(a.steps, b.steps);
+    assert_same_bits(&a.values, &b.values, "eigenvalues");
     for (j, (va, vb)) in a.vectors.iter().zip(&b.vectors).enumerate() {
         assert_same_bits(va, vb, &format!("eigenvector {j}"));
     }

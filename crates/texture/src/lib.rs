@@ -166,6 +166,21 @@ pub fn synthesize(
     cfg: &TextureConfig,
     prof: &mut Profiler,
 ) -> Result<Image, TextureError> {
+    synthesize_with(swatch, out_w, out_h, cfg, prof, synth_pass)
+}
+
+/// A synthesis sweep with the signature of [`synth_pass`].
+type SynthPass = fn(&mut Image, &NeighborhoodIndex, f64, &mut StdRng);
+
+/// [`synthesize`] with `pass` as its synthesis sweep.
+fn synthesize_with(
+    swatch: &Image,
+    out_w: usize,
+    out_h: usize,
+    cfg: &TextureConfig,
+    prof: &mut Profiler,
+    pass: SynthPass,
+) -> Result<Image, TextureError> {
     if swatch.is_empty() {
         return Err(TextureError::EmptySwatch);
     }
@@ -234,10 +249,10 @@ pub fn synthesize(
             let sy = rng.gen_range(0..swatch.height());
             swatch.get(sx, sy)
         });
-        synth_pass(&mut out, &causal_index, cfg.tolerance, &mut rng);
+        pass(&mut out, &causal_index, cfg.tolerance, &mut rng);
         if let Some(full_index) = &full_index {
             for _ in 1..cfg.passes {
-                synth_pass(&mut out, full_index, cfg.tolerance, &mut rng);
+                pass(&mut out, full_index, cfg.tolerance, &mut rng);
             }
         }
         out
@@ -358,12 +373,22 @@ fn build_index(
 
 /// One synthesis sweep over the output in scan order, replacing each pixel
 /// with the center of its best-matching swatch neighborhood.
+///
+/// Each pixel searches the candidates twice: once for the best distance,
+/// then to reservoir-sample among those within the tolerance cutoff. The
+/// first sweep keeps every candidate's distance and whether its sum ran
+/// over every dimension. Partial sums of squares never decrease, so the
+/// second sweep needs no arithmetic for a complete distance (it is the
+/// full sum) or for a partial one already past the cutoff (the full sum
+/// is past it too). It recomputes only the rest, and chooses the same
+/// candidates with the same random draws as a full second sweep.
 fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &mut StdRng) {
     let (out_w, out_h) = (out.width(), out.height());
-    let n = index.centers.len();
     let toroidal = |v: isize, m: usize| -> usize { v.rem_euclid(m as isize) as usize };
     let mut query = vec![0.0f64; index.dim];
     let mut proj = vec![0.0f64; index.k];
+    // (distance, complete) per candidate, from the first sweep.
+    let mut first = vec![(0.0f64, false); index.centers.len()];
     for y in 0..out_h {
         for x in 0..out_w {
             // Gather and center the neighborhood (wrapping).
@@ -382,18 +407,10 @@ fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &
             }
             // Nearest candidates in PCA space.
             let mut best = f64::INFINITY;
-            for c in 0..n {
-                let row = index.projected.row(c);
-                let mut d = 0.0;
-                for (pv, rv) in proj.iter().zip(row) {
-                    let diff = pv - rv;
-                    d += diff * diff;
-                    if d >= best {
-                        break;
-                    }
-                }
-                if d < best {
-                    best = d;
+            for (c, slot) in first.iter_mut().enumerate() {
+                *slot = distance_until(&proj, index.projected.row(c), |d| d >= best);
+                if slot.0 < best {
+                    best = slot.0;
                 }
             }
             let cutoff = best * (1.0 + tolerance) + 1e-12;
@@ -401,17 +418,15 @@ fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &
             // (single pass, no allocation).
             let mut chosen = usize::MAX;
             let mut seen = 0usize;
-            for c in 0..n {
-                let row = index.projected.row(c);
-                let mut d = 0.0;
-                for (pv, rv) in proj.iter().zip(row) {
-                    let diff = pv - rv;
-                    d += diff * diff;
-                    if d > cutoff {
-                        break;
-                    }
-                }
-                if d <= cutoff {
+            for (c, &(d, complete)) in first.iter().enumerate() {
+                // A complete distance is the full sum; a partial one past
+                // the cutoff would stop past it again.
+                let within = if complete || d > cutoff {
+                    d <= cutoff
+                } else {
+                    distance_until(&proj, index.projected.row(c), |d| d > cutoff).0 <= cutoff
+                };
+                if within {
                     seen += 1;
                     if rng.gen_range(0..seen) == 0 {
                         chosen = c;
@@ -425,10 +440,131 @@ fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &
     }
 }
 
+/// The squared distance between `proj` and `row`, summed in dimension
+/// order until `stop` holds for the partial sum. Returns the sum and
+/// whether it covered every dimension.
+fn distance_until(proj: &[f64], row: &[f64], stop: impl Fn(f64) -> bool) -> (f64, bool) {
+    let mut d = 0.0;
+    for (pv, rv) in proj.iter().zip(row) {
+        let diff = pv - rv;
+        d += diff * diff;
+        if stop(d) {
+            return (d, false);
+        }
+    }
+    (d, true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdvbs_synth::{texture_swatch, TextureKind};
+
+    /// The sweep [`synth_pass`] replaced: a second full distance loop over
+    /// every candidate for the reservoir sample.
+    fn reference_synth_pass(
+        out: &mut Image,
+        index: &NeighborhoodIndex,
+        tolerance: f64,
+        rng: &mut StdRng,
+    ) {
+        let (out_w, out_h) = (out.width(), out.height());
+        let n = index.centers.len();
+        let toroidal = |v: isize, m: usize| -> usize { v.rem_euclid(m as isize) as usize };
+        let mut query = vec![0.0f64; index.dim];
+        let mut proj = vec![0.0f64; index.k];
+        for y in 0..out_h {
+            for x in 0..out_w {
+                for (i, &(dx, dy)) in index.offsets.iter().enumerate() {
+                    let px = toroidal(x as isize + dx, out_w);
+                    let py = toroidal(y as isize + dy, out_h);
+                    query[i] = out.get(px, py) as f64 - index.mean[i];
+                }
+                for (j, p) in proj.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for (i, &q) in query.iter().enumerate() {
+                        acc += q * index.basis[(i, j)];
+                    }
+                    *p = acc;
+                }
+                let mut best = f64::INFINITY;
+                for c in 0..n {
+                    let row = index.projected.row(c);
+                    let mut d = 0.0;
+                    for (pv, rv) in proj.iter().zip(row) {
+                        let diff = pv - rv;
+                        d += diff * diff;
+                        if d >= best {
+                            break;
+                        }
+                    }
+                    if d < best {
+                        best = d;
+                    }
+                }
+                let cutoff = best * (1.0 + tolerance) + 1e-12;
+                let mut chosen = usize::MAX;
+                let mut seen = 0usize;
+                for c in 0..n {
+                    let row = index.projected.row(c);
+                    let mut d = 0.0;
+                    for (pv, rv) in proj.iter().zip(row) {
+                        let diff = pv - rv;
+                        d += diff * diff;
+                        if d > cutoff {
+                            break;
+                        }
+                    }
+                    if d <= cutoff {
+                        seen += 1;
+                        if rng.gen_range(0..seen) == 0 {
+                            chosen = c;
+                        }
+                    }
+                }
+                if chosen != usize::MAX {
+                    out.set(x, y, index.centers[chosen]);
+                }
+            }
+        }
+    }
+
+    /// `synthesize` returns the replaced sweep's output bits for both
+    /// swatch kinds, at one and two passes, on the suite's swatch sides
+    /// and 40x40 output, and at a zero tolerance.
+    #[test]
+    fn synthesis_matches_the_replaced_sweep_bit_for_bit() {
+        for kind in [TextureKind::Stochastic, TextureKind::Structural] {
+            for (side, seed) in [(24, 3u64), (44, 8), (64, 13)] {
+                let s = texture_swatch(side, side * 3 / 4 + 6, seed, kind);
+                for passes in [1, 2] {
+                    for tolerance in [0.1, 0.0] {
+                        let cfg = TextureConfig {
+                            seed,
+                            passes,
+                            tolerance,
+                            ..TextureConfig::default()
+                        };
+                        let mut prof = Profiler::new();
+                        let got = synthesize(&s, 40, 40, &cfg, &mut prof).unwrap();
+                        let want =
+                            synthesize_with(&s, 40, 40, &cfg, &mut prof, reference_synth_pass)
+                                .unwrap();
+                        let bits = |im: &Image| {
+                            im.as_slice()
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .collect::<Vec<_>>()
+                        };
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "{kind:?} swatch {side} seed {seed} passes {passes} tolerance {tolerance}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn swatch(kind: TextureKind) -> Image {
         texture_swatch(48, 48, 5, kind)
