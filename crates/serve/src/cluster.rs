@@ -18,9 +18,10 @@
 //! every dead worker. Heartbeat staleness is ignored once a drain starts:
 //! a worker blocked finishing its queue legitimately stops answering.
 //!
-//! The bookkeeping and dispatch decisions are the sans-IO
-//! [`Coordinator`] under one state lock; this module keeps the links,
-//! the reader, dispatch and heartbeat threads, and the RPC. Terminal jobs
+//! The bookkeeping, dispatch decisions and worker liveness (alive flags,
+//! last heartbeats, staleness, the stop after a drain) are the sans-IO
+//! [`Coordinator`] under one state lock; this module keeps the links, the
+//! reader, dispatch and heartbeat threads, and the RPC. Terminal jobs
 //! retire after [`DEFAULT_RETIRE_TTL`](crate::jobs::DEFAULT_RETIRE_TTL),
 //! as on the engine, so the job table stays bounded.
 //!
@@ -34,7 +35,7 @@
 use crate::backend::{self, Backend};
 use crate::cache::{ServedRecord, DEFAULT_CACHE_CAPACITY};
 use crate::jobs::{count_put, Coordinator, JobSnapshot, Step, Submission};
-use crate::protocol::{self, OrphanDisposition};
+use crate::protocol::OrphanDisposition;
 use crate::sched::{JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use sdvbs_runner::{Job, RunRecord};
@@ -43,7 +44,7 @@ use sdvbs_trace::{
 };
 use sdvbs_wire::{tcp_pair, Message, TcpFrameRx, TcpFrameTx, WireError, PROTO_VERSION};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -108,9 +109,6 @@ struct WorkerLink {
     /// The sending half of the link; internally serialized, shared by
     /// the dispatcher, heartbeat, and rpc paths.
     tx: TcpFrameTx,
-    alive: AtomicBool,
-    /// When the last heartbeat reply arrived.
-    last_beat: Mutex<Instant>,
     /// `coordinator_now_us - worker_now_us`, refreshed on every heartbeat
     /// reply; aligns the worker's trace epoch onto ours.
     offset_us: AtomicI64,
@@ -129,9 +127,6 @@ pub struct ClusterEngine {
     links: Vec<Arc<WorkerLink>>,
     cfg: ClusterConfig,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Raised when the drain starts tearing links down, so link closure
-    /// is no longer treated as a death.
-    stopping: AtomicBool,
 }
 
 impl ClusterEngine {
@@ -156,13 +151,12 @@ impl ClusterEngine {
             readers.push(rx);
         }
         let engine = Arc::new(ClusterEngine {
-            state: Mutex::new(Coordinator::new(links.len(), &cfg)),
+            state: Mutex::new(Coordinator::new(links.len(), &cfg, trace_epoch().elapsed())),
             changed: Condvar::new(),
             metrics: Mutex::new(MetricsRegistry::new()),
             links,
             cfg,
             threads: Mutex::new(Vec::new()),
-            stopping: AtomicBool::new(false),
         });
         let spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
             thread::Builder::new()
@@ -194,11 +188,17 @@ impl ClusterEngine {
 
     /// Worker names still answering, in index order.
     pub fn alive_workers(&self) -> Vec<String> {
+        self.alive_links().map(|l| l.name.clone()).collect()
+    }
+
+    /// The links of the workers alive now, read under the state lock and
+    /// walked after it is released.
+    fn alive_links(&self) -> impl Iterator<Item = &Arc<WorkerLink>> {
+        let alive = self.lock_state().alive().to_vec();
         self.links
             .iter()
-            .filter(|l| l.alive.load(Ordering::SeqCst))
-            .map(|l| l.name.clone())
-            .collect()
+            .zip(alive)
+            .filter_map(|(l, a)| a.then_some(l))
     }
 
     fn lock_state(&self) -> MutexGuard<'_, Coordinator> {
@@ -213,20 +213,13 @@ impl ClusterEngine {
         self.metrics().incr(name, 1);
     }
 
-    fn alive(&self) -> Vec<bool> {
-        self.links
-            .iter()
-            .map(|l| l.alive.load(Ordering::SeqCst))
-            .collect()
-    }
-
     fn dispatch_loop(&self) {
         loop {
             // Take the next job to send, or learn that we are done.
             let dispatch = {
                 let mut st = self.lock_state();
                 loop {
-                    let next = st.next_dispatch(&self.alive(), trace_epoch().elapsed());
+                    let next = st.next_dispatch(trace_epoch().elapsed());
                     if let Some(size) = next.batch {
                         self.metrics().observe("batch_size", size as f64);
                     }
@@ -251,7 +244,7 @@ impl ClusterEngine {
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .0;
                         }
-                        Step::Idle if self.stopping.load(Ordering::SeqCst) => return,
+                        Step::Idle if st.is_stopping() => return,
                         Step::Idle => {
                             st = self
                                 .changed
@@ -287,10 +280,7 @@ impl ClusterEngine {
                     self.answer("busy_redispatched", |c| c.busy(link.index, id));
                 }
                 Ok(Message::HeartbeatOk { now_us: theirs, .. }) => {
-                    *link
-                        .last_beat
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner) = Instant::now();
+                    self.lock_state().beat(link.index, trace_epoch().elapsed());
                     link.offset_us
                         .store(now_us() as i64 - theirs as i64, Ordering::SeqCst);
                 }
@@ -305,7 +295,8 @@ impl ClusterEngine {
                     eprintln!("worker {}: {message}", link.name);
                 }
                 Ok(_) => {} // Not a worker-to-coordinator message; ignore.
-                Err(WireError::Closed) if self.stopping.load(Ordering::SeqCst) => return,
+                // After the stop, a closed link is teardown: the core
+                // judges no death.
                 Err(e) => {
                     self.mark_dead(link.index, &e.to_string());
                     return;
@@ -317,17 +308,13 @@ impl ClusterEngine {
     /// Declares worker `w` dead and requeues (or quarantines) everything
     /// it had in flight. Idempotent; a no-op during shutdown teardown.
     fn mark_dead(&self, w: usize, why: &str) {
-        let link = &self.links[w];
-        if !link.alive.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        if self.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        eprintln!("worker {} declared dead: {why}", link.name);
-        self.incr("workers_died");
         let mut st = self.lock_state();
-        for (_, fate) in st.worker_dead(w, trace_epoch().elapsed()) {
+        let Some(fates) = st.worker_dead(w, trace_epoch().elapsed()) else {
+            return;
+        };
+        eprintln!("worker {} declared dead: {why}", self.links[w].name);
+        self.incr("workers_died");
+        for (_, fate) in fates {
             self.incr(match fate {
                 OrphanDisposition::Requeue => "jobs_requeued",
                 OrphanDisposition::Quarantine => "jobs_quarantined",
@@ -363,26 +350,18 @@ impl ClusterEngine {
 
     fn heartbeat_loop(&self) {
         let mut seq = 0u64;
-        while !self.stopping.load(Ordering::SeqCst) {
+        while !self.lock_state().is_stopping() {
             seq += 1;
-            let draining = self.lock_state().table().is_draining();
-            for (w, link) in self.links.iter().enumerate() {
-                if !link.alive.load(Ordering::SeqCst) {
-                    continue;
-                }
+            for link in self.alive_links() {
+                let w = link.index;
                 if link.tx.send(&Message::Heartbeat { seq }).is_err() {
                     self.mark_dead(w, "heartbeat write failed");
                     continue;
                 }
-                // Staleness is judged by the shared protocol policy: a
-                // draining worker is allowed to go quiet (its read loop
-                // is blocked finishing the queue); I/O errors still kill.
-                let age = link
-                    .last_beat
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .elapsed();
-                if protocol::is_stale(age, self.cfg.liveness, draining) {
+                // Staleness is the core's verdict: a draining worker is
+                // allowed to go quiet (its read loop is blocked finishing
+                // the queue); I/O errors still kill.
+                if self.lock_state().is_stale(w, trace_epoch().elapsed()) {
                     self.mark_dead(w, "missed heartbeats");
                 }
             }
@@ -448,23 +427,21 @@ impl Backend for ClusterEngine {
     fn drain(&self) -> DrainReport {
         self.begin_drain();
         // Wait for every dispatched job to resolve (a worker death mid-
-        // drain resolves its orphans via `mark_dead`).
-        let report = {
-            let core = self
+        // drain resolves its orphans via `mark_dead`), then raise the
+        // stop: from here on link closure is shutdown, not death.
+        let (report, survivors) = {
+            let mut core = self
                 .changed
                 .wait_while(self.lock_state(), |core| core.table().outstanding() > 0)
                 .unwrap_or_else(PoisonError::into_inner);
-            core.table().drain_report(core.dead_workers())
+            let report = core.table().drain_report(core.dead_workers());
+            (report, core.stop_if_drained().unwrap_or_default())
         };
         // Tear the cluster down: tell each surviving worker to drain and
-        // exit. From here on link closure is shutdown, not death.
-        self.stopping.store(true, Ordering::SeqCst);
-        for link in &self.links {
-            if !link.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            let _ = self.rpc(link, Message::Drain, "drain_ok");
-            link.alive.store(false, Ordering::SeqCst);
+        // exit.
+        for w in survivors {
+            let _ = self.rpc(&self.links[w], Message::Drain, "drain_ok");
+            self.lock_state().stopped(w);
         }
         self.changed.notify_all();
         let handles: Vec<_> = self
@@ -486,10 +463,7 @@ impl Backend for ClusterEngine {
     fn metrics_text(&self) -> String {
         let mut agg = MetricsRegistry::new();
         agg.merge(&self.metrics());
-        for link in &self.links {
-            if !link.alive.load(Ordering::SeqCst) {
-                continue;
-            }
+        for link in self.alive_links() {
             let Some(Message::MetricsOk { registry }) =
                 self.rpc(link, Message::MetricsReq, "metrics_ok")
             else {
@@ -520,10 +494,7 @@ impl Backend for ClusterEngine {
 
     fn trace_events(&self) -> Vec<TraceEvent> {
         let mut parts = Vec::new();
-        for link in &self.links {
-            if !link.alive.load(Ordering::SeqCst) {
-                continue;
-            }
+        for link in self.alive_links() {
             let Some(Message::TraceOk {
                 events,
                 now_us: theirs,
@@ -608,8 +579,6 @@ fn connect_worker(index: usize, addr: &str) -> Result<(WorkerLink, TcpFrameRx), 
         index,
         name: format!("w{index}"),
         tx,
-        alive: AtomicBool::new(true),
-        last_beat: Mutex::new(Instant::now()),
         offset_us: AtomicI64::new(offset),
         rpc: Mutex::new(()),
         replies: Mutex::new(replies),

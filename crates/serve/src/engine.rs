@@ -1,8 +1,9 @@
 //! The serving engine: a job table over the scheduling tier with
 //! long-lived worker threads.
 //!
-//! Submission is admission-controlled: the job queue is the scheduler's
-//! [`SchedQueue`], and a submission that finds it full is refused
+//! Submission is admission-controlled: the pending queue is the
+//! scheduler's [`Drr`], bounded at [`EngineConfig::queue_capacity`]
+//! pending jobs, and a submission that finds it full is refused
 //! immediately (the router turns that into `429 Too Many Requests`) —
 //! the server never buffers unbounded work. Before a spec reaches the
 //! queue it passes the result cache (serve a completed record without
@@ -17,15 +18,17 @@
 //! model ([`sched::pick_threads`]) instead of a static core count.
 //!
 //! The bookkeeping — ids, lifecycle, cache front, retirement, drain
-//! accounting — is the shared sans-IO [`JobTable`] under one state
-//! mutex, so cache/coalesce/admission decisions are atomic with respect
-//! to worker completions. Terminal jobs are **retired** after
+//! accounting — is the shared sans-IO [`JobTable`], held with the pending
+//! queue and the stream table under one state mutex, so cache, coalesce,
+//! admission and dequeue decisions are atomic with respect to worker
+//! completions; idle workers wait on a second condvar of that mutex.
+//! Terminal jobs are **retired** after
 //! [`EngineConfig::retire_ttl`] (a poll-grace window): ids stay stable,
 //! but a long-lived daemon's memory no longer grows with every job it
 //! has ever run. Polling a retired id answers `404`, same as an id that
 //! never existed.
 //!
-//! Draining ([`Engine::drain`]) closes the queue: jobs currently on
+//! Draining ([`Engine::drain`]) stops admission: jobs currently on
 //! workers run to completion, everything still queued is dequeued and
 //! rejected (`503` when polled), and the workers exit once the queue is
 //! empty. The [`DrainReport`]'s `drained` tally counts **only the work
@@ -34,10 +37,10 @@
 
 use crate::backend::{self, Backend};
 use crate::cache::{cache_preimage, ServedRecord, DEFAULT_CACHE_CAPACITY};
-use crate::jobs::{count_put, JobState, JobTable, DEFAULT_RETIRE_TTL, SHUTTING_DOWN};
+use crate::jobs::{count_put, Admission, JobState, JobTable, DEFAULT_RETIRE_TTL, SHUTTING_DOWN};
 pub use crate::jobs::{JobSnapshot, Submission};
 pub use crate::sched::group_key;
-use crate::sched::{self, Batch, JobClass, SchedConfig, SchedPushError, SchedQueue};
+use crate::sched::{self, Batch, Drr, JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use crate::stream::{
     self, FrameDecision, FrameTask, FrameTicket, StreamEntry, StreamRefused, StreamStatus,
@@ -61,8 +64,9 @@ const EXEC_HISTORY_WINDOW: usize = 64;
 pub struct EngineConfig {
     /// Worker threads executing jobs (clamped to at least 1).
     pub workers: usize,
-    /// Queue capacity — the admission-control bound. Submissions that
-    /// find the queue full are refused with [`Submission::QueueFull`].
+    /// Pending-queue capacity — the admission-control bound. Submissions
+    /// that find this many jobs pending are refused with
+    /// [`Submission::QueueFull`].
     pub queue_capacity: usize,
     /// Per-job watchdog deadline (see [`sdvbs_runner::supervise()`]).
     pub timeout: Option<Duration>,
@@ -112,24 +116,25 @@ impl Payload {
     }
 }
 
-/// The submission answer for a refused queue push.
-fn refused(e: SchedPushError) -> Submission {
-    match e {
-        SchedPushError::Full => Submission::QueueFull,
-        SchedPushError::Closed => Submission::Draining,
-    }
+/// Everything the engine's state mutex guards.
+struct State {
+    table: JobTable<Payload>,
+    /// Admitted jobs not yet taken by a worker.
+    pending: Drr,
+    streams: StreamTable,
 }
 
 /// The benchmark-serving engine. Construct with [`Engine::start`]; always
 /// wrapped in an [`Arc`] because the worker threads hold a reference.
 pub struct Engine {
-    state: Mutex<JobTable<Payload>>,
+    state: Mutex<State>,
+    /// Job state changed: pollers and the drain wait on it.
     changed: Condvar,
-    queue: SchedQueue,
+    /// A job was queued or the drain began: idle workers wait on it.
+    ready: Condvar,
     metrics: Mutex<MetricsRegistry>,
     trace: Mutex<Vec<TraceEvent>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    streams: Mutex<StreamTable>,
     cfg: EngineConfig,
     auto_threads: usize,
     host: HostMeta,
@@ -138,15 +143,17 @@ pub struct Engine {
 impl Engine {
     /// Builds the engine and spawns its worker threads.
     pub fn start(cfg: EngineConfig) -> Arc<Engine> {
-        let queue = SchedQueue::new(cfg.queue_capacity.max(1), cfg.sched.clone());
         let engine = Arc::new(Engine {
-            state: Mutex::new(JobTable::new(cfg.cache_capacity, cfg.retire_ttl)),
+            state: Mutex::new(State {
+                table: JobTable::new(cfg.cache_capacity, cfg.retire_ttl),
+                pending: Drr::new(cfg.sched.clone()),
+                streams: StreamTable::new(cfg.retire_ttl),
+            }),
             changed: Condvar::new(),
-            queue,
+            ready: Condvar::new(),
             metrics: Mutex::new(MetricsRegistry::new()),
             trace: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
-            streams: Mutex::new(StreamTable::new(cfg.retire_ttl)),
             auto_threads: ExecPolicy::Auto.worker_count(),
             host: HostMeta::collect(),
             cfg,
@@ -171,29 +178,25 @@ impl Engine {
     /// Current number of entries in the job table (tests pin the
     /// retirement bound with this).
     pub fn jobs_table_len(&self) -> usize {
-        self.lock_state().len()
+        self.lock_state().table.len()
     }
 
     /// Lifetime LRU evictions from the result cache.
     pub fn cache_evictions(&self) -> u64 {
-        self.lock_state().cache_evictions()
+        self.lock_state().table.cache_evictions()
     }
 
     /// Queues stream `id` for retirement once its last in-flight frame
     /// has left a closed stream.
     fn retire_stream_if(&self, idle: bool, id: u64) {
         if idle {
-            let mut tbl = self.lock_streams();
-            tbl.retiring.schedule(trace_epoch().elapsed(), id);
+            let mut st = self.lock_state();
+            st.streams.retiring.schedule(trace_epoch().elapsed(), id);
         }
     }
 
     fn stream_entry(&self, id: u64) -> Option<Arc<StreamEntry>> {
-        self.lock_streams().streams.get(&id).cloned()
-    }
-
-    fn lock_streams(&self) -> MutexGuard<'_, StreamTable> {
-        self.streams.lock().unwrap_or_else(PoisonError::into_inner)
+        self.lock_state().streams.streams.get(&id).cloned()
     }
 
     /// A standalone copy of the lifetime registry, for shipping over the
@@ -223,7 +226,7 @@ impl Engine {
             0,
             track,
         ));
-        while let Some(batch) = self.queue.pop_batch() {
+        while let Some(batch) = self.next_batch() {
             self.observe("batch_size", batch.ids.len() as f64);
             let mut begin = TraceEvent::new(
                 format!("batch {}", batch.group),
@@ -253,6 +256,49 @@ impl Engine {
                     warm = true;
                 }
             }
+        }
+    }
+
+    /// Admits a job through the table's front into the pending queue,
+    /// unless [`EngineConfig::queue_capacity`] jobs already wait there,
+    /// and wakes an idle worker for it.
+    fn admit(
+        &self,
+        st: &mut State,
+        payload: Payload,
+        key: Option<String>,
+        fresh: bool,
+        class: JobClass,
+    ) -> Admission {
+        let capacity = self.cfg.queue_capacity.max(1);
+        let pending = &mut st.pending;
+        let admission = st
+            .table
+            .submit(payload, key, fresh, trace_epoch().elapsed(), |id, job| {
+                if pending.len() >= capacity {
+                    return Err(Submission::QueueFull);
+                }
+                pending.push_back(id, &job.group(), class);
+                Ok(())
+            });
+        if matches!(admission.answer, Submission::Queued(_)) {
+            self.ready.notify_one();
+        }
+        admission
+    }
+
+    /// Blocks until a batch is pending and takes it; once the drain began
+    /// and nothing is pending, `None` — the worker-exit signal.
+    fn next_batch(&self) -> Option<Batch> {
+        let mut st = self.lock_state();
+        loop {
+            if let Some(batch) = st.pending.pop_batch() {
+                return Some(batch);
+            }
+            if st.table.is_draining() {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -294,17 +340,17 @@ impl Engine {
         let track = worker as u32;
         let spec = {
             let mut st = self.lock_state();
-            if st.is_draining() {
+            if st.table.is_draining() {
                 // Dequeued after the drain began: reject without executing.
                 // The window span closes while the state lock is still
                 // held, so the rejection is never visible before it.
                 if last {
                     self.push_batch_end(batch, track);
                 }
-                self.reject_draining(&mut st, id);
+                self.reject_draining(&mut st.table, id);
                 return false;
             }
-            let Some(Payload::Bench(spec)) = st.start(id, worker) else {
+            let Some(Payload::Bench(spec)) = st.table.start(id, worker) else {
                 unreachable!("a queued bench job stays in the table until terminal + TTL")
             };
             let spec = spec.clone();
@@ -374,12 +420,12 @@ impl Engine {
                 metrics.incr("jobs_executed", 1);
                 metrics.observe("job_exec_ms", exec_ms);
                 drop(metrics);
-                self.finish(&mut st, id, JobState::Done(served));
+                self.finish(&mut st.table, id, JobState::Done(served));
                 true
             }
             Err(e) => {
                 self.incr("jobs_invalid");
-                self.finish(&mut st, id, JobState::Rejected(e.to_string()));
+                self.finish(&mut st.table, id, JobState::Rejected(e.to_string()));
                 false
             }
         }
@@ -395,13 +441,13 @@ impl Engine {
         let track = worker as u32;
         let (task, draining) = {
             let mut st = self.lock_state();
-            let draining = st.is_draining();
-            let Some(Payload::Frame(task)) = st.get(id).map(|e| &e.payload) else {
+            let draining = st.table.is_draining();
+            let Some(Payload::Frame(task)) = st.table.get(id).map(|e| &e.payload) else {
                 unreachable!("a queued frame stays in the table until terminal + TTL")
             };
             let task = task.clone();
             if !draining {
-                st.start(id, worker);
+                st.table.start(id, worker);
                 self.changed.notify_all();
             }
             (task, draining)
@@ -420,7 +466,7 @@ impl Engine {
                 self.push_batch_end(batch, track);
             }
             stream.wait_turn(task.seq);
-            self.reject_draining(&mut self.lock_state(), id);
+            self.reject_draining(&mut self.lock_state().table, id);
             stream.advance_turn(task.seq);
             let mut stats = stream.lock_stats();
             stats.rejected += 1;
@@ -518,10 +564,10 @@ impl Engine {
         } else {
             self.incr("stream_frames_failed");
         }
-        self.finish(&mut self.lock_state(), id, state);
+        self.finish(&mut self.lock_state().table, id, state);
     }
 
-    fn lock_state(&self) -> MutexGuard<'_, JobTable<Payload>> {
+    fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -542,30 +588,17 @@ impl Backend for Engine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
         let key = cache_preimage(&spec);
         let mut st = self.lock_state();
-        // try_push under the state lock keeps the entry/queue transition
-        // atomic; workers take the queue lock only with the state lock
-        // released, so the ordering is acyclic.
-        let admission = st.submit(
-            Payload::Bench(spec),
-            Some(key),
-            fresh,
-            trace_epoch().elapsed(),
-            |id, job| {
-                self.queue
-                    .try_push(id, &job.group(), class)
-                    .map_err(refused)
-            },
-        );
+        let admission = self.admit(&mut st, Payload::Bench(spec), Some(key), fresh, class);
         admission.count(&mut self.metrics(), class);
         admission.answer
     }
 
     fn get(&self, id: u64) -> Option<JobSnapshot> {
-        self.lock_state().snapshot(id)
+        self.lock_state().table.snapshot(id)
     }
 
     fn wait_terminal(&self, id: u64, wait: Duration) -> Option<JobSnapshot> {
-        backend::wait_terminal(&self.state, &self.changed, wait, |table| table.snapshot(id))
+        backend::wait_terminal(&self.state, &self.changed, wait, |st| st.table.snapshot(id))
     }
 
     /// Lets running jobs finish, rejects everything still queued, then
@@ -576,8 +609,9 @@ impl Backend for Engine {
         self.begin_drain();
         let report = self
             .changed
-            .wait_while(self.lock_state(), |table| table.outstanding() > 0)
+            .wait_while(self.lock_state(), |st| st.table.outstanding() > 0)
             .unwrap_or_else(PoisonError::into_inner)
+            .table
             .drain_report(&[]);
         let handles: Vec<_> = self
             .workers
@@ -591,16 +625,17 @@ impl Backend for Engine {
         report
     }
 
-    /// Refuses new submissions and closes the queue. The shutdown endpoint
-    /// calls this inline before responding, so a submission that arrives
-    /// after the shutdown response is answered `503`, never `429`.
+    /// Refuses new submissions and wakes the idle workers, which reject
+    /// what is still pending and exit. The shutdown endpoint calls this
+    /// inline before responding, so a submission that arrives after the
+    /// shutdown response is answered `503`, never `429`.
     fn begin_drain(&self) {
-        self.lock_state().begin_drain();
-        self.queue.close();
+        self.lock_state().table.begin_drain();
+        self.ready.notify_all();
     }
 
     fn is_draining(&self) -> bool {
-        self.lock_state().is_draining()
+        self.lock_state().table.is_draining()
     }
 
     /// Validates the spec, builds its stateful pipeline, and allocates it
@@ -611,10 +646,10 @@ impl Backend for Engine {
             return Err(StreamRefused::Draining);
         }
         let pipeline = stream::build_for(&spec)?;
-        let mut tbl = self.lock_streams();
+        let mut st = self.lock_state();
         // Same contract as job retirement: a long-lived daemon's memory
         // does not grow with every stream it has ever served.
-        let tbl = &mut *tbl;
+        let tbl = &mut st.streams;
         let now = trace_epoch().elapsed();
         let retired = tbl.retiring.sweep(now, &mut tbl.streams);
         if !retired.is_empty() {
@@ -677,18 +712,8 @@ impl Backend for Engine {
                     submitted: Instant::now(),
                 };
                 let mut st = self.lock_state();
-                let admission = st.submit(
-                    Payload::Frame(task),
-                    None,
-                    true,
-                    trace_epoch().elapsed(),
-                    |id, job| {
-                        let class = JobClass::Interactive;
-                        self.queue
-                            .try_push(id, &job.group(), class)
-                            .map_err(refused)
-                    },
-                );
+                let payload = Payload::Frame(task);
+                let admission = self.admit(&mut st, payload, None, true, JobClass::Interactive);
                 if admission.retired > 0 {
                     self.metrics().incr("jobs_retired", admission.retired);
                 }
@@ -737,14 +762,14 @@ impl Backend for Engine {
             (first, stats.in_flight == 0)
         };
         if first {
-            let mut tbl = self.lock_streams();
-            tbl.open -= 1;
+            let mut st = self.lock_state();
+            st.streams.open -= 1;
             // With a frame in flight, the last frame's completion queues
             // the stream instead.
             if idle {
-                tbl.retiring.schedule(trace_epoch().elapsed(), id);
+                st.streams.retiring.schedule(trace_epoch().elapsed(), id);
             }
-            drop(tbl);
+            drop(st);
             self.incr("streams_closed");
         }
         Some(entry.status())

@@ -5,7 +5,8 @@
 //! coalescing front, TTL retirement, the outstanding count and the drain
 //! tallies; the [`Engine`](crate::engine::Engine) keeps one under its
 //! state lock. [`Coordinator`] adds the cluster's DRR pending queue,
-//! dispatch window and per-worker in-flight sets; the
+//! dispatch window, per-worker in-flight sets and worker liveness (alive
+//! flags, last heartbeats, the stop after a drain); the
 //! [`ClusterEngine`](crate::cluster::ClusterEngine) and `sdvbs-sim` both
 //! drive it, so the simulator's invariants check production bookkeeping.
 //!
@@ -442,7 +443,7 @@ pub struct Next {
 }
 
 /// The cluster coordinator's sans-IO core: a [`JobTable`] plus the
-/// dispatch state.
+/// dispatch state and worker liveness.
 #[derive(Debug)]
 pub struct Coordinator {
     table: JobTable<ClusterJob>,
@@ -454,26 +455,39 @@ pub struct Coordinator {
     window: VecDeque<u64>,
     /// Per worker: jobs dispatched to it and not yet answered.
     inflight: Vec<BTreeSet<u64>>,
+    /// Per worker: still answering (not declared dead, not stopped).
+    alive: Vec<bool>,
+    /// Per worker: when its last heartbeat reply arrived.
+    last_beat: Vec<Duration>,
     /// Names of the workers declared dead, in order.
     dead: Vec<String>,
+    /// Raised once a drain completed: the links are being torn down, so
+    /// a lost link is no longer a death.
+    stopping: bool,
     capacity: usize,
     per_worker: usize,
+    liveness: Duration,
     retry: RetryPolicy,
 }
 
 impl Coordinator {
-    /// A core for `workers` workers, sized and scheduled by `cfg` (its
-    /// worker addresses and timing are the caller's business). Terminal
-    /// jobs retire after [`DEFAULT_RETIRE_TTL`], as on the engine.
-    pub fn new(workers: usize, cfg: &ClusterConfig) -> Coordinator {
+    /// A core for `workers` workers, sized, scheduled and judged by `cfg`
+    /// (its worker addresses and heartbeat interval are the caller's
+    /// business); every worker starts alive, last heard from at `now`.
+    /// Terminal jobs retire after [`DEFAULT_RETIRE_TTL`], as on the engine.
+    pub fn new(workers: usize, cfg: &ClusterConfig, now: Duration) -> Coordinator {
         Coordinator {
             table: JobTable::new(cfg.cache_capacity, DEFAULT_RETIRE_TTL),
             pending: Drr::new(cfg.sched.clone()),
             window: VecDeque::new(),
             inflight: vec![BTreeSet::new(); workers],
+            alive: vec![true; workers],
+            last_beat: vec![now; workers],
             dead: Vec::new(),
+            stopping: false,
             capacity: cfg.queue_capacity.max(1),
             per_worker: cfg.per_worker_inflight,
+            liveness: cfg.liveness,
             retry: RetryPolicy {
                 budget: cfg.retry_budget,
             },
@@ -506,10 +520,10 @@ impl Coordinator {
     }
 
     /// Takes the next step for the dispatch window, refilling it from the
-    /// scheduler one DRR batch at a time. `alive` is the caller's view of
-    /// worker liveness; a job sent is charged an attempt and counted in
-    /// its worker's in-flight set.
-    pub fn next_dispatch(&mut self, alive: &[bool], now: Duration) -> Next {
+    /// scheduler one DRR batch at a time. Only a live worker is picked; a
+    /// job sent is charged an attempt and counted in its worker's
+    /// in-flight set.
+    pub fn next_dispatch(&mut self, now: Duration) -> Next {
         let mut batch = None;
         if self.window.is_empty() {
             if let Some(popped) = self.pending.pop_batch() {
@@ -519,7 +533,7 @@ impl Coordinator {
         }
         let step = match self.window.front().copied() {
             None => Step::Idle,
-            Some(id) if !alive.contains(&true) => {
+            Some(id) if !self.alive.contains(&true) => {
                 // Nothing left to run on: fail loudly rather than wait
                 // forever.
                 self.window.pop_front();
@@ -530,7 +544,7 @@ impl Coordinator {
             Some(id) => {
                 let digest = spec_digest(&self.table.jobs[&id].payload.spec);
                 let loads: Vec<usize> = self.inflight.iter().map(BTreeSet::len).collect();
-                match protocol::pick_target(digest, alive, &loads, self.per_worker) {
+                match protocol::pick_target(digest, &self.alive, &loads, self.per_worker) {
                     None => Step::Blocked,
                     Some(worker) => {
                         self.window.pop_front();
@@ -545,7 +559,7 @@ impl Coordinator {
                             worker,
                             spec,
                             attempt: self.table.jobs[&id].attempts,
-                            stolen: worker != (digest % alive.len() as u64) as usize,
+                            stolen: worker != (digest % self.alive.len() as u64) as usize,
                         })
                     }
                 }
@@ -607,13 +621,37 @@ impl Coordinator {
         true
     }
 
-    /// Worker `worker` is dead: judges each job it had in flight by
+    /// A heartbeat reply from `worker` arrived at `now`. A late reply
+    /// from a worker already declared dead never revives it.
+    pub fn beat(&mut self, worker: usize, now: Duration) {
+        self.last_beat[worker] = now;
+    }
+
+    /// Whether `worker` is alive but silent past the liveness window at
+    /// `now`, judged by [`protocol::is_stale`]: never while draining,
+    /// when a worker blocked finishing its queue legitimately goes quiet.
+    pub fn is_stale(&self, worker: usize, now: Duration) -> bool {
+        let age = now.saturating_sub(self.last_beat[worker]);
+        self.alive[worker] && protocol::is_stale(age, self.liveness, self.table.is_draining())
+    }
+
+    /// Worker `worker` is lost (its link broke or it went stale): marks
+    /// it dead, judges each job it had in flight by
     /// [`protocol::orphan_disposition`] — every execution so far has
     /// failed, so `attempts` is the failed-execution count — and returns
     /// each orphan's fate in id order. Requeued orphans go to the front of
     /// the dispatch window, oldest first: they must not lose their place
-    /// to later arrivals.
-    pub fn worker_dead(&mut self, worker: usize, now: Duration) -> Vec<(u64, OrphanDisposition)> {
+    /// to later arrivals. `None` when the worker was already dead or
+    /// stopped, or the cluster is stopping (a lost link is then
+    /// teardown, not a death).
+    pub fn worker_dead(
+        &mut self,
+        worker: usize,
+        now: Duration,
+    ) -> Option<Vec<(u64, OrphanDisposition)>> {
+        if !std::mem::replace(&mut self.alive[worker], false) || self.stopping {
+            return None;
+        }
         self.dead.push(format!("w{worker}"));
         let draining = self.table.is_draining();
         let mut fates = Vec::new();
@@ -649,7 +687,7 @@ impl Coordinator {
                 self.window.push_front(id);
             }
         }
-        fates
+        Some(fates)
     }
 
     /// Starts the drain: stops admission and rejects everything admitted
@@ -664,6 +702,33 @@ impl Coordinator {
                 .finish(id, JobState::Rejected(SHUTTING_DOWN.into()), now);
         }
         ids
+    }
+
+    /// Ends a completed drain: once every job is terminal, raises the
+    /// stop (once) and returns the live workers, in index order, to tell
+    /// to drain and exit. `None` before then, and after the first stop.
+    pub fn stop_if_drained(&mut self) -> Option<Vec<usize>> {
+        if !self.table.is_draining() || self.table.outstanding() > 0 || self.stopping {
+            return None;
+        }
+        self.stopping = true;
+        Some((0..self.alive.len()).filter(|&w| self.alive[w]).collect())
+    }
+
+    /// Worker `worker` left the cluster at the stop (it answered its
+    /// drain); it is no longer alive, but it did not die.
+    pub fn stopped(&mut self, worker: usize) {
+        self.alive[worker] = false;
+    }
+
+    /// Per worker: whether it is still alive.
+    pub fn alive(&self) -> &[bool] {
+        &self.alive
+    }
+
+    /// Whether the stop after a drain was raised.
+    pub fn is_stopping(&self) -> bool {
+        self.stopping
     }
 
     /// Names of the workers declared dead, in order.
@@ -868,6 +933,7 @@ mod tests {
                 retry_budget: budget,
                 ..ClusterConfig::default()
             },
+            at(0),
         )
     }
 
@@ -878,8 +944,8 @@ mod tests {
         )
     }
 
-    fn send(core: &mut Coordinator, alive: &[bool]) -> Dispatch {
-        match core.next_dispatch(alive, at(0)).step {
+    fn send(core: &mut Coordinator) -> Dispatch {
+        match core.next_dispatch(at(0)).step {
             Step::Send(dispatch) => dispatch,
             other => panic!("expected a dispatch, got {other:?}"),
         }
@@ -893,7 +959,7 @@ mod tests {
     fn a_late_done_is_ignored_and_reported() {
         let mut core = coordinator(1, 2);
         let id = submit(&mut core, 1);
-        let d = send(&mut core, &[true]);
+        let d = send(&mut core);
         assert_eq!((d.id, d.worker, d.attempt), (id, 0, 1));
         assert!(core.done(0, id, served(1), at(1)).is_some());
         assert_eq!(
@@ -917,17 +983,16 @@ mod tests {
     fn a_dead_workers_late_done_for_a_requeued_orphan_is_ignored() {
         let mut core = coordinator(2, 2);
         let id = submit(&mut core, 1);
-        let d = send(&mut core, &[true, true]);
+        let d = send(&mut core);
         let fates = core.worker_dead(d.worker, at(1));
-        assert_eq!(fates, vec![(id, OrphanDisposition::Requeue)]);
+        assert_eq!(fates, Some(vec![(id, OrphanDisposition::Requeue)]));
         assert!(matches!(state(&core, id), JobState::Queued));
         // The stalled worker wakes and answers: the job is not its any
         // more.
         assert!(core.done(d.worker, id, served(1), at(2)).is_none());
         assert!(matches!(state(&core, id), JobState::Queued));
-        let mut alive = [true, true];
-        alive[d.worker] = false;
-        let again = send(&mut core, &alive);
+        let again = send(&mut core);
+        assert_ne!(again.worker, d.worker, "a dead worker is never picked");
         assert_eq!((again.id, again.attempt), (id, 2));
         assert!(core.done(again.worker, id, served(1), at(3)).is_some());
         assert_eq!(core.table().lifetime().completed, 1);
@@ -938,7 +1003,7 @@ mod tests {
         let mut core = coordinator(1, 0);
         let id = submit(&mut core, 1);
         for _ in 0..3 {
-            let d = send(&mut core, &[true]);
+            let d = send(&mut core);
             assert_eq!(d.attempt, 1, "a bounce never consumes retry budget");
             assert!(core.busy(0, id));
             assert_eq!(core.inflight[0].len(), 0);
@@ -947,9 +1012,9 @@ mod tests {
         }
         // Budget 0: the one real execution dies with its worker, and the
         // orphan is quarantined at exactly one attempt.
-        send(&mut core, &[true]);
+        send(&mut core);
         let fates = core.worker_dead(0, at(1));
-        assert_eq!(fates, vec![(id, OrphanDisposition::Quarantine)]);
+        assert_eq!(fates, Some(vec![(id, OrphanDisposition::Quarantine)]));
     }
 
     #[test]
@@ -957,22 +1022,27 @@ mod tests {
         let mut core = coordinator(2, 1);
         let ids: Vec<u64> = (0..4).map(|seed| submit(&mut core, seed)).collect();
         // Everything onto worker 0 (worker 1 not yet alive).
+        core.alive[1] = false;
         for _ in &ids {
-            assert_eq!(send(&mut core, &[true, false]).worker, 0);
+            assert_eq!(send(&mut core).worker, 0);
         }
+        core.alive[1] = true;
         let fates = core.worker_dead(0, at(1));
         assert_eq!(
             fates,
-            ids.iter()
-                .map(|&id| (id, OrphanDisposition::Requeue))
-                .collect::<Vec<_>>()
+            Some(
+                ids.iter()
+                    .map(|&id| (id, OrphanDisposition::Requeue))
+                    .collect::<Vec<_>>()
+            )
         );
-        // Requeued orphans go first, in id order.
-        let order: Vec<u64> = (0..4).map(|_| send(&mut core, &[false, true]).id).collect();
-        assert_eq!(order, ids);
+        // Requeued orphans go first, in id order, to the survivor.
+        let sent: Vec<Dispatch> = (0..4).map(|_| send(&mut core)).collect();
+        assert!(sent.iter().all(|d| d.worker == 1));
+        assert_eq!(sent.iter().map(|d| d.id).collect::<Vec<_>>(), ids);
         // Second death: budget 1 allows two executions, so all four are
         // exhausted; one is re-dispatched to prove exhaustion beats drain.
-        let fates = core.worker_dead(1, at(2));
+        let fates = core.worker_dead(1, at(2)).expect("worker 1 was alive");
         assert!(fates
             .iter()
             .all(|&(_, fate)| fate == OrphanDisposition::Quarantine));
@@ -986,10 +1056,10 @@ mod tests {
         let mut core = coordinator(1, 2);
         let id = submit(&mut core, 9);
         let waiting = submit(&mut core, 10);
-        send(&mut core, &[true]);
+        send(&mut core);
         assert_eq!(core.begin_drain(at(1)), vec![waiting]);
         let fates = core.worker_dead(0, at(2));
-        assert_eq!(fates, vec![(id, OrphanDisposition::RejectDraining)]);
+        assert_eq!(fates, Some(vec![(id, OrphanDisposition::RejectDraining)]));
         assert!(matches!(state(&core, id), JobState::Rejected(_)));
         assert_eq!(core.table().outstanding(), 0);
         let report = core.table().drain_report(core.dead_workers());
@@ -1008,24 +1078,27 @@ mod tests {
                 per_worker_inflight: 1,
                 ..ClusterConfig::default()
             },
+            at(0),
         );
         let first = submit(&mut core, 1);
         let second = submit(&mut core, 2);
-        let next = core.next_dispatch(&[true], at(0));
+        let next = core.next_dispatch(at(0));
         assert_eq!(next.batch, Some(2), "one DRR batch fills the window");
         assert!(matches!(next.step, Step::Send(Dispatch { id, .. }) if id == first));
+        assert!(matches!(core.next_dispatch(at(0)).step, Step::Blocked));
+        // The only worker dies: its orphan goes back to the window's
+        // front, and with no one left both jobs are quarantined.
+        let fates = core.worker_dead(0, at(1));
+        assert_eq!(fates, Some(vec![(first, OrphanDisposition::Requeue)]));
         assert!(matches!(
-            core.next_dispatch(&[true], at(0)).step,
-            Step::Blocked
+            core.next_dispatch(at(1)).step,
+            Step::Quarantined(id) if id == first
         ));
         assert!(matches!(
-            core.next_dispatch(&[false], at(0)).step,
+            core.next_dispatch(at(1)).step,
             Step::Quarantined(id) if id == second
         ));
-        assert!(matches!(
-            core.next_dispatch(&[false], at(0)).step,
-            Step::Idle
-        ));
+        assert!(matches!(core.next_dispatch(at(1)).step, Step::Idle));
     }
 
     #[test]
@@ -1036,9 +1109,10 @@ mod tests {
                 queue_capacity: 1,
                 ..ClusterConfig::default()
             },
+            at(0),
         );
         let id = submit(&mut core, 1);
-        send(&mut core, &[true]);
+        send(&mut core);
         // Dispatched but unfinished still counts against the bound.
         let full = core.submit(spec(2), false, JobClass::Interactive, at(0));
         assert!(matches!(full.answer, Submission::QueueFull));
@@ -1047,5 +1121,65 @@ mod tests {
         assert!(matches!(attached.answer, Submission::Coalesced(other) if other == id));
         core.done(0, id, served(1), at(1));
         submit(&mut core, 2);
+    }
+
+    #[test]
+    fn liveness_is_judged_by_the_core_at_the_callers_now() {
+        let window = Duration::from_secs(3);
+        let us = Duration::from_micros;
+        let mut core = Coordinator::new(
+            2,
+            &ClusterConfig {
+                liveness: window,
+                ..ClusterConfig::default()
+            },
+            at(0),
+        );
+        // Fresh from the start; stale one microsecond past the window.
+        assert!(!core.is_stale(0, window));
+        assert!(core.is_stale(0, window + us(1)));
+        // A beat keeps a worker fresh for one more window from the beat.
+        core.beat(0, at(2));
+        assert!(!core.is_stale(0, at(2) + window));
+        assert!(core.is_stale(0, at(2) + window + us(1)));
+        // Worker 1 goes silent and dies; its job moves to worker 0.
+        let id = submit(&mut core, 1);
+        core.alive[0] = false;
+        assert_eq!(send(&mut core).worker, 1);
+        core.alive[0] = true;
+        assert!(core.is_stale(1, at(4)));
+        let fates = core.worker_dead(1, at(4));
+        assert_eq!(fates, Some(vec![(id, OrphanDisposition::Requeue)]));
+        // A second verdict judges nothing and names no one twice.
+        assert_eq!(core.worker_dead(1, at(5)), None);
+        assert_eq!(core.dead_workers(), ["w1".to_string()]);
+        // A late beat does not revive the dead, and the dead are never
+        // stale again.
+        core.beat(1, at(5));
+        assert_eq!(core.alive(), [true, false]);
+        assert!(!core.is_stale(1, at(60)));
+        // The dead worker is never picked.
+        for seed in 2..6 {
+            submit(&mut core, seed);
+        }
+        for _ in 0..5 {
+            assert_eq!(send(&mut core).worker, 0);
+        }
+        // While draining, silence is never staleness.
+        core.begin_drain(at(6));
+        assert!(!core.is_stale(0, at(600)));
+        // The stop waits for the last job, then names the survivors once.
+        assert_eq!(core.stop_if_drained(), None);
+        for id in 0..core.table().issued() {
+            core.done(0, id, served(id), at(7));
+        }
+        assert_eq!(core.stop_if_drained(), Some(vec![0]));
+        assert!(core.is_stopping());
+        assert_eq!(core.stop_if_drained(), None);
+        // After the stop a lost link is teardown: no death, no orphan.
+        assert_eq!(core.worker_dead(0, at(8)), None);
+        assert_eq!(core.dead_workers(), ["w1".to_string()]);
+        core.stopped(0);
+        assert_eq!(core.alive(), [false, false]);
     }
 }

@@ -68,7 +68,7 @@ pub use loadgen::{
     LoadgenReport, StreamLoadConfig, StreamLoadReport, StreamRun, TargetStats,
 };
 pub use protocol::{orphan_disposition, pick_target, OrphanDisposition, RetryPolicy};
-pub use sched::{starvation_bound, JobClass, SchedConfig, SchedQueue};
+pub use sched::{starvation_bound, JobClass, SchedConfig};
 pub use server::{Server, ServerConfig};
 pub use shutdown::{DrainReport, ShutdownController, Tally};
 pub use stream::{parse_stream_spec, FrameSummary, FrameTicket, StreamRefused, StreamStatus};

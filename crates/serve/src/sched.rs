@@ -20,15 +20,13 @@
 //!   prior ([`prior_parallel_fraction`]) and refined online from observed
 //!   execution times in the engine's [`MetricsRegistry`].
 //!
-//! The [`Drr`] core is a plain (externally synchronized) data structure so
-//! the cluster coordinator can drive it under its own state lock;
-//! [`SchedQueue`] wraps it with a mutex + condvar for the single-process
-//! engine's blocking workers.
+//! The [`Drr`] core is a plain (externally synchronized) data structure:
+//! the engine and the cluster coordinator each hold one under their own
+//! state lock, beside the job table it feeds.
 
 use sdvbs_runner::{size_label, Job};
 use sdvbs_trace::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
 
 /// The QoS class a submission rides in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -218,8 +216,8 @@ impl ClassQueue {
 }
 
 /// The deficit-round-robin batching core. Externally synchronized — the
-/// engine wraps it in [`SchedQueue`], the cluster coordinator holds it
-/// under its own state lock.
+/// engine and the cluster coordinator each hold it under their state
+/// lock.
 #[derive(Debug)]
 pub struct Drr {
     cfg: SchedConfig,
@@ -311,100 +309,6 @@ impl Drr {
         }
         self.deficit = [0; CLASSES];
         out
-    }
-}
-
-/// Why [`SchedQueue::try_push`] refused a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPushError {
-    /// The queue is at capacity (admission control → `429`).
-    Full,
-    /// The queue is closed for drain (→ `503`).
-    Closed,
-}
-
-struct SchedState {
-    drr: Drr,
-    closed: bool,
-}
-
-/// The engine's blocking scheduler queue: [`Drr`] under a mutex, with a
-/// condvar parking the workers while it is empty. Capacity-bounded for
-/// admission control; closing wakes everyone and lets workers finish the
-/// remaining batches before `pop_batch` returns `None`.
-pub struct SchedQueue {
-    state: Mutex<SchedState>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-impl SchedQueue {
-    /// A queue admitting at most `capacity` pending jobs (clamped ≥ 1).
-    pub fn new(capacity: usize, cfg: SchedConfig) -> SchedQueue {
-        SchedQueue {
-            state: Mutex::new(SchedState {
-                drr: Drr::new(cfg),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues without blocking; refuses when full or closed.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedPushError::Full`] at capacity, [`SchedPushError::Closed`]
-    /// after [`SchedQueue::close`].
-    pub fn try_push(&self, id: u64, group: &str, class: JobClass) -> Result<(), SchedPushError> {
-        let mut st = self.lock();
-        if st.closed {
-            return Err(SchedPushError::Closed);
-        }
-        if st.drr.len() >= self.capacity {
-            return Err(SchedPushError::Full);
-        }
-        st.drr.push_back(id, group, class);
-        drop(st);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a batch is available (or the queue is closed *and*
-    /// empty, which returns `None` — the worker-exit signal).
-    pub fn pop_batch(&self) -> Option<Batch> {
-        let mut st = self.lock();
-        loop {
-            if let Some(batch) = st.drr.pop_batch() {
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Closes the queue: future pushes are refused, workers drain the
-    /// remaining batches and then see `None`.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Pending jobs right now.
-    pub fn len(&self) -> usize {
-        self.lock().drr.len()
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -643,25 +547,6 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3]);
         assert!(drr.is_empty());
         assert!(drr.pop_batch().is_none());
-    }
-
-    #[test]
-    fn sched_queue_enforces_capacity_and_close() {
-        let q = SchedQueue::new(2, cfg(4, 16, 2));
-        assert_eq!(q.try_push(1, "A", JobClass::Interactive), Ok(()));
-        assert_eq!(q.try_push(2, "A", JobClass::Interactive), Ok(()));
-        assert_eq!(
-            q.try_push(3, "A", JobClass::Interactive),
-            Err(SchedPushError::Full)
-        );
-        q.close();
-        assert_eq!(
-            q.try_push(4, "A", JobClass::Interactive),
-            Err(SchedPushError::Closed)
-        );
-        // Remaining work still dequeues after close; then None.
-        assert_eq!(q.pop_batch().unwrap().ids, vec![1, 2]);
-        assert!(q.pop_batch().is_none());
     }
 
     #[test]

@@ -129,25 +129,22 @@ fn serve_coordinator(
     loop {
         match reader.recv() {
             Ok(Message::Dispatch { id, spec }) => {
-                match engine.submit(spec, true, JobClass::Interactive) {
-                    Submission::Queued(local) | Submission::Coalesced(local) => {
-                        let engine = Arc::clone(engine);
-                        let w = Arc::clone(writer);
-                        let spawned = thread::Builder::new()
-                            .name(format!("sdvbs-worker-wait-{id}"))
-                            .spawn(move || report_when_terminal(&engine, &w, id, local));
-                        match spawned {
-                            Ok(handle) => waiters.push(handle),
-                            Err(_) => send(writer, &Message::Busy { id }),
-                        }
-                    }
-                    Submission::Cached(served) => {
-                        let record = Box::new(served.record().clone());
-                        send(writer, &Message::Done { id, record });
-                    }
-                    Submission::QueueFull | Submission::Draining => {
-                        send(writer, &Message::Busy { id });
-                    }
+                // A fresh submission is never cached or coalesced: the
+                // engine queues it or refuses it (full or draining), and
+                // a refusal bounces so the coordinator can steal the job.
+                let Submission::Queued(local) = engine.submit(spec, true, JobClass::Interactive)
+                else {
+                    send(writer, &Message::Busy { id });
+                    continue;
+                };
+                let engine = Arc::clone(engine);
+                let w = Arc::clone(writer);
+                let spawned = thread::Builder::new()
+                    .name(format!("sdvbs-worker-wait-{id}"))
+                    .spawn(move || report_when_terminal(&engine, &w, id, local));
+                match spawned {
+                    Ok(handle) => waiters.push(handle),
+                    Err(_) => send(writer, &Message::Busy { id }),
                 }
             }
             Ok(Message::Heartbeat { seq }) => {

@@ -135,7 +135,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
         &mut rng,
         cfg.model.workers,
         duration_us,
-        cfg.model.liveness_us,
+        cfg.model.liveness_us(),
     );
     let load = plan_load(&mut rng, cfg);
     let net = NetConfig {
@@ -145,13 +145,11 @@ pub fn run_sim(cfg: &SimConfig) -> SimOutcome {
     let mut model = SimModel::new(cfg.model.clone(), rng, net, &schedule, load, duration_us);
     // Horizon: the drain plus every straggler (partition heals, stalls,
     // full retry chains) must quiesce well inside this.
-    let horizon_us = duration_us + 4 * cfg.model.liveness_us + 60_000_000;
+    let horizon_us = duration_us + 4 * cfg.model.liveness_us() + 60_000_000;
     let end_us = model.run(horizon_us);
     let events_left = model.events_left();
     let ctx = CheckContext {
         schedule: &schedule,
-        liveness_us: cfg.model.liveness_us,
-        retry_budget: cfg.model.retry_budget,
         events_left,
         end_us,
         horizon_us,

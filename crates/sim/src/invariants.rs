@@ -23,14 +23,11 @@
 use crate::faults::FaultSchedule;
 use crate::model::{JobState, SimJob, SimModel};
 
-/// Context the checks need beyond the model itself.
+/// Context the checks need beyond the model (whose config gives the
+/// liveness window and retry budget).
 pub struct CheckContext<'a> {
     /// The fault schedule the run executed.
     pub schedule: &'a FaultSchedule,
-    /// Liveness window (µs).
-    pub liveness_us: u64,
-    /// Retry budget.
-    pub retry_budget: u32,
     /// Events left unprocessed (nonzero means the horizon tripped).
     pub events_left: usize,
     /// Final virtual time (µs).
@@ -45,7 +42,7 @@ pub fn check(model: &SimModel, ctx: &CheckContext<'_>) -> Vec<String> {
     let mut violations = Vec::new();
     let jobs = model.jobs();
     no_lost_or_double(&jobs, &mut violations);
-    retry_budget(&jobs, ctx.retry_budget, &mut violations);
+    retry_budget(&jobs, model.config().cluster.retry_budget, &mut violations);
     drain_terminates(model, ctx, &mut violations);
     staleness_honesty(model, ctx, &mut violations);
     violations
@@ -116,7 +113,8 @@ fn drain_terminates(model: &SimModel, ctx: &CheckContext<'_>, out: &mut Vec<Stri
 /// its length). Anything else is a false positive — the bug this
 /// invariant exists to catch.
 fn staleness_honesty(model: &SimModel, ctx: &CheckContext<'_>, out: &mut Vec<String>) {
-    let slack = 2 * model.latency_max_us() + ctx.liveness_us;
+    let liveness_us = model.config().liveness_us();
+    let slack = 2 * model.latency_max_us() + liveness_us;
     for death in &model.audit.deaths {
         if !death.stale {
             continue;
@@ -128,12 +126,10 @@ fn staleness_honesty(model: &SimModel, ctx: &CheckContext<'_>, out: &mut Vec<Str
             .iter()
             .any(|&(at, cw)| cw == w && at <= t);
         let stalled = ctx.schedule.stalls.iter().any(|&(sw, from, until)| {
-            sw == w && from <= t && until + slack >= t.saturating_sub(ctx.liveness_us)
+            sw == w && from <= t && until + slack >= t.saturating_sub(liveness_us)
         });
         let partitioned = ctx.schedule.partitions.iter().any(|p| {
-            p.worker == w
-                && p.from_us <= t
-                && p.until_us + slack >= t.saturating_sub(ctx.liveness_us)
+            p.worker == w && p.from_us <= t && p.until_us + slack >= t.saturating_sub(liveness_us)
         });
         if !(crashed || stalled || partitioned) {
             out.push(format!(

@@ -3,21 +3,18 @@
 //! The coordinator here *is* production's: the model drives the same
 //! sans-IO [`Coordinator`] that [`sdvbs_serve::cluster`] holds under its
 //! lock — job table, cache front, DRR pending queue, dispatch window,
-//! per-worker in-flight sets, attempts, orphan judgement, drain — from a
-//! single-threaded discrete-event loop, so the invariants check the
-//! production bookkeeping, not a copy of it. Beside the core, three
-//! things are shared with production outright:
+//! per-worker in-flight sets, attempts, orphan judgement, drain, and
+//! worker liveness (alive flags, last heartbeats, staleness, the stop
+//! after a drain) — from a single-threaded discrete-event loop, calling
+//! the core's methods where `ClusterEngine`'s threads call them, so the
+//! invariants check the production bookkeeping, not a copy of it. Beside
+//! the core, two things are shared with production outright:
 //!
-//! * **every decision** — shard choice, orphan fate, retry exhaustion,
-//!   staleness — is the corresponding pure function in
-//!   [`sdvbs_serve::protocol`];
 //! * **every message** is a real [`sdvbs_wire::Message`], round-tripped
 //!   through [`encode_frame`]/[`decode_frame`] on each hop, so the sim
 //!   exercises the production codec on every delivery;
 //! * **time** is the event loop's virtual microsecond, passed to the
-//!   core as its `now` where production passes its monotonic clock;
-//!   heartbeat staleness is the same [`protocol::is_stale`] test over
-//!   virtual ages.
+//!   core as its `now` where production passes its monotonic clock.
 //!
 //! What the model replaces is the *mechanics*: threads become events,
 //! TCP becomes [`SimNet`] (which keeps TCP's FIFO-per-link, no-silent-
@@ -31,28 +28,22 @@ use crate::rng::SimRng;
 use crate::sched::EventQueue;
 use sdvbs_runner::{policy_label, size_label, HostMeta, Job, RunRecord, RunStatus};
 use sdvbs_serve::jobs::{self, Step};
-use sdvbs_serve::protocol::{self, OrphanDisposition};
+use sdvbs_serve::protocol::OrphanDisposition;
 use sdvbs_serve::{spec_digest, ClusterConfig, Coordinator, JobClass, ServedRecord, Submission};
 use sdvbs_wire::{decode_frame, encode_frame, Message};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cluster sizing and timing knobs, all in virtual microseconds.
+/// Cluster sizing and timing knobs; durations run in virtual time.
 #[derive(Debug, Clone)]
 pub struct ModelConfig {
     /// Worker process count.
     pub workers: usize,
-    /// Coordinator admission bound (outstanding jobs).
-    pub queue_capacity: usize,
-    /// Per-worker in-flight cap before the dispatcher steals.
-    pub per_worker_inflight: usize,
-    /// Heartbeat interval.
-    pub heartbeat_us: u64,
-    /// Staleness window.
-    pub liveness_us: u64,
-    /// Retries beyond a job's first execution.
-    pub retry_budget: u32,
+    /// The coordinator's production config: admission bound, per-worker
+    /// in-flight cap, heartbeat interval, liveness window and retry
+    /// budget (its worker addresses go unused).
+    pub cluster: ClusterConfig,
     /// Worker-side admission bound (queued + running) before `Busy`.
     pub worker_queue: usize,
     /// Concurrent executions per worker.
@@ -65,14 +56,12 @@ pub struct ModelConfig {
 
 impl Default for ModelConfig {
     fn default() -> Self {
-        // Heartbeat/liveness/budget mirror ClusterConfig::default.
         ModelConfig {
             workers: 3,
-            queue_capacity: 1024,
-            per_worker_inflight: 8,
-            heartbeat_us: 300_000,
-            liveness_us: 3_000_000,
-            retry_budget: 2,
+            cluster: ClusterConfig {
+                queue_capacity: 1024,
+                ..ClusterConfig::default()
+            },
             // Smaller than per_worker_inflight on purpose: the
             // coordinator can legally overrun a worker's queue, so the
             // Busy-bounce path gets exercised under bursty load.
@@ -81,6 +70,13 @@ impl Default for ModelConfig {
             exec_min_us: 50_000,
             exec_max_us: 800_000,
         }
+    }
+}
+
+impl ModelConfig {
+    /// The liveness window in virtual microseconds.
+    pub fn liveness_us(&self) -> u64 {
+        self.cluster.liveness.as_micros() as u64
     }
 }
 
@@ -233,12 +229,6 @@ pub struct SimModel {
 
     /// The production coordinator core.
     core: Coordinator,
-    // The coordinator's thread-side state (ClusterEngine's flags and
-    // WorkerLink fields).
-    stopping: bool,
-    alive: Vec<bool>,
-    /// Virtual time of each worker's last heartbeat reply.
-    last_beat: Vec<u64>,
     hb_seq: u64,
 
     workers: Vec<SimWorker>,
@@ -282,26 +272,13 @@ impl SimModel {
         }
         queue.push(0, Ev::HeartbeatTick);
         queue.push(drain_at_us, Ev::BeginDrain);
-        // Heartbeat/liveness are the model's own; the core takes the rest
-        // of the production config.
-        let core = Coordinator::new(
-            n,
-            &ClusterConfig {
-                queue_capacity: cfg.queue_capacity,
-                per_worker_inflight: cfg.per_worker_inflight,
-                retry_budget: cfg.retry_budget,
-                ..ClusterConfig::default()
-            },
-        );
+        let core = Coordinator::new(n, &cfg.cluster, at(0));
         SimModel {
             cfg,
             rng,
             net,
             queue,
             core,
-            stopping: false,
-            alive: vec![true; n],
-            last_beat: vec![0; n],
             hb_seq: 0,
             workers: (0..n).map(|_| SimWorker::new()).collect(),
             planned,
@@ -354,6 +331,11 @@ impl SimModel {
         &self.core
     }
 
+    /// The configuration the model runs.
+    pub fn config(&self) -> &ModelConfig {
+        &self.cfg
+    }
+
     /// Events still scheduled (nonzero only when the horizon tripped).
     pub fn events_left(&self) -> usize {
         self.queue.len()
@@ -361,7 +343,7 @@ impl SimModel {
 
     /// Whether the coordinator finished its drain.
     pub fn drain_complete(&self) -> bool {
-        self.stopping
+        self.core.is_stopping()
     }
 
     /// The latency ceiling the staleness invariant is judged against.
@@ -418,13 +400,9 @@ impl SimModel {
                 let msg = Self::decode(&frame);
                 self.coord_message(now, w, msg);
             }
-            Ev::LinkBroken { w } => {
-                // Mirrors reader_loop's Err arm: teardown closure is not
-                // a death.
-                if !self.stopping {
-                    self.mark_dead(now, w, "link closed", false);
-                }
-            }
+            // The reader's `Err` arm: after the stop the core judges the
+            // closure teardown, not a death.
+            Ev::LinkBroken { w } => self.mark_dead(now, w, "link closed", false),
             Ev::HeartbeatTick => self.heartbeat_tick(now),
             Ev::Finish { w, id } => self.worker_finish(now, w, id),
             Ev::Crash { w } => self.crash(now, w),
@@ -440,7 +418,8 @@ impl SimModel {
 
     // ---- coordinator ---------------------------------------------------
 
-    /// Mirrors `ClusterEngine::submit`. The load's specs are distinct, so
+    /// Submits `planned[i]` as `ClusterEngine::submit` does. The load's
+    /// specs are distinct, so
     /// the cache and coalescing front answer misses — exactly what
     /// production would answer.
     fn submit(&mut self, now: u64, i: usize) {
@@ -464,10 +443,10 @@ impl SimModel {
         self.note(now, format!("submit refused ({refused}): load[{i}]"));
     }
 
-    /// Mirrors the dispatcher thread: sends as far as the core allows.
+    /// The dispatcher thread's step: sends as far as the core allows.
     fn dispatch(&mut self, now: u64) {
         loop {
-            match self.core.next_dispatch(&self.alive, at(now)).step {
+            match self.core.next_dispatch(at(now)).step {
                 Step::Send(d) => {
                     let high = self.audit.attempts_high.entry(d.id).or_insert(0);
                     *high = (*high).max(d.attempt);
@@ -487,7 +466,7 @@ impl SimModel {
         }
     }
 
-    /// Mirrors `reader_loop` message handling.
+    /// A frame from worker `w`, handled as `reader_loop` handles it.
     fn coord_message(&mut self, now: u64, w: usize, msg: Message) {
         match msg {
             Message::Done { id, record } => {
@@ -515,17 +494,13 @@ impl SimModel {
                 }
                 self.dispatch(now);
             }
-            Message::HeartbeatOk { .. } => {
-                // A stale-marked worker's late replies refresh the beat
-                // but never resurrect it — exactly production.
-                self.last_beat[w] = now;
-            }
+            Message::HeartbeatOk { .. } => self.core.beat(w, at(now)),
             Message::DrainOk {
                 completed,
                 rejected,
             } => {
                 self.audit.drain_ok.push(w);
-                self.alive[w] = false;
+                self.core.stopped(w);
                 self.note(
                     now,
                     format!("drain_ok from w{w}: completed={completed} rejected={rejected}"),
@@ -538,13 +513,12 @@ impl SimModel {
         }
     }
 
-    /// Mirrors `ClusterEngine::mark_dead`: idempotent, orphans judged by
-    /// the core.
+    /// A lost worker, as in `ClusterEngine::mark_dead`: the core judges
+    /// the death (once, and never after the stop) and its orphans.
     fn mark_dead(&mut self, now: u64, w: usize, why: &str, stale: bool) {
-        if !self.alive[w] {
+        let Some(fates) = self.core.worker_dead(w, at(now)) else {
             return;
-        }
-        self.alive[w] = false;
+        };
         self.audit.deaths.push(Death {
             worker: w,
             at_us: now,
@@ -552,7 +526,7 @@ impl SimModel {
             stale,
         });
         self.note(now, format!("worker w{w} declared dead: {why}"));
-        for (id, fate) in self.core.worker_dead(w, at(now)) {
+        for (id, fate) in fates {
             if fate == OrphanDisposition::Requeue {
                 self.audit.requeues += 1;
                 self.note(now, format!("requeue id={id} (orphan of w{w})"));
@@ -577,30 +551,29 @@ impl SimModel {
         self.drain_wait(now);
     }
 
-    /// Mirrors `heartbeat_loop`'s body: send to the living, then judge
-    /// staleness via the shared policy (drain suppresses it).
+    /// One sweep of `heartbeat_loop`: send to the living, then ask the
+    /// core whether each is stale (a drain suppresses it).
     fn heartbeat_tick(&mut self, now: u64) {
-        if self.stopping {
+        if self.core.is_stopping() {
             return;
         }
         self.hb_seq += 1;
         let seq = self.hb_seq;
-        let draining = self.core.table().is_draining();
-        for w in 0..self.alive.len() {
-            if !self.alive[w] {
+        for w in 0..self.workers.len() {
+            if !self.core.alive()[w] {
                 continue;
             }
             self.send_to_worker(now, w, &Message::Heartbeat { seq });
-            let age = at(now.saturating_sub(self.last_beat[w]));
-            if protocol::is_stale(age, Duration::from_micros(self.cfg.liveness_us), draining) {
+            if self.core.is_stale(w, at(now)) {
                 self.mark_dead(now, w, "missed heartbeats", true);
             }
         }
-        let next = now + self.cfg.heartbeat_us;
+        let next = now + self.cfg.cluster.heartbeat.as_micros() as u64;
         self.queue.push(next, Ev::HeartbeatTick);
     }
 
-    /// Mirrors `begin_drain`: stop admission, reject the undispatched.
+    /// The operator's drain, as in `begin_drain`: stop admission, reject
+    /// the undispatched.
     fn begin_drain(&mut self, now: u64) {
         if self.core.table().is_draining() {
             return;
@@ -613,20 +586,16 @@ impl SimModel {
         self.drain_wait(now);
     }
 
-    /// Mirrors `drain`'s wait: once the core has nothing outstanding,
-    /// raise `stopping` and tell each survivor to drain and exit.
+    /// The wait in `drain`: once the core has nothing outstanding, it
+    /// raises the stop, and each survivor is told to drain and exit.
     fn drain_wait(&mut self, now: u64) {
-        let table = self.core.table();
-        if !table.is_draining() || table.outstanding() > 0 || self.stopping {
+        let Some(survivors) = self.core.stop_if_drained() else {
             return;
-        }
-        self.stopping = true;
+        };
         self.audit.drain_stopped_us = Some(now);
         self.note(now, "drain complete; stopping cluster".to_string());
-        for w in 0..self.alive.len() {
-            if self.alive[w] {
-                self.send_to_worker(now, w, &Message::Drain);
-            }
+        for w in survivors {
+            self.send_to_worker(now, w, &Message::Drain);
         }
     }
 

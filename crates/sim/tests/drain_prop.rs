@@ -52,20 +52,18 @@ proptest! {
         let cfg = ModelConfig::default();
         let window_us = 6_000_000u64;
         let mut rng = SimRng::new(seed);
-        let schedule = plan(spec, &mut rng, cfg.workers, window_us, cfg.liveness_us);
+        let schedule = plan(spec, &mut rng, cfg.workers, window_us, cfg.liveness_us());
         let load = mk_load(&mut rng, count, window_us);
         let net = NetConfig {
             latency_min_us: 500,
             latency_max_us: if spec.reorder { 80_000 } else { 5_000 },
         };
         let drain_at = window_us * drain_pct / 100;
-        let horizon = window_us + 4 * cfg.liveness_us + 60_000_000;
+        let horizon = window_us + 4 * cfg.liveness_us() + 60_000_000;
         let mut model = SimModel::new(cfg.clone(), rng, net, &schedule, load, drain_at);
         let end_us = model.run(horizon);
         let ctx = CheckContext {
             schedule: &schedule,
-            liveness_us: cfg.liveness_us,
-            retry_budget: cfg.retry_budget,
             events_left: model.events_left(),
             end_us,
             horizon_us: horizon,

@@ -5,8 +5,9 @@
 //! seeds of 20 simulated seconds each — over 1000 simulated seconds —
 //! under crash, partition, and stall faults, with zero invariant
 //! violations. The targeted tests construct fault schedules by hand to
-//! pin behaviors a random sweep can miss: full retry-budget exhaustion
-//! and the all-workers-dead quarantine path.
+//! pin behaviors a random sweep can miss: full retry-budget exhaustion,
+//! the all-workers-dead quarantine path, and a drain riding out a worker
+//! that goes silent while it finishes its queue.
 
 use sdvbs_core::{ExecPolicy, InputSize};
 use sdvbs_runner::Job;
@@ -108,7 +109,7 @@ fn sequential_crashes_exhaust_the_budget_exactly() {
         })
         .collect();
     let drain_at = 14_000_000;
-    let horizon = drain_at + 4 * cfg.liveness_us + 60_000_000;
+    let horizon = drain_at + 4 * cfg.liveness_us() + 60_000_000;
     let mut model = SimModel::new(
         cfg.clone(),
         SimRng::new(42),
@@ -120,8 +121,6 @@ fn sequential_crashes_exhaust_the_budget_exactly() {
     let end_us = model.run(horizon);
     let ctx = CheckContext {
         schedule: &schedule,
-        liveness_us: cfg.liveness_us,
-        retry_budget: cfg.retry_budget,
         events_left: model.events_left(),
         end_us,
         horizon_us: horizon,
@@ -129,7 +128,7 @@ fn sequential_crashes_exhaust_the_budget_exactly() {
     let violations = check(&model, &ctx);
     assert!(violations.is_empty(), "violations: {violations:?}");
 
-    let max = cfg.retry_budget + 1;
+    let max = cfg.cluster.retry_budget + 1;
     let mut exhausted = 0;
     for (id, job) in model.jobs().iter().enumerate() {
         match &job.state {
@@ -160,4 +159,61 @@ fn sequential_crashes_exhaust_the_budget_exactly() {
             .map(|j| (format!("{:?}", j.state), j.attempts))
             .collect::<Vec<_>>()
     );
+}
+
+/// The drain exemption, pinned: a worker that stalls from just before a
+/// drain until long after the liveness window is never declared dead
+/// while the cluster drains, so its running jobs finish instead of being
+/// rejected as orphans.
+#[test]
+fn a_worker_silent_through_a_drain_is_never_declared_dead() {
+    let cfg = ModelConfig {
+        workers: 2,
+        exec_min_us: 8_000_000,
+        exec_max_us: 8_000_000,
+        ..ModelConfig::default()
+    };
+    let drain_at = 4_000_000;
+    let schedule = FaultSchedule {
+        crashes: vec![],
+        stalls: vec![(0, drain_at - 1_000_000, drain_at + 4 * cfg.liveness_us())],
+        partitions: vec![],
+        reorder: false,
+    };
+    let load: Vec<(u64, Job)> = (0..4)
+        .map(|i| {
+            (
+                0,
+                Job::new("disparity", InputSize::Sqcif, ExecPolicy::Serial, i, 1),
+            )
+        })
+        .collect();
+    let horizon = drain_at + 4 * cfg.liveness_us() + 60_000_000;
+    let mut model = SimModel::new(
+        cfg,
+        SimRng::new(7),
+        NetConfig::default(),
+        &schedule,
+        load,
+        drain_at,
+    );
+    let end_us = model.run(horizon);
+    let ctx = CheckContext {
+        schedule: &schedule,
+        events_left: model.events_left(),
+        end_us,
+        horizon_us: horizon,
+    };
+    let violations = check(&model, &ctx);
+    assert!(violations.is_empty(), "violations: {violations:?}");
+    assert!(
+        model.audit.deaths.is_empty(),
+        "a draining worker was declared dead: {:?}",
+        model.audit.deaths
+    );
+    let jobs = model.jobs();
+    assert_eq!(jobs.len(), 4);
+    for (id, job) in jobs.iter().enumerate() {
+        assert_eq!(job.state, JobState::Done, "job {id}");
+    }
 }

@@ -11,26 +11,35 @@ use std::sync::Mutex;
 
 static GATE: Mutex<()> = Mutex::new(());
 
-fn report_at(bench: &(dyn Benchmark + Send + Sync), size: InputSize) -> Report {
+/// Runs per measurement: each report is the fastest of this many.
+const REPS: usize = 5;
+
+/// Profiles `bench` at two sizes: after one warm-up run of each, the
+/// fastest of [`REPS`] runs per size. The sizes alternate run by run, so
+/// a burst of host load lands on both sides of a comparison between
+/// them.
+fn reports_at(bench: &(dyn Benchmark + Send + Sync), sizes: [InputSize; 2]) -> [Report; 2] {
     bench.warmup();
-    // Warm + best-of-2 to stabilize occupancies.
-    let mut warm = Profiler::new();
-    bench
-        .try_run_with(size, 1, ExecPolicy::Serial, &mut warm)
-        .expect("warm-up run");
-    let mut best: Option<Report> = None;
-    let mut best_t = std::time::Duration::MAX;
-    for _ in 0..2 {
+    let run = |size| {
         let mut prof = Profiler::new();
         bench
             .try_run_with(size, 1, ExecPolicy::Serial, &mut prof)
             .expect("timed run");
-        if prof.total() < best_t {
-            best_t = prof.total();
-            best = Some(prof.report());
+        prof
+    };
+    for size in sizes {
+        run(size);
+    }
+    let mut best: [Option<Profiler>; 2] = [None, None];
+    for _ in 0..REPS {
+        for (slot, size) in best.iter_mut().zip(sizes) {
+            let prof = run(size);
+            if slot.as_ref().is_none_or(|b| prof.total() < b.total()) {
+                *slot = Some(prof);
+            }
         }
     }
-    best.expect("two reps")
+    best.map(|prof| prof.expect("REPS > 0").report())
 }
 
 fn by_name(name: &str) -> Box<dyn Benchmark + Send + Sync> {
@@ -51,8 +60,8 @@ fn by_name(name: &str) -> Box<dyn Benchmark + Send + Sync> {
 fn disparity_hot_spot_shifted_to_integral_image() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("Disparity Map");
-    for size in [InputSize::Sqcif, InputSize::Qcif] {
-        let r = report_at(bench.as_ref(), size);
+    let sizes = [InputSize::Sqcif, InputSize::Qcif];
+    for (size, r) in sizes.into_iter().zip(reports_at(bench.as_ref(), sizes)) {
         let share: f64 = ["SSD", "IntegralImage", "Correlation", "Sort"]
             .iter()
             .map(|k| r.occupancy(k).unwrap_or(0.0))
@@ -85,8 +94,7 @@ fn tracking_preprocessing_grows_with_size() {
             .map(|k| r.occupancy(k).unwrap_or(0.0))
             .sum::<f64>()
     };
-    let small = report_at(bench.as_ref(), InputSize::Sqcif);
-    let large = report_at(bench.as_ref(), InputSize::Cif);
+    let [small, large] = reports_at(bench.as_ref(), [InputSize::Sqcif, InputSize::Cif]);
     assert!(
         pre(&large) > pre(&small) + 10.0,
         "preprocessing share {:.1}% -> {:.1}%",
@@ -107,8 +115,7 @@ fn tracking_preprocessing_grows_with_size() {
 fn sift_occupancy_is_flat_and_dominant() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("SIFT");
-    let small = report_at(bench.as_ref(), InputSize::Sqcif);
-    let large = report_at(bench.as_ref(), InputSize::Qcif);
+    let [small, large] = reports_at(bench.as_ref(), [InputSize::Sqcif, InputSize::Qcif]);
     let a = small.occupancy("SIFT").unwrap_or(0.0);
     let b = large.occupancy("SIFT").unwrap_or(0.0);
     assert!(a > 80.0 && b > 80.0, "SIFT occupancy {a:.1}% / {b:.1}%");
@@ -124,30 +131,17 @@ fn sift_occupancy_is_flat_and_dominant() {
 #[test]
 fn figure2_extremes_hold() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let loc = by_name("Robot Localization");
-    let time = |b: &(dyn Benchmark + Send + Sync), s: InputSize| {
-        b.warmup();
-        (0..3)
-            .map(|_| {
-                let mut prof = Profiler::new();
-                b.try_run_with(s, 1, ExecPolicy::Serial, &mut prof)
-                    .expect("timed run");
-                prof.total()
-            })
-            .min()
-            .expect("three reps")
+    let ratio = |name: &str| {
+        let bench = by_name(name);
+        let [small, large] = reports_at(bench.as_ref(), [InputSize::Sqcif, InputSize::Cif]);
+        large.total().as_secs_f64() / small.total().as_secs_f64()
     };
-    let l_small = time(loc.as_ref(), InputSize::Sqcif);
-    let l_large = time(loc.as_ref(), InputSize::Cif);
-    let loc_ratio = l_large.as_secs_f64() / l_small.as_secs_f64();
+    let loc_ratio = ratio("Robot Localization");
     assert!(
         (0.5..=1.6).contains(&loc_ratio),
         "localization should be flat, ratio {loc_ratio:.2}"
     );
-    let disp = by_name("Disparity Map");
-    let d_small = time(disp.as_ref(), InputSize::Sqcif);
-    let d_large = time(disp.as_ref(), InputSize::Cif);
-    let disp_ratio = d_large.as_secs_f64() / d_small.as_secs_f64();
+    let disp_ratio = ratio("Disparity Map");
     assert!(
         disp_ratio > 4.0,
         "disparity should scale with pixels, ratio {disp_ratio:.2}"
@@ -164,8 +158,7 @@ fn figure2_extremes_hold() {
 fn texture_sampling_dominates_and_total_is_flat() {
     let _turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let bench = by_name("Texture Synthesis");
-    let small = report_at(bench.as_ref(), InputSize::Sqcif);
-    let large = report_at(bench.as_ref(), InputSize::Cif);
+    let [small, large] = reports_at(bench.as_ref(), [InputSize::Sqcif, InputSize::Cif]);
     assert!(small.occupancy("Sampling").unwrap_or(0.0) > 60.0);
     let ratio = large.total().as_secs_f64() / small.total().as_secs_f64();
     assert!(
