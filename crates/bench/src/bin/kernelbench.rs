@@ -12,9 +12,12 @@
 //! Usage: `cargo run --release -p sdvbs-bench --bin kernelbench
 //! [-- --reps N] [--size sqcif|qcif|cif]`
 //!
-//! Each cell reports the best of `reps` timed runs (after one warmup),
-//! the min being the standard noise-robust statistic the runner's
-//! `compare` gate uses too.
+//! Each cell reports the nearest-rank median and quartiles of `reps`
+//! timed runs (after one warmup), computed with
+//! [`sdvbs_trace::nearest_rank`] — the statistic perfbench and the serve
+//! load generator use — so a cell shows its spread beside its level and a
+//! change smaller than the quartile band reads as noise, not a gain.
+//! Mpixel/s comes from the median.
 
 use sdvbs_disparity::{try_compute_disparity, DisparityConfig};
 use sdvbs_exec::ExecPolicy;
@@ -28,6 +31,7 @@ use sdvbs_profile::Profiler;
 use sdvbs_segmentation::{adjacency_matrix_with, filter_bank_features};
 use sdvbs_synth::{face_scene, segmentable_scene, texture_swatch, TextureKind};
 use sdvbs_texture::{synthesize, TextureConfig};
+use sdvbs_trace::nearest_rank;
 use std::time::Instant;
 
 /// The paper's named sizes.
@@ -47,16 +51,19 @@ fn test_image(w: usize, h: usize, seed: u64) -> Image {
     })
 }
 
-/// Best-of-`reps` wall time of `f` in microseconds (one untimed warmup).
-fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
+/// The 25th, 50th and 75th nearest-rank percentiles of `reps` wall times
+/// of `f` in microseconds (one untimed warmup).
+fn time_us(reps: usize, mut f: impl FnMut()) -> [f64; 3] {
     f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    best
+    let mut times: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    [25.0, 50.0, 75.0].map(|p| nearest_rank(&times, p).expect("at least one rep"))
 }
 
 fn main() {
@@ -77,8 +84,8 @@ fn main() {
         }
     }
     println!(
-        "{:<22} {:>8} {:>12} {:>14}",
-        "kernel", "size", "best (us)", "Mpixel/s"
+        "{:<22} {:>8} {:>12} {:>12} {:>12} {:>14}",
+        "kernel", "size", "p25 (us)", "median (us)", "p75 (us)", "Mpixel/s"
     );
     for &(name, w, h) in &SIZES {
         if only_size.as_deref().is_some_and(|s| s != name) {
@@ -86,10 +93,10 @@ fn main() {
         }
         let img = test_image(w, h, 7);
         let pixels = (w * h) as f64;
-        let row = |kernel: &str, us: f64| {
+        let row = |kernel: &str, [p25, median, p75]: [f64; 3]| {
             println!(
-                "{kernel:<22} {name:>8} {us:>12.1} {:>14.1}",
-                pixels / us.max(1e-9)
+                "{kernel:<22} {name:>8} {p25:>12.1} {median:>12.1} {p75:>12.1} {:>14.1}",
+                pixels / median.max(1e-9)
             );
         };
         row(

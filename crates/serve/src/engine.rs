@@ -19,9 +19,15 @@
 //!
 //! The bookkeeping — ids, lifecycle, cache front, retirement, drain
 //! accounting — is the shared sans-IO [`JobTable`], held with the pending
-//! queue and the stream table under one state mutex, so cache, coalesce,
-//! admission and dequeue decisions are atomic with respect to worker
-//! completions; idle workers wait on a second condvar of that mutex.
+//! queue and the sans-IO stream table ([`crate::stream`]) under one state
+//! mutex, so cache, coalesce, admission and dequeue decisions are atomic
+//! with respect to worker completions, and a stream frame takes its
+//! stream's pipeline, and gives it back, under that mutex too. Idle
+//! workers wait on its `ready` condvar; pollers, the drain and frames
+//! waiting for their turn wait on its `changed` condvar. No lock is taken
+//! before it (metrics and trace come after), and none is held across a
+//! socket write.
+//!
 //! Terminal jobs are **retired** after
 //! [`EngineConfig::retire_ttl`] (a poll-grace window): ids stay stable,
 //! but a long-lived daemon's memory no longer grows with every job it
@@ -43,12 +49,11 @@ pub use crate::sched::group_key;
 use crate::sched::{self, Batch, Drr, JobClass, SchedConfig};
 use crate::shutdown::DrainReport;
 use crate::stream::{
-    self, FrameDecision, FrameTask, FrameTicket, StreamEntry, StreamRefused, StreamStatus,
-    StreamTable, LATENCY_WINDOW, MAX_STREAMS,
+    self, FrameTask, FrameTicket, StreamRefused, StreamStatus, StreamTable, LATENCY_WINDOW,
 };
 use sdvbs_core::ExecPolicy;
 use sdvbs_runner::{execute_job, honors_exec_policy, HostMeta, Job, RunStatus};
-use sdvbs_stream::{fold_digest, StreamSpec};
+use sdvbs_stream::StreamSpec;
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{alloc_track, now_us, trace_epoch, MetricsRegistry, Phase, TraceEvent};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -101,6 +106,7 @@ impl Default for EngineConfig {
 
 /// What a job-table entry executes: a one-shot benchmark spec, or one
 /// frame of an open stream.
+#[derive(Clone)]
 enum Payload {
     Bench(Job),
     Frame(FrameTask),
@@ -186,19 +192,6 @@ impl Engine {
         self.lock_state().table.cache_evictions()
     }
 
-    /// Queues stream `id` for retirement once its last in-flight frame
-    /// has left a closed stream.
-    fn retire_stream_if(&self, idle: bool, id: u64) {
-        if idle {
-            let mut st = self.lock_state();
-            st.streams.retiring.schedule(trace_epoch().elapsed(), id);
-        }
-    }
-
-    fn stream_entry(&self, id: u64) -> Option<Arc<StreamEntry>> {
-        self.lock_state().streams.streams.get(&id).cloned()
-    }
-
     /// A standalone copy of the lifetime registry, for shipping over the
     /// wire to a coordinator.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
@@ -244,16 +237,46 @@ impl Engine {
             ];
             self.push_trace(begin);
             // The first job in the batch pays warmup; followers start warm
-            // — same benchmark×size just ran on this thread. Stream-frame
-            // batches dispatch through the frame path instead.
-            let frames = batch.group.starts_with("stream:");
+            // — same benchmark×size just ran on this thread.
             let mut warm = false;
             let n = batch.ids.len();
             for (i, &id) in batch.ids.iter().enumerate() {
-                if frames {
-                    self.run_frame(&batch, id, worker, i + 1 == n);
-                } else if self.run_one(&batch, id, warm, worker, i + 1 == n) {
-                    warm = true;
+                let last = i + 1 == n;
+                // A job dequeued after the drain began is rejected without
+                // executing, so it never starts.
+                let mut st = self.lock_state();
+                let draining = st.table.is_draining();
+                let payload = if draining {
+                    st.table.get(id).map(|e| &e.payload)
+                } else {
+                    st.table.start(id, worker)
+                };
+                let payload = payload
+                    .expect("a queued job stays in the table until terminal + TTL")
+                    .clone();
+                if !draining {
+                    self.changed.notify_all();
+                }
+                match payload {
+                    Payload::Frame(task) => {
+                        drop(st);
+                        self.run_frame(&batch, id, &task, draining, worker, last);
+                    }
+                    Payload::Bench(_) if draining => {
+                        // The window span closes while the state lock is
+                        // still held, so the rejection is never visible
+                        // before it.
+                        if last {
+                            self.push_batch_end(&batch, track);
+                        }
+                        self.reject_draining(&mut st.table, id);
+                    }
+                    Payload::Bench(spec) => {
+                        drop(st);
+                        if self.run_one(&batch, id, spec, warm, worker, last) {
+                            warm = true;
+                        }
+                    }
                 }
             }
         }
@@ -264,23 +287,21 @@ impl Engine {
     /// and wakes an idle worker for it.
     fn admit(
         &self,
-        st: &mut State,
+        table: &mut JobTable<Payload>,
+        pending: &mut Drr,
         payload: Payload,
         key: Option<String>,
         fresh: bool,
         class: JobClass,
     ) -> Admission {
         let capacity = self.cfg.queue_capacity.max(1);
-        let pending = &mut st.pending;
-        let admission = st
-            .table
-            .submit(payload, key, fresh, trace_epoch().elapsed(), |id, job| {
-                if pending.len() >= capacity {
-                    return Err(Submission::QueueFull);
-                }
-                pending.push_back(id, &job.group(), class);
-                Ok(())
-            });
+        let admission = table.submit(payload, key, fresh, trace_epoch().elapsed(), |id, job| {
+            if pending.len() >= capacity {
+                return Err(Submission::QueueFull);
+            }
+            pending.push_back(id, &job.group(), class);
+            Ok(())
+        });
         if matches!(admission.answer, Submission::Queued(_)) {
             self.ready.notify_one();
         }
@@ -302,10 +323,10 @@ impl Engine {
         }
     }
 
-    /// Closes the dispatch-window span. Called by [`Engine::run_one`] for
-    /// the batch's last job *before* that job's terminal state becomes
-    /// externally visible — a trace fetched after every submitted job
-    /// polls done therefore never catches the window still open.
+    /// Closes the dispatch-window span. Called for the batch's last job
+    /// *before* that job's terminal state becomes externally visible — a
+    /// trace fetched after every submitted job polls done therefore never
+    /// catches the window still open.
     fn push_batch_end(&self, batch: &Batch, track: u32) {
         self.push_trace(TraceEvent::new(
             format!("batch {}", batch.group),
@@ -334,29 +355,18 @@ impl Engine {
         }
     }
 
-    /// Executes (or drain-rejects) one job of a batch. Returns whether the
+    /// Executes one started benchmark job of a batch. Returns whether the
     /// benchmark actually ran (and the batch is therefore warm).
-    fn run_one(&self, batch: &Batch, id: u64, warm: bool, worker: usize, last: bool) -> bool {
+    fn run_one(
+        &self,
+        batch: &Batch,
+        id: u64,
+        spec: Job,
+        warm: bool,
+        worker: usize,
+        last: bool,
+    ) -> bool {
         let track = worker as u32;
-        let spec = {
-            let mut st = self.lock_state();
-            if st.table.is_draining() {
-                // Dequeued after the drain began: reject without executing.
-                // The window span closes while the state lock is still
-                // held, so the rejection is never visible before it.
-                if last {
-                    self.push_batch_end(batch, track);
-                }
-                self.reject_draining(&mut st.table, id);
-                return false;
-            }
-            let Some(Payload::Bench(spec)) = st.table.start(id, worker) else {
-                unreachable!("a queued bench job stays in the table until terminal + TTL")
-            };
-            let spec = spec.clone();
-            self.changed.notify_all();
-            spec
-        };
         if let Some(hold) = self.cfg.hold {
             thread::sleep(hold);
         }
@@ -433,56 +443,49 @@ impl Engine {
 
     /// Executes (or drain-rejects) one stream frame. Frames never touch
     /// the result cache or the in-flight map — each is a unique stateful
-    /// step of its pipeline. The stream's sequence gate serializes
-    /// execution: even when frames of one stream land on several
-    /// workers, they process strictly in submission order (pipeline
-    /// state makes order a correctness property).
-    fn run_frame(&self, batch: &Batch, id: u64, worker: usize, last: bool) {
+    /// step of its pipeline. The frame waits for its turn: even when
+    /// frames of one stream land on several workers, they take the
+    /// pipeline strictly in submission order (pipeline state makes order a
+    /// correctness property). The wait cannot deadlock: the scheduler's
+    /// group queue is FIFO, so every earlier frame is already on or
+    /// through a worker.
+    fn run_frame(
+        &self,
+        batch: &Batch,
+        id: u64,
+        task: &FrameTask,
+        draining: bool,
+        worker: usize,
+        last: bool,
+    ) {
         let track = worker as u32;
-        let (task, draining) = {
-            let mut st = self.lock_state();
-            let draining = st.table.is_draining();
-            let Some(Payload::Frame(task)) = st.table.get(id).map(|e| &e.payload) else {
-                unreachable!("a queued frame stays in the table until terminal + TTL")
-            };
-            let task = task.clone();
-            if !draining {
-                st.table.start(id, worker);
-                self.changed.notify_all();
+        let mut st = self.lock_state();
+        let mut pipeline = loop {
+            if let Some(pipeline) = st.streams.take_turn(task) {
+                break pipeline;
             }
-            (task, draining)
+            st = self
+                .changed
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         };
-        // A stream retires only once closed with no frame in flight, and
-        // this frame is in flight.
-        let stream = self
-            .stream_entry(task.stream)
-            .expect("a stream with a frame in flight is never retired");
         if draining {
-            // Honest drain accounting: wait for this frame's turn (so the
-            // stream's execution order never inverts), reject it, then
-            // open the gate for the next frame. The gate is taken with no
-            // other lock held.
+            // Honest drain accounting: rejected in turn order, never run.
             if last {
                 self.push_batch_end(batch, track);
             }
-            stream.wait_turn(task.seq);
-            self.reject_draining(&mut self.lock_state().table, id);
-            stream.advance_turn(task.seq);
-            let mut stats = stream.lock_stats();
-            stats.rejected += 1;
-            let idle = stats.leave_flight();
-            drop(stats);
-            self.retire_stream_if(idle, stream.id);
+            st.streams.reject(task, pipeline, trace_epoch().elapsed());
+            self.reject_draining(&mut st.table, id);
             self.incr("stream_frames_rejected");
             return;
         }
-        stream.wait_turn(task.seq);
+        drop(st);
         self.push_trace(TraceEvent::new(
             format!("frame {}", task.frame),
             "frame",
             Phase::Begin,
             now_us(),
-            stream.track,
+            task.track,
         ));
         let started = Instant::now();
         // Unlike the bench path, the hold window counts as frame
@@ -494,77 +497,50 @@ impl Engine {
         // held stream's load.
         if let Some(hold) = self.cfg.hold {
             let hold = if task.degraded {
-                let (fw, fh) = stream.spec.full_dims();
-                let (dw, dh) = stream.spec.degraded_dims();
+                let (fw, fh) = task.spec.full_dims();
+                let (dw, dh) = task.spec.degraded_dims();
                 hold.mul_f64((dw * dh) as f64 / (fw * fh) as f64)
             } else {
                 hold
             };
             thread::sleep(hold);
         }
-        let result = {
-            let mut pipeline = stream
-                .pipeline
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            pipeline.process(task.frame, task.degraded)
-        };
+        let result = pipeline.process(task.frame, task.degraded);
         let exec_ms = started.elapsed().as_secs_f64() * 1e3;
         self.push_trace(TraceEvent::new(
             format!("frame {}", task.frame),
             "frame",
             Phase::End,
             now_us(),
-            stream.track,
+            task.track,
         ));
         if last {
             self.push_batch_end(batch, track);
         }
-        stream.advance_turn(task.seq);
-        let latency_ms = task.submitted.elapsed().as_secs_f64() * 1e3;
-        let completed = result.is_ok();
-        let (state, idle) = {
-            let mut stats = stream.lock_stats();
-            let idle = stats.leave_flight();
-            stats.note_exec(exec_ms);
-            let violated = stats.note_latency(latency_ms, stream.sla_ms);
-            // The stream's own series land under its stats lock, so it
-            // cannot be closed idle, and retired, before they do.
-            self.metrics().observe_windowed(
-                &format!("stream_{}_frame_latency_ms", stream.id),
-                latency_ms,
-                LATENCY_WINDOW,
-            );
-            if violated {
-                self.incr("stream_sla_violations");
-                self.incr(&format!("stream_{}_sla_violations", stream.id));
-            }
-            let state = match result {
-                Ok(r) => {
-                    stats.completed += 1;
-                    if task.degraded {
-                        stats.completed_degraded += 1;
-                    }
-                    stats.rolling_digest = fold_digest(stats.rolling_digest, r.digest);
-                    let detail = r.detail.clone();
-                    stats.push_recent(stream::summarize(&r, latency_ms));
-                    JobState::FrameDone(detail)
-                }
-                Err(e) => {
-                    stats.failed += 1;
-                    JobState::Rejected(e.to_string())
-                }
-            };
-            (state, idle)
-        };
-        self.retire_stream_if(idle, stream.id);
-        self.observe("stream_frame_exec_ms", exec_ms);
-        if completed {
-            self.incr("stream_frames_completed");
-        } else {
-            self.incr("stream_frames_failed");
+        // The frame's accounting, its stream's own series and the job's
+        // terminal state move together, so a closed stream cannot retire
+        // (and drop its series) before they land.
+        let mut st = self.lock_state();
+        let now = trace_epoch().elapsed();
+        let (latency_ms, violated) = st.streams.complete(task, pipeline, exec_ms, &result, now);
+        let mut metrics = self.metrics();
+        metrics.observe_windowed(
+            &format!("stream_{}_frame_latency_ms", task.stream),
+            latency_ms,
+            LATENCY_WINDOW,
+        );
+        if violated {
+            metrics.incr("stream_sla_violations", 1);
+            metrics.incr(&format!("stream_{}_sla_violations", task.stream), 1);
         }
-        self.finish(&mut self.lock_state().table, id, state);
+        metrics.observe("stream_frame_exec_ms", exec_ms);
+        let (outcome, state) = match result {
+            Ok(r) => ("completed", JobState::FrameDone(r.detail)),
+            Err(e) => ("failed", JobState::Rejected(e.to_string())),
+        };
+        metrics.incr(&format!("stream_frames_{outcome}"), 1);
+        drop(metrics);
+        self.finish(&mut st.table, id, state);
     }
 
     fn lock_state(&self) -> MutexGuard<'_, State> {
@@ -587,8 +563,16 @@ impl Engine {
 impl Backend for Engine {
     fn submit(&self, spec: Job, fresh: bool, class: JobClass) -> Submission {
         let key = cache_preimage(&spec);
-        let mut st = self.lock_state();
-        let admission = self.admit(&mut st, Payload::Bench(spec), Some(key), fresh, class);
+        let st = &mut *self.lock_state();
+        let payload = Payload::Bench(spec);
+        let admission = self.admit(
+            &mut st.table,
+            &mut st.pending,
+            payload,
+            Some(key),
+            fresh,
+            class,
+        );
         admission.count(&mut self.metrics(), class);
         admission.answer
     }
@@ -639,19 +623,17 @@ impl Backend for Engine {
     }
 
     /// Validates the spec, builds its stateful pipeline, and allocates it
-    /// a trace track. Refused while draining or at the `MAX_STREAMS`
-    /// open-stream cap.
+    /// a trace track. Refused while draining — judged under the lock that
+    /// inserts the stream — or at the `MAX_STREAMS` open-stream cap.
     fn open_stream(&self, spec: StreamSpec) -> Result<u64, StreamRefused> {
-        if self.is_draining() {
+        let mut st = self.lock_state();
+        if st.table.is_draining() {
             return Err(StreamRefused::Draining);
         }
         let pipeline = stream::build_for(&spec)?;
-        let mut st = self.lock_state();
         // Same contract as job retirement: a long-lived daemon's memory
         // does not grow with every stream it has ever served.
-        let tbl = &mut st.streams;
-        let now = trace_epoch().elapsed();
-        let retired = tbl.retiring.sweep(now, &mut tbl.streams);
+        let retired = st.streams.sweep(trace_epoch().elapsed());
         if !retired.is_empty() {
             // A retired stream's own series go with it; the lifetime
             // totals across streams stay.
@@ -661,14 +643,12 @@ impl Backend for Engine {
                 metrics.remove_prefixed(&format!("stream_{id}_"));
             }
         }
-        if tbl.open >= MAX_STREAMS {
+        if st.streams.is_full() {
             self.incr("streams_refused_limit");
             return Err(StreamRefused::LimitReached);
         }
-        let id = tbl.next_id;
-        tbl.next_id += 1;
-        tbl.open += 1;
         let track = alloc_track();
+        let id = st.streams.open(spec, track, pipeline);
         self.push_trace(TraceEvent::new(
             format!("stream {id} ({})", spec.pipeline.label()),
             "meta",
@@ -676,8 +656,6 @@ impl Backend for Engine {
             0,
             track,
         ));
-        tbl.streams
-            .insert(id, Arc::new(StreamEntry::new(id, spec, track, pipeline)));
         self.incr("streams_opened");
         Ok(id)
     }
@@ -687,92 +665,51 @@ impl Backend for Engine {
     /// a *successful* submission — shedding is the declared contract — but
     /// a frame refused as draining is uncounted.
     fn submit_frame(&self, stream_id: u64) -> Result<FrameTicket, StreamRefused> {
-        let entry = self
-            .stream_entry(stream_id)
-            .ok_or(StreamRefused::NoSuchStream)?;
-        // Lock order: stream stats, then engine state. Workers take them
-        // one at a time, never nested in the other direction.
-        let mut stats = entry.lock_stats();
-        if stats.closed {
-            return Err(StreamRefused::Closed);
-        }
-        let frame = stats.submitted;
-        let decision = stats.admit(entry.spec.policy, entry.sla_ms);
-        let degraded = decision == FrameDecision::Process { degraded: true };
-        // A policy drop and queue pressure both shed the frame: counted,
-        // never enqueued, so the accounting stays exact.
-        let answer = match decision {
-            FrameDecision::Drop => Submission::QueueFull,
-            FrameDecision::Process { .. } => {
-                let task = FrameTask {
-                    stream: stream_id,
-                    frame,
-                    seq: stats.next_seq,
-                    degraded,
-                    submitted: Instant::now(),
-                };
-                let mut st = self.lock_state();
+        let st = &mut *self.lock_state();
+        let mut retired = 0;
+        let ticket = st
+            .streams
+            .submit(stream_id, trace_epoch().elapsed(), |task| {
                 let payload = Payload::Frame(task);
-                let admission = self.admit(&mut st, payload, None, true, JobClass::Interactive);
-                if admission.retired > 0 {
-                    self.metrics().incr("jobs_retired", admission.retired);
-                }
+                let class = JobClass::Interactive;
+                let admission =
+                    self.admit(&mut st.table, &mut st.pending, payload, None, true, class);
+                retired = admission.retired;
                 admission.answer
-            }
-        };
-        let job_id = match answer {
-            Submission::Queued(id) => Some(id),
-            Submission::QueueFull => None,
-            _ => return Err(StreamRefused::Draining),
-        };
-        let shed = job_id.is_none();
-        stats.submitted += 1;
-        if shed {
-            stats.dropped += 1;
-        } else {
-            stats.next_seq += 1;
-            stats.in_flight += 1;
+            })?;
+        // Under the state lock, like the frame path's series: a stream
+        // cannot retire before its own series land.
+        let mut metrics = self.metrics();
+        if retired > 0 {
+            metrics.incr("jobs_retired", retired);
         }
-        self.incr("stream_frames_submitted");
-        if shed || degraded {
-            let outcome = if shed { "dropped" } else { "degraded" };
-            self.incr(&format!("stream_frames_{outcome}"));
-            // Under the stats lock, like the frame path's series.
-            self.incr(&format!("stream_{stream_id}_frames_{outcome}"));
+        metrics.incr("stream_frames_submitted", 1);
+        if ticket.dropped || ticket.degraded {
+            let outcome = if ticket.dropped {
+                "dropped"
+            } else {
+                "degraded"
+            };
+            metrics.incr(&format!("stream_frames_{outcome}"), 1);
+            metrics.incr(&format!("stream_{stream_id}_frames_{outcome}"), 1);
         }
-        Ok(FrameTicket {
-            job_id,
-            frame,
-            dropped: shed,
-            degraded: degraded && !shed,
-        })
+        Ok(ticket)
     }
 
     fn stream_status(&self, id: u64) -> Option<StreamStatus> {
-        Some(self.stream_entry(id)?.status())
+        self.lock_state().streams.status(id)
     }
 
     /// No further frames are accepted; in-flight frames finish normally.
     fn close_stream(&self, id: u64) -> Option<StreamStatus> {
-        let entry = self.stream_entry(id)?;
-        let (first, idle) = {
-            let mut stats = entry.lock_stats();
-            let first = !stats.closed;
-            stats.closed = true;
-            (first, stats.in_flight == 0)
-        };
+        let (first, status) = self
+            .lock_state()
+            .streams
+            .close(id, trace_epoch().elapsed())?;
         if first {
-            let mut st = self.lock_state();
-            st.streams.open -= 1;
-            // With a frame in flight, the last frame's completion queues
-            // the stream instead.
-            if idle {
-                st.streams.retiring.schedule(trace_epoch().elapsed(), id);
-            }
-            drop(st);
             self.incr("streams_closed");
         }
-        Some(entry.status())
+        Some(status)
     }
 
     fn metrics_text(&self) -> String {
@@ -801,8 +738,9 @@ impl Backend for Engine {
 mod tests {
     use super::*;
     use crate::shutdown::Tally;
+    use crate::stream::MAX_STREAMS;
     use sdvbs_core::InputSize;
-    use sdvbs_stream::{run_one_shot, DegradePolicy, PipelineKind, DIGEST_SEED};
+    use sdvbs_stream::{fold_digest, run_one_shot, DegradePolicy, PipelineKind, DIGEST_SEED};
 
     fn spec(seed: u64) -> Job {
         Job::new(
@@ -1052,8 +990,8 @@ mod tests {
 
     #[test]
     fn burst_submission_across_workers_preserves_frame_order() {
-        // Submit every frame up front with several workers: the sequence
-        // gate must still execute them in order, which the rolling digest
+        // Submit every frame up front with several workers: the frames
+        // must still take their turns in order, which the rolling digest
         // proves (fold_digest is order-sensitive).
         let engine = Engine::start(EngineConfig {
             workers: 3,

@@ -31,9 +31,9 @@
 //!
 //! The streaming tier ([`stream`], over the `sdvbs-stream` crate) serves
 //! multi-frame video pipelines with per-stream frame-rate SLAs: frames
-//! ride the scheduler as interactive-class jobs grouped per stream, a
-//! per-stream gate keeps stateful pipelines executing in submission
-//! order, and a declared backpressure policy sheds load when the SLA
+//! ride the scheduler as interactive-class jobs grouped per stream, each
+//! frame takes its stream's stateful pipeline only in its turn (submission
+//! order), and a declared backpressure policy sheds load when the SLA
 //! budget is missed — `drop` skips frames (counted exactly), `degrade`
 //! processes them at a smaller input size until latency recovers.
 
@@ -64,12 +64,14 @@ pub use engine::{Engine, EngineConfig};
 pub use http::{parse_request, parse_response, Framing, HttpError, Request, Response, ResponseMsg};
 pub use jobs::{Coordinator, JobSnapshot, Submission};
 pub use loadgen::{
-    run_loadgen, run_stream_loadgen, spec_body, stream_spec_body, Client, LoadgenConfig,
-    LoadgenReport, StreamLoadConfig, StreamLoadReport, StreamRun, TargetStats,
+    run_loadgen, run_stream_loadgen, spec_body, Client, LoadgenConfig, LoadgenReport,
+    StreamLoadConfig, StreamLoadReport, TargetStats,
 };
 pub use protocol::{orphan_disposition, pick_target, OrphanDisposition, RetryPolicy};
 pub use sched::{starvation_bound, JobClass, SchedConfig};
 pub use server::{Server, ServerConfig};
 pub use shutdown::{DrainReport, ShutdownController, Tally};
-pub use stream::{parse_stream_spec, FrameSummary, FrameTicket, StreamRefused, StreamStatus};
+pub use stream::{
+    parse_stream_spec, stream_spec_body, FrameSummary, FrameTicket, StreamRefused, StreamStatus,
+};
 pub use worker::{run_worker, WorkerConfig};

@@ -16,7 +16,8 @@
 //! not treated as an error — that is the admission-control contract.
 
 use crate::http::{parse_response, HttpError, ResponseMsg};
-use sdvbs_runner::{size_label, Job};
+use crate::stream::{stream_spec_body, StreamStatus};
+use sdvbs_runner::Job;
 use sdvbs_stream::StreamSpec;
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::Histogram;
@@ -394,24 +395,6 @@ fn one_request(
     }
 }
 
-/// The JSON stream-spec body for `POST /v1/streams`.
-pub fn stream_spec_body(spec: &StreamSpec) -> String {
-    Value::Obj(vec![
-        (
-            "pipeline".to_string(),
-            Value::Str(spec.pipeline.label().to_string()),
-        ),
-        ("size".to_string(), Value::Str(size_label(spec.size))),
-        ("seed".to_string(), Value::Num(spec.seed as f64)),
-        ("fps".to_string(), Value::Num(spec.fps)),
-        (
-            "policy".to_string(),
-            Value::Str(spec.policy.label().to_string()),
-        ),
-    ])
-    .to_string()
-}
-
 /// Parameters for the paced streaming mode (`loadgen --stream`).
 #[derive(Debug, Clone)]
 pub struct StreamLoadConfig {
@@ -428,63 +411,13 @@ pub struct StreamLoadConfig {
     pub drain_limit: Duration,
 }
 
-/// What one stream's run ended as — the server's own accounting, read
-/// back from the final close response, plus client-side errors.
-#[derive(Debug, Clone)]
-pub struct StreamRun {
-    /// The server-assigned stream id.
-    pub id: u64,
-    /// Pipeline label.
-    pub pipeline: String,
-    /// Input-size label.
-    pub size: String,
-    /// Declared frame rate (the pacing target).
-    pub fps: f64,
-    /// Per-frame SLA derived from the rate.
-    pub sla_ms: f64,
-    /// Backpressure policy label.
-    pub policy: String,
-    /// Frames the client submitted.
-    pub submitted: u64,
-    /// Frames that ran to completion.
-    pub completed: u64,
-    /// Of those, frames processed at the degraded size.
-    pub completed_degraded: u64,
-    /// Frames shed by backpressure or queue overflow.
-    pub dropped: u64,
-    /// Frames refused by a drain after acceptance.
-    pub rejected: u64,
-    /// Frames whose pipeline errored.
-    pub failed: u64,
-    /// Completed frames that missed the SLA.
-    pub sla_violations: u64,
-    /// Degrade-mode flips, either direction.
-    pub degrade_transitions: u64,
-    /// Frame-latency percentiles over the server's retained window.
-    pub p50_ms: f64,
-    /// See [`StreamRun::p50_ms`].
-    pub p95_ms: f64,
-    /// See [`StreamRun::p50_ms`].
-    pub p99_ms: f64,
-    /// The stream's rolling result digest (hex).
-    pub rolling_digest: String,
-    /// Client-side failures (transport errors, unexpected statuses).
-    pub errors: usize,
-}
-
-impl StreamRun {
-    /// The accounting identity every drained stream must satisfy.
-    pub fn accounted(&self) -> bool {
-        self.completed + self.dropped + self.rejected + self.failed == self.submitted
-    }
-}
-
 /// What a streaming load-generator run measured.
 #[derive(Debug)]
 pub struct StreamLoadReport {
-    /// Per-stream results, in spec order. Streams whose setup failed
-    /// outright are missing here and counted in `errors`.
-    pub streams: Vec<StreamRun>,
+    /// Each stream's final status as the server reported it on close, in
+    /// id order. Streams whose setup failed outright are missing here and
+    /// counted in `errors`.
+    pub streams: Vec<StreamStatus>,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
     /// Client-side failures across all streams, including streams that
@@ -516,7 +449,7 @@ impl fmt::Display for StreamLoadReport {
             writeln!(
                 f,
                 "    latency: p50 {:>8.3} ms  p95 {:>8.3} ms  p99 {:>8.3} ms; \
-                 {} SLA violations, {} degrade transitions, digest {}",
+                 {} SLA violations, {} degrade transitions, digest {:#018x}",
                 s.p50_ms,
                 s.p95_ms,
                 s.p99_ms,
@@ -559,9 +492,9 @@ pub fn run_stream_loadgen(cfg: &StreamLoadConfig) -> std::io::Result<StreamLoadR
     };
     for worker in workers {
         match worker.join() {
-            Ok(Ok(run)) => {
-                report.errors += run.errors;
-                report.streams.push(run);
+            Ok(Ok((status, errors))) => {
+                report.errors += errors;
+                report.streams.push(status);
             }
             Ok(Err(why)) => {
                 eprintln!("stream worker failed: {why}");
@@ -578,13 +511,14 @@ pub fn run_stream_loadgen(cfg: &StreamLoadConfig) -> std::io::Result<StreamLoadR
 /// Opens one stream, feeds it `frames` frames at the spec's frame rate
 /// (absolute-deadline pacing, so a slow round trip does not skew the
 /// rest of the schedule), waits out the in-flight tail, closes it, and
-/// reads the server's final accounting back.
+/// reads the server's final accounting back, with the client-side
+/// failures (transport errors, unexpected statuses) counted beside it.
 fn stream_worker(
     addr: &str,
     spec: &StreamSpec,
     frames: usize,
     drain_limit: Duration,
-) -> Result<StreamRun, String> {
+) -> Result<(StreamStatus, usize), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let resp = client
         .request("POST", "/v1/streams", Some(&stream_spec_body(spec)))
@@ -617,14 +551,7 @@ fn stream_worker(
     // Wait out the in-flight tail so the close-time accounting is final.
     let deadline = Instant::now() + drain_limit;
     loop {
-        let resp = client
-            .request("GET", &format!("/v1/streams/{id}"), None)
-            .map_err(|e| format!("status: {e}"))?;
-        let body = resp.body_text();
-        let in_flight = Value::parse(&body)
-            .ok()
-            .and_then(|v| v.get("in_flight").and_then(Value::as_u64))
-            .ok_or_else(|| format!("unparsable status body {body}"))?;
+        let in_flight = stream_status(&mut client, "GET", &format!("/v1/streams/{id}"))?.in_flight;
         if in_flight == 0 {
             break;
         }
@@ -635,57 +562,21 @@ fn stream_worker(
         }
         thread::sleep(Duration::from_millis(20));
     }
-    let resp = client
-        .request("POST", &format!("/v1/streams/{id}/close"), None)
-        .map_err(|e| format!("close: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("close: HTTP {}", resp.status));
-    }
-    let mut run = parse_stream_run(&resp.body_text())?;
-    run.errors = errors;
-    Ok(run)
+    let closed = stream_status(&mut client, "POST", &format!("/v1/streams/{id}/close"))?;
+    Ok((closed, errors))
 }
 
-/// Parses a server stream-status JSON body into a [`StreamRun`].
-fn parse_stream_run(body: &str) -> Result<StreamRun, String> {
-    let v = Value::parse(body).map_err(|e| format!("unparsable stream status: {e}"))?;
-    let num = |field: &str| {
-        v.get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("status body missing {field:?}: {body}"))
-    };
-    let float = |field: &str| {
-        v.get(field)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("status body missing {field:?}: {body}"))
-    };
-    let text = |field: &str| {
-        v.get(field)
-            .and_then(Value::as_str)
-            .map(String::from)
-            .ok_or_else(|| format!("status body missing {field:?}: {body}"))
-    };
-    Ok(StreamRun {
-        id: num("id")?,
-        pipeline: text("pipeline")?,
-        size: text("size")?,
-        fps: float("fps")?,
-        sla_ms: float("sla_ms")?,
-        policy: text("policy")?,
-        submitted: num("submitted")?,
-        completed: num("completed")?,
-        completed_degraded: num("completed_degraded")?,
-        dropped: num("dropped")?,
-        rejected: num("rejected")?,
-        failed: num("failed")?,
-        sla_violations: num("sla_violations")?,
-        degrade_transitions: num("degrade_transitions")?,
-        p50_ms: float("p50_ms")?,
-        p95_ms: float("p95_ms")?,
-        p99_ms: float("p99_ms")?,
-        rolling_digest: text("rolling_digest")?,
-        errors: 0,
-    })
+/// Requests a stream-status body from `target` and reads it.
+fn stream_status(client: &mut Client, method: &str, target: &str) -> Result<StreamStatus, String> {
+    let body = client
+        .request(method, target, None)
+        .map_err(|e| format!("{method} {target}: {e}"))?
+        .body_text();
+    // An error answer (404, 503) has no status fields, so it fails to read.
+    Value::parse(&body)
+        .map_err(|e| e.to_string())
+        .and_then(|v| StreamStatus::from_value(&v))
+        .map_err(|e| format!("{method} {target}: unparsable stream status ({e}): {body}"))
 }
 
 #[cfg(test)]
@@ -719,43 +610,5 @@ mod tests {
             body,
             r#"{"benchmark":"Disparity Map","size":"32x24","policy":"threads:2","seed":9,"iterations":3}"#
         );
-    }
-
-    #[test]
-    fn stream_spec_bodies_round_trip_through_the_parser() {
-        let spec = StreamSpec {
-            pipeline: sdvbs_stream::PipelineKind::Stitch,
-            size: InputSize::Qcif,
-            seed: 11,
-            fps: 24.0,
-            policy: sdvbs_stream::DegradePolicy::Drop,
-        };
-        let parsed = crate::stream::parse_stream_spec(stream_spec_body(&spec).as_bytes())
-            .expect("generated body parses");
-        assert_eq!(parsed.pipeline, spec.pipeline);
-        assert_eq!(size_label(parsed.size), "qcif");
-        assert_eq!(parsed.seed, 11);
-        assert!((parsed.fps - 24.0).abs() < 1e-9);
-        assert_eq!(parsed.policy, spec.policy);
-    }
-
-    #[test]
-    fn stream_runs_parse_from_status_bodies_and_check_accounting() {
-        let body = "{\"id\":4,\"pipeline\":\"tracking\",\"size\":\"qcif\",\"fps\":20,\
-                    \"sla_ms\":50.0,\"policy\":\"degrade\",\"state\":\"closed\",\
-                    \"submitted\":10,\"completed\":7,\"completed_degraded\":2,\
-                    \"dropped\":2,\"rejected\":1,\"failed\":0,\"in_flight\":0,\
-                    \"sla_violations\":3,\"degraded_mode\":false,\
-                    \"degrade_transitions\":2,\"rolling_digest\":\"0x0123456789abcdef\",\
-                    \"last_latency_ms\":12.0,\"p50_ms\":10.0,\"p95_ms\":40.0,\
-                    \"p99_ms\":48.0,\"recent\":[]}";
-        let run = parse_stream_run(body).expect("status parses");
-        assert_eq!(run.id, 4);
-        assert_eq!(run.submitted, 10);
-        assert_eq!(run.completed_degraded, 2);
-        assert!(run.accounted(), "7 + 2 + 1 + 0 == 10");
-        assert_eq!(run.rolling_digest, "0x0123456789abcdef");
-        let short = parse_stream_run("{\"id\":4}");
-        assert!(short.is_err(), "missing fields must be named: {short:?}");
     }
 }

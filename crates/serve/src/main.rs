@@ -35,7 +35,7 @@ use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
 use sdvbs_runner::{parse_policy, Job};
 use sdvbs_serve::{
     run_loadgen, run_stream_loadgen, run_worker, ClusterConfig, ClusterEngine, DrainReport,
-    EngineConfig, LoadgenConfig, Server, ServerConfig, StreamLoadConfig, StreamRun, Tally,
+    EngineConfig, LoadgenConfig, Server, ServerConfig, StreamLoadConfig, StreamStatus, Tally,
     WorkerConfig,
 };
 use sdvbs_stream::{DegradePolicy, PipelineKind, StreamSpec};
@@ -303,7 +303,7 @@ fn cmd_loadgen(args: &[String]) -> Result<ExitCode, String> {
         print!("{report}");
         let ok = report.errors == 0
             && report.streams.len() == streams.len()
-            && report.streams.iter().all(StreamRun::accounted);
+            && report.streams.iter().all(StreamStatus::accounted);
         return Ok(if ok {
             ExitCode::SUCCESS
         } else {

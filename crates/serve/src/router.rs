@@ -249,7 +249,7 @@ fn stream_status(req: &Request, ctx: &Ctx) -> Response {
         Err(resp) => return resp,
     };
     match ctx.engine.stream_status(id) {
-        Some(status) => Response::json(200, status.to_json()),
+        Some(status) => Response::json(200, status.to_value().to_string()),
         None => Response::json(404, err_json("no such stream")),
     }
 }
@@ -261,7 +261,7 @@ fn close_stream(req: &Request, ctx: &Ctx) -> Response {
         Err(resp) => return resp,
     };
     match ctx.engine.close_stream(id) {
-        Some(status) => Response::json(200, status.to_json()),
+        Some(status) => Response::json(200, status.to_value().to_string()),
         None => Response::json(404, err_json("no such stream")),
     }
 }

@@ -1,11 +1,15 @@
 //! Streaming-tier integration tests over real loopback sockets
 //! (satellites of the stream subsystem): the HTTP front must preserve
-//! the pipelines' bit-exact results, and a drain that lands mid-stream
+//! the pipelines' bit-exact results, a drain that lands mid-stream
 //! must leave every in-flight frame either completed or honestly
-//! rejected — never lost.
+//! rejected — never lost, and the stream load generator must read the
+//! server's accounting back whole.
 
 use sdvbs_core::InputSize;
-use sdvbs_serve::{stream_spec_body, Client, EngineConfig, Server, ServerConfig};
+use sdvbs_serve::{
+    run_stream_loadgen, stream_spec_body, Client, EngineConfig, Server, ServerConfig,
+    StreamLoadConfig,
+};
 use sdvbs_stream::{
     fold_digest, run_one_shot, DegradePolicy, PipelineKind, StreamSpec, DIGEST_SEED,
 };
@@ -130,7 +134,7 @@ fn unloaded_stream_over_http_matches_the_one_shot_run() {
 #[test]
 fn drain_during_an_active_stream_accounts_for_every_frame() {
     // One worker with a 200 ms hold: when the drain starts, the first
-    // frame is running and the rest sit behind the per-stream gate.
+    // frame is running and the rest wait for their turn.
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         engine: EngineConfig {
@@ -231,4 +235,67 @@ fn drain_during_an_active_stream_accounts_for_every_frame() {
 
     drop(client);
     server.wait();
+}
+
+#[test]
+fn stream_loadgen_reports_each_streams_accounting_and_digest() {
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        engine: EngineConfig {
+            workers: 2,
+            queue_capacity: 16,
+            ..EngineConfig::default()
+        },
+    })
+    .expect("bind loopback");
+    // 4 fps is a 250 ms budget per frame, far above an SQCIF frame's
+    // cost: nothing is pressured, so every frame runs full size.
+    let specs: Vec<StreamSpec> = [(PipelineKind::Tracking, 31), (PipelineKind::Disparity, 32)]
+        .into_iter()
+        .map(|(pipeline, seed)| StreamSpec {
+            pipeline,
+            size: InputSize::Sqcif,
+            seed,
+            fps: 4.0,
+            policy: DegradePolicy::Degrade,
+        })
+        .collect();
+    const FRAMES: u64 = 4;
+    let report = run_stream_loadgen(&StreamLoadConfig {
+        addr: server.addr().to_string(),
+        specs: specs.clone(),
+        frames: FRAMES as usize,
+        drain_limit: Duration::from_secs(120),
+    })
+    .expect("stream loadgen runs");
+    let printed = report.to_string();
+    assert_eq!(report.errors, 0, "{printed}");
+    assert_eq!(report.streams.len(), specs.len(), "{printed}");
+    for spec in &specs {
+        // The report lists streams in id order, which the client
+        // threads' race to open them decides.
+        let status = report
+            .streams
+            .iter()
+            .find(|s| s.pipeline == spec.pipeline.label())
+            .unwrap_or_else(|| panic!("no {} stream:\n{printed}", spec.pipeline.label()));
+        assert_eq!(status.state, "closed", "{printed}");
+        assert_eq!(status.submitted, FRAMES, "{printed}");
+        assert_eq!(status.in_flight, 0, "{printed}");
+        assert!(status.accounted(), "{printed}");
+        let expected = run_one_shot(spec, FRAMES)
+            .expect("one-shot run")
+            .iter()
+            .fold(DIGEST_SEED, |acc, r| fold_digest(acc, r.digest));
+        assert_eq!(
+            status.rolling_digest, expected,
+            "stream {} diverged from the one-shot run:\n{printed}",
+            status.id
+        );
+        assert!(
+            printed.contains(&format!("digest {expected:#018x}")),
+            "{printed}"
+        );
+    }
+    server.shutdown();
 }
