@@ -1,11 +1,12 @@
 //! The SD-VBS suite core: benchmark metadata, input-size configurations,
 //! and a uniform runner over all nine applications.
 //!
-//! This is the crate a downstream user adopts. It re-exports each
-//! benchmark's native API and wraps them behind the [`Benchmark`] trait so
+//! It wraps the nine benchmark crates behind the [`Benchmark`] trait so
 //! harnesses (the table/figure regenerators in `sdvbs-bench`, the runner,
-//! CI smoke tests) can iterate the whole suite uniformly. A run is
-//! fallible: a degenerate input is a typed [`SdvbsError`], never a panic.
+//! CI smoke tests) can iterate the whole suite uniformly; the umbrella
+//! `sdvbs` crate re-exports each benchmark's native API. A run is
+//! fallible: a degenerate input fails with the benchmark crate's own typed
+//! error, carried by [`SdvbsError`], never a panic.
 //!
 //! ```
 //! use sdvbs_core::{all_benchmarks, ExecPolicy, InputSize};
@@ -43,27 +44,3 @@ pub use meta::{BenchmarkInfo, Characteristic, ConcentrationArea};
 pub use poison::{clear_poison, poison_image, poison_slice, set_poison, PoisonSpec};
 pub use sdvbs_exec::ExecPolicy;
 pub use suite::{all_benchmarks, Benchmark, RunOutcome};
-
-/// Re-exports of the per-benchmark crates for direct access.
-pub mod benchmarks {
-    pub use sdvbs_disparity as disparity;
-    pub use sdvbs_facedetect as facedetect;
-    pub use sdvbs_localization as localization;
-    pub use sdvbs_segmentation as segmentation;
-    pub use sdvbs_sift as sift;
-    pub use sdvbs_stitch as stitch;
-    pub use sdvbs_svm as svm;
-    pub use sdvbs_texture as texture;
-    pub use sdvbs_tracking as tracking;
-}
-
-/// Re-exports of the substrate crates.
-pub mod substrate {
-    pub use sdvbs_dataflow as dataflow;
-    pub use sdvbs_exec as exec;
-    pub use sdvbs_image as image;
-    pub use sdvbs_kernels as kernels;
-    pub use sdvbs_matrix as matrix;
-    pub use sdvbs_profile as profile;
-    pub use sdvbs_synth as synth;
-}

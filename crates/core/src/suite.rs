@@ -5,6 +5,7 @@ use crate::input::InputSize;
 use crate::meta::{BenchmarkInfo, Characteristic, ConcentrationArea};
 use crate::poison::{poison_image, poison_slice};
 use sdvbs_exec::ExecPolicy;
+use sdvbs_image::Image;
 use sdvbs_profile::Profiler;
 
 /// Result of one benchmark run.
@@ -47,9 +48,11 @@ pub trait Benchmark {
     /// # Errors
     ///
     /// Degenerate or corrupted inputs (for example NaN pixels armed via
-    /// [`crate::set_poison`]) surface as a typed [`crate::SdvbsError`]
-    /// instead of a panic, so a harness can record a failed cell as an
-    /// outcome rather than aborting the process.
+    /// [`crate::set_poison`]) fail with the benchmark crate's own typed
+    /// error instead of a panic, carried by [`crate::SdvbsError`] (its
+    /// message is the crate error's, its `source()` the crate error), so a
+    /// harness can record a failed cell as an outcome rather than aborting
+    /// the process.
     fn try_run_with(
         &self,
         size: InputSize,
@@ -93,6 +96,12 @@ static DISPARITY_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: true,
 };
 
+/// Disparity's input: a stereo pair with ground-truth disparity.
+pub(crate) fn disparity_input(size: InputSize, seed: u64) -> sdvbs_synth::StereoPair {
+    let (w, h) = size.dims();
+    sdvbs_synth::stereo_pair(w.max(48), h.max(36), seed)
+}
+
 impl Benchmark for DisparityBench {
     fn info(&self) -> &BenchmarkInfo {
         &DISPARITY_INFO
@@ -107,7 +116,7 @@ impl Benchmark for DisparityBench {
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_disparity::{disparity_accuracy, try_compute_disparity, DisparityConfig};
         let (w, h) = size.dims();
-        let mut scene = sdvbs_synth::stereo_pair(w.max(48), h.max(36), seed);
+        let mut scene = disparity_input(size, seed);
         poison_image(&mut scene.left);
         let cfg = DisparityConfig::new(scene.max_disparity, 9)
             .expect("valid config")
@@ -143,6 +152,16 @@ static TRACKING_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: false,
 };
 
+/// The true motion of tracking's second frame, in pixels.
+const TRACKING_MOTION: (f32, f32) = (1.8, 1.2);
+
+/// Tracking's input: two frames, the second moved by [`TRACKING_MOTION`].
+pub(crate) fn tracking_input(size: InputSize, seed: u64) -> (Image, Image) {
+    let (w, h) = size.dims();
+    let (dx, dy) = TRACKING_MOTION;
+    sdvbs_synth::frame_pair(w.max(64), h.max(48), seed, dx, dy)
+}
+
 impl Benchmark for TrackingBench {
     fn info(&self) -> &BenchmarkInfo {
         &TRACKING_INFO
@@ -156,9 +175,8 @@ impl Benchmark for TrackingBench {
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_tracking::{try_track_pair, TrackingConfig};
-        let (w, h) = size.dims();
-        let (dx, dy) = (1.8f32, 1.2f32);
-        let (mut a, b) = sdvbs_synth::frame_pair(w.max(64), h.max(48), seed, dx, dy);
+        let (dx, dy) = TRACKING_MOTION;
+        let (mut a, b) = tracking_input(size, seed);
         poison_image(&mut a);
         let cfg = TrackingConfig::default();
         let tracks = prof.run(|p| try_track_pair(&a, &b, &cfg, p))?;
@@ -204,6 +222,15 @@ static SEGMENTATION_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: true,
 };
 
+/// How many regions segmentation's scene holds and the pipeline cuts.
+pub(crate) const SEGMENTS: usize = 4;
+
+/// Segmentation's input: a scene of [`SEGMENTS`] regions and its label map.
+pub(crate) fn segmentation_input(size: InputSize, seed: u64) -> sdvbs_synth::SegmentScene {
+    let (w, h) = size.dims();
+    sdvbs_synth::segmentable_scene(w.max(24), h.max(24), seed, SEGMENTS)
+}
+
 impl Benchmark for SegmentationBench {
     fn info(&self) -> &BenchmarkInfo {
         &SEGMENTATION_INFO
@@ -217,12 +244,10 @@ impl Benchmark for SegmentationBench {
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_segmentation::{rand_index, segment, SegmentationConfig};
-        let (w, h) = size.dims();
-        let regions = 4;
-        let mut scene = sdvbs_synth::segmentable_scene(w.max(24), h.max(24), seed, regions);
+        let mut scene = segmentation_input(size, seed);
         poison_image(&mut scene.image);
         let cfg = SegmentationConfig {
-            segments: regions,
+            segments: SEGMENTS,
             exec: policy,
             ..SegmentationConfig::default()
         };
@@ -230,7 +255,7 @@ impl Benchmark for SegmentationBench {
         let ri = rand_index(seg.labels(), &scene.labels);
         Ok(RunOutcome {
             quality: Some(ri),
-            detail: format!("{regions} segments, rand index {ri:.3}"),
+            detail: format!("{SEGMENTS} segments, rand index {ri:.3}"),
         })
     }
 }
@@ -249,6 +274,12 @@ static SIFT_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: false,
 };
 
+/// SIFT's input: one textured image.
+pub(crate) fn sift_input(size: InputSize, seed: u64) -> Image {
+    let (w, h) = size.dims();
+    sdvbs_synth::textured_image(w.max(32), h.max(32), seed)
+}
+
 impl Benchmark for SiftBench {
     fn info(&self) -> &BenchmarkInfo {
         &SIFT_INFO
@@ -262,8 +293,7 @@ impl Benchmark for SiftBench {
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_sift::{try_detect_and_describe, SiftConfig};
-        let (w, h) = size.dims();
-        let mut img = sdvbs_synth::textured_image(w.max(32), h.max(32), seed);
+        let mut img = sift_input(size, seed);
         poison_image(&mut img);
         let feats = prof.run(|p| try_detect_and_describe(&img, &SiftConfig::default(), p))?;
         Ok(RunOutcome {
@@ -287,6 +317,25 @@ static LOCALIZATION_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: false,
 };
 
+/// Localization's input: a landmark world and a 40-step trajectory
+/// through it.
+///
+/// The paper observes that localization runtime is governed by the data
+/// (particles, trajectory), not the input-size class; the workload is
+/// therefore constant across sizes, with only the seed (the "distinct
+/// inputs") varying.
+pub(crate) fn localization_input(
+    seed: u64,
+) -> (sdvbs_localization::World, sdvbs_localization::Trajectory) {
+    use sdvbs_localization::{World, WorldConfig};
+    let world = World::generate(&WorldConfig {
+        seed: seed ^ 0x77_6f72_6c64,
+        ..WorldConfig::default()
+    });
+    let traj = world.simulate(40, seed);
+    (world, traj)
+}
+
 impl Benchmark for LocalizationBench {
     fn info(&self) -> &BenchmarkInfo {
         &LOCALIZATION_INFO
@@ -294,22 +343,13 @@ impl Benchmark for LocalizationBench {
 
     fn try_run_with(
         &self,
-        size: InputSize,
+        _size: InputSize,
         seed: u64,
         _policy: ExecPolicy,
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
-        use sdvbs_localization::{MclConfig, MonteCarloLocalizer, World, WorldConfig};
-        // The paper observes that localization runtime is governed by the
-        // data (particles, trajectory), not the input-size class; the
-        // workload is therefore constant across sizes, with only the seed
-        // (the "distinct inputs") varying.
-        let _ = size;
-        let world = World::generate(&WorldConfig {
-            seed: seed ^ 0x77_6f72_6c64,
-            ..WorldConfig::default()
-        });
-        let mut traj = world.simulate(40, seed);
+        use sdvbs_localization::{MclConfig, MonteCarloLocalizer};
+        let (world, mut traj) = localization_input(seed);
         // Fault injection corrupts the range readings (the localization
         // benchmark's "pixels").
         let mut ranges: Vec<f64> = traj
@@ -324,20 +364,22 @@ impl Benchmark for LocalizationBench {
                 m.range = it.next().expect("one poisoned range per measurement");
             }
         }
-        let mut mcl = MonteCarloLocalizer::new(
-            &world,
-            &MclConfig {
-                seed,
-                ..MclConfig::default()
-            },
-        );
+        let cfg = MclConfig {
+            seed,
+            ..MclConfig::default()
+        };
+        let mut mcl = MonteCarloLocalizer::new(&world, &cfg);
         prof.run(|p| mcl.try_run_trajectory(&traj, &world, p))?;
         let est = mcl.estimate();
         let truth = traj.steps.last().expect("non-empty trajectory").true_pose;
         let err = est.distance(&truth);
         Ok(RunOutcome {
             quality: Some((1.0 - err / 2.0).clamp(0.0, 1.0)),
-            detail: format!("500 particles, 40 steps, position error {err:.2} m"),
+            detail: format!(
+                "{} particles, {} steps, position error {err:.2} m",
+                cfg.particles,
+                traj.steps.len()
+            ),
         })
     }
 }
@@ -356,6 +398,16 @@ static SVM_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: false,
 };
 
+/// SVM's input: two Gaussian clusters in 64 dimensions, split 3:1 into
+/// training and test samples.
+///
+/// The paper's working set is 500x64; the size classes scale the sample
+/// count (125/250/500) at fixed 64 dimensions.
+pub(crate) fn svm_input(size: InputSize, seed: u64) -> sdvbs_svm::Dataset {
+    let n = ((60.0 * size.relative_pixels()).round() as usize).clamp(80, 500);
+    sdvbs_svm::gaussian_clusters(n, 64, 6.0, seed)
+}
+
 impl Benchmark for SvmBench {
     fn info(&self) -> &BenchmarkInfo {
         &SVM_INFO
@@ -368,11 +420,12 @@ impl Benchmark for SvmBench {
         _policy: ExecPolicy,
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
-        use sdvbs_svm::{gaussian_clusters, train_interior_point, SvmConfig};
-        // The paper's working set is 500x64; the size classes scale the
-        // sample count (125/250/500) at fixed 64 dimensions.
-        let n = ((60.0 * size.relative_pixels()).round() as usize).clamp(80, 500);
-        let mut data = gaussian_clusters(n, 64, 6.0, seed);
+        use sdvbs_svm::{train_interior_point, SvmConfig};
+        let mut data = svm_input(size, seed);
+        let (n, dims) = (
+            data.train_x.rows() + data.test_x.rows(),
+            data.train_x.cols(),
+        );
         poison_slice(data.train_x.as_mut_slice());
         let cfg = SvmConfig {
             tolerance: 1e-4,
@@ -387,7 +440,7 @@ impl Benchmark for SvmBench {
         Ok(RunOutcome {
             quality: Some(acc),
             detail: format!(
-                "{n}x64 interior-point training, {} SVs, test accuracy {acc:.3}",
+                "{n}x{dims} interior-point training, {} SVs, test accuracy {acc:.3}",
                 model.support_vectors()
             ),
         })
@@ -408,6 +461,14 @@ static FACEDETECT_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: true,
 };
 
+/// Face detection's input: a scene with ground-truth faces, two plus one
+/// per SQCIF area of the frame (at most six).
+pub(crate) fn facedetect_input(size: InputSize, seed: u64) -> sdvbs_synth::FaceScene {
+    let (w, h) = size.dims();
+    let n_faces = 2 + (size.pixels() / InputSize::Sqcif.pixels()).min(4);
+    sdvbs_synth::face_scene(w.max(64), h.max(64), seed, n_faces)
+}
+
 impl Benchmark for FaceDetectBench {
     fn info(&self) -> &BenchmarkInfo {
         &FACEDETECT_INFO
@@ -427,10 +488,7 @@ impl Benchmark for FaceDetectBench {
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_facedetect::{try_detect_faces, Detection, DetectorConfig};
-        let (w, h) = size.dims();
-        let (w, h) = (w.max(64), h.max(64));
-        let n_faces = 2 + (size.pixels() / InputSize::Sqcif.pixels()).min(4);
-        let mut scene = sdvbs_synth::face_scene(w, h, seed, n_faces);
+        let mut scene = facedetect_input(size, seed);
         poison_image(&mut scene.image);
         let cascade = sdvbs_facedetect::Cascade::pretrained();
         let cfg = DetectorConfig {
@@ -488,6 +546,13 @@ static STITCH_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: false,
 };
 
+/// Stitch's input: two overlapping views and the true transform between
+/// them.
+pub(crate) fn stitch_input(size: InputSize, seed: u64) -> sdvbs_synth::OverlapPair {
+    let (w, h) = size.dims();
+    sdvbs_synth::overlapping_pair(w.max(64), h.max(48), seed, 0.03, w as f32 * 0.1, 4.0)
+}
+
 impl Benchmark for StitchBench {
     fn info(&self) -> &BenchmarkInfo {
         &STITCH_INFO
@@ -501,9 +566,7 @@ impl Benchmark for StitchBench {
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_stitch::{stitch, Affine, StitchConfig};
-        let (w, h) = size.dims();
-        let mut pair =
-            sdvbs_synth::overlapping_pair(w.max(64), h.max(48), seed, 0.03, w as f32 * 0.1, 4.0);
+        let mut pair = stitch_input(size, seed);
         poison_image(&mut pair.a);
         let result = prof.run(|p| stitch(&pair.a, &pair.b, &StitchConfig::default(), p))?;
         let truth = Affine::from_coeffs(pair.b_to_a);
@@ -533,6 +596,24 @@ static TEXTURE_INFO: BenchmarkInfo = BenchmarkInfo {
     honors_exec_policy: false,
 };
 
+/// Texture synthesis's input: one swatch, stochastic for even seeds and
+/// structural for odd ones.
+///
+/// The swatch is capped so runtime stays flat across size classes (the
+/// paper: "execution time for all the image types is almost similar due
+/// to the fixed number of iterations").
+pub(crate) fn texture_input(size: InputSize, seed: u64) -> (Image, sdvbs_synth::TextureKind) {
+    let (w, h) = size.dims();
+    let kind = if seed.is_multiple_of(2) {
+        sdvbs_synth::TextureKind::Stochastic
+    } else {
+        sdvbs_synth::TextureKind::Structural
+    };
+    let swatch =
+        sdvbs_synth::texture_swatch((w / 2).clamp(24, 64), (h / 2).clamp(24, 64), seed, kind);
+    (swatch, kind)
+}
+
 impl Benchmark for TextureBench {
     fn info(&self) -> &BenchmarkInfo {
         &TEXTURE_INFO
@@ -546,19 +627,8 @@ impl Benchmark for TextureBench {
         prof: &mut Profiler,
     ) -> SdvbsResult<RunOutcome> {
         use sdvbs_texture::{synthesize, TextureConfig};
-        // Fixed iteration structure: the swatch is capped so runtime stays
-        // flat across size classes (the paper: "execution time for all the
-        // image types is almost similar due to the fixed number of
-        // iterations").
-        let (w, h) = size.dims();
-        let sw = (w / 2).clamp(24, 64);
-        let sh = (h / 2).clamp(24, 64);
-        let kind = if seed.is_multiple_of(2) {
-            sdvbs_synth::TextureKind::Stochastic
-        } else {
-            sdvbs_synth::TextureKind::Structural
-        };
-        let mut swatch = sdvbs_synth::texture_swatch(sw, sh, seed, kind);
+        let (mut swatch, kind) = texture_input(size, seed);
+        let (sw, sh) = (swatch.width(), swatch.height());
         poison_image(&mut swatch);
         let cfg = TextureConfig {
             seed,

@@ -4,17 +4,19 @@
 //! frames, 1×1 frames, arbitrary tiny sizes, NaN-poisoned pixels — may
 //! panic inside [`Benchmark::try_run_with`]. Degenerate sizes are clamped
 //! up to each pipeline's minimum and must succeed; poisoned inputs must
-//! surface as a typed [`SdvbsError`], never an abort. Panics are trapped
+//! surface as the benchmark crate's own typed error, carried by
+//! [`SdvbsError`], never an abort. Panics are trapped
 //! with `catch_unwind` so a violation fails the property with the
 //! benchmark named instead of killing the test binary.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sdvbs_core::substrate::profile::Profiler;
 use sdvbs_core::{
     all_benchmarks, clear_poison, set_poison, Benchmark, ExecPolicy, InputSize, PoisonSpec,
     RunOutcome, SdvbsError,
 };
+use sdvbs_profile::Profiler;
+use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs one benchmark through the fallible path, trapping panics.
@@ -120,5 +122,55 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The message of the benchmark `name`'s crate error if `err` carries
+/// one.
+fn crate_message(name: &str, err: &SdvbsError) -> Option<String> {
+    fn carried<E: Error + 'static>(err: &SdvbsError) -> Option<String> {
+        err.source()?.downcast_ref::<E>().map(E::to_string)
+    }
+    match name {
+        "Disparity Map" => carried::<sdvbs_disparity::DisparityError>(err),
+        "Feature Tracking" => carried::<sdvbs_tracking::TrackingError>(err),
+        "Image Segmentation" => carried::<sdvbs_segmentation::SegmentationError>(err),
+        "SIFT" => carried::<sdvbs_sift::SiftError>(err),
+        "Robot Localization" => carried::<sdvbs_localization::MclError>(err),
+        "SVM" => carried::<sdvbs_svm::SvmError>(err),
+        "Face Detection" => carried::<sdvbs_facedetect::DetectError>(err),
+        "Image Stitch" => carried::<sdvbs_stitch::StitchError>(err),
+        "Texture Synthesis" => carried::<sdvbs_texture::TextureError>(err),
+        other => panic!("no crate error listed for {other}"),
+    }
+}
+
+/// A NaN-poisoned run fails with its benchmark crate's own error: the
+/// source downcasts to that crate's type and the message is its own.
+#[test]
+fn a_poisoned_run_carries_its_crate_error() {
+    for bench in all_benchmarks() {
+        let name = bench.info().name;
+        set_poison(PoisonSpec {
+            stride: 16,
+            seed: 5,
+        });
+        let result = try_cell(
+            bench.as_ref(),
+            InputSize::Custom {
+                width: 32,
+                height: 24,
+            },
+            5,
+        );
+        clear_poison();
+        let err = result
+            .unwrap_or_else(|panicked| panic!("{panicked}"))
+            .expect_err(name);
+        assert_eq!(
+            crate_message(name, &err),
+            Some(err.to_string()),
+            "{name}: {err:?} does not carry its crate's error"
+        );
     }
 }

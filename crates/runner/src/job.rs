@@ -188,8 +188,9 @@ pub enum RunStatus {
     TimedOut,
     /// The job panicked; [`RunRecord::detail`] carries the message.
     Panicked,
-    /// The benchmark returned a typed error ([`sdvbs_core::SdvbsError`])
-    /// instead of completing; [`RunRecord::detail`] carries its message.
+    /// The benchmark returned its crate's typed error (carried by
+    /// [`sdvbs_core::SdvbsError`]) instead of completing;
+    /// [`RunRecord::detail`] carries its message.
     Failed,
 }
 

@@ -340,7 +340,8 @@ fn conn_worker(cfg: &LoadgenConfig, conn_index: usize, conns: usize) -> ConnTall
     tally
 }
 
-/// Submit → (retry admission refusals) → poll to terminal.
+/// Submit → (retry admission refusals) → poll to terminal. Each retry
+/// also counts into the connection's `retried` tally.
 fn one_request(
     client: &mut Client,
     cfg: &LoadgenConfig,
@@ -349,6 +350,7 @@ fn one_request(
 ) -> Outcome {
     let body = spec_body(&cfg.spec, seed);
     let started = Instant::now();
+    let mut retries = 0;
     let submitted = loop {
         let Ok(resp) = client.request("POST", "/v1/jobs", Some(&body)) else {
             return Outcome::Error;
@@ -356,8 +358,9 @@ fn one_request(
         if resp.status != 429 {
             break resp;
         }
+        retries += 1;
         *retried += 1;
-        if *retried > MAX_RETRIES {
+        if retries > MAX_RETRIES {
             return Outcome::Error;
         }
         thread::sleep(RETRY_PAUSE);
@@ -582,7 +585,9 @@ fn stream_status(client: &mut Client, method: &str, target: &str) -> Result<Stre
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{parse_request, Response};
     use sdvbs_core::{ExecPolicy, InputSize};
+    use std::net::TcpListener;
 
     #[test]
     fn spec_bodies_are_valid_json_specs() {
@@ -610,5 +615,71 @@ mod tests {
             body,
             r#"{"benchmark":"Disparity Map","size":"32x24","policy":"threads:2","seed":9,"iterations":3}"#
         );
+    }
+
+    /// A stub daemon's side of one connection: every submission is
+    /// refused with `429` twice, then answered as a cache hit.
+    fn refuse_twice_then_hit(mut conn: TcpStream) {
+        let (mut buf, mut scratch) = (Vec::new(), [0u8; 4096]);
+        let mut refused = 0;
+        loop {
+            let (req, used) = match parse_request(&buf) {
+                Ok(parsed) => parsed,
+                Err(HttpError::Incomplete) => match conn.read(&mut scratch) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => {
+                        buf.extend_from_slice(&scratch[..n]);
+                        continue;
+                    }
+                },
+                Err(HttpError::Malformed(why)) => panic!("stub got a bad request: {why}"),
+            };
+            buf.drain(..used);
+            assert_eq!((req.method.as_str(), req.path()), ("POST", "/v1/jobs"));
+            let response = if refused < 2 {
+                refused += 1;
+                Response::json(429, "{\"error\":\"queue full\"}")
+            } else {
+                refused = 0;
+                Response::json(200, "{\"cached\":true,\"record\":{}}")
+            };
+            conn.write_all(&response.to_bytes()).unwrap();
+        }
+    }
+
+    #[test]
+    fn admission_retries_are_capped_per_request_not_per_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let conns = 2;
+        // One probe connection from `run_loadgen`, then one per worker.
+        let stub = thread::spawn(move || {
+            let handlers: Vec<_> = listener
+                .incoming()
+                .take(1 + conns)
+                .map(|conn| {
+                    let conn = conn.unwrap();
+                    thread::spawn(move || refuse_twice_then_hit(conn))
+                })
+                .collect();
+            for handler in handlers {
+                handler.join().unwrap();
+            }
+        });
+        let requests = 6;
+        let report = run_loadgen(&LoadgenConfig {
+            addrs: vec![addr],
+            conns,
+            requests,
+            spec: Job::new("SIFT", InputSize::Sqcif, ExecPolicy::Serial, 1, 1),
+            unique: 1,
+            poll_ms: 10,
+        })
+        .unwrap();
+        stub.join().unwrap();
+        assert_eq!(report.errors, 0, "{report}");
+        assert_eq!(report.sent, requests);
+        assert_eq!(report.hits.count(), requests);
+        assert_eq!(report.retried, 2 * requests);
     }
 }

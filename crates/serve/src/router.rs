@@ -2,7 +2,7 @@
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /v1/jobs` | Submit a job spec. `200` with the record when served from cache, `202` with a job id when queued or coalesced, `400` for a bad spec, `429` + `Retry-After` when the queue is full, `503` while draining. `?fresh=1` bypasses cache and coalescing; `?class=interactive\|batch` picks the QoS lane (default `interactive`). |
+//! | `POST /v1/jobs` | Submit a job spec. `200` with the record when served from cache, `202` with a job id when queued or coalesced, `400` for a bad spec (an unknown benchmark, a side above 704×576, more than 1,000 iterations), `429` + `Retry-After` when the queue is full, `503` while draining. `?fresh=1` bypasses cache and coalescing; `?class=interactive\|batch` picks the QoS lane (default `interactive`). |
 //! | `GET /v1/jobs/<id>` | Poll a job. `?wait_ms=N` long-polls until terminal (capped at 30 s). `503` for a rejected job, `404` for an unknown id. |
 //! | `POST /v1/streams` | Open a video stream: `{"pipeline":"tracking\|disparity\|stitch", "size":"qcif", "seed":1, "fps":20, "policy":"drop\|degrade"}`. `201` with the stream id, `400` for a bad spec, `429` at the open-stream cap, `503` while draining. |
 //! | `POST /v1/streams/<id>/frames` | Submit the stream's next frame. `202` with a frame ticket (which says whether the frame was accepted, dropped by backpressure, or degraded), `404`/`409` for unknown/closed streams, `503` while draining. |
@@ -21,6 +21,7 @@ use crate::shutdown::ShutdownController;
 use crate::stream::{parse_stream_spec, StreamRefused};
 use sdvbs_core::all_benchmarks;
 use sdvbs_runner::Job;
+use sdvbs_stream::{MAX_H, MAX_W};
 use sdvbs_trace::jsonl::Value;
 use sdvbs_trace::{Trace, TraceEvent};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -288,7 +289,8 @@ fn parse_spec(body: &[u8]) -> Result<Job, String> {
     }
     let v = Value::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
     // `Job::from_value` owns the field shapes and defaults; the transport
-    // policy — registry validation and the iteration cap — lives here.
+    // policy — registry validation, the frame bound and the iteration
+    // cap — lives here.
     let job = Job::from_value(&v)?;
     if !all_benchmarks()
         .iter()
@@ -298,6 +300,10 @@ fn parse_spec(body: &[u8]) -> Result<Job, String> {
             "unknown benchmark {:?} (see `sdvbs-runner list`)",
             job.benchmark
         ));
+    }
+    let (w, h) = job.size.dims();
+    if w > MAX_W || h > MAX_H {
+        return Err(format!("size {w}x{h} above the {MAX_W}x{MAX_H} maximum"));
     }
     if job.iterations > MAX_ITERATIONS {
         return Err(format!("iterations capped at {MAX_ITERATIONS}"));
@@ -355,6 +361,22 @@ mod tests {
         assert!(parse_spec(b"{\"benchmark\":\"Nope\"}").is_err());
         assert!(parse_spec(b"{\"benchmark\":\"Disparity Map\",\"size\":\"huge\"}").is_err());
         assert!(parse_spec(b"{\"benchmark\":\"Disparity Map\",\"iterations\":100000}").is_err());
+
+        // A custom size is bounded by the stream spec's largest frame.
+        for size in [
+            "705x576",
+            "704x577",
+            "100000x100000",
+            "4294967296x4294967296",
+        ] {
+            let body = format!("{{\"benchmark\":\"Disparity Map\",\"size\":\"{size}\"}}");
+            let why = parse_spec(body.as_bytes()).unwrap_err();
+            assert!(why.contains("704x576 maximum"), "{size}: {why}");
+        }
+        for size in ["704x576", "cif"] {
+            let body = format!("{{\"benchmark\":\"Disparity Map\",\"size\":\"{size}\"}}");
+            assert!(parse_spec(body.as_bytes()).is_ok(), "{size} rejected");
+        }
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub use pipeline::{
     build_pipeline, fold_digest, run_one_shot, FrameResult, StreamError, StreamPipeline,
     DIGEST_SEED,
 };
-pub use spec::{DegradePolicy, PipelineKind, StreamSpec};
+pub use spec::{DegradePolicy, PipelineKind, StreamSpec, MAX_H, MAX_W};

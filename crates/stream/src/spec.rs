@@ -8,10 +8,11 @@ use sdvbs_synth::CameraMotion;
 const MIN_W: usize = 48;
 /// See [`MIN_W`].
 const MIN_H: usize = 36;
-/// Largest frame accepted — 4×CIF, bounding per-frame cost.
-const MAX_W: usize = 704;
-/// See [`MAX_W`].
-const MAX_H: usize = 576;
+/// Widest frame accepted — 4×CIF, bounding per-frame cost. The serving
+/// daemon bounds a job's custom size by the same frame.
+pub const MAX_W: usize = 704;
+/// Tallest frame accepted; see [`MAX_W`].
+pub const MAX_H: usize = 576;
 /// Highest declarable frame rate.
 const MAX_FPS: f64 = 240.0;
 
