@@ -2,12 +2,14 @@
 //!
 //! The figure regenerators time whole benchmarks; this binary times the
 //! individual hot kernels (convolution/Gaussian, SSD disparity search,
-//! integral image, area sum, gradient, and the three loops that dominate
-//! segmentation, face detection and texture synthesis: the deflated
-//! Lanczos eigensolve, the cascade scan and the sampling search) in
-//! isolation at the paper's three input sizes, which is the measurement
-//! the EXPERIMENTS.md "Kernel fast paths" before/after table is built
-//! from.
+//! integral image, area sum, gradient, the Harris response, the three
+//! loops that dominate segmentation, face detection and texture
+//! synthesis: the deflated Lanczos eigensolve, the cascade scan and the
+//! sampling search, and SIFT's and tracking's stages: the 2× bilinear
+//! upscale, the scale-space build, the whole SIFT pipeline and the
+//! two-frame tracker) in isolation at the paper's three input sizes,
+//! which is the measurement the EXPERIMENTS.md "Kernel fast paths"
+//! before/after table is built from.
 //!
 //! Usage: `cargo run --release -p sdvbs-bench --bin kernelbench
 //! [-- --reps N] [--size sqcif|qcif|cif]`
@@ -24,14 +26,19 @@ use sdvbs_exec::ExecPolicy;
 use sdvbs_facedetect::{try_detect_faces, Cascade, DetectorConfig};
 use sdvbs_image::Image;
 use sdvbs_kernels::conv::{convolve_2d, gaussian_blur};
+use sdvbs_kernels::features::harris_response;
 use sdvbs_kernels::gradient::{gradient_x, gradient_y};
 use sdvbs_kernels::integral::{area_sum, IntegralImage};
 use sdvbs_matrix::lanczos_deflated;
 use sdvbs_profile::Profiler;
 use sdvbs_segmentation::{adjacency_matrix_with, filter_bank_features};
-use sdvbs_synth::{face_scene, segmentable_scene, texture_swatch, TextureKind};
+use sdvbs_sift::{try_detect_and_describe, ScaleSpace, SiftConfig};
+use sdvbs_synth::{
+    face_scene, frame_pair, segmentable_scene, texture_swatch, textured_image, TextureKind,
+};
 use sdvbs_texture::{synthesize, TextureConfig};
 use sdvbs_trace::nearest_rank;
+use sdvbs_tracking::{try_track_pair, TrackingConfig};
 use std::time::Instant;
 
 /// The paper's named sizes.
@@ -84,7 +91,7 @@ fn main() {
         }
     }
     println!(
-        "{:<22} {:>8} {:>12} {:>12} {:>12} {:>14}",
+        "{:<24} {:>8} {:>12} {:>12} {:>12} {:>14}",
         "kernel", "size", "p25 (us)", "median (us)", "p75 (us)", "Mpixel/s"
     );
     for &(name, w, h) in &SIZES {
@@ -95,7 +102,7 @@ fn main() {
         let pixels = (w * h) as f64;
         let row = |kernel: &str, [p25, median, p75]: [f64; 3]| {
             println!(
-                "{kernel:<22} {name:>8} {p25:>12.1} {median:>12.1} {p75:>12.1} {:>14.1}",
+                "{kernel:<24} {name:>8} {p25:>12.1} {median:>12.1} {p75:>12.1} {:>14.1}",
                 pixels / median.max(1e-9)
             );
         };
@@ -135,6 +142,65 @@ fn main() {
             "AreaSum r=4",
             time_us(reps, || {
                 std::hint::black_box(area_sum(std::hint::black_box(&img), 4));
+            }),
+        );
+        row(
+            "HarrisResponse r=2",
+            time_us(reps, || {
+                std::hint::black_box(harris_response(std::hint::black_box(&img), 2));
+            }),
+        );
+        // SIFT's stages on the suite's textured input, normalized to 0..1
+        // as the pipeline does: the Interpolation kernel's 2x bilinear
+        // upscale, the scale space built on the upscaled base (default
+        // intervals, sigma and octaves), and the whole pipeline.
+        let textured = textured_image(w, h, 7);
+        let unit = textured.map(|v| v / 255.0);
+        row(
+            "Resize 2x bilinear",
+            time_us(reps, || {
+                std::hint::black_box(std::hint::black_box(&unit).resize_bilinear(2 * w, 2 * h));
+            }),
+        );
+        let sift = SiftConfig::default();
+        let base = unit.resize_bilinear(2 * w, 2 * h);
+        row(
+            "ScaleSpace build",
+            time_us(reps, || {
+                std::hint::black_box(ScaleSpace::build(
+                    std::hint::black_box(&base),
+                    sift.intervals,
+                    sift.sigma0,
+                    sift.max_octaves,
+                ));
+            }),
+        );
+        row(
+            "SIFT detect+describe",
+            time_us(reps, || {
+                let mut prof = Profiler::new();
+                std::hint::black_box(
+                    try_detect_and_describe(std::hint::black_box(&textured), &sift, &mut prof)
+                        .expect("valid image"),
+                );
+            }),
+        );
+        // The two-frame tracker (extraction plus pyramidal Lucas-Kanade)
+        // on a frame pair moved by the suite's motion.
+        let (frame_a, frame_b) = frame_pair(w, h, 7, 1.8, 1.2);
+        row(
+            "TrackPair KLT",
+            time_us(reps, || {
+                let mut prof = Profiler::new();
+                std::hint::black_box(
+                    try_track_pair(
+                        std::hint::black_box(&frame_a),
+                        std::hint::black_box(&frame_b),
+                        &TrackingConfig::default(),
+                        &mut prof,
+                    )
+                    .expect("valid frame pair"),
+                );
             }),
         );
         // The full dense SSD disparity search (SSD + IntegralImage +

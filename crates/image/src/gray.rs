@@ -65,9 +65,13 @@ impl Image {
     ///
     /// The fallible `try_*` pipeline entries use this to reject poisoned
     /// inputs up front, where a NaN would otherwise propagate silently
-    /// through convolutions and argmins.
+    /// through convolutions and argmins. Each 64-pixel chunk is tested
+    /// without a per-pixel exit, so the test vectorizes; the scan still
+    /// stops at the first chunk holding a non-finite pixel.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        self.data
+            .chunks(64)
+            .all(|chunk| chunk.iter().fold(true, |ok, v| ok & v.is_finite()))
     }
 
     /// Number of non-finite (NaN or infinite) pixels.
@@ -287,6 +291,31 @@ impl Image {
         }
     }
 
+    /// Applies `f` to every pair of same-position pixels of `self` and
+    /// `other`, producing a new image (one pass over both buffers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    pub fn zip_map(&self, other: &Image, mut f: impl FnMut(f32, f32) -> f32) -> Image {
+        assert_eq!(
+            (self.width, self.height),
+            (other.width, other.height),
+            "images must have identical dimensions"
+        );
+        let data = self
+            .data
+            .iter()
+            .zip(&other.data)
+            .map(|(&a, &b)| f(a, b))
+            .collect();
+        Image {
+            width: self.width,
+            height: self.height,
+            data,
+        }
+    }
+
     /// Minimum pixel value (`0.0` for an empty image).
     pub fn min(&self) -> f32 {
         if self.data.is_empty() {
@@ -361,6 +390,12 @@ impl Image {
     /// "Interpolation" kernel; SIFT uses it to build its anti-aliased
     /// upsampled base image).
     ///
+    /// Every output pixel is [`Image::sample_bilinear`] at its pixel
+    /// center, bit for bit. An output column reads the same two clamped
+    /// source columns with the same weight on every row, and an output row
+    /// the same two source rows, so both are tabulated once and each row
+    /// is a pass over two source row slices.
+    ///
     /// # Panics
     ///
     /// Panics if either target dimension is zero while the source is
@@ -370,14 +405,22 @@ impl Image {
             return Image::new(0, 0);
         }
         assert!(new_w > 0 && new_h > 0, "target dimensions must be positive");
-        let sx = self.width as f32 / new_w as f32;
-        let sy = self.height as f32 / new_h as f32;
-        Image::from_fn(new_w, new_h, |x, y| {
-            // Sample at pixel centers to keep the image phase-aligned.
-            let src_x = (x as f32 + 0.5) * sx - 0.5;
-            let src_y = (y as f32 + 0.5) * sy - 0.5;
-            self.sample_bilinear(src_x, src_y)
-        })
+        let cols = bilinear_taps(new_w, self.width);
+        let rows = bilinear_taps(new_h, self.height);
+        let mut data = Vec::with_capacity(new_w * new_h);
+        for &(y0, y1, fy) in &rows {
+            let (r0, r1) = (self.row(y0), self.row(y1));
+            data.extend(cols.iter().map(|&(x0, x1, fx)| {
+                let top = r0[x0] + fx * (r0[x1] - r0[x0]);
+                let bot = r1[x0] + fx * (r1[x1] - r1[x0]);
+                top + fy * (bot - top)
+            }));
+        }
+        Image {
+            width: new_w,
+            height: new_h,
+            data,
+        }
     }
 
     /// Halves both dimensions by averaging 2×2 blocks (simple decimation
@@ -385,13 +428,20 @@ impl Image {
     pub fn downsample_2x(&self) -> Image {
         let w = self.width / 2;
         let h = self.height / 2;
-        Image::from_fn(w, h, |x, y| {
-            let a = self.get(2 * x, 2 * y);
-            let b = self.get(2 * x + 1, 2 * y);
-            let c = self.get(2 * x, 2 * y + 1);
-            let d = self.get(2 * x + 1, 2 * y + 1);
-            (a + b + c + d) * 0.25
-        })
+        let mut data = Vec::with_capacity(w * h);
+        for y in 0..h {
+            let (top, bot) = (self.row(2 * y), self.row(2 * y + 1));
+            data.extend(
+                top.chunks_exact(2)
+                    .zip(bot.chunks_exact(2))
+                    .map(|(t, b)| (t[0] + t[1] + b[0] + b[1]) * 0.25),
+            );
+        }
+        Image {
+            width: w,
+            height: h,
+            data,
+        }
     }
 
     /// Rotates the image 90° clockwise (lossless; width and height swap).
@@ -437,6 +487,27 @@ impl Image {
     }
 }
 
+/// The sampling taps of `n` resized samples along an axis of `len`
+/// source pixels: for output index `i`, the two clamped source indices and
+/// the fractional weight [`Image::sample_bilinear`] uses at the pixel
+/// center `(i + 0.5)·(len / n) − 0.5`.
+fn bilinear_taps(n: usize, len: usize) -> Vec<(usize, usize, f32)> {
+    let scale = len as f32 / n as f32;
+    let last = len as isize - 1;
+    (0..n)
+        .map(|i| {
+            let s = (i as f32 + 0.5) * scale - 0.5;
+            let s0 = s.floor();
+            let i0 = s0 as isize;
+            (
+                i0.clamp(0, last) as usize,
+                (i0 + 1).clamp(0, last) as usize,
+                s - s0,
+            )
+        })
+        .collect()
+}
+
 impl fmt::Debug for Image {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -454,6 +525,129 @@ impl fmt::Debug for Image {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-pixel [`Image::resize_bilinear`] the tabulated one replaced:
+    /// four clamped `get`s per output pixel.
+    fn reference_resize_bilinear(img: &Image, new_w: usize, new_h: usize) -> Image {
+        if img.is_empty() {
+            return Image::new(0, 0);
+        }
+        let sx = img.width as f32 / new_w as f32;
+        let sy = img.height as f32 / new_h as f32;
+        Image::from_fn(new_w, new_h, |x, y| {
+            let src_x = (x as f32 + 0.5) * sx - 0.5;
+            let src_y = (y as f32 + 0.5) * sy - 0.5;
+            img.sample_bilinear(src_x, src_y)
+        })
+    }
+
+    /// The per-pixel [`Image::downsample_2x`] the row-slice one replaced.
+    fn reference_downsample_2x(img: &Image) -> Image {
+        Image::from_fn(img.width / 2, img.height / 2, |x, y| {
+            let a = img.get(2 * x, 2 * y);
+            let b = img.get(2 * x + 1, 2 * y);
+            let c = img.get(2 * x, 2 * y + 1);
+            let d = img.get(2 * x + 1, 2 * y + 1);
+            (a + b + c + d) * 0.25
+        })
+    }
+
+    /// A deterministic image of signed, non-round pixel values.
+    fn hashed(w: usize, h: usize, seed: u64) -> Image {
+        Image::from_fn(w, h, |x, y| {
+            let mut v = seed
+                ^ (x as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ (y as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+            v ^= v >> 33;
+            v = v.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            v ^= v >> 33;
+            (v & 0xffff) as f32 / 97.0 - 300.0
+        })
+    }
+
+    fn bits(img: &Image) -> Vec<u32> {
+        img.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn resize_matches_the_per_pixel_oracle_bit_for_bit() {
+        // SIFT's 2x upscale at the three sizes, the stream tier's
+        // downscales (CIF -> QCIF, 704x576 -> 176x144), non-integer ratios
+        // both ways, and 1-pixel sides on either end.
+        let cases = [
+            ((128, 96), (256, 192)),
+            ((176, 144), (352, 288)),
+            ((352, 288), (704, 576)),
+            ((352, 288), (176, 144)),
+            ((704, 576), (176, 144)),
+            ((97, 61), (41, 113)),
+            ((33, 20), (50, 7)),
+            ((10, 10), (3, 17)),
+            ((1, 1), (5, 4)),
+            ((1, 9), (4, 2)),
+            ((9, 1), (1, 1)),
+            ((6, 5), (1, 7)),
+            ((6, 5), (6, 5)),
+        ];
+        for (i, ((w, h), (nw, nh))) in cases.into_iter().enumerate() {
+            let img = hashed(w, h, i as u64 + 3);
+            let got = img.resize_bilinear(nw, nh);
+            let want = reference_resize_bilinear(&img, nw, nh);
+            assert_eq!((got.width(), got.height()), (nw, nh));
+            assert!(bits(&got) == bits(&want), "{w}x{h} -> {nw}x{nh}");
+        }
+        assert_eq!(Image::new(0, 3).resize_bilinear(4, 4), Image::new(0, 0));
+    }
+
+    #[test]
+    fn downsample_matches_the_per_pixel_oracle_bit_for_bit() {
+        for (i, (w, h)) in [
+            (704, 576),
+            (352, 288),
+            (97, 61),
+            (2, 2),
+            (3, 3),
+            (1, 8),
+            (8, 1),
+            (0, 4),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let img = hashed(w, h, i as u64 + 11);
+            let got = img.downsample_2x();
+            let want = reference_downsample_2x(&img);
+            assert_eq!((got.width(), got.height()), (w / 2, h / 2));
+            assert!(bits(&got) == bits(&want), "{w}x{h}");
+        }
+    }
+
+    #[test]
+    fn all_finite_finds_a_non_finite_pixel_anywhere() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let img = Image::from_fn(len, 1, |x, _| x as f32 - 7.5);
+            assert!(img.all_finite(), "len {len}");
+            for at in [0, len / 2, len.saturating_sub(1)]
+                .into_iter()
+                .filter(|&i| i < len)
+            {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut poisoned = img.clone();
+                    poisoned.set(at, 0, bad);
+                    assert!(!poisoned.all_finite(), "len {len} at {at} value {bad}");
+                }
+            }
+        }
+        assert!(Image::filled(3, 2, f32::MAX).all_finite());
+    }
+
+    #[test]
+    fn zip_map_pairs_same_position_pixels() {
+        let a = Image::from_fn(3, 2, |x, y| (x + 3 * y) as f32);
+        let b = Image::from_fn(3, 2, |x, _| x as f32 * 10.0);
+        let d = a.zip_map(&b, |p, q| q - p);
+        assert_eq!(d.as_slice(), &[0.0, 9.0, 18.0, -3.0, 6.0, 15.0]);
+    }
 
     #[test]
     fn new_is_zeroed() {

@@ -14,17 +14,62 @@
 //! accumulate taps per output pixel in the same order as the naive scalar
 //! loop (see [`crate::reference`]), so results are **bit-identical** to the
 //! scalar reference; the equivalence suites in
-//! `tests/{simd,border}_equivalence.rs` pin this down. Interior work is
-//! additionally blocked into `BLOCK`-column tiles so the output tile and
-//! its source taps stay L1-resident across the kernel taps.
+//! `tests/{simd,border}_equivalence.rs` pin this down.
+//!
+//! The interior of both 1-D passes is **register-blocked**: a block of
+//! `LANES` adjacent outputs is loaded once into a fixed-size accumulator
+//! array, every tap (in ascending order) adds its shifted source block
+//! into it, and the block is stored once. Each output's running sum is
+//! the same sequence of additions as the naive loop's, but the output no
+//! longer makes a round trip through memory per tap. The few outputs left
+//! after the last whole block take the same taps, each as one pass over
+//! them.
+//!
+//! [`convolve_separable_with`] — and with it every Gaussian blur and
+//! gradient — fuses its two passes: each worker keeps the row-pass results
+//! of the last `ky.len()` source rows in a ring and computes each one when
+//! the column pass first needs it, so no full-size intermediate image is
+//! written and read back.
 
 use sdvbs_exec::ExecPolicy;
 use sdvbs_image::Image;
 
-/// Column-tile width of the cache-blocked interior loops: `BLOCK` output
-/// floats (4 KiB) plus the tap-shifted source windows fit comfortably in a
-/// 32 KiB L1d even for the longest Gaussian kernels used by the suite.
-const BLOCK: usize = 1024;
+/// Outputs per register block of the interior loops: 16 `f32` lanes are
+/// four SSE2 registers, so the accumulator stays in registers across all
+/// taps on the baseline x86-64 target.
+const LANES: usize = 16;
+
+/// Adds `Σ_i k[i] · src(i)[x]` into each `out[x]`, taps in ascending
+/// order, where `src(i)` is tap `i`'s source slice (at least `out.len()`
+/// long). Whole `LANES`-wide blocks accumulate in registers; the tail
+/// (fewer than `LANES` outputs) takes the taps one at a time, each as one
+/// pass over the tail.
+#[inline]
+fn accumulate_taps<'a>(out: &mut [f32], k: &[f32], src: impl Fn(usize) -> &'a [f32]) {
+    let mut blocks = out.chunks_exact_mut(LANES);
+    let mut x0 = 0;
+    for block in &mut blocks {
+        let mut acc = [0.0f32; LANES];
+        acc.copy_from_slice(block);
+        for (i, &kv) in k.iter().enumerate() {
+            let s = &src(i)[x0..x0 + LANES];
+            for (a, &v) in acc.iter_mut().zip(s) {
+                *a += kv * v;
+            }
+        }
+        block.copy_from_slice(&acc);
+        x0 += LANES;
+    }
+    let tail = blocks.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    for (i, &kv) in k.iter().enumerate() {
+        for (o, &v) in tail.iter_mut().zip(&src(i)[x0..]) {
+            *o += kv * v;
+        }
+    }
+}
 
 /// Adds the 1-D convolution of `src` with `k` into `out`, replicate border.
 ///
@@ -51,27 +96,7 @@ fn accumulate_conv_row(src: &[f32], k: &[f32], out: &mut [f32]) {
     // Interior columns: every tap is in range (`hi > lo` implies
     // `lo == half`), so tap `i` for output `x = lo + j` reads `src[i + j]`
     // — a pure shifted-slice multiply-add with no branches.
-    let interior = hi - lo;
-    let out_int = &mut out[lo..hi];
-    let mut b0 = 0;
-    while b0 < interior {
-        let b1 = (b0 + BLOCK).min(interior);
-        for (i, &kv) in k.iter().enumerate() {
-            let src_tap = &src[i + b0..i + b1];
-            for (o, &s) in out_int[b0..b1].iter_mut().zip(src_tap) {
-                *o += kv * s;
-            }
-        }
-        b0 = b1;
-    }
-}
-
-/// Adds `kv * src` into `out` element-wise (the column-pass inner loop).
-#[inline]
-fn accumulate_scaled_row(out: &mut [f32], src: &[f32], kv: f32) {
-    for (o, &s) in out.iter_mut().zip(src) {
-        *o += kv * s;
-    }
+    accumulate_taps(&mut out[lo..hi], k, |i| &src[i..]);
 }
 
 /// Convolves each row with the 1-D kernel `k` (replicate border).
@@ -121,25 +146,27 @@ pub fn convolve_cols_with(img: &Image, k: &[f32], policy: ExecPolicy) -> Image {
         !k.is_empty() && k.len() % 2 == 1,
         "kernel must have odd length"
     );
+    let (w, h) = (img.width(), img.height());
     let half = k.len() / 2;
-    let h = img.height();
-    Image::from_rows_with(img.width(), h, policy, |y, out| {
-        // The vertical pass clamps whole *rows*, never individual pixels,
-        // so interior and border rows share one unit-stride loop: output
-        // row `y` is a tap-ordered linear combination of `k.len()` source
-        // rows, accumulated in `BLOCK`-column tiles that keep the output
-        // tile L1-resident across taps.
-        let w = out.len();
-        let mut b0 = 0;
-        while b0 < w {
-            let b1 = (b0 + BLOCK).min(w);
-            for (i, &kv) in k.iter().enumerate() {
-                let sy = (y + i).saturating_sub(half).min(h - 1);
-                accumulate_scaled_row(&mut out[b0..b1], &img.row(sy)[b0..b1], kv);
+    let src = img.as_slice();
+    let mut data = vec![0.0f32; w * h];
+    if w > 0 {
+        sdvbs_exec::fill_chunks(policy, &mut data, w, |start, band| {
+            // The vertical pass clamps whole *rows*, never individual
+            // pixels, so interior and border rows share one unit-stride
+            // loop: output row `y` is a tap-ordered linear combination of
+            // `k.len()` source rows, register-blocked across the row.
+            let mut tap_at = vec![0usize; k.len()];
+            for (dy, out) in band.chunks_mut(w).enumerate() {
+                let y = start / w + dy;
+                for (i, at) in tap_at.iter_mut().enumerate() {
+                    *at = (y + i).saturating_sub(half).min(h - 1) * w;
+                }
+                accumulate_taps(out, k, |i| &src[tap_at[i]..tap_at[i] + w]);
             }
-            b0 = b1;
-        }
-    })
+        });
+    }
+    Image::from_vec(w, h, data).expect("one value per pixel")
 }
 
 /// Separable convolution: rows with `kx`, then columns with `ky`.
@@ -147,10 +174,53 @@ pub fn convolve_separable(img: &Image, kx: &[f32], ky: &[f32]) -> Image {
     convolve_separable_with(img, kx, ky, ExecPolicy::Serial)
 }
 
-/// [`convolve_separable`] under an execution policy: both 1-D passes are
-/// row-parallel. Bit-identical to the serial result for any policy.
+/// [`convolve_separable`] under an execution policy: output rows are
+/// distributed over worker threads. Bit-identical to the serial result
+/// for any policy.
+///
+/// The passes are fused: each worker keeps the row-pass results of the
+/// last `ky.len()` source rows in a ring buffer (source row `sy` in slot
+/// `sy % ky.len()`) and computes each one when the column pass first
+/// needs it, so no full-size intermediate image is written and read back.
+/// Every value is the one [`convolve_cols`]`(`[`convolve_rows`]`)` computes.
+///
+/// # Panics
+///
+/// Panics if either kernel is empty or has even length.
 pub fn convolve_separable_with(img: &Image, kx: &[f32], ky: &[f32], policy: ExecPolicy) -> Image {
-    convolve_cols_with(&convolve_rows_with(img, kx, policy), ky, policy)
+    assert!(
+        !kx.is_empty() && kx.len() % 2 == 1 && !ky.is_empty() && ky.len() % 2 == 1,
+        "kernel must have odd length"
+    );
+    let (w, h) = (img.width(), img.height());
+    let half = ky.len() / 2;
+    let mut data = vec![0.0f32; w * h];
+    if w > 0 {
+        sdvbs_exec::fill_chunks(policy, &mut data, w, |start, band| {
+            let mut ring = vec![0.0f32; ky.len() * w];
+            // Where in the ring tap `i` of the current output row reads.
+            let mut tap_at = vec![0usize; ky.len()];
+            // The next source row whose row pass is not in the ring yet.
+            let mut next = (start / w).saturating_sub(half);
+            for (dy, out) in band.chunks_mut(w).enumerate() {
+                let y = start / w + dy;
+                // The rows output `y` reads span at most `ky.len()`
+                // consecutive source rows, so the slot computed here held
+                // a row no output from `y` on reads again.
+                while next <= (y + half).min(h - 1) {
+                    let slot = &mut ring[(next % ky.len()) * w..][..w];
+                    slot.fill(0.0);
+                    accumulate_conv_row(img.row(next), kx, slot);
+                    next += 1;
+                }
+                for (i, at) in tap_at.iter_mut().enumerate() {
+                    *at = ((y + i).saturating_sub(half).min(h - 1) % ky.len()) * w;
+                }
+                accumulate_taps(out, ky, |i| &ring[tap_at[i]..tap_at[i] + w]);
+            }
+        });
+    }
+    Image::from_vec(w, h, data).expect("one value per pixel")
 }
 
 /// Dense 2-D convolution with an odd-sized `kw × kh` kernel in row-major

@@ -20,20 +20,24 @@ pub struct Feature {
     pub score: f32,
 }
 
+/// The per-pixel gradient products `(gx², gx·gy, gy²)` the structure
+/// tensor sums over a window, each one pass over the gradient buffers.
+///
+/// # Panics
+///
+/// Panics if the two images differ in size.
+pub fn tensor_products(gx: &Image, gy: &Image) -> (Image, Image, Image) {
+    (
+        gx.map(|v| v * v),
+        gx.zip_map(gy, |a, b| a * b),
+        gy.map(|v| v * v),
+    )
+}
+
 /// Structure-tensor images `(Ixx, Ixy, Iyy)` summed over a window of the
 /// given radius.
 pub fn structure_tensor(img: &Image, radius: usize) -> (Image, Image, Image) {
-    let gx = gradient_x(img);
-    let gy = gradient_y(img);
-    let ixx = Image::from_fn(img.width(), img.height(), |x, y| {
-        gx.get(x, y) * gx.get(x, y)
-    });
-    let ixy = Image::from_fn(img.width(), img.height(), |x, y| {
-        gx.get(x, y) * gy.get(x, y)
-    });
-    let iyy = Image::from_fn(img.width(), img.height(), |x, y| {
-        gy.get(x, y) * gy.get(x, y)
-    });
+    let (ixx, ixy, iyy) = tensor_products(&gradient_x(img), &gradient_y(img));
     (
         area_sum(&ixx, radius),
         area_sum(&ixy, radius),
@@ -41,29 +45,40 @@ pub fn structure_tensor(img: &Image, radius: usize) -> (Image, Image, Image) {
     )
 }
 
+/// The smaller eigenvalue of the symmetric 2×2 tensor `[[a, b], [b, c]]`:
+/// the smaller root of `λ² − (a+c)λ + (ac − b²)`.
+#[inline]
+pub fn min_eigenvalue(a: f32, b: f32, c: f32) -> f32 {
+    let half_trace = 0.5 * (a + c);
+    let det_term = (half_trace * half_trace - (a * c - b * b)).max(0.0).sqrt();
+    half_trace - det_term
+}
+
+/// `f` over the same-position pixels of three tensor images, as one pass
+/// over their buffers.
+fn map_tensor(sxx: &Image, sxy: &Image, syy: &Image, f: impl Fn(f32, f32, f32) -> f32) -> Image {
+    let data = sxx
+        .as_slice()
+        .iter()
+        .zip(sxy.as_slice())
+        .zip(syy.as_slice())
+        .map(|((&a, &b), &c)| f(a, b, c))
+        .collect();
+    Image::from_vec(sxx.width(), sxx.height(), data).expect("tensor images share one size")
+}
+
 /// KLT "good features to track" response: the smaller eigenvalue of the
 /// windowed structure tensor at each pixel.
 pub fn min_eigenvalue_response(img: &Image, radius: usize) -> Image {
     let (sxx, sxy, syy) = structure_tensor(img, radius);
-    Image::from_fn(img.width(), img.height(), |x, y| {
-        let a = sxx.get(x, y);
-        let b = sxy.get(x, y);
-        let c = syy.get(x, y);
-        // Smaller root of λ² − (a+c)λ + (ac − b²).
-        let half_trace = 0.5 * (a + c);
-        let det_term = (half_trace * half_trace - (a * c - b * b)).max(0.0).sqrt();
-        half_trace - det_term
-    })
+    map_tensor(&sxx, &sxy, &syy, min_eigenvalue)
 }
 
 /// Harris corner response `det(M) − k·trace(M)²` with the conventional
 /// `k = 0.04`.
 pub fn harris_response(img: &Image, radius: usize) -> Image {
     let (sxx, sxy, syy) = structure_tensor(img, radius);
-    Image::from_fn(img.width(), img.height(), |x, y| {
-        let a = sxx.get(x, y);
-        let b = sxy.get(x, y);
-        let c = syy.get(x, y);
+    map_tensor(&sxx, &sxy, &syy, |a, b, c| {
         let det = a * c - b * b;
         let trace = a + c;
         det - 0.04 * trace * trace
@@ -72,6 +87,9 @@ pub fn harris_response(img: &Image, radius: usize) -> Image {
 
 /// Finds strict local maxima of a response image above `threshold`,
 /// ignoring a border of `margin` pixels, returned strongest-first.
+///
+/// A pixel is kept when no pixel of its 3×3 neighbourhood is `>=` it,
+/// read from the three row slices around it.
 pub fn local_maxima(response: &Image, threshold: f32, margin: usize) -> Vec<Feature> {
     let w = response.width();
     let h = response.height();
@@ -80,25 +98,18 @@ pub fn local_maxima(response: &Image, threshold: f32, margin: usize) -> Vec<Feat
         return feats;
     }
     for y in (margin + 1)..(h - margin - 1) {
+        let (up, row, down) = (response.row(y - 1), response.row(y), response.row(y + 1));
         for x in (margin + 1)..(w - margin - 1) {
-            let v = response.get(x, y);
+            let v = row[x];
             if v <= threshold {
                 continue;
             }
-            let mut is_max = true;
-            'scan: for dy in -1isize..=1 {
-                for dx in -1isize..=1 {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    let n = response.get((x as isize + dx) as usize, (y as isize + dy) as usize);
-                    if n >= v {
-                        is_max = false;
-                        break 'scan;
-                    }
-                }
-            }
-            if is_max {
+            let dominated = up[x - 1..=x + 1]
+                .iter()
+                .chain(&down[x - 1..=x + 1])
+                .chain([&row[x - 1], &row[x + 1]])
+                .any(|&n| n >= v);
+            if !dominated {
                 feats.push(Feature {
                     x: x as f32,
                     y: y as f32,

@@ -6,9 +6,7 @@
 //! vectorized interior path + replicate-border split (and stay
 //! bit-identical to the scalar reference) without any code of their own.
 
-use crate::conv::{
-    convolve_cols, convolve_cols_with, convolve_rows, convolve_rows_with, convolve_separable_with,
-};
+use crate::conv::{convolve_cols, convolve_rows, convolve_separable_with};
 use sdvbs_exec::ExecPolicy;
 use sdvbs_image::Image;
 
@@ -33,11 +31,7 @@ pub fn gradient_y(img: &Image) -> Image {
 /// [`gradient_y`] under an execution policy. Bit-identical to the serial
 /// result for any policy.
 pub fn gradient_y_with(img: &Image, policy: ExecPolicy) -> Image {
-    convolve_cols_with(
-        &convolve_rows_with(img, &[0.25, 0.5, 0.25], policy),
-        &[-0.5, 0.0, 0.5],
-        policy,
-    )
+    convolve_separable_with(img, &[0.25, 0.5, 0.25], &[-0.5, 0.0, 0.5], policy)
 }
 
 /// Plain central differences without smoothing (used where the caller has

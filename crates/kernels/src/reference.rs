@@ -1,8 +1,10 @@
 //! Naive scalar reference kernels.
 //!
 //! These are the original per-pixel closure implementations (branchy
-//! `get_clamped` on every tap) that the vectorized interior/border fast
-//! paths in [`crate::conv`] and [`crate::integral`] replaced. They are
+//! `get_clamped` on every tap, a bounds-checked `get` per pixel) that the
+//! vectorized interior/border fast paths in [`crate::conv`] and
+//! [`crate::integral`] and the slice maps in [`crate::features`]
+//! replaced. They are
 //! retained verbatim as the **source of truth for bit-identical
 //! equivalence**: the `simd_equivalence` and `border_equivalence` test
 //! suites compare every fast-path kernel against these across random
@@ -11,6 +13,8 @@
 //! Nothing in the production pipelines calls these; they exist so the fast
 //! paths always have a slow, obviously-correct implementation to answer to.
 
+use crate::features::Feature;
+use crate::gradient::{gradient_x, gradient_y};
 use crate::integral::IntegralImage;
 use sdvbs_image::Image;
 
@@ -112,4 +116,93 @@ pub fn integral_table(img: &Image) -> Vec<f64> {
         }
     }
     table
+}
+
+/// Naive structure tensor: the gradient products as one bounds-checked
+/// `get` pair per pixel, then [`area_sum`] of each.
+pub fn structure_tensor(img: &Image, radius: usize) -> (Image, Image, Image) {
+    let gx = gradient_x(img);
+    let gy = gradient_y(img);
+    let ixx = Image::from_fn(img.width(), img.height(), |x, y| {
+        gx.get(x, y) * gx.get(x, y)
+    });
+    let ixy = Image::from_fn(img.width(), img.height(), |x, y| {
+        gx.get(x, y) * gy.get(x, y)
+    });
+    let iyy = Image::from_fn(img.width(), img.height(), |x, y| {
+        gy.get(x, y) * gy.get(x, y)
+    });
+    (
+        area_sum(&ixx, radius),
+        area_sum(&ixy, radius),
+        area_sum(&iyy, radius),
+    )
+}
+
+/// Naive KLT min-eigenvalue response: three `get`s per pixel.
+pub fn min_eigenvalue_response(img: &Image, radius: usize) -> Image {
+    let (sxx, sxy, syy) = structure_tensor(img, radius);
+    Image::from_fn(img.width(), img.height(), |x, y| {
+        let a = sxx.get(x, y);
+        let b = sxy.get(x, y);
+        let c = syy.get(x, y);
+        let half_trace = 0.5 * (a + c);
+        let det_term = (half_trace * half_trace - (a * c - b * b)).max(0.0).sqrt();
+        half_trace - det_term
+    })
+}
+
+/// Naive Harris response (`k = 0.04`): three `get`s per pixel.
+pub fn harris_response(img: &Image, radius: usize) -> Image {
+    let (sxx, sxy, syy) = structure_tensor(img, radius);
+    Image::from_fn(img.width(), img.height(), |x, y| {
+        let a = sxx.get(x, y);
+        let b = sxy.get(x, y);
+        let c = syy.get(x, y);
+        let det = a * c - b * b;
+        let trace = a + c;
+        det - 0.04 * trace * trace
+    })
+}
+
+/// Naive local maxima: each of the eight neighbours read with its own
+/// `get`, in row-major order, stopping at the first that is `>=` the
+/// centre.
+pub fn local_maxima(response: &Image, threshold: f32, margin: usize) -> Vec<Feature> {
+    let w = response.width();
+    let h = response.height();
+    let mut feats = Vec::new();
+    if w <= 2 * margin + 2 || h <= 2 * margin + 2 {
+        return feats;
+    }
+    for y in (margin + 1)..(h - margin - 1) {
+        for x in (margin + 1)..(w - margin - 1) {
+            let v = response.get(x, y);
+            if v <= threshold {
+                continue;
+            }
+            let mut is_max = true;
+            'scan: for dy in -1isize..=1 {
+                for dx in -1isize..=1 {
+                    if dx == 0 && dy == 0 {
+                        continue;
+                    }
+                    let n = response.get((x as isize + dx) as usize, (y as isize + dy) as usize);
+                    if n >= v {
+                        is_max = false;
+                        break 'scan;
+                    }
+                }
+            }
+            if is_max {
+                feats.push(Feature {
+                    x: x as f32,
+                    y: y as f32,
+                    score: v,
+                });
+            }
+        }
+    }
+    crate::features::sort_by_score(&mut feats);
+    feats
 }

@@ -11,9 +11,15 @@
 //! * image sizes from 1×1 up through shapes wider/taller than any kernel,
 //!   so all four edges, all four corners, *and* images with no interior at
 //!   all are exercised.
+//!
+//! The corner responses and local maxima are checked the same way, on the
+//! same shapes plus the suite's three input sizes.
 
 use sdvbs_image::Image;
-use sdvbs_kernels::conv::{convolve_2d, convolve_cols, convolve_rows};
+use sdvbs_kernels::conv::{convolve_2d, convolve_cols, convolve_rows, convolve_separable};
+use sdvbs_kernels::features::{
+    harris_response, local_maxima, min_eigenvalue_response, structure_tensor,
+};
 use sdvbs_kernels::integral::{area_sum, IntegralImage};
 use sdvbs_kernels::reference;
 
@@ -99,6 +105,28 @@ fn convolve_cols_bit_identical_on_every_shape_and_kernel() {
 }
 
 #[test]
+fn convolve_separable_bit_identical_on_every_shape_and_kernel_pair() {
+    // The fused passes against the naive row pass then column pass, with
+    // row and column kernels of different lengths.
+    for &(w, h) in &SHAPES {
+        let img = test_image(w, h, 29);
+        for &kxl in &KLENS {
+            for &kyl in &KLENS {
+                let kx = test_kernel(kxl, 3 + kxl as u64);
+                let ky = test_kernel(kyl, 7 + kyl as u64);
+                let fast = convolve_separable(&img, &kx, &ky);
+                let naive = reference::convolve_cols(&reference::convolve_rows(&img, &kx), &ky);
+                assert_eq!(
+                    fast.as_slice(),
+                    naive.as_slice(),
+                    "separable {w}x{h} kernels {kxl}x{kyl}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn convolve_2d_bit_identical_on_every_shape_and_kernel() {
     for &(w, h) in &SHAPES {
         let img = test_image(w, h, 37);
@@ -169,5 +197,77 @@ fn clipped_window_sums_bit_identical_to_per_pixel_sum() {
                 }
             }
         }
+    }
+}
+
+fn bits(img: &Image) -> Vec<u32> {
+    img.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The grid shapes plus SQCIF, QCIF and CIF.
+fn response_shapes() -> impl Iterator<Item = (usize, usize)> {
+    SHAPES
+        .into_iter()
+        .chain([(128, 96), (176, 144), (352, 288)])
+}
+
+#[test]
+fn corner_responses_bit_identical_on_every_shape_and_radius() {
+    for (w, h) in response_shapes() {
+        let img = test_image(w, h, 97);
+        for radius in [0usize, 1, 2, 4] {
+            let (sxx, sxy, syy) = structure_tensor(&img, radius);
+            let (rxx, rxy, ryy) = reference::structure_tensor(&img, radius);
+            for (got, want, name) in [(sxx, rxx, "Ixx"), (sxy, rxy, "Ixy"), (syy, ryy, "Iyy")] {
+                assert!(bits(&got) == bits(&want), "{name} {w}x{h} r {radius}");
+            }
+            assert!(
+                bits(&harris_response(&img, radius))
+                    == bits(&reference::harris_response(&img, radius)),
+                "harris {w}x{h} r {radius}"
+            );
+            assert!(
+                bits(&min_eigenvalue_response(&img, radius))
+                    == bits(&reference::min_eigenvalue_response(&img, radius)),
+                "min eigenvalue {w}x{h} r {radius}"
+            );
+        }
+    }
+}
+
+#[test]
+fn local_maxima_identical_on_every_shape_margin_and_threshold() {
+    for (w, h) in response_shapes() {
+        // Coarse values so plateaus (ties, which are not maxima) occur.
+        let coarse = test_image(w, h, 101).map(|v| (v / 64.0).round());
+        let response = harris_response(&test_image(w, h, 103), 2);
+        for img in [&coarse, &response] {
+            for margin in [0usize, 1, 2, 4] {
+                for threshold in [f32::NEG_INFINITY, 0.0, img.max() * 0.05] {
+                    let got = local_maxima(img, threshold, margin);
+                    let want = reference::local_maxima(img, threshold, margin);
+                    let key = |f: &[sdvbs_kernels::features::Feature]| {
+                        f.iter()
+                            .map(|p| (p.x.to_bits(), p.y.to_bits(), p.score.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert!(
+                        key(&got) == key(&want),
+                        "{w}x{h} margin {margin} threshold {threshold}"
+                    );
+                }
+            }
+        }
+    }
+    // A NaN neighbour never dominates, and a NaN centre passes the
+    // threshold test, in both implementations.
+    let mut nan = test_image(9, 9, 7);
+    nan.set(4, 4, f32::NAN);
+    nan.set(2, 2, f32::NAN);
+    let got = local_maxima(&nan, 0.0, 0);
+    let want = reference::local_maxima(&nan, 0.0, 0);
+    assert_eq!(got.len(), want.len());
+    for (g, r) in got.iter().zip(&want) {
+        assert_eq!((g.x, g.y, g.score.to_bits()), (r.x, r.y, r.score.to_bits()));
     }
 }

@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use sdvbs_exec::ExecPolicy;
 use sdvbs_image::Image;
-use sdvbs_kernels::conv::{convolve_2d_with, convolve_cols_with, convolve_rows_with};
+use sdvbs_kernels::conv::{
+    convolve_2d_with, convolve_cols_with, convolve_rows_with, convolve_separable_with,
+};
 use sdvbs_kernels::integral::area_sum_with;
 use sdvbs_kernels::reference;
 
@@ -79,6 +81,24 @@ proptest! {
         let naive = reference::convolve_cols(&img, &k);
         for policy in POLICIES {
             let fast = convolve_cols_with(&img, &k, policy);
+            prop_assert_eq!(fast.as_slice(), naive.as_slice(), "{:?}", policy);
+        }
+    }
+
+    #[test]
+    fn convolve_separable_matches_reference_under_every_policy(
+        w in 1usize..80,
+        h in 1usize..40,
+        half_x in 0usize..5,
+        half_y in 0usize..5,
+        seed in 0u64..10_000,
+    ) {
+        let img = test_image(w, h, seed);
+        let kx = test_kernel(2 * half_x + 1, seed ^ 0x5151);
+        let ky = test_kernel(2 * half_y + 1, seed ^ 0x2323);
+        let naive = reference::convolve_cols(&reference::convolve_rows(&img, &kx), &ky);
+        for policy in POLICIES {
+            let fast = convolve_separable_with(&img, &kx, &ky, policy);
             prop_assert_eq!(fast.as_slice(), naive.as_slice(), "{:?}", policy);
         }
     }

@@ -26,13 +26,43 @@ pub struct Keypoint {
 
 /// Detects keypoints across the whole scale space.
 pub fn detect_keypoints(ss: &ScaleSpace, cfg: &SiftConfig) -> Vec<Keypoint> {
+    detect_keypoints_with(ss, cfg, scan_extrema)
+}
+
+/// A DoG extremum scan with the signature of [`scan_extrema`].
+type ExtremumScan = fn(&Image, &Image, &Image, f32) -> Vec<(usize, usize)>;
+
+/// [`detect_keypoints`] with `scan` as its extremum scan.
+fn detect_keypoints_with(ss: &ScaleSpace, cfg: &SiftConfig, scan: ExtremumScan) -> Vec<Keypoint> {
     let mut out = Vec::new();
     for o in 0..ss.octaves() {
         for l in 1..=ss.intervals() {
-            detect_in_slice(ss, o, l, cfg, &mut out);
+            detect_in_slice(ss, o, l, cfg, scan, &mut out);
         }
     }
     out
+}
+
+/// The interior pixels `(x, y)` of `cur`, in scan order, whose |DoG| is at
+/// least `prelim` and which are extrema of their 3×3×3 neighbourhood
+/// across `below`, `cur` and `above`. Each image row is read through the
+/// nine row slices around it.
+fn scan_extrema(below: &Image, cur: &Image, above: &Image, prelim: f32) -> Vec<(usize, usize)> {
+    let (w, h) = (cur.width(), cur.height());
+    let mut found = Vec::new();
+    for y in 1..h - 1 {
+        let rows = [below, cur, above].map(|img| [img.row(y - 1), img.row(y), img.row(y + 1)]);
+        for x in 1..w - 1 {
+            let v = rows[1][1][x];
+            if v.abs() < prelim {
+                continue;
+            }
+            if is_extremum(&rows, x, v) {
+                found.push((x, y));
+            }
+        }
+    }
+    found
 }
 
 fn detect_in_slice(
@@ -40,79 +70,79 @@ fn detect_in_slice(
     octave: usize,
     level: usize,
     cfg: &SiftConfig,
+    scan: ExtremumScan,
     out: &mut Vec<Keypoint>,
 ) {
     let below = ss.dog(octave, level - 1);
     let cur = ss.dog(octave, level);
     let above = ss.dog(octave, level + 1);
-    let w = cur.width();
-    let h = cur.height();
     // A preliminary threshold at half the final contrast cut, per Lowe.
     let prelim = 0.5 * cfg.contrast_threshold / ss.intervals() as f32;
-    for y in 1..h - 1 {
-        for x in 1..w - 1 {
-            let v = cur.get(x, y);
-            if v.abs() < prelim {
-                continue;
-            }
-            if !is_extremum(below, cur, above, x, y, v) {
-                continue;
-            }
-            // Quadratic subpixel refinement in (x, y, level).
-            let Some((dx, dy, dl, refined)) = refine(below, cur, above, x, y) else {
-                continue;
-            };
-            if dx.abs() > 0.6 || dy.abs() > 0.6 || dl.abs() > 0.6 {
-                // Drifted to a different sample; SD-VBS-style single-step
-                // refinement just rejects these.
-                continue;
-            }
-            if refined.abs() < cfg.contrast_threshold {
-                continue;
-            }
-            if is_edge_like(cur, x, y, cfg.edge_threshold) {
-                continue;
-            }
-            let scale = ss.octave_scale(octave);
-            let lf = level as f32 + dl;
-            let base_x = (x as f32 + dx) * scale;
-            let base_y = (y as f32 + dy) * scale;
-            let sigma = ss.sigma_at(octave, lf);
-            // Orientation assignment: one keypoint per dominant peak.
-            for orientation in orientations(ss, octave, level, x, y) {
-                out.push(Keypoint {
-                    x: base_x,
-                    y: base_y,
-                    sigma,
-                    octave,
-                    level: lf,
-                    orientation,
-                    response: refined.abs(),
-                });
-            }
+    for (x, y) in scan(below, cur, above, prelim) {
+        // Quadratic subpixel refinement in (x, y, level).
+        let Some((dx, dy, dl, refined)) = refine(below, cur, above, x, y) else {
+            continue;
+        };
+        if dx.abs() > 0.6 || dy.abs() > 0.6 || dl.abs() > 0.6 {
+            // Drifted to a different sample; SD-VBS-style single-step
+            // refinement just rejects these.
+            continue;
+        }
+        if refined.abs() < cfg.contrast_threshold {
+            continue;
+        }
+        if is_edge_like(cur, x, y, cfg.edge_threshold) {
+            continue;
+        }
+        let scale = ss.octave_scale(octave);
+        let lf = level as f32 + dl;
+        let base_x = (x as f32 + dx) * scale;
+        let base_y = (y as f32 + dy) * scale;
+        let sigma = ss.sigma_at(octave, lf);
+        // Orientation assignment: one keypoint per dominant peak.
+        for orientation in orientations(ss, octave, level, x, y) {
+            out.push(Keypoint {
+                x: base_x,
+                y: base_y,
+                sigma,
+                octave,
+                level: lf,
+                orientation,
+                response: refined.abs(),
+            });
         }
     }
 }
 
-fn is_extremum(below: &Image, cur: &Image, above: &Image, x: usize, y: usize, v: f32) -> bool {
-    let positive = v > 0.0;
-    for img in [below, cur, above] {
-        for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                let n = img.get((x as isize + dx) as usize, (y as isize + dy) as usize);
-                if std::ptr::eq(img, cur) && dx == 0 && dy == 0 {
-                    continue;
-                }
-                if positive && n >= v {
-                    return false;
-                }
-                if !positive && n <= v {
-                    return false;
-                }
-            }
-        }
+/// Whether `v`, the centre of the 3×3×3 neighbourhood at column `x` of
+/// `rows` (`rows[scale][row]`, the middle scale's middle row holding `v`),
+/// is strictly above every neighbour (for `v > 0`) or strictly below every
+/// neighbour (otherwise). The answer does not depend on the order the
+/// neighbours are read in, so the centre's own row goes first: its two
+/// neighbours there reject most pixels.
+fn is_extremum(rows: &[[&[f32]; 3]; 3], x: usize, v: f32) -> bool {
+    if v > 0.0 {
+        no_neighbour(rows, x, |n| n >= v)
+    } else {
+        no_neighbour(rows, x, |n| n <= v)
     }
-    true
+}
+
+/// Whether no neighbour of the centre at column `x` of `rows` satisfies
+/// `beats`.
+#[inline]
+fn no_neighbour(rows: &[[&[f32]; 3]; 3], x: usize, beats: impl Fn(f32) -> bool) -> bool {
+    let centre_row = rows[1][1];
+    if beats(centre_row[x - 1]) || beats(centre_row[x + 1]) {
+        return false;
+    }
+    let others = [
+        rows[1][0], rows[1][2], rows[0][0], rows[0][1], rows[0][2], rows[2][0], rows[2][1],
+        rows[2][2],
+    ];
+    !others
+        .iter()
+        .any(|row| row[x - 1..=x + 1].iter().any(|&n| beats(n)))
 }
 
 /// One Newton step on the 3-D quadratic fit; returns the offset and the
@@ -243,9 +273,105 @@ fn orientations(ss: &ScaleSpace, octave: usize, level: usize, x: usize, y: usize
     peaks
 }
 
+/// The per-pixel extremum scan [`scan_extrema`] replaced, as the oracle of
+/// the scan and of the whole pipeline.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`detect_keypoints`] over the per-pixel scan.
+    pub(crate) fn detect_keypoints(ss: &ScaleSpace, cfg: &SiftConfig) -> Vec<Keypoint> {
+        detect_keypoints_with(ss, cfg, scan_extrema)
+    }
+
+    /// Every pixel and each of its 26 neighbours read with its own `get`.
+    pub(crate) fn scan_extrema(
+        below: &Image,
+        cur: &Image,
+        above: &Image,
+        prelim: f32,
+    ) -> Vec<(usize, usize)> {
+        let (w, h) = (cur.width(), cur.height());
+        let mut found = Vec::new();
+        for y in 1..h - 1 {
+            for x in 1..w - 1 {
+                let v = cur.get(x, y);
+                if v.abs() < prelim {
+                    continue;
+                }
+                if is_extremum(below, cur, above, x, y, v) {
+                    found.push((x, y));
+                }
+            }
+        }
+        found
+    }
+
+    fn is_extremum(below: &Image, cur: &Image, above: &Image, x: usize, y: usize, v: f32) -> bool {
+        let positive = v > 0.0;
+        for img in [below, cur, above] {
+            for dy in -1isize..=1 {
+                for dx in -1isize..=1 {
+                    let n = img.get((x as isize + dx) as usize, (y as isize + dy) as usize);
+                    if std::ptr::eq(img, cur) && dx == 0 && dy == 0 {
+                        continue;
+                    }
+                    if positive && n >= v {
+                        return false;
+                    }
+                    if !positive && n <= v {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn extremum_scan_matches_the_per_pixel_oracle() {
+        // Every DoG slice of textured scale spaces at two sizes, with the
+        // default preliminary cut and with none (every pixel is tested,
+        // ties included via a quantized copy).
+        for (w, h, seed) in [(64usize, 48usize, 1u64), (97, 61, 2)] {
+            let img = sdvbs_synth::textured_image(w, h, seed).map(|v| v / 255.0);
+            for quantized in [false, true] {
+                let base = if quantized {
+                    img.map(|v| (v * 16.0).round() / 16.0)
+                } else {
+                    img.clone()
+                };
+                let ss = ScaleSpace::build(&base, 3, 1.6, 3);
+                for o in 0..ss.octaves() {
+                    for l in 1..=ss.intervals() {
+                        let (b, c, a) = (ss.dog(o, l - 1), ss.dog(o, l), ss.dog(o, l + 1));
+                        for prelim in [0.0, 0.004] {
+                            assert_eq!(
+                                scan_extrema(b, c, a, prelim),
+                                reference::scan_extrema(b, c, a, prelim),
+                                "{w}x{h} quantized {quantized} octave {o} level {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A NaN centre passes the cut and beats nothing; a NaN neighbour
+        // never beats the centre.
+        let mut cur = Image::from_fn(5, 5, |x, y| ((x * 7 + y * 3) % 5) as f32);
+        cur.set(2, 2, f32::NAN);
+        cur.set(1, 3, f32::NAN);
+        let flat = Image::new(5, 5);
+        assert_eq!(
+            scan_extrema(&flat, &cur, &flat, 0.5),
+            reference::scan_extrema(&flat, &cur, &flat, 0.5)
+        );
+    }
 
     /// A blob image: a Gaussian bump at a known location.
     fn blob_image(w: usize, h: usize, cx: f32, cy: f32, s: f32) -> Image {

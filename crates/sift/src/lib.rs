@@ -95,8 +95,9 @@ impl SiftConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `intervals == 0`, `sigma0 <= 0`, thresholds are negative,
-    /// or `max_octaves == 0`.
+    /// Panics if `intervals == 0`, `sigma0` is not positive and finite or
+    /// overflows the level sigmas, thresholds are negative, or
+    /// `max_octaves == 0`.
     pub fn assert_valid(&self) {
         if let Err(e) = self.validate() {
             panic!("{e}");
@@ -114,8 +115,22 @@ impl SiftConfig {
                 "intervals must be positive".into(),
             ));
         }
-        if self.sigma0.is_nan() || self.sigma0 <= 0.0 {
-            return Err(SiftError::InvalidConfig("sigma0 must be positive".into()));
+        if !(self.sigma0.is_finite() && self.sigma0 > 0.0) {
+            return Err(SiftError::InvalidConfig(
+                "sigma0 must be positive and finite".into(),
+            ));
+        }
+        // Every blur the scale space applies must itself be a finite,
+        // positive sigma: a large `sigma0` overflows the squared level
+        // sigmas the increments are taken from.
+        let blur_ok = |s: f32| s.is_finite() && s > 0.0;
+        if !(blur_ok(scalespace::initial_blur(self.sigma0))
+            && scalespace::level_increments(self.intervals, self.sigma0).all(blur_ok))
+        {
+            return Err(SiftError::InvalidConfig(format!(
+                "sigma0 {} overflows the scale-space level sigmas",
+                self.sigma0
+            )));
         }
         if self.contrast_threshold.is_nan() || self.contrast_threshold < 0.0 {
             return Err(SiftError::InvalidConfig(
@@ -166,19 +181,22 @@ pub fn try_detect_and_describe(
     Ok(sift_pipeline(img, cfg, prof))
 }
 
+/// Centers `img` on its mean (from an integral image) and scales it by
+/// its range.
+fn normalize(img: &Image) -> Image {
+    let ii = IntegralImage::new(img);
+    let mean = ii.mean(0, 0, img.width(), img.height()) as f32;
+    let lo = img.min();
+    let hi = img.max();
+    let range = (hi - lo).max(1e-6);
+    img.map(|v| (v - mean) / range + 0.5)
+}
+
 /// The validated SIFT hot path.
 fn sift_pipeline(img: &Image, cfg: &SiftConfig, prof: &mut Profiler) -> Vec<SiftFeature> {
     // Intensity normalization to 0..1 using integral-image statistics
     // (mean/range): the "IntegralImage" preprocessing share.
-    let normalized = prof.kernel("IntegralImage", |_| {
-        let ii = IntegralImage::new(img);
-        let mean = ii.mean(0, 0, img.width(), img.height()) as f32;
-        let lo = img.min();
-        let hi = img.max();
-        let range = (hi - lo).max(1e-6);
-        // Center on the mean, scale by the range.
-        img.map(|v| (v - mean) / range + 0.5)
-    });
+    let normalized = prof.kernel("IntegralImage", |_| normalize(img));
     // Anti-aliased upsampling ("Interpolation" kernel).
     let (base, base_scale) = prof.kernel("Interpolation", |_| {
         if cfg.double_size {
@@ -209,6 +227,87 @@ fn sift_pipeline(img: &Image, cfg: &SiftConfig, prof: &mut Profiler) -> Vec<Sift
 mod tests {
     use super::*;
     use sdvbs_synth::textured_image;
+
+    /// The pipeline as written before the row-slice loops: a per-pixel
+    /// bilinear upscale, the per-pixel scale space
+    /// ([`scalespace::reference`]) and extremum scan
+    /// ([`detect::reference`]).
+    fn reference_pipeline(img: &Image, cfg: &SiftConfig) -> Vec<SiftFeature> {
+        let normalized = normalize(img);
+        let (w, h) = (2 * img.width(), 2 * img.height());
+        let (sx, sy) = (
+            img.width() as f32 / w as f32,
+            img.height() as f32 / h as f32,
+        );
+        let base = Image::from_fn(w, h, |x, y| {
+            normalized.sample_bilinear((x as f32 + 0.5) * sx - 0.5, (y as f32 + 0.5) * sy - 0.5)
+        });
+        let ss = scalespace::reference::build(&base, cfg.intervals, cfg.sigma0, cfg.max_octaves);
+        let keypoints = detect::reference::detect_keypoints(&ss, cfg);
+        let mut feats = descriptor::describe(&ss, &keypoints);
+        for f in &mut feats {
+            f.keypoint.x *= 0.5;
+            f.keypoint.y *= 0.5;
+            f.keypoint.sigma *= 0.5;
+        }
+        feats
+    }
+
+    /// Every field of a feature as raw bits.
+    fn feature_bits(f: &SiftFeature) -> (Vec<u32>, usize, Vec<u32>) {
+        let k = &f.keypoint;
+        let key = [k.x, k.y, k.sigma, k.level, k.orientation, k.response].map(f32::to_bits);
+        let desc = f.descriptor.iter().map(|v| v.to_bits()).collect();
+        (key.to_vec(), k.octave, desc)
+    }
+
+    #[test]
+    fn pipeline_matches_the_per_pixel_oracle_bit_for_bit() {
+        let cfg = SiftConfig::default();
+        for (w, h) in [(128, 96), (176, 144), (352, 288), (97, 61)] {
+            for seed in 1..=3 {
+                let img = textured_image(w, h, seed);
+                let mut prof = Profiler::new();
+                let got = try_detect_and_describe(&img, &cfg, &mut prof).expect("valid image");
+                let want = reference_pipeline(&img, &cfg);
+                assert!(!want.is_empty(), "{w}x{h} seed {seed} found no features");
+                assert_eq!(got.len(), want.len(), "{w}x{h} seed {seed}");
+                for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        feature_bits(g) == feature_bits(r),
+                        "{w}x{h} seed {seed} feature {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sigmas_that_overflow_the_scale_space_are_config_errors() {
+        let img = textured_image(64, 64, 1);
+        // 1e19 squares to a finite 1e38, but the level sigmas above it
+        // overflow by the third increment.
+        for sigma0 in [f32::INFINITY, 1e30, 3e19, 1e19, f32::NAN, 0.0, -1.0] {
+            let cfg = SiftConfig {
+                sigma0,
+                ..SiftConfig::default()
+            };
+            let mut prof = Profiler::new();
+            assert!(
+                matches!(
+                    try_detect_and_describe(&img, &cfg, &mut prof),
+                    Err(SiftError::InvalidConfig(_))
+                ),
+                "sigma0 {sigma0}"
+            );
+        }
+        // A large sigma0 whose level sigmas stay finite is still valid.
+        let cfg = SiftConfig {
+            sigma0: 1e18,
+            ..SiftConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+    }
 
     #[test]
     fn finds_features_on_texture() {

@@ -280,11 +280,21 @@ struct NeighborhoodIndex {
     offsets: Vec<(isize, isize)>,
     mean: Vec<f64>,
     basis: Matrix,
+    /// The projected candidates, one row each (read by the test oracle).
+    #[cfg(test)]
     projected: Matrix,
+    /// The projected candidates in dimension-major order: dimension `j` of
+    /// candidate `c` is at `j · n + c`, so one dimension of a block of
+    /// adjacent candidates is one contiguous slice.
+    by_dimension: Vec<f64>,
     centers: Vec<f32>,
     dim: usize,
     k: usize,
 }
+
+/// Candidates per block of the distance sweep: sixteen `f64` sums are
+/// eight SSE2 registers, kept across every dimension of the block.
+const CANDIDATE_LANES: usize = 16;
 
 /// Harvests candidate neighborhoods (`Analysis` kernel) and builds the
 /// PCA projection (`PCA` kernel).
@@ -331,7 +341,7 @@ fn build_index(
     });
     let n = candidates.len();
     let k = cfg.pca_dims.min(dim);
-    let (mean, basis, projected) = prof.kernel("PCA", |_| {
+    let (mean, basis, projected, by_dimension) = prof.kernel("PCA", |_| {
         let mut mean = vec![0.0f64; dim];
         for c in &candidates {
             for (m, v) in mean.iter_mut().zip(c) {
@@ -358,13 +368,24 @@ fn build_index(
             }
         }
         let projected = centered.matmul(&basis).expect("shapes agree");
-        (mean, basis, projected)
+        let by_dimension = (0..k)
+            .flat_map(|j| {
+                let projected = &projected;
+                (0..n).map(move |c| projected[(c, j)])
+            })
+            .collect();
+        (mean, basis, projected, by_dimension)
     });
+    // The row-major projections are kept only for the test oracle.
+    #[cfg(not(test))]
+    drop(projected);
     NeighborhoodIndex {
         offsets: offsets.to_vec(),
         mean,
         basis,
+        #[cfg(test)]
         projected,
+        by_dimension,
         centers,
         dim,
         k,
@@ -374,21 +395,20 @@ fn build_index(
 /// One synthesis sweep over the output in scan order, replacing each pixel
 /// with the center of its best-matching swatch neighborhood.
 ///
-/// Each pixel searches the candidates twice: once for the best distance,
-/// then to reservoir-sample among those within the tolerance cutoff. The
-/// first sweep keeps every candidate's distance and whether its sum ran
-/// over every dimension. Partial sums of squares never decrease, so the
-/// second sweep needs no arithmetic for a complete distance (it is the
-/// full sum) or for a partial one already past the cutoff (the full sum
-/// is past it too). It recomputes only the rest, and chooses the same
-/// candidates with the same random draws as a full second sweep.
+/// Each pixel sums every candidate's squared distance in full, dimension
+/// by dimension in order, over blocks of [`CANDIDATE_LANES`] adjacent
+/// candidates read from the dimension-major table. The best distance is
+/// the least of those sums: they are non-negative and never NaN, so the
+/// order candidates are visited in does not change it, and it equals the
+/// minimum an early-exit search finds. The reservoir sample then reads
+/// the stored sums, drawing for the same candidates in the same order.
 fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &mut StdRng) {
     let (out_w, out_h) = (out.width(), out.height());
     let toroidal = |v: isize, m: usize| -> usize { v.rem_euclid(m as isize) as usize };
+    let n = index.centers.len();
     let mut query = vec![0.0f64; index.dim];
     let mut proj = vec![0.0f64; index.k];
-    // (distance, complete) per candidate, from the first sweep.
-    let mut first = vec![(0.0f64, false); index.centers.len()];
+    let mut dist = vec![0.0f64; n];
     for y in 0..out_h {
         for x in 0..out_w {
             // Gather and center the neighborhood (wrapping).
@@ -405,28 +425,18 @@ fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &
                 }
                 *p = acc;
             }
-            // Nearest candidates in PCA space.
-            let mut best = f64::INFINITY;
-            for (c, slot) in first.iter_mut().enumerate() {
-                *slot = distance_until(&proj, index.projected.row(c), |d| d >= best);
-                if slot.0 < best {
-                    best = slot.0;
-                }
-            }
+            // Every candidate's distance in PCA space.
+            squared_distances(&proj, &index.by_dimension, &mut dist);
+            let best = dist
+                .iter()
+                .fold(f64::INFINITY, |b, &d| if d < b { d } else { b });
             let cutoff = best * (1.0 + tolerance) + 1e-12;
             // Reservoir-sample uniformly among candidates under the cutoff
             // (single pass, no allocation).
             let mut chosen = usize::MAX;
             let mut seen = 0usize;
-            for (c, &(d, complete)) in first.iter().enumerate() {
-                // A complete distance is the full sum; a partial one past
-                // the cutoff would stop past it again.
-                let within = if complete || d > cutoff {
-                    d <= cutoff
-                } else {
-                    distance_until(&proj, index.projected.row(c), |d| d > cutoff).0 <= cutoff
-                };
-                if within {
+            for (c, &d) in dist.iter().enumerate() {
+                if d <= cutoff {
                     seen += 1;
                     if rng.gen_range(0..seen) == 0 {
                         chosen = c;
@@ -440,19 +450,36 @@ fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &
     }
 }
 
-/// The squared distance between `proj` and `row`, summed in dimension
-/// order until `stop` holds for the partial sum. Returns the sum and
-/// whether it covered every dimension.
-fn distance_until(proj: &[f64], row: &[f64], stop: impl Fn(f64) -> bool) -> (f64, bool) {
-    let mut d = 0.0;
-    for (pv, rv) in proj.iter().zip(row) {
-        let diff = pv - rv;
-        d += diff * diff;
-        if stop(d) {
-            return (d, false);
+/// Writes into `dist[c]` the squared distance between `proj` and candidate
+/// `c` of the dimension-major table `by_dimension` (`proj.len()` rows of
+/// `dist.len()` candidates), each summed from zero in dimension order.
+/// Whole blocks of [`CANDIDATE_LANES`] candidates keep their sums in
+/// registers across every dimension; the tail takes the same sums one
+/// candidate at a time.
+fn squared_distances(proj: &[f64], by_dimension: &[f64], dist: &mut [f64]) {
+    let n = dist.len();
+    let mut blocks = dist.chunks_exact_mut(CANDIDATE_LANES);
+    let mut c0 = 0;
+    for block in &mut blocks {
+        let mut acc = [0.0f64; CANDIDATE_LANES];
+        for (j, &pv) in proj.iter().enumerate() {
+            let column = &by_dimension[j * n + c0..j * n + c0 + CANDIDATE_LANES];
+            for (a, &rv) in acc.iter_mut().zip(column) {
+                let diff = pv - rv;
+                *a += diff * diff;
+            }
         }
+        block.copy_from_slice(&acc);
+        c0 += CANDIDATE_LANES;
     }
-    (d, true)
+    for (i, d) in blocks.into_remainder().iter_mut().enumerate() {
+        let mut acc = 0.0f64;
+        for (j, &pv) in proj.iter().enumerate() {
+            let diff = pv - by_dimension[j * n + c0 + i];
+            acc += diff * diff;
+        }
+        *d = acc;
+    }
 }
 
 #[cfg(test)]
@@ -568,6 +595,38 @@ mod tests {
 
     fn swatch(kind: TextureKind) -> Image {
         texture_swatch(48, 48, 5, kind)
+    }
+
+    /// Each blocked, dimension-major distance is the row-major sum of
+    /// squares in dimension order, to the bit. At stride 1 the causal 9×9
+    /// window harvests `7·(w − 8)` candidates from a `w × 11` swatch; 7 is
+    /// odd, so `w` in `10..26` leaves every remainder modulo 16 after the
+    /// whole blocks.
+    #[test]
+    fn distances_match_the_row_major_sum_bit_for_bit() {
+        let shapes = (10..26).map(|w| (w, 11, 1)).chain([(44, 40, 3)]);
+        for (w, h, stride) in shapes {
+            let s = texture_swatch(w, h, 9, TextureKind::Stochastic);
+            let cfg = TextureConfig {
+                candidate_stride: stride,
+                ..TextureConfig::default()
+            };
+            let index = build_index(&s, &causal_offsets(cfg.window), &cfg, &mut Profiler::new());
+            let n = index.centers.len();
+            let proj: Vec<f64> = (0..index.k)
+                .map(|j| (j as f64 * 0.77).sin() * 40.0)
+                .collect();
+            let mut dist = vec![0.0f64; n];
+            squared_distances(&proj, &index.by_dimension, &mut dist);
+            for (c, d) in dist.iter().enumerate() {
+                let mut want = 0.0f64;
+                for (pv, rv) in proj.iter().zip(index.projected.row(c)) {
+                    let diff = pv - rv;
+                    want += diff * diff;
+                }
+                assert_eq!(d.to_bits(), want.to_bits(), "{w}x{h} candidate {c} of {n}");
+            }
+        }
     }
 
     #[test]

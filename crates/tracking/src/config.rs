@@ -61,8 +61,9 @@ impl TrackingConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidConfig`] if any count is zero, `sigma <= 0`,
-    /// `quality_level` is outside `(0, 1]`, or `epsilon <= 0`.
+    /// Returns [`InvalidConfig`] if any count is zero, `sigma` is not
+    /// positive and finite, `quality_level` is outside `(0, 1]`, or
+    /// `epsilon <= 0`.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
         if self.num_features == 0 {
             return Err(InvalidConfig("num_features must be positive".into()));
@@ -77,9 +78,9 @@ impl TrackingConfig {
             return Err(InvalidConfig("max_iterations must be positive".into()));
         }
         let positive = |v: f32| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
-        if !positive(self.sigma) {
+        if !(positive(self.sigma) && self.sigma.is_finite()) {
             return Err(InvalidConfig(format!(
-                "sigma must be positive, got {}",
+                "sigma must be positive and finite, got {}",
                 self.sigma
             )));
         }
@@ -129,6 +130,10 @@ mod tests {
                 ..base
             },
             TrackingConfig { sigma: 0.0, ..base },
+            TrackingConfig {
+                sigma: f32::INFINITY,
+                ..base
+            },
             TrackingConfig {
                 quality_level: 0.0,
                 ..base

@@ -4,7 +4,9 @@ use crate::config::TrackingConfig;
 use crate::error::TrackingError;
 use sdvbs_image::Image;
 use sdvbs_kernels::conv::gaussian_blur;
-use sdvbs_kernels::features::{local_maxima, spatial_suppression, Feature};
+use sdvbs_kernels::features::{
+    local_maxima, min_eigenvalue, spatial_suppression, tensor_products, Feature,
+};
 use sdvbs_kernels::gradient::{gradient_x, gradient_y};
 use sdvbs_kernels::integral::IntegralImage;
 use sdvbs_profile::Profiler;
@@ -52,12 +54,8 @@ fn extract_pipeline(img: &Image, cfg: &TrackingConfig, prof: &mut Profiler) -> V
     let r = cfg.window_radius;
     let smooth = prof.kernel("GaussianFilter", |_| gaussian_blur(img, cfg.sigma));
     let (gx, gy) = prof.kernel("Gradient", |_| (gradient_x(&smooth), gradient_y(&smooth)));
-    let w = img.width();
-    let h = img.height();
     let (ii_xx, ii_xy, ii_yy) = prof.kernel("IntegralImage", |_| {
-        let ixx = Image::from_fn(w, h, |x, y| gx.get(x, y) * gx.get(x, y));
-        let ixy = Image::from_fn(w, h, |x, y| gx.get(x, y) * gy.get(x, y));
-        let iyy = Image::from_fn(w, h, |x, y| gy.get(x, y) * gy.get(x, y));
+        let (ixx, ixy, iyy) = tensor_products(&gx, &gy);
         (
             IntegralImage::new(&ixx),
             IntegralImage::new(&ixy),
@@ -65,7 +63,61 @@ fn extract_pipeline(img: &Image, cfg: &TrackingConfig, prof: &mut Profiler) -> V
         )
     });
     let response = prof.kernel("AreaSum", |_| {
-        Image::from_fn(w, h, |x, y| {
+        min_eigenvalue_rows([&ii_xx, &ii_xy, &ii_yy], r)
+    });
+    let threshold = response.max() * cfg.quality_level;
+    let candidates = local_maxima(&response, threshold, r);
+    spatial_suppression(&candidates, cfg.min_distance, cfg.num_features)
+}
+
+/// The min-eigenvalue response from the integral tables of the three
+/// gradient products: each pixel's tensor is the three sums of its
+/// `(2r + 1)²` window clipped to the image, and each image row reads its
+/// window sums through [`IntegralImage::clipped_window_sums_into`] (row
+/// slices of each table, the same `d − b − c + a` as a per-pixel
+/// [`IntegralImage::sum`]).
+fn min_eigenvalue_rows(tables: [&IntegralImage; 3], r: usize) -> Image {
+    let (w, h) = (tables[0].width(), tables[0].height());
+    let mut sums = [vec![0.0f32; w], vec![0.0f32; w], vec![0.0f32; w]];
+    let mut data = Vec::with_capacity(w * h);
+    for y in 0..h {
+        for (table, row) in tables.iter().zip(&mut sums) {
+            table.clipped_window_sums_into(r, y, row);
+        }
+        let [a, b, c] = &sums;
+        data.extend(
+            a.iter()
+                .zip(b)
+                .zip(c)
+                .map(|((&a, &b), &c)| min_eigenvalue(a, b, c)),
+        );
+    }
+    Image::from_vec(w, h, data).expect("one value per pixel")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdvbs_kernels::reference;
+    use sdvbs_synth::textured_image;
+
+    /// The extraction as written before the slice maps: gradient products
+    /// with a `get` pair per pixel, and the response with three asserted
+    /// `IntegralImage::sum` calls per pixel.
+    fn reference_extract(img: &Image, cfg: &TrackingConfig) -> Vec<Feature> {
+        let r = cfg.window_radius;
+        let smooth = gaussian_blur(img, cfg.sigma);
+        let (gx, gy) = (gradient_x(&smooth), gradient_y(&smooth));
+        let (w, h) = (img.width(), img.height());
+        let ixx = Image::from_fn(w, h, |x, y| gx.get(x, y) * gx.get(x, y));
+        let ixy = Image::from_fn(w, h, |x, y| gx.get(x, y) * gy.get(x, y));
+        let iyy = Image::from_fn(w, h, |x, y| gy.get(x, y) * gy.get(x, y));
+        let (ii_xx, ii_xy, ii_yy) = (
+            IntegralImage::new(&ixx),
+            IntegralImage::new(&ixy),
+            IntegralImage::new(&iyy),
+        );
+        let response = Image::from_fn(w, h, |x, y| {
             let x0 = x.saturating_sub(r);
             let y0 = y.saturating_sub(r);
             let x1 = (x + r + 1).min(w);
@@ -77,17 +129,38 @@ fn extract_pipeline(img: &Image, cfg: &TrackingConfig, prof: &mut Profiler) -> V
             let half_trace = 0.5 * (a + c);
             let disc = (half_trace * half_trace - (a * c - b * b)).max(0.0).sqrt();
             half_trace - disc
-        })
-    });
-    let threshold = response.max() * cfg.quality_level;
-    let candidates = local_maxima(&response, threshold, r);
-    spatial_suppression(&candidates, cfg.min_distance, cfg.num_features)
-}
+        });
+        let threshold = response.max() * cfg.quality_level;
+        let candidates = reference::local_maxima(&response, threshold, r);
+        spatial_suppression(&candidates, cfg.min_distance, cfg.num_features)
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sdvbs_synth::textured_image;
+    #[test]
+    fn extraction_matches_the_per_pixel_oracle_bit_for_bit() {
+        for (w, h) in [(128, 96), (352, 288), (97, 61), (21, 21)] {
+            for seed in 1..=3 {
+                let img = textured_image(w, h, seed);
+                for window_radius in [1, 4] {
+                    let cfg = TrackingConfig {
+                        window_radius,
+                        ..TrackingConfig::default()
+                    };
+                    let mut prof = Profiler::new();
+                    let got = try_extract_features(&img, &cfg, &mut prof).expect("valid frame");
+                    let want = reference_extract(&img, &cfg);
+                    let key = |f: &[Feature]| {
+                        f.iter()
+                            .map(|p| [p.x, p.y, p.score].map(f32::to_bits))
+                            .collect::<Vec<_>>()
+                    };
+                    assert!(
+                        key(&got) == key(&want),
+                        "{w}x{h} seed {seed} radius {window_radius}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn finds_features_on_texture() {

@@ -79,6 +79,30 @@ fn track_pipeline(
     cfg: &TrackingConfig,
     prof: &mut Profiler,
 ) -> Vec<TrackedFeature> {
+    track_pipeline_with(a, b, features, cfg, prof, lk_newton)
+}
+
+/// A per-feature, per-level Newton solve with the signature of
+/// [`lk_newton`].
+type NewtonSolve = fn(
+    &Image,
+    &Image,
+    (&Image, &Image),
+    (f32, f32),
+    (f32, f32),
+    &TrackingConfig,
+    &mut Vec<[f32; 5]>,
+) -> (f32, f32, bool);
+
+/// [`track_pipeline`] with `newton` as its per-feature solve.
+fn track_pipeline_with(
+    a: &Image,
+    b: &Image,
+    features: &[Feature],
+    cfg: &TrackingConfig,
+    prof: &mut Profiler,
+    newton: NewtonSolve,
+) -> Vec<TrackedFeature> {
     // Pyramid construction is Gaussian filtering + decimation.
     let (pyr_a, pyr_b) = prof.kernel("GaussianFilter", |_| {
         (
@@ -99,7 +123,8 @@ fn track_pipeline(
             })
             .collect()
     });
-    let r = cfg.window_radius as isize;
+    // The window samples of one solve, reused by every feature and level.
+    let mut window = Vec::new();
     features
         .iter()
         .map(|f| {
@@ -107,62 +132,25 @@ fn track_pipeline(
             let mut dx = 0.0f32;
             let mut dy = 0.0f32;
             let mut converged = false;
-            let _ = converged;
             for level in (0..levels).rev() {
                 let scale = 1.0 / (1 << level) as f32;
-                let img_a = pyr_a.level(level);
-                let img_b = pyr_b.level(level);
                 let (gx, gy) = &grads[level];
-                let fx = f.x * scale;
-                let fy = f.y * scale;
+                let at = (f.x * scale, f.y * scale);
                 // The per-feature Newton iterations — normal-equation
                 // assembly plus the closed-form 2x2 solve — are the
                 // paper's "Matrix Inversion" kernel (it operates at
                 // feature granularity, one small system per feature per
                 // level).
                 let (ndx, ndy, nconv) = prof.kernel("MatrixInversion", |_| {
-                    let mut dx = dx;
-                    let mut dy = dy;
-                    let mut converged = false;
-                    for _ in 0..cfg.max_iterations {
-                        // Accumulate the 2x2 structure tensor and mismatch
-                        // vector over the window.
-                        let mut gxx = 0.0f32;
-                        let mut gxy = 0.0f32;
-                        let mut gyy = 0.0f32;
-                        let mut ex = 0.0f32;
-                        let mut ey = 0.0f32;
-                        for wy in -r..=r {
-                            for wx in -r..=r {
-                                let ax = fx + wx as f32;
-                                let ay = fy + wy as f32;
-                                let ia = img_a.sample_bilinear(ax, ay);
-                                let ib = img_b.sample_bilinear(ax + dx, ay + dy);
-                                let gxv = gx.sample_bilinear(ax, ay);
-                                let gyv = gy.sample_bilinear(ax, ay);
-                                let diff = ia - ib;
-                                gxx += gxv * gxv;
-                                gxy += gxv * gyv;
-                                gyy += gyv * gyv;
-                                ex += diff * gxv;
-                                ey += diff * gyv;
-                            }
-                        }
-                        let det = gxx * gyy - gxy * gxy;
-                        if det.abs() < 1e-6 {
-                            break;
-                        }
-                        let inv_det = 1.0 / det;
-                        let ux = inv_det * (gyy * ex - gxy * ey);
-                        let uy = inv_det * (gxx * ey - gxy * ex);
-                        dx += ux;
-                        dy += uy;
-                        if (ux * ux + uy * uy).sqrt() < cfg.epsilon {
-                            converged = true;
-                            break;
-                        }
-                    }
-                    (dx, dy, converged)
+                    newton(
+                        pyr_a.level(level),
+                        pyr_b.level(level),
+                        (gx, gy),
+                        at,
+                        (dx, dy),
+                        cfg,
+                        &mut window,
+                    )
                 });
                 dx = ndx;
                 dy = ndy;
@@ -180,6 +168,65 @@ fn track_pipeline(
             }
         })
         .collect()
+}
+
+/// The Lucas–Kanade Newton iterations of the feature at `(fx, fy)` on one
+/// pyramid level, from displacement `(dx, dy)`: returns the refined
+/// displacement and whether an update's norm fell below `cfg.epsilon`.
+///
+/// Frame `a`'s intensity and gradients do not depend on the displacement,
+/// so they are sampled at each window position once (into `window`, as
+/// `[ax, ay, ia, gx, gy]`) and the 2×2 structure tensor is summed once, in
+/// window order; each iteration then samples only frame `b` and sums the
+/// mismatch vector.
+fn lk_newton(
+    img_a: &Image,
+    img_b: &Image,
+    (gx, gy): (&Image, &Image),
+    (fx, fy): (f32, f32),
+    (mut dx, mut dy): (f32, f32),
+    cfg: &TrackingConfig,
+    window: &mut Vec<[f32; 5]>,
+) -> (f32, f32, bool) {
+    let r = cfg.window_radius as isize;
+    window.clear();
+    let mut gxx = 0.0f32;
+    let mut gxy = 0.0f32;
+    let mut gyy = 0.0f32;
+    for wy in -r..=r {
+        for wx in -r..=r {
+            let ax = fx + wx as f32;
+            let ay = fy + wy as f32;
+            let gxv = gx.sample_bilinear(ax, ay);
+            let gyv = gy.sample_bilinear(ax, ay);
+            gxx += gxv * gxv;
+            gxy += gxv * gyv;
+            gyy += gyv * gyv;
+            window.push([ax, ay, img_a.sample_bilinear(ax, ay), gxv, gyv]);
+        }
+    }
+    let det = gxx * gyy - gxy * gxy;
+    if det.abs() < 1e-6 {
+        return (dx, dy, false);
+    }
+    let inv_det = 1.0 / det;
+    for _ in 0..cfg.max_iterations {
+        let mut ex = 0.0f32;
+        let mut ey = 0.0f32;
+        for &[ax, ay, ia, gxv, gyv] in window.iter() {
+            let diff = ia - img_b.sample_bilinear(ax + dx, ay + dy);
+            ex += diff * gxv;
+            ey += diff * gyv;
+        }
+        let ux = inv_det * (gyy * ex - gxy * ey);
+        let uy = inv_det * (gxx * ey - gxy * ex);
+        dx += ux;
+        dy += uy;
+        if (ux * ux + uy * uy).sqrt() < cfg.epsilon {
+            return (dx, dy, true);
+        }
+    }
+    (dx, dy, false)
 }
 
 /// The fallible two-frame pipeline: extracts features in `a` and tracks
@@ -203,6 +250,116 @@ pub fn try_track_pair(
 mod tests {
     use super::*;
     use sdvbs_synth::frame_pair;
+
+    /// The Newton loop [`lk_newton`] replaced: every iteration samples both
+    /// frames and both gradients at every window position and re-sums the
+    /// structure tensor.
+    fn reference_lk_newton(
+        img_a: &Image,
+        img_b: &Image,
+        (gx, gy): (&Image, &Image),
+        (fx, fy): (f32, f32),
+        (mut dx, mut dy): (f32, f32),
+        cfg: &TrackingConfig,
+        _window: &mut Vec<[f32; 5]>,
+    ) -> (f32, f32, bool) {
+        let r = cfg.window_radius as isize;
+        let mut converged = false;
+        for _ in 0..cfg.max_iterations {
+            let mut gxx = 0.0f32;
+            let mut gxy = 0.0f32;
+            let mut gyy = 0.0f32;
+            let mut ex = 0.0f32;
+            let mut ey = 0.0f32;
+            for wy in -r..=r {
+                for wx in -r..=r {
+                    let ax = fx + wx as f32;
+                    let ay = fy + wy as f32;
+                    let ia = img_a.sample_bilinear(ax, ay);
+                    let ib = img_b.sample_bilinear(ax + dx, ay + dy);
+                    let gxv = gx.sample_bilinear(ax, ay);
+                    let gyv = gy.sample_bilinear(ax, ay);
+                    let diff = ia - ib;
+                    gxx += gxv * gxv;
+                    gxy += gxv * gyv;
+                    gyy += gyv * gyv;
+                    ex += diff * gxv;
+                    ey += diff * gyv;
+                }
+            }
+            let det = gxx * gyy - gxy * gxy;
+            if det.abs() < 1e-6 {
+                break;
+            }
+            let inv_det = 1.0 / det;
+            let ux = inv_det * (gyy * ex - gxy * ey);
+            let uy = inv_det * (gxx * ey - gxy * ex);
+            dx += ux;
+            dy += uy;
+            if (ux * ux + uy * uy).sqrt() < cfg.epsilon {
+                converged = true;
+                break;
+            }
+        }
+        (dx, dy, converged)
+    }
+
+    fn track_bits(t: &TrackedFeature) -> [u32; 6] {
+        [
+            t.from.x.to_bits(),
+            t.from.y.to_bits(),
+            t.from.score.to_bits(),
+            t.to_x.to_bits(),
+            t.to_y.to_bits(),
+            t.converged as u32,
+        ]
+    }
+
+    #[test]
+    fn tracks_match_the_replaced_newton_loop_bit_for_bit() {
+        // SQCIF and CIF frame pairs with sub-pixel and multi-pixel motion,
+        // plus features on a flat patch (degenerate tensor) and at the
+        // border, and one iteration only (never converged).
+        for ((w, h), (mx, my)) in [((128, 96), (1.5, -0.75)), ((352, 288), (3.0, 2.0))] {
+            for seed in 1..=3 {
+                let (a, b) = frame_pair(w, h, seed, mx, my);
+                let mut prof = Profiler::new();
+                let mut cfg = TrackingConfig::default();
+                let mut feats =
+                    crate::extract::try_extract_features(&a, &cfg, &mut prof).expect("valid frame");
+                feats.extend(
+                    [(0.0, 0.0), (w as f32 - 1.0, 5.5), (3.25, h as f32 - 2.0)]
+                        .map(|(x, y)| Feature { x, y, score: 1.0 }),
+                );
+                for max_iterations in [10, 1] {
+                    cfg.max_iterations = max_iterations;
+                    let got = track_pipeline(&a, &b, &feats, &cfg, &mut prof);
+                    let want =
+                        track_pipeline_with(&a, &b, &feats, &cfg, &mut prof, reference_lk_newton);
+                    assert_eq!(got.len(), want.len());
+                    for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            track_bits(g),
+                            track_bits(r),
+                            "{w}x{h} seed {seed} iterations {max_iterations} feature {i}"
+                        );
+                    }
+                }
+            }
+        }
+        // A flat frame: every tensor is degenerate.
+        let flat = Image::filled(64, 48, 9.0);
+        let feats = [Feature {
+            x: 20.0,
+            y: 20.0,
+            score: 1.0,
+        }];
+        let cfg = TrackingConfig::default();
+        let mut prof = Profiler::new();
+        let got = track_pipeline(&flat, &flat, &feats, &cfg, &mut prof);
+        let want = track_pipeline_with(&flat, &flat, &feats, &cfg, &mut prof, reference_lk_newton);
+        assert_eq!(track_bits(&got[0]), track_bits(&want[0]));
+    }
 
     fn median(mut v: Vec<f32>) -> f32 {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -284,6 +441,34 @@ mod tests {
         let report = prof.report();
         assert!(report.occupancy("MatrixInversion").is_some());
         assert!(report.occupancy("GaussianFilter").is_some());
+    }
+
+    #[test]
+    fn non_finite_sigma_is_a_config_error() {
+        let (a, b) = frame_pair(64, 48, 3, 1.0, 0.0);
+        for sigma in [f32::INFINITY, f32::NAN] {
+            let cfg = TrackingConfig {
+                sigma,
+                ..TrackingConfig::default()
+            };
+            let mut prof = Profiler::new();
+            assert!(
+                matches!(
+                    try_track_pair(&a, &b, &cfg, &mut prof),
+                    Err(TrackingError::InvalidConfig(_))
+                ),
+                "sigma {sigma}"
+            );
+            let feats = [Feature {
+                x: 20.0,
+                y: 20.0,
+                score: 1.0,
+            }];
+            assert!(matches!(
+                try_track_features(&a, &b, &feats, &cfg, &mut prof),
+                Err(TrackingError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]
