@@ -5,7 +5,10 @@
 //! integral image, area sum, gradient, the Harris response, the three
 //! loops that dominate segmentation, face detection and texture
 //! synthesis: the deflated Lanczos eigensolve, the cascade scan and the
-//! sampling search, and SIFT's and tracking's stages: the 2× bilinear
+//! sampling search, the dense matrix work under them: a 60×60 Jacobi
+//! eigensolve of a `lanczos`-shaped tridiagonal and texture's PCA (the
+//! neighborhood covariance and its eigendecomposition), and SIFT's and
+//! tracking's stages: the 2× bilinear
 //! upscale, the scale-space build, the whole SIFT pipeline and the
 //! two-frame tracker) in isolation at the paper's three input sizes,
 //! which is the measurement the EXPERIMENTS.md "Kernel fast paths"
@@ -29,7 +32,7 @@ use sdvbs_kernels::conv::{convolve_2d, gaussian_blur};
 use sdvbs_kernels::features::harris_response;
 use sdvbs_kernels::gradient::{gradient_x, gradient_y};
 use sdvbs_kernels::integral::{area_sum, IntegralImage};
-use sdvbs_matrix::lanczos_deflated;
+use sdvbs_matrix::{lanczos_deflated, Matrix};
 use sdvbs_profile::Profiler;
 use sdvbs_segmentation::{adjacency_matrix_with, filter_bank_features};
 use sdvbs_sift::{try_detect_and_describe, ScaleSpace, SiftConfig};
@@ -91,7 +94,7 @@ fn main() {
         }
     }
     println!(
-        "{:<24} {:>8} {:>12} {:>12} {:>12} {:>14}",
+        "{:<30} {:>8} {:>12} {:>12} {:>12} {:>14}",
         "kernel", "size", "p25 (us)", "median (us)", "p75 (us)", "Mpixel/s"
     );
     for &(name, w, h) in &SIZES {
@@ -102,7 +105,7 @@ fn main() {
         let pixels = (w * h) as f64;
         let row = |kernel: &str, [p25, median, p75]: [f64; 3]| {
             println!(
-                "{kernel:<24} {name:>8} {p25:>12.1} {median:>12.1} {p75:>12.1} {:>14.1}",
+                "{kernel:<30} {name:>8} {p25:>12.1} {median:>12.1} {p75:>12.1} {:>14.1}",
                 pixels / median.max(1e-9)
             );
         };
@@ -249,6 +252,24 @@ fn main() {
                 );
             }),
         );
+        // The dense eigensolve each Lanczos run ends with: Jacobi on a
+        // 60-step tridiagonal whose Ritz values cluster near 1, as a
+        // normalized affinity's do.
+        let tridiagonal = Matrix::from_fn(60, 60, |i, j| match i.abs_diff(j) {
+            0 => 0.9 + 0.1 * ((i * 37) % 60) as f64 / 60.0,
+            1 => 0.3 / (1.0 + i.min(j) as f64).sqrt(),
+            _ => 0.0,
+        });
+        row(
+            "SymEigen 60x60",
+            time_us(reps, || {
+                std::hint::black_box(
+                    std::hint::black_box(&tridiagonal)
+                        .sym_eigen()
+                        .expect("square"),
+                );
+            }),
+        );
         // Face detection's ExtractFaces: the whole detector on a face scene
         // (the cascade scan is over 99% of it).
         let faces = face_scene(w, h, 7, 2 + (w * h / (128 * 96)).min(4));
@@ -291,5 +312,45 @@ fn main() {
                 );
             }),
         );
+        // Texture synthesis's PCA: the covariance and eigendecomposition of
+        // the swatch's centered causal 9x9 neighborhoods (3,360x40 at CIF).
+        let neighborhoods = causal_neighborhoods(&swatch, 4);
+        row(
+            "Texture PCA (gram + SymEigen)",
+            time_us(reps, || {
+                std::hint::black_box(
+                    std::hint::black_box(&neighborhoods)
+                        .gram()
+                        .sym_eigen()
+                        .expect("square"),
+                );
+            }),
+        );
     }
+}
+
+/// The centered causal neighborhoods of `swatch` that texture synthesis
+/// harvests at stride 1: `half` full rows above each pixel and the `half`
+/// pixels to its left, one row per position whose window fits.
+fn causal_neighborhoods(swatch: &Image, half: isize) -> Matrix {
+    let offsets: Vec<(isize, isize)> = (-half..0)
+        .flat_map(|dy| (-half..=half).map(move |dx| (dx, dy)))
+        .chain((-half..0).map(|dx| (dx, 0)))
+        .collect();
+    let (w, h) = (swatch.width() as isize, swatch.height() as isize);
+    let positions: Vec<(isize, isize)> = (half..h)
+        .flat_map(|y| (half..w - half).map(move |x| (x, y)))
+        .collect();
+    let mut m = Matrix::from_fn(positions.len(), offsets.len(), |i, j| {
+        let ((x, y), (dx, dy)) = (positions[i], offsets[j]);
+        swatch.get((x + dx) as usize, (y + dy) as usize) as f64
+    });
+    let n = positions.len() as f64;
+    for j in 0..offsets.len() {
+        let mean = (0..positions.len()).map(|i| m[(i, j)]).sum::<f64>() / n;
+        for i in 0..positions.len() {
+            m[(i, j)] -= mean;
+        }
+    }
+    m
 }

@@ -261,6 +261,13 @@ pub fn convolve_2d_with(img: &Image, k: &[f32], kw: usize, kh: usize, policy: Ex
     })
 }
 
+/// The radius `ceil(3σ)` (at least 1) of [`gaussian_kernel`]'s taps,
+/// which number `2·radius + 1`. It saturates at `usize::MAX`, so callers
+/// can bound a sigma by the image it blurs before any kernel allocates.
+pub fn gaussian_radius(sigma: f32) -> usize {
+    (3.0 * sigma).ceil().max(1.0) as usize
+}
+
 /// Builds a normalized 1-D Gaussian kernel for standard deviation `sigma`,
 /// truncated at three sigmas (minimum length 3).
 ///
@@ -269,7 +276,7 @@ pub fn convolve_2d_with(img: &Image, k: &[f32], kw: usize, kh: usize, policy: Ex
 /// Panics if `sigma` is not finite and positive.
 pub fn gaussian_kernel(sigma: f32) -> Vec<f32> {
     assert!(sigma.is_finite() && sigma > 0.0, "sigma must be positive");
-    let radius = (3.0 * sigma).ceil().max(1.0) as usize;
+    let radius = gaussian_radius(sigma);
     let sigma = sigma as f64;
     // Weights and the normalizing mass are computed in f64: an f32 running
     // sum loses enough low-order bits on long (large-sigma) kernels that

@@ -29,7 +29,10 @@ impl Pose {
 
 /// Normalizes an angle into `(-π, π]`.
 pub(crate) fn normalize_angle(a: f64) -> f64 {
-    let mut a = a % (2.0 * std::f64::consts::PI);
+    // IEEE `fmod` returns `a` unchanged when `|a| < 2π`, where the
+    // particle filter's angles almost always are, so skip the call there.
+    let tau = 2.0 * std::f64::consts::PI;
+    let mut a = if a.abs() < tau { a } else { a % tau };
     if a <= -std::f64::consts::PI {
         a += 2.0 * std::f64::consts::PI;
     } else if a > std::f64::consts::PI {
@@ -243,6 +246,45 @@ pub(crate) fn gauss(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `normalize_angle` as written before the fast path: `fmod` always.
+    fn reference_normalize_angle(a: f64) -> f64 {
+        let mut a = a % (2.0 * std::f64::consts::PI);
+        if a <= -std::f64::consts::PI {
+            a += 2.0 * std::f64::consts::PI;
+        } else if a > std::f64::consts::PI {
+            a -= 2.0 * std::f64::consts::PI;
+        }
+        a
+    }
+
+    #[test]
+    fn normalize_angle_matches_the_fmod_form_bit_for_bit() {
+        use std::f64::consts::PI;
+        let mut inputs = vec![
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 8.0,
+            f64::from_bits(1),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in [0.0, PI, 2.0 * PI, 3.0, 7.0, 1e-300] {
+            inputs.extend([a, a.next_up(), a.next_down()]);
+        }
+        let negated: Vec<f64> = inputs.iter().map(|a| -a).collect();
+        inputs.extend(negated);
+        for a in inputs {
+            assert_eq!(
+                normalize_angle(a).to_bits(),
+                reference_normalize_angle(a).to_bits(),
+                "{a:e} ({:#x})",
+                a.to_bits()
+            );
+        }
+    }
 
     #[test]
     fn normalize_angle_range() {

@@ -252,15 +252,22 @@ impl Matrix {
     /// Gram matrix `Aᵀ A` (always symmetric positive semi-definite).
     pub fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
-        for i in 0..self.rows {
-            let row = self.row(i);
-            for a in 0..self.cols {
-                let ra = row[a];
+        if self.cols == 0 {
+            return g;
+        }
+        // Row i adds `row[a] · row[a..]` to the upper part of G's row a,
+        // one slice at a time; each entry still sums over i ascending.
+        for row in self.data.chunks_exact(self.cols) {
+            for (a, (&ra, g_row)) in row
+                .iter()
+                .zip(g.data.chunks_exact_mut(self.cols))
+                .enumerate()
+            {
                 if ra == 0.0 {
                     continue;
                 }
-                for b in a..self.cols {
-                    g[(a, b)] += ra * row[b];
+                for (gab, &rb) in g_row[a..].iter_mut().zip(&row[a..]) {
+                    *gab += ra * rb;
                 }
             }
         }
@@ -454,6 +461,64 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Gram product as written before the slice loop: every entry of
+    /// the upper triangle through bounds-checked `(row, col)` indexing.
+    fn reference_gram(m: &Matrix) -> Matrix {
+        let mut g = Matrix::zeros(m.cols, m.cols);
+        for i in 0..m.rows {
+            let row = m.row(i);
+            for a in 0..m.cols {
+                let ra = row[a];
+                if ra == 0.0 {
+                    continue;
+                }
+                for b in a..m.cols {
+                    g[(a, b)] += ra * row[b];
+                }
+            }
+        }
+        for a in 0..m.cols {
+            for b in 0..a {
+                g[(a, b)] = g[(b, a)];
+            }
+        }
+        g
+    }
+
+    /// `gram` equals the indexed loop to the bit: every width 1–64, the
+    /// texture PCA's 3,360×40 neighborhood matrix, empty shapes, and rows
+    /// with zero entries (the `ra == 0.0` skip, which also keeps a `-0.0`
+    /// or a NaN product out of the sums) or wholly zero.
+    #[test]
+    fn gram_matches_the_indexed_loop_bit_for_bit() {
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut shapes: Vec<(usize, usize)> = (1..=64).map(|c| (c + 5, c)).collect();
+        shapes.extend([(3360, 40), (0, 5), (5, 0), (0, 0), (1, 1)]);
+        for (rows, cols) in shapes {
+            let m = Matrix::from_fn(rows, cols, |i, _| {
+                let x = next();
+                match (i % 7, x) {
+                    (3, _) => 0.0,
+                    (_, x) if x < 0.2 => 0.0,
+                    (_, x) if x < 0.25 => -0.0,
+                    (_, x) if x > 0.999 => f64::INFINITY,
+                    (_, x) => (x - 0.5) * 255.0,
+                }
+            });
+            let bits = |g: &Matrix| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&m.gram()) == bits(&reference_gram(&m)),
+                "{rows}x{cols}"
+            );
+        }
+    }
 
     #[test]
     fn zeros_and_identity() {

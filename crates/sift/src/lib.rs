@@ -53,6 +53,7 @@ pub use mser::{detect_mser, MserConfig, MserPolarity, MserRegion};
 pub use scalespace::ScaleSpace;
 
 use sdvbs_image::Image;
+use sdvbs_kernels::conv::gaussian_radius;
 use sdvbs_kernels::integral::IntegralImage;
 use sdvbs_profile::Profiler;
 
@@ -162,7 +163,9 @@ impl SiftConfig {
 ///
 /// # Errors
 ///
-/// * [`SiftError::InvalidConfig`] for an out-of-range configuration;
+/// * [`SiftError::InvalidConfig`] for an out-of-range configuration, or
+///   a scale-space blur whose radius `ceil(3σ)` exceeds the larger side
+///   of the base image (the input, doubled if `double_size`);
 /// * [`SiftError::ImageTooSmall`] below the 32×32 structural minimum;
 /// * [`SiftError::NonFinitePixels`] for NaN/Inf pixels.
 pub fn try_detect_and_describe(
@@ -174,6 +177,18 @@ pub fn try_detect_and_describe(
     let side = img.width().min(img.height());
     if side < 32 {
         return Err(SiftError::ImageTooSmall { min: 32, side });
+    }
+    // Every blur's kernel must fit the base image it blurs, before any
+    // kernel allocates its `2·radius + 1` taps.
+    let base_side = img.width().max(img.height()) * if cfg.double_size { 2 } else { 1 };
+    let mut blurs = std::iter::once(scalespace::initial_blur(cfg.sigma0))
+        .chain(scalespace::level_increments(cfg.intervals, cfg.sigma0));
+    if let Some(sigma) = blurs.find(|&s| gaussian_radius(s) > base_side) {
+        return Err(SiftError::InvalidConfig(format!(
+            "sigma0 {} needs a blur of sigma {sigma}, whose radius exceeds the \
+             {base_side}-pixel base image",
+            cfg.sigma0
+        )));
     }
     if !img.all_finite() {
         return Err(SiftError::NonFinitePixels);
@@ -307,6 +322,32 @@ mod tests {
             ..SiftConfig::default()
         };
         assert!(cfg.validate().is_ok());
+    }
+
+    /// A finite sigma0 whose blurs are wider than the base image is a
+    /// config error before any kernel allocates: at sigma0 1e15 the
+    /// initial blur alone would ask for 6e15 taps.
+    #[test]
+    fn blurs_wider_than_the_base_image_are_config_errors() {
+        let img = textured_image(32, 32, 1);
+        for (sigma0, double_size) in [(1e15, true), (1e15, false), (30.0, true), (15.0, false)] {
+            let cfg = SiftConfig {
+                sigma0,
+                double_size,
+                ..SiftConfig::default()
+            };
+            let mut prof = Profiler::new();
+            assert!(
+                matches!(
+                    try_detect_and_describe(&img, &cfg, &mut prof),
+                    Err(SiftError::InvalidConfig(_))
+                ),
+                "sigma0 {sigma0} double_size {double_size}"
+            );
+        }
+        let mut prof = Profiler::new();
+        try_detect_and_describe(&img, &SiftConfig::default(), &mut prof)
+            .expect("the default config runs at 32x32");
     }
 
     #[test]

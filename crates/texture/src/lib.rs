@@ -352,9 +352,13 @@ fn build_index(
             *m /= n as f64;
         }
         let mut centered = Matrix::zeros(n, dim);
-        for (i, c) in candidates.iter().enumerate() {
-            for j in 0..dim {
-                centered[(i, j)] = c[j] - mean[j];
+        for (row, c) in centered
+            .as_mut_slice()
+            .chunks_exact_mut(dim)
+            .zip(&candidates)
+        {
+            for ((o, v), m) in row.iter_mut().zip(c).zip(&mean) {
+                *o = v - m;
             }
         }
         let cov = centered.gram(); // dim x dim
@@ -369,10 +373,7 @@ fn build_index(
         }
         let projected = centered.matmul(&basis).expect("shapes agree");
         let by_dimension = (0..k)
-            .flat_map(|j| {
-                let projected = &projected;
-                (0..n).map(move |c| projected[(c, j)])
-            })
+            .flat_map(|j| projected.as_slice().chunks_exact(k).map(move |row| row[j]))
             .collect();
         (mean, basis, projected, by_dimension)
     });
@@ -395,58 +396,172 @@ fn build_index(
 /// One synthesis sweep over the output in scan order, replacing each pixel
 /// with the center of its best-matching swatch neighborhood.
 ///
-/// Each pixel sums every candidate's squared distance in full, dimension
-/// by dimension in order, over blocks of [`CANDIDATE_LANES`] adjacent
-/// candidates read from the dimension-major table. The best distance is
-/// the least of those sums: they are non-negative and never NaN, so the
-/// order candidates are visited in does not change it, and it equals the
-/// minimum an early-exit search finds. The reservoir sample then reads
-/// the stored sums, drawing for the same candidates in the same order.
+/// Each pixel gathers its wrapped neighborhood through per-pass
+/// coordinate tables, projects it onto the PCA basis (every `proj[j]`
+/// summed from zero in ascending offset order), and hands the projection
+/// to [`CandidateSearch::choose`], which sums only the candidate
+/// distances the Efros–Leung selection can read.
+///
+/// **Pruning invariant.** Candidates are visited in blocks of
+/// [`CANDIDATE_LANES`] adjacent ones, each candidate's squared distance
+/// summed from zero in dimension order. `cur` is the least full distance
+/// summed so far, seeded with one guess summed in full (the candidate
+/// after the previous pixel's choice). A block stops once every partial
+/// sum in it exceeds `bound = cur · (1 + tolerance) + 1e-12`. This is
+/// exact:
+/// - adding a non-negative square never lowers a rounded sum, so a
+///   pruned candidate's full distance exceeds `bound` too;
+/// - `x ↦ x · (1 + t) + 1e-12` is monotone after rounding and
+///   `cur ≥ best`, so `bound ≥ cutoff = best · (1 + t) + 1e-12`;
+/// - so every candidate with `d ≤ cutoff`, the best included, lies in a
+///   block summed in full, with the same sums in the same order, and
+///   every pruned entry stays above `cutoff`.
+///
+/// `best` and the reservoir sample therefore read only the blocks summed
+/// in full, in ascending candidate order, and draw `rng.gen_range` for
+/// the same candidates as a sweep that sums all of them.
 fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &mut StdRng) {
     let (out_w, out_h) = (out.width(), out.height());
-    let toroidal = |v: isize, m: usize| -> usize { v.rem_euclid(m as isize) as usize };
-    let n = index.centers.len();
-    let mut query = vec![0.0f64; index.dim];
-    let mut proj = vec![0.0f64; index.k];
-    let mut dist = vec![0.0f64; n];
-    for y in 0..out_h {
-        for x in 0..out_w {
-            // Gather and center the neighborhood (wrapping).
-            for (i, &(dx, dy)) in index.offsets.iter().enumerate() {
-                let px = toroidal(x as isize + dx, out_w);
-                let py = toroidal(y as isize + dy, out_h);
-                query[i] = out.get(px, py) as f64 - index.mean[i];
-            }
-            // Project onto the PCA basis.
-            for (j, p) in proj.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (i, &q) in query.iter().enumerate() {
-                    acc += q * index.basis[(i, j)];
-                }
-                *p = acc;
-            }
-            // Every candidate's distance in PCA space.
-            squared_distances(&proj, &index.by_dimension, &mut dist);
-            let best = dist
+    let (dim, k) = (index.dim, index.k);
+    // Wrapped coordinates, one row of `dim` entries per output column
+    // (`cols`) and per output row (`rows`, premultiplied by the width).
+    let toroidal = |v: usize, d: isize, m: usize| (v as isize + d).rem_euclid(m as isize) as usize;
+    let cols: Vec<usize> = (0..out_w)
+        .flat_map(|x| {
+            index
+                .offsets
                 .iter()
-                .fold(f64::INFINITY, |b, &d| if d < b { d } else { b });
-            let cutoff = best * (1.0 + tolerance) + 1e-12;
-            // Reservoir-sample uniformly among candidates under the cutoff
-            // (single pass, no allocation).
-            let mut chosen = usize::MAX;
-            let mut seen = 0usize;
-            for (c, &d) in dist.iter().enumerate() {
+                .map(move |&(dx, _)| toroidal(x, dx, out_w))
+        })
+        .collect();
+    let rows: Vec<usize> = (0..out_h)
+        .flat_map(|y| {
+            index
+                .offsets
+                .iter()
+                .map(move |&(_, dy)| toroidal(y, dy, out_h) * out_w)
+        })
+        .collect();
+    let basis_rows = index.basis.as_slice().chunks_exact(k);
+    let mut search = CandidateSearch::new(index.centers.len());
+    let mut proj = vec![0.0f64; k];
+    let mut guess = 0;
+    for (y, row) in rows.chunks_exact(dim).enumerate() {
+        for (x, col) in cols.chunks_exact(dim).enumerate() {
+            // Gather, center and project the neighborhood, offset by
+            // offset.
+            let pixels = out.as_slice();
+            proj.fill(0.0);
+            for (((&r, &c), &mean), basis) in
+                row.iter().zip(col).zip(&index.mean).zip(basis_rows.clone())
+            {
+                let q = pixels[r + c] as f64 - mean;
+                for (p, &b) in proj.iter_mut().zip(basis) {
+                    *p += q * b;
+                }
+            }
+            let (_, chosen) = search.choose(&proj, &index.by_dimension, tolerance, guess, rng);
+            if let Some(c) = chosen {
+                out.as_mut_slice()[y * out_w + x] = index.centers[c];
+                guess = (c + 1) % index.centers.len();
+            }
+        }
+    }
+}
+
+/// The pruned candidate search of [`synth_pass`], with its scratch space
+/// reused across pixels.
+struct CandidateSearch {
+    /// Full distances of the candidates in summed blocks; entries of
+    /// pruned blocks hold stale values and are never read.
+    dist: Vec<f64>,
+    /// First candidate of every block summed in full, ascending. The last
+    /// block may be shorter than [`CANDIDATE_LANES`].
+    summed: Vec<usize>,
+}
+
+impl CandidateSearch {
+    fn new(n: usize) -> Self {
+        CandidateSearch {
+            dist: vec![0.0; n],
+            summed: Vec::with_capacity(n.div_ceil(CANDIDATE_LANES)),
+        }
+    }
+
+    /// Returns the least squared distance between `proj` and a candidate
+    /// of the dimension-major table `by_dimension`, and the candidate the
+    /// reservoir sample picks among those within `best · (1 + tolerance)
+    /// + 1e-12` (`None` if no distance passes that cutoff, as when it is
+    /// NaN). `guess` seeds the bound and changes no result.
+    fn choose(
+        &mut self,
+        proj: &[f64],
+        by_dimension: &[f64],
+        tolerance: f64,
+        guess: usize,
+        rng: &mut StdRng,
+    ) -> (f64, Option<usize>) {
+        let n = self.dist.len();
+        let scale = 1.0 + tolerance;
+        let mut cur = proj.iter().enumerate().fold(0.0f64, |acc, (j, &pv)| {
+            let diff = pv - by_dimension[j * n + guess];
+            acc + diff * diff
+        });
+        let mut bound = cur * scale + 1e-12;
+        self.summed.clear();
+        let whole = n - n % CANDIDATE_LANES;
+        'blocks: for c0 in (0..whole).step_by(CANDIDATE_LANES) {
+            let mut acc = [0.0f64; CANDIDATE_LANES];
+            for (j, &pv) in proj.iter().enumerate() {
+                let column = &by_dimension[j * n + c0..j * n + c0 + CANDIDATE_LANES];
+                for (a, &rv) in acc.iter_mut().zip(column) {
+                    let diff = pv - rv;
+                    *a += diff * diff;
+                }
+                if acc.iter().all(|&a| a > bound) {
+                    continue 'blocks;
+                }
+            }
+            self.dist[c0..c0 + CANDIDATE_LANES].copy_from_slice(&acc);
+            self.summed.push(c0);
+            let least = acc.iter().fold(cur, |b, &d| if d < b { d } else { b });
+            if least < cur {
+                cur = least;
+                bound = cur * scale + 1e-12;
+            }
+        }
+        // The tail is summed in full, one candidate at a time.
+        if whole < n {
+            self.summed.push(whole);
+            for (i, d) in self.dist[whole..].iter_mut().enumerate() {
+                let mut acc = 0.0f64;
+                for (j, &pv) in proj.iter().enumerate() {
+                    let diff = pv - by_dimension[j * n + whole + i];
+                    acc += diff * diff;
+                }
+                *d = acc;
+                if acc < cur {
+                    cur = acc;
+                }
+            }
+        }
+        let best = cur;
+        let cutoff = best * scale + 1e-12;
+        // Reservoir-sample uniformly among candidates under the cutoff.
+        let mut chosen = None;
+        let mut seen = 0usize;
+        for &c0 in &self.summed {
+            let end = (c0 + CANDIDATE_LANES).min(n);
+            for (c, &d) in self.dist[c0..end].iter().enumerate() {
                 if d <= cutoff {
                     seen += 1;
                     if rng.gen_range(0..seen) == 0 {
-                        chosen = c;
+                        chosen = Some(c0 + c);
                     }
                 }
             }
-            if chosen != usize::MAX {
-                out.set(x, y, index.centers[chosen]);
-            }
         }
+        (best, chosen)
     }
 }
 
@@ -455,7 +570,9 @@ fn synth_pass(out: &mut Image, index: &NeighborhoodIndex, tolerance: f64, rng: &
 /// `dist.len()` candidates), each summed from zero in dimension order.
 /// Whole blocks of [`CANDIDATE_LANES`] candidates keep their sums in
 /// registers across every dimension; the tail takes the same sums one
-/// candidate at a time.
+/// candidate at a time. This is the full sweep [`synth_pass`]'s pruned
+/// search replaced, kept as the oracle of its pruning invariant.
+#[cfg(test)]
 fn squared_distances(proj: &[f64], by_dimension: &[f64], dist: &mut [f64]) {
     let n = dist.len();
     let mut blocks = dist.chunks_exact_mut(CANDIDATE_LANES);
@@ -485,6 +602,7 @@ fn squared_distances(proj: &[f64], by_dimension: &[f64], dist: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use sdvbs_synth::{texture_swatch, TextureKind};
 
     /// The sweep [`synth_pass`] replaced: a second full distance loop over
@@ -595,6 +713,124 @@ mod tests {
 
     fn swatch(kind: TextureKind) -> Image {
         texture_swatch(48, 48, 5, kind)
+    }
+
+    /// The full blocked sweep [`CandidateSearch::choose`] replaced: every
+    /// candidate's distance, their least, and a reservoir pass over all
+    /// `n`.
+    fn full_search(
+        proj: &[f64],
+        by_dimension: &[f64],
+        n: usize,
+        tolerance: f64,
+        rng: &mut StdRng,
+    ) -> (f64, Vec<f64>, Option<usize>) {
+        let mut dist = vec![0.0f64; n];
+        squared_distances(proj, by_dimension, &mut dist);
+        let best = dist
+            .iter()
+            .fold(f64::INFINITY, |b, &d| if d < b { d } else { b });
+        let cutoff = best * (1.0 + tolerance) + 1e-12;
+        let mut chosen = None;
+        let mut seen = 0usize;
+        for (c, &d) in dist.iter().enumerate() {
+            if d <= cutoff {
+                seen += 1;
+                if rng.gen_range(0..seen) == 0 {
+                    chosen = Some(c);
+                }
+            }
+        }
+        (best, dist, chosen)
+    }
+
+    /// A dimension-major table of `n` candidates in `k` dimensions and a
+    /// projection, drawn in one of three shapes: continuous values; a
+    /// coarse lattice far from the projection, whose distances tie exactly
+    /// and are large enough that `best + 1e-12` rounds to `best`; and
+    /// near-copies of the projection, whose distances fall within
+    /// `1e-12` of a best that may be zero.
+    fn search_case(shape: usize, n: usize, k: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match shape {
+            0 => (
+                (0..n * k).map(|_| rng.gen_range(-50.0..50.0)).collect(),
+                (0..k).map(|_| rng.gen_range(-50.0..50.0)).collect(),
+            ),
+            1 => (
+                (0..n * k)
+                    .map(|_| 100.0 * rng.gen_range(0..3) as f64)
+                    .collect(),
+                (0..k).map(|_| 100.0 * rng.gen_range(3..5) as f64).collect(),
+            ),
+            _ => {
+                let proj: Vec<f64> = (0..k).map(|_| rng.gen_range(-50.0..50.0)).collect();
+                let table = (0..k)
+                    .flat_map(|j| vec![proj[j]; n])
+                    .map(|v| {
+                        let jitter = rng.gen_range(-2i32..=2) * rng.gen_range(0i32..2);
+                        v + 1e-7 * jitter as f64
+                    })
+                    .collect();
+                (table, proj)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The pruned search returns the full sweep's `best` bits, the
+        /// same distance bits for every candidate within the cutoff, the
+        /// same chosen index and the same next RNG draw, for every `n` in
+        /// 1–100 (so every tail length modulo 16), `tolerance` 0, 0.1,
+        /// 1e300 or +∞ and a guess at any index; every candidate outside
+        /// the blocks it summed lies beyond the cutoff.
+        #[test]
+        fn pruned_search_matches_the_full_sweep(
+            n in 1usize..=100,
+            k in 1usize..=12,
+            shape in 0usize..3,
+            tolerance in 0usize..4,
+            guess in 0usize..100,
+            seed in 0u64..1_000_000,
+        ) {
+            let tolerance = [0.0, 0.1, 1e300, f64::INFINITY][tolerance];
+            let guess = guess % n;
+            let (table, proj) = search_case(shape, n, k, seed);
+            let mut want_rng = StdRng::seed_from_u64(seed);
+            let (want_best, want_dist, want_chosen) =
+                full_search(&proj, &table, n, tolerance, &mut want_rng);
+            let mut search = CandidateSearch::new(n);
+            search.dist.fill(f64::NAN);
+            let mut got_rng = StdRng::seed_from_u64(seed);
+            let (best, chosen) = search.choose(&proj, &table, tolerance, guess, &mut got_rng);
+            let what = format!("n {n} k {k} shape {shape} tolerance {tolerance} guess {guess}");
+            proptest::prop_assert_eq!(best.to_bits(), want_best.to_bits(), "{}: best", what);
+            let cutoff = want_best * (1.0 + tolerance) + 1e-12;
+            let mut summed = vec![false; n];
+            for &c0 in &search.summed {
+                for s in &mut summed[c0..(c0 + CANDIDATE_LANES).min(n)] {
+                    *s = true;
+                }
+            }
+            // A candidate within the cutoff is summed in full, to the bit,
+            // so every pruned one lies beyond it.
+            for (c, &d) in want_dist.iter().enumerate() {
+                if d <= cutoff {
+                    proptest::prop_assert!(summed[c], "{}: candidate {} pruned", what, c);
+                    proptest::prop_assert_eq!(
+                        search.dist[c].to_bits(),
+                        d.to_bits(),
+                        "{}: candidate {}",
+                        what,
+                        c
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(chosen, want_chosen, "{}: chosen", what);
+            proptest::prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{}: next draw", what);
+        }
     }
 
     /// Each blocked, dimension-major distance is the row-major sum of

@@ -1,5 +1,6 @@
 //! Tracker configuration.
 
+use sdvbs_kernels::conv::gaussian_radius;
 use std::error::Error;
 use std::fmt;
 
@@ -94,6 +95,19 @@ impl TrackingConfig {
             return Err(InvalidConfig(format!(
                 "epsilon must be positive, got {}",
                 self.epsilon
+            )));
+        }
+        Ok(())
+    }
+
+    /// Checks that the smoothing blur fits a frame whose larger side is
+    /// `side`: its radius `ceil(3σ)` may not exceed it, so no kernel
+    /// allocates more than `2·side + 1` taps.
+    pub(crate) fn validate_blur(&self, side: usize) -> Result<(), InvalidConfig> {
+        if gaussian_radius(self.sigma) > side {
+            return Err(InvalidConfig(format!(
+                "sigma {} blurs wider than the {side}-pixel frame",
+                self.sigma
             )));
         }
         Ok(())

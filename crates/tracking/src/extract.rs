@@ -23,7 +23,9 @@ use sdvbs_profile::Profiler;
 ///
 /// # Errors
 ///
-/// * [`TrackingError::InvalidConfig`] for an out-of-range configuration;
+/// * [`TrackingError::InvalidConfig`] for an out-of-range configuration,
+///   or a `sigma` whose blur radius `ceil(3σ)` exceeds the frame's larger
+///   side;
 /// * [`TrackingError::Empty`] / [`TrackingError::ImageTooSmall`] for
 ///   images the window cannot fit in;
 /// * [`TrackingError::NonFinitePixels`] for NaN/Inf pixels.
@@ -43,6 +45,8 @@ pub fn try_extract_features(
     if side < min {
         return Err(TrackingError::ImageTooSmall { min, side });
     }
+    cfg.validate_blur(img.width().max(img.height()))
+        .map_err(|e| TrackingError::InvalidConfig(e.to_string()))?;
     if !img.all_finite() {
         return Err(TrackingError::NonFinitePixels);
     }

@@ -43,7 +43,9 @@ impl TrackedFeature {
 ///
 /// # Errors
 ///
-/// * [`TrackingError::InvalidConfig`] for an out-of-range configuration;
+/// * [`TrackingError::InvalidConfig`] for an out-of-range configuration,
+///   or a `sigma` whose blur radius `ceil(3σ)` exceeds the frames' larger
+///   side;
 /// * [`TrackingError::DimensionMismatch`] if the frames differ in size;
 /// * [`TrackingError::Empty`] for zero-pixel frames;
 /// * [`TrackingError::NonFinitePixels`] for NaN/Inf pixels.
@@ -65,6 +67,8 @@ pub fn try_track_features(
     if a.is_empty() {
         return Err(TrackingError::Empty);
     }
+    cfg.validate_blur(a.width().max(a.height()))
+        .map_err(|e| TrackingError::InvalidConfig(e.to_string()))?;
     if !a.all_finite() || !b.all_finite() {
         return Err(TrackingError::NonFinitePixels);
     }
@@ -469,6 +473,40 @@ mod tests {
                 Err(TrackingError::InvalidConfig(_))
             ));
         }
+    }
+
+    /// A finite sigma whose blur is wider than the frame is a config
+    /// error before any kernel allocates: sigma 1e15 would ask for 6e15
+    /// taps.
+    #[test]
+    fn blurs_wider_than_the_frame_are_config_errors() {
+        let (a, b) = frame_pair(32, 32, 3, 1.0, 0.0);
+        let feats = [Feature {
+            x: 16.0,
+            y: 16.0,
+            score: 1.0,
+        }];
+        for sigma in [1e15, 11.0] {
+            let cfg = TrackingConfig {
+                sigma,
+                ..TrackingConfig::default()
+            };
+            let mut prof = Profiler::new();
+            assert!(
+                matches!(
+                    try_track_pair(&a, &b, &cfg, &mut prof),
+                    Err(TrackingError::InvalidConfig(_))
+                ),
+                "sigma {sigma}"
+            );
+            assert!(matches!(
+                try_track_features(&a, &b, &feats, &cfg, &mut prof),
+                Err(TrackingError::InvalidConfig(_))
+            ));
+        }
+        let mut prof = Profiler::new();
+        try_track_pair(&a, &b, &TrackingConfig::default(), &mut prof)
+            .expect("the default config runs at 32x32");
     }
 
     #[test]
