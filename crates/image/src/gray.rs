@@ -74,11 +74,6 @@ impl Image {
             .all(|chunk| chunk.iter().fold(true, |ok, v| ok & v.is_finite()))
     }
 
-    /// Number of non-finite (NaN or infinite) pixels.
-    pub fn non_finite_count(&self) -> usize {
-        self.data.iter().filter(|v| !v.is_finite()).count()
-    }
-
     /// Creates an image filled with `value`.
     pub fn filled(width: usize, height: usize, value: f32) -> Self {
         let mut img = Image::new(width, height);
@@ -254,11 +249,6 @@ impl Image {
     /// Mutable view of the row-major pixel buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the image and returns its pixel buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrows row `y` as a slice.

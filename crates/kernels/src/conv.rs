@@ -313,16 +313,6 @@ pub fn gaussian_blur_with(img: &Image, sigma: f32, policy: ExecPolicy) -> Image 
     convolve_separable_with(img, &k, &k, policy)
 }
 
-/// A `len`-tap box (moving average) kernel, normalized.
-///
-/// # Panics
-///
-/// Panics if `len` is zero or even.
-pub fn box_kernel(len: usize) -> Vec<f32> {
-    assert!(len > 0 && len % 2 == 1, "box kernel length must be odd");
-    vec![1.0 / len as f32; len]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,12 +401,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn non_positive_sigma_panics() {
         gaussian_kernel(0.0);
-    }
-
-    #[test]
-    fn box_kernel_sums_to_one() {
-        let k = box_kernel(5);
-        assert_eq!(k.len(), 5);
-        assert!((k.iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
 }

@@ -141,11 +141,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow row `i` as a slice.
     ///
     /// # Panics

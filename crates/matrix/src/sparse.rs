@@ -57,22 +57,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Sparse matrix-vector product, rejecting a mis-sized operand with a
-    /// typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::MatrixError::DimensionMismatch`] if `x.len() != self.dim()`.
-    pub fn try_matvec(&self, x: &[f64]) -> crate::Result<Vec<f64>> {
-        if x.len() != self.n {
-            return Err(crate::MatrixError::DimensionMismatch {
-                expected: (self.n, 1),
-                found: (x.len(), 1),
-            });
-        }
-        Ok(self.matvec(x))
-    }
-
     /// Sparse matrix-vector product into a caller-provided buffer.
     ///
     /// # Panics

@@ -179,7 +179,7 @@ impl Profiler {
     /// and the trace span still closes.
     pub fn run<T>(&mut self, f: impl FnOnce(&mut Profiler) -> T) -> T {
         if let Some(t) = &mut self.trace {
-            t.begin("run", "run");
+            t.begin("run", "run", Vec::new());
         }
         let start = Instant::now();
         // Closes the run (total + trace span) even if `f` unwinds.
@@ -232,7 +232,7 @@ impl Profiler {
     /// Pushes a scope and emits its trace begin.
     fn open_scope(&mut self, name: &str) {
         if let Some(t) = &mut self.trace {
-            t.begin(name, "kernel");
+            t.begin(name, "kernel", Vec::new());
         }
         self.stack
             .push((name.to_string(), Instant::now(), Duration::ZERO));

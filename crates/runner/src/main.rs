@@ -11,17 +11,15 @@
 //!                      [--set-absolute-time-ns-limit PATTERN NS]...
 //! sdvbs-runner trace summary --in FILE
 //! sdvbs-runner trace verify  --in FILE [--min-benchmarks N]
-//! sdvbs-runner trace convert --in FILE --out FILE
 //!
 //! EXEC: [--seed N] [--iterations N] [--timeout-ms N] [--workers N]
 //!       [--out FILE] [--append] [--trace FILE]
 //!       [--inject SPEC] [--fault-seed N] [--max-retries N]
 //! ```
 //!
-//! `--trace FILE` records a span trace of the run: Chrome trace format
-//! (loadable in `chrome://tracing` / Perfetto) unless the file ends in
-//! `.jsonl`, which selects the compact JSONL event log. The `trace`
-//! subcommand validates, summarizes, and converts between the two.
+//! `--trace FILE` writes a span trace of the run, recorded as each attempt
+//! runs, in Chrome trace format (loadable in `chrome://tracing` /
+//! Perfetto). The `trace` subcommand validates and summarizes one.
 //!
 //! Exit codes: 0 success, 1 regression gate, a job, or trace verification
 //! failed, 2 usage or runtime error, 3 run completed under fault injection
@@ -76,7 +74,6 @@ const USAGE: &str = "usage:
                        [--set-absolute-time-ns-limit PATTERN NS]...
   sdvbs-runner trace summary --in FILE
   sdvbs-runner trace verify  --in FILE [--min-benchmarks N]
-  sdvbs-runner trace convert --in FILE --out FILE
 
 EXEC (run and sweep): [--seed N] [--iterations N] [--timeout-ms N]
              [--workers N] [--out FILE] [--append] [--trace FILE]
@@ -85,8 +82,7 @@ sizes: sqcif | qcif | cif | WxH     policies: serial | threads:N | auto
 inject spec: kind:rate[,kind:rate..] over panic, timeout, nan, truncate
              (e.g. panic:0.2,timeout:0.1,nan:0.1); seeded by --fault-seed;
              timeout faults arm a 2 s watchdog unless --timeout-ms is set
-trace files: Chrome trace JSON, or the JSONL event log when the file name
-             ends in .jsonl (both formats round-trip via trace convert)
+trace files: Chrome trace JSON (chrome://tracing, Perfetto)
 absolute limits: PATTERN is a |-separated prefix of the record key
              benchmark|size|policy|seed (e.g. \"Disparity Map|cif\"); NS
              caps the matched cells' fastest iteration in nanoseconds";
@@ -471,50 +467,33 @@ fn cmd_compare(rest: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Trace file format is chosen by extension: `.jsonl` is the compact
-/// event log, anything else is Chrome trace JSON.
-fn is_jsonl(path: &Path) -> bool {
-    path.extension().is_some_and(|ext| ext == "jsonl")
-}
-
 fn write_trace(path: &Path, trace: &Trace) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
         }
     }
-    let text = if is_jsonl(path) {
-        trace.to_jsonl()
-    } else {
-        trace.to_chrome_json()
-    };
-    std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
+    std::fs::write(path, trace.to_chrome_json())
+        .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 fn read_trace(path: &Path) -> Result<Trace, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let parsed = if is_jsonl(path) {
-        Trace::from_jsonl(&text)
-    } else {
-        Trace::from_chrome_json(&text)
-    };
-    parsed.map_err(|e| format!("{}: {e}", path.display()))
+    Trace::from_chrome_json(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// `trace`: summarize, verify, or convert a recorded trace file.
+/// `trace`: summarize or verify a recorded trace file.
 fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
     let Some((sub, rest)) = rest.split_first() else {
         return Err(format!("trace needs a subcommand\n{USAGE}"));
     };
     let mut input: Option<PathBuf> = None;
-    let mut output: Option<PathBuf> = None;
     let mut min_benchmarks = 1usize;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--in" => input = Some(PathBuf::from(next_value(arg, &mut it)?)),
-            "--out" => output = Some(PathBuf::from(next_value(arg, &mut it)?)),
             "--min-benchmarks" => min_benchmarks = parse_num(next_value(arg, &mut it)?)?,
             flag => return Err(format!("unknown flag {flag:?}\n{USAGE}")),
         }
@@ -581,17 +560,6 @@ fn cmd_trace(rest: &[String]) -> Result<ExitCode, String> {
                 benchmarks.len(),
                 per_job.len(),
                 stats.kernel_spans
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "convert" => {
-            let output = output.ok_or("trace convert needs --out FILE")?;
-            write_trace(&output, &trace)?;
-            println!(
-                "converted {} -> {} ({} event(s))",
-                input.display(),
-                output.display(),
-                trace.events().len()
             );
             Ok(ExitCode::SUCCESS)
         }

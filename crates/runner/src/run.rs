@@ -17,6 +17,12 @@
 //! `missing: quarantined` instead of a spurious regression. An armed
 //! [`FaultPlan`] injects deterministic worker panics, watchdog-deadline
 //! stalls, and NaN-poisoned inputs for chaos testing the whole path.
+//!
+//! Tracing: with [`RunnerConfig::trace`] set, each round worker records
+//! its attempts on its own track as they happen — the job span, the fault
+//! and failure instants, and the job profiler's kernel spans — so every
+//! timestamp in [`RunReport::trace`] is the clock reading of the moment
+//! it marks.
 
 use crate::backoff::Backoff;
 use crate::fault::{FaultKind, FaultPlan};
@@ -25,7 +31,7 @@ use crate::supervise::{supervise, Completion};
 use sdvbs_core::{all_benchmarks, clear_poison, set_poison, ExecPolicy, PoisonSpec};
 use sdvbs_profile::Profiler;
 use sdvbs_trace::jsonl::Value;
-use sdvbs_trace::{nearest_rank, MetricsRegistry, Phase, Trace, TraceEvent, TrackId};
+use sdvbs_trace::{nearest_rank, MetricsRegistry, Recorder, Trace, TrackId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -48,7 +54,7 @@ pub struct RunnerConfig {
     /// Deterministic fault injection; `None` runs clean.
     pub fault_plan: Option<FaultPlan>,
     /// Record a span trace of the run: per-worker job spans plus every
-    /// kernel scope the profilers time, assembled into
+    /// kernel scope the profilers time, collected into
     /// [`RunReport::trace`]. Off by default — tracing costs two `Vec`
     /// pushes per scope, well under the <5% overhead budget, but a clean
     /// timing run should not pay even that.
@@ -109,11 +115,11 @@ pub struct RunReport {
     /// store can serialize this alongside the records
     /// ([`crate::store::append_metrics`]).
     pub metrics: MetricsRegistry,
-    /// The assembled span trace, when [`RunnerConfig::trace`] was set:
-    /// one track per pool worker carrying its job spans (absorbed in
-    /// worker order), with each job's kernel spans remapped onto its
-    /// worker's track and parallel-kernel worker spans on their own
-    /// dynamic tracks.
+    /// The span trace, when [`RunnerConfig::trace`] was set: one track
+    /// per pool worker, on which the worker recorded each attempt as it
+    /// ran — the job span, its fault and failure instants and the job
+    /// profiler's kernel spans — with parallel-kernel worker spans on
+    /// their own dynamic tracks.
     pub trace: Option<Trace>,
 }
 
@@ -126,12 +132,14 @@ struct JobMeasurement {
     occupancy_mode: &'static str,
     quality: Option<f64>,
     detail: String,
-    /// Trace events from the timed iterations (empty when not tracing).
-    trace_events: Vec<TraceEvent>,
-    /// The track the job's own (non-parallel) scopes were recorded on;
-    /// trace assembly remaps these onto the pool worker's track.
-    main_track: Option<TrackId>,
+    /// The timed iterations' spans, recorded on the worker's track
+    /// (`None` when not tracing).
+    trace: Option<Recorder>,
 }
+
+/// How a supervised attempt ended: its measurement, or the failure status
+/// and detail its record takes.
+type Attempt = Result<JobMeasurement, (RunStatus, String)>;
 
 /// One attempt of one job in a retry round, as its worker saw it.
 struct Outcome {
@@ -139,19 +147,13 @@ struct Outcome {
     idx: usize,
     /// The fault the plan injected into this attempt, if any.
     fault: Option<FaultKind>,
-    /// The round worker (`0..workers`) that claimed the job; trace
-    /// assembly maps it to a per-worker track.
-    worker: usize,
     /// Time from the round's start to the worker's claim.
     queue_wait: Duration,
-    /// Microseconds since the process trace epoch when the worker started
-    /// the job ([`sdvbs_trace::now_us`]).
-    start_us: u64,
     /// Wall-clock time the worker spent on the job (for a timeout this is
     /// about the deadline, not the runaway job's eventual runtime).
     wall: Duration,
     /// How the attempt ended.
-    completion: Completion<Result<JobMeasurement, String>>,
+    result: Attempt,
 }
 
 /// Base delay for the decorrelated-exponential retry backoff.
@@ -200,8 +202,6 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
     let auto_threads = ExecPolicy::Auto.worker_count();
     let host = HostMeta::collect();
     let plan = cfg.fault_plan;
-    let tracing = cfg.trace;
-    let workers = cfg.workers.max(1);
     // An injected stall surfaces as a timeout only under a watchdog.
     let timeout = match (cfg.timeout, plan) {
         (None, Some(p)) if p.timeout_rate > 0.0 => Some(STALL_DEADLINE),
@@ -209,27 +209,17 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
     };
 
     let mut metrics = MetricsRegistry::new();
-    let mut trace_events: Option<Vec<TraceEvent>> = tracing.then(|| {
-        // Label the pool-worker tracks up front (tracks 0..workers are
-        // reserved below DYNAMIC_TRACK_BASE for exactly this).
-        (0..workers)
-            .map(|w| {
-                TraceEvent::new(
-                    format!("pool worker {w}"),
-                    "meta",
-                    Phase::Meta,
-                    0,
-                    w as TrackId,
-                )
-            })
-            .collect()
-    });
-
-    // Per-worker "trace clock": the end timestamp of the last job span
-    // emitted on each worker track. Successive job spans are clamped to
-    // start at or after it, so microsecond truncation can never make
-    // spans on one track overlap (which would fail validation).
-    let mut worker_clock: Vec<u64> = vec![0; workers];
+    // When tracing, one recorder per pool worker, on the labelled tracks
+    // 0..workers (reserved below DYNAMIC_TRACK_BASE for exactly this); the
+    // worker records every attempt it runs onto it, round after round.
+    let traced_workers = if cfg.trace { cfg.workers.max(1) } else { 0 };
+    let mut recorders: Vec<Recorder> = (0..traced_workers)
+        .map(|w| {
+            let mut recorder = Recorder::on_track(w as TrackId);
+            recorder.set_label(format!("pool worker {w}"));
+            recorder
+        })
+        .collect();
 
     let mut records: Vec<Option<RunRecord>> = vec![None; jobs.len()];
     let mut injected: Vec<Vec<String>> = vec![Vec::new(); jobs.len()];
@@ -251,7 +241,15 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
             // round — failed cells re-run together.
             thread::sleep(backoff.next_delay());
         }
-        let outcomes = run_round(jobs, &pending, attempt, cfg, timeout, auto_threads);
+        let outcomes = run_round(
+            jobs,
+            &pending,
+            attempt,
+            cfg,
+            timeout,
+            auto_threads,
+            &mut recorders,
+        );
         let mut still_failing = Vec::new();
         for outcome in outcomes {
             let idx = outcome.idx;
@@ -271,42 +269,7 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
             rec.wall_ms = outcome.wall.as_secs_f64() * 1e3;
             rec.attempts = attempt + 1;
             rec.injected = injected[idx].clone();
-            // The job span on this worker's track: begins when the worker
-            // picked the job up, ends `wall` later. Kernel events recorded
-            // inside arrive via the measurement and slot in between. The
-            // +2 µs covers timestamp truncation so every inner event fits
-            // strictly inside [start_us, end_us]; outcomes are processed
-            // in id order, which per worker is execution order, so the
-            // worker-clock clamp keeps job spans on one track disjoint.
-            let worker_track = outcome.worker as TrackId;
-            let start_us = outcome.start_us.max(worker_clock[outcome.worker]);
-            let end_us = start_us + outcome.wall.as_micros() as u64 + 2;
-            worker_clock[outcome.worker] = end_us;
-            if let Some(events) = trace_events.as_mut() {
-                let mut begin =
-                    TraceEvent::new(rec_label(job), "job", Phase::Begin, start_us, worker_track);
-                begin.args = vec![
-                    ("attempt".to_string(), Value::Num(f64::from(attempt + 1))),
-                    ("seed".to_string(), Value::Num(job.seed as f64)),
-                    (
-                        "queue_wait_ms".to_string(),
-                        Value::Num(outcome.queue_wait.as_secs_f64() * 1e3),
-                    ),
-                ];
-                events.push(begin);
-                if let Some(f) = outcome.fault {
-                    let mut ev = TraceEvent::new(
-                        format!("inject:{}", f.as_str()),
-                        "fault",
-                        Phase::Instant,
-                        start_us,
-                        worker_track,
-                    );
-                    ev.args = vec![("attempt".to_string(), Value::Num(f64::from(attempt + 1)))];
-                    events.push(ev);
-                }
-            }
-            let trace_payload = apply_completion(&mut rec, outcome.completion);
+            apply_attempt(&mut rec, outcome.result);
             if rec.status == RunStatus::Completed {
                 if let Some(limit) = timeout {
                     metrics.observe(
@@ -317,42 +280,6 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
                 if attempt > 0 {
                     recovered += 1;
                 }
-            }
-            if let (Some(events), Some((job_events, main_track))) =
-                (trace_events.as_mut(), trace_payload)
-            {
-                // The job profiler's own scopes move onto this worker's
-                // track, clamped inside the job span so truncation jitter
-                // cannot break its nesting; parallel-kernel worker spans
-                // keep their dynamic tracks so concurrent spans never
-                // interleave on one timeline.
-                for mut ev in job_events {
-                    if Some(ev.track) == main_track {
-                        ev.track = worker_track;
-                        ev.ts_us = ev.ts_us.clamp(start_us, end_us);
-                    }
-                    events.push(ev);
-                }
-            }
-            if let Some(events) = trace_events.as_mut() {
-                if rec.status != RunStatus::Completed {
-                    let mut ev = TraceEvent::new(
-                        rec.status.as_str(),
-                        "failure",
-                        Phase::Instant,
-                        end_us,
-                        worker_track,
-                    );
-                    ev.args = vec![("detail".to_string(), Value::Str(rec.detail.clone()))];
-                    events.push(ev);
-                }
-                events.push(TraceEvent::new(
-                    rec_label(job),
-                    "end",
-                    Phase::End,
-                    end_us,
-                    worker_track,
-                ));
             }
             if rec.status != RunStatus::Completed {
                 still_failing.push(idx);
@@ -395,7 +322,14 @@ pub fn run_jobs_report(jobs: &[Job], cfg: &RunnerConfig) -> Result<RunReport, Ru
         injected_faults,
         recovered,
         metrics,
-        trace: trace_events.map(Trace::new),
+        trace: cfg.trace.then(|| {
+            Trace::new(
+                recorders
+                    .into_iter()
+                    .flat_map(Recorder::into_events)
+                    .collect(),
+            )
+        }),
     })
 }
 
@@ -436,18 +370,20 @@ pub fn execute_job(
     let resolved = job.policy.resolve_with(auto_threads);
     let threads = resolved_threads(honors_policy, resolved, auto_threads);
     let start = Instant::now();
-    let completion = supervised_attempt(job, job_id, resolved, None, timeout, false, warm);
+    let result = supervised_attempt(job, job_id, resolved, None, timeout, None, warm);
     let mut rec = base_record(job, job_id, threads, host);
     rec.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    apply_completion(&mut rec, completion);
+    apply_attempt(&mut rec, result);
     Ok(rec)
 }
 
 /// Runs one retry round: `cfg.workers` scoped threads each claim the next
 /// pending job until none is left, and run it through
 /// [`supervised_attempt`] with the fault the plan draws for this
-/// `attempt`. Outcomes come back sorted by job index; a worker claims
-/// indices in increasing order, so per worker that is execution order.
+/// `attempt`. A worker with a recorder (one per worker when tracing)
+/// records each attempt on its track as it happens: the job span, the
+/// fault instant, the job profiler's spans, the failure instant. Outcomes
+/// come back sorted by job index.
 fn run_round(
     jobs: &[Job],
     pending: &[usize],
@@ -455,13 +391,16 @@ fn run_round(
     cfg: &RunnerConfig,
     timeout: Option<Duration>,
     auto_threads: usize,
+    recorders: &mut [Recorder],
 ) -> Vec<Outcome> {
     let next = AtomicUsize::new(0);
     let round_start = Instant::now();
+    let mut recorders = recorders.iter_mut();
     let mut outcomes: Vec<Outcome> = thread::scope(|s| {
         let workers: Vec<_> = (0..cfg.workers.max(1))
-            .map(|worker| {
+            .map(|_| {
                 let next = &next;
+                let mut recorder = recorders.next();
                 s.spawn(move || {
                     let mut done = Vec::new();
                     // Relaxed: the counter only hands out indices into
@@ -471,19 +410,24 @@ fn run_round(
                         let job = &jobs[idx];
                         let fault = cfg.fault_plan.and_then(|p| p.decide(idx as u64, attempt));
                         let resolved = job.policy.resolve_with(auto_threads);
-                        let start_us = sdvbs_trace::now_us();
+                        if let Some(r) = recorder.as_deref_mut() {
+                            begin_job_span(r, job, attempt, queue_wait, fault);
+                        }
+                        let track = recorder.as_deref().map(Recorder::track);
                         let start = Instant::now();
-                        let completion = supervised_attempt(
-                            job, idx as u64, resolved, fault, timeout, cfg.trace, false,
+                        let mut result = supervised_attempt(
+                            job, idx as u64, resolved, fault, timeout, track, false,
                         );
+                        let wall = start.elapsed();
+                        if let Some(r) = recorder.as_deref_mut() {
+                            end_job_span(r, &mut result);
+                        }
                         done.push(Outcome {
                             idx,
                             fault,
-                            worker,
                             queue_wait,
-                            start_us,
-                            wall: start.elapsed(),
-                            completion,
+                            wall,
+                            result,
                         });
                     }
                     done
@@ -499,18 +443,57 @@ fn run_round(
     outcomes
 }
 
+/// Opens the span of `job`'s attempt number `attempt + 1` on a round
+/// worker's track, followed by the instant of the fault injected into it.
+fn begin_job_span(
+    r: &mut Recorder,
+    job: &Job,
+    attempt: u32,
+    queue_wait: Duration,
+    fault: Option<FaultKind>,
+) {
+    let nth = || ("attempt".to_string(), Value::Num(f64::from(attempt + 1)));
+    let args = vec![
+        nth(),
+        ("seed".to_string(), Value::Num(job.seed as f64)),
+        (
+            "queue_wait_ms".to_string(),
+            Value::Num(queue_wait.as_secs_f64() * 1e3),
+        ),
+    ];
+    r.begin(&rec_label(job), "job", args);
+    if let Some(f) = fault {
+        r.instant(&format!("inject:{}", f.as_str()), "fault", vec![nth()]);
+    }
+}
+
+/// Closes a job span opened by [`begin_job_span`]: a measurement's spans,
+/// which its profilers recorded on the same track, go in first, a failure
+/// leaves its instant.
+fn end_job_span(r: &mut Recorder, result: &mut Attempt) {
+    match result {
+        Ok(m) => r.absorb(m.trace.take().expect("a traced attempt records its spans")),
+        Err((status, detail)) => {
+            let args = vec![("detail".to_string(), Value::Str(detail.clone()))];
+            r.instant(status.as_str(), "failure", args);
+        }
+    }
+    r.end();
+}
+
 /// Runs one attempt of `job` under [`supervise`]: applies the injected
-/// `fault`, if any, then measures. The one supervised path of both a
-/// sweep and [`execute_job`], which injects nothing.
+/// `fault`, if any, then measures, tracing the job's spans onto `track`
+/// when given. The one supervised path of both a sweep and
+/// [`execute_job`], which injects and traces nothing.
 fn supervised_attempt(
     job: &Job,
     job_id: u64,
     resolved: ExecPolicy,
     fault: Option<FaultKind>,
     timeout: Option<Duration>,
-    tracing: bool,
+    track: Option<TrackId>,
     warm: bool,
-) -> Completion<Result<JobMeasurement, String>> {
+) -> Attempt {
     let job = job.clone();
     let work = move || {
         match fault {
@@ -525,11 +508,19 @@ fn supervised_attempt(
             }),
             Some(FaultKind::Truncate) | None => {}
         }
-        let result = try_measure(&job, resolved, tracing, warm);
+        let result = try_measure(&job, resolved, track, warm);
         clear_poison();
         result
     };
-    supervise(Box::new(work), timeout)
+    match supervise(Box::new(work), timeout) {
+        Completion::Done(Ok(m)) => Ok(m),
+        Completion::Done(Err(message)) => Err((RunStatus::Failed, message)),
+        Completion::TimedOut { limit } => Err((
+            RunStatus::TimedOut,
+            format!("exceeded {:.0} ms deadline", limit.as_secs_f64() * 1e3),
+        )),
+        Completion::Panicked { message } => Err((RunStatus::Panicked, message)),
+    }
 }
 
 /// Whether the benchmark `job` names plumbs its policy into its kernels
@@ -562,7 +553,7 @@ fn resolved_threads(honors_policy: bool, resolved: ExecPolicy, auto_threads: usi
 
 /// A record with the job's identity filled in and everything measured
 /// still at its zero value: status `Completed`, one clean attempt, no
-/// timings. [`apply_completion`] fills in the rest.
+/// timings. [`apply_attempt`] fills in the rest.
 fn base_record(job: &Job, job_id: u64, threads: usize, host: &HostMeta) -> RunRecord {
     RunRecord {
         job_id,
@@ -591,16 +582,12 @@ fn base_record(job: &Job, job_id: u64, threads: usize, host: &HostMeta) -> RunRe
     }
 }
 
-/// Applies a supervised completion to a base record: timings and kernel
+/// Applies a supervised attempt to a base record: timings and kernel
 /// breakdown for a finished measurement, failure status + detail
-/// otherwise. Returns the measurement's trace payload (events and the
-/// main track they were recorded on) for a completed, traced job.
-fn apply_completion(
-    rec: &mut RunRecord,
-    completion: Completion<Result<JobMeasurement, String>>,
-) -> Option<(Vec<TraceEvent>, Option<TrackId>)> {
-    match completion {
-        Completion::Done(Ok(m)) => {
+/// otherwise.
+fn apply_attempt(rec: &mut RunRecord, result: Attempt) {
+    match result {
+        Ok(m) => {
             let (min, p50, mean, max) = percentiles(&m.times_ms);
             rec.times_ms = m.times_ms;
             rec.min_ms = min;
@@ -615,22 +602,10 @@ fn apply_completion(
             rec.kernels = m.kernels;
             rec.non_kernel_percent = m.non_kernel_percent;
             rec.occupancy_mode = m.occupancy_mode.to_string();
-            Some((m.trace_events, m.main_track))
         }
-        Completion::Done(Err(message)) => {
-            rec.status = RunStatus::Failed;
-            rec.detail = message;
-            None
-        }
-        Completion::TimedOut { limit } => {
-            rec.status = RunStatus::TimedOut;
-            rec.detail = format!("exceeded {:.0} ms deadline", limit.as_secs_f64() * 1e3);
-            None
-        }
-        Completion::Panicked { message } => {
-            rec.status = RunStatus::Panicked;
-            rec.detail = message;
-            None
+        Err((status, detail)) => {
+            rec.status = status;
+            rec.detail = detail;
         }
     }
 }
@@ -655,7 +630,7 @@ fn rec_label(job: &Job) -> String {
 fn try_measure(
     job: &Job,
     resolved: ExecPolicy,
-    tracing: bool,
+    track: Option<TrackId>,
     warm_start: bool,
 ) -> Result<JobMeasurement, String> {
     let suite = all_benchmarks();
@@ -679,28 +654,19 @@ fn try_measure(
     let mut times_ms = Vec::with_capacity(iterations);
     let mut best: Option<(f64, sdvbs_profile::Report)> = None;
     let mut last_outcome = None;
-    // All timed iterations trace onto ONE job track so the job's scopes
-    // form a single timeline; each iteration still gets a fresh profiler
-    // so its report stays per-iteration.
-    let mut trace_events: Vec<TraceEvent> = Vec::new();
-    let mut main_track: Option<TrackId> = None;
+    // All timed iterations trace onto the worker's track, inside its job
+    // span; each iteration still gets a fresh profiler so its report stays
+    // per-iteration.
+    let mut trace = track.map(Recorder::on_track);
     for _ in 0..iterations {
-        let mut prof = match (tracing, main_track) {
-            (false, _) => Profiler::new(),
-            (true, Some(track)) => Profiler::with_tracing_on(track),
-            (true, None) => {
-                let p = Profiler::with_tracing();
-                main_track = p.trace_track();
-                p
-            }
-        };
+        let mut prof = track.map_or_else(Profiler::new, Profiler::with_tracing_on);
         let outcome = bench
             .try_run_with(job.size, job.seed, resolved, &mut prof)
             .map_err(|e| e.to_string())?;
         let total_ms = prof.total().as_secs_f64() * 1e3;
         times_ms.push(total_ms);
-        if let Some(rec) = prof.take_trace() {
-            trace_events.extend(rec.into_events());
+        if let (Some(trace), Some(spans)) = (trace.as_mut(), prof.take_trace()) {
+            trace.absorb(spans);
         }
         if best.as_ref().is_none_or(|(t, _)| total_ms < *t) {
             best = Some((total_ms, prof.report()));
@@ -727,8 +693,7 @@ fn try_measure(
         occupancy_mode: report.mode().label(),
         quality: outcome.quality,
         detail: outcome.detail,
-        trace_events,
-        main_track,
+        trace,
     })
 }
 
@@ -758,6 +723,7 @@ fn percentiles(times: &[f64]) -> (f64, f64, f64, f64) {
 mod tests {
     use super::*;
     use sdvbs_core::InputSize;
+    use sdvbs_trace::Phase;
 
     #[test]
     fn unknown_benchmark_is_rejected_before_running() {
@@ -1004,6 +970,38 @@ mod tests {
         assert_eq!(per_job.len(), 2, "one job entry per cell: {per_job:?}");
         for (job, kernels) in &per_job {
             assert!(*kernels >= 1, "{job} traced no kernel spans");
+        }
+        // Every kernel event on a pool-worker track lies inside a job span
+        // on that track, between its begin and end timestamps: the worker
+        // stamped both around the attempt whose profiler stamped the
+        // kernel.
+        for track in 0..cfg.workers as TrackId {
+            // Each open span's category and begin timestamp, outermost
+            // first, and the kernel events inside the open job span.
+            let mut open: Vec<(&str, u64)> = Vec::new();
+            let mut kernel_ts: Vec<u64> = Vec::new();
+            for ev in trace.events().iter().filter(|ev| ev.track == track) {
+                let (cat, begin) = match ev.phase {
+                    Phase::Begin => {
+                        open.push((&ev.cat, ev.ts_us));
+                        (ev.cat.as_str(), ev.ts_us)
+                    }
+                    Phase::End => open.pop().expect("the trace validated"),
+                    _ => continue,
+                };
+                match cat {
+                    "kernel" => {
+                        assert_eq!(open.first().map(|o| o.0), Some("job"), "{ev:?}");
+                        kernel_ts.push(ev.ts_us);
+                    }
+                    "job" if ev.phase == Phase::End => {
+                        for ts in kernel_ts.drain(..) {
+                            assert!((begin..=ev.ts_us).contains(&ts), "{ts} outside {ev:?}");
+                        }
+                    }
+                    _ => {}
+                }
+            }
         }
         let round_trip = Trace::from_chrome_json(&trace.to_chrome_json()).unwrap();
         assert_eq!(round_trip.events().len(), trace.events().len());

@@ -90,6 +90,22 @@ fn heavy_fault_injection_never_aborts_the_run() {
         "a 90% combined rate over {} cells must inject something",
         jobs.len()
     );
+    // Panics, stalls and NaNs each close their job span, and every cell
+    // that completed traced its kernels inside one.
+    let trace = report.trace.as_ref().expect("trace requested");
+    trace.validate().expect("the trace is structurally valid");
+    let per_job = trace.kernel_spans_per_job();
+    for rec in report
+        .records
+        .iter()
+        .filter(|r| r.status == RunStatus::Completed)
+    {
+        let label = format!("{} {} {}", rec.benchmark, rec.size, rec.policy);
+        assert!(
+            per_job.get(&label).is_some_and(|&n| n >= 1),
+            "{label}: {per_job:?}"
+        );
+    }
 
     // The records — including quarantined ones — roundtrip through the
     // store without losing the robustness fields.

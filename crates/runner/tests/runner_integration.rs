@@ -4,7 +4,7 @@
 //! in submission order however many workers raced.
 
 use sdvbs_core::{ExecPolicy, InputSize};
-use sdvbs_runner::{run_jobs, FaultKind, FaultPlan, Job, RunStatus, RunnerConfig};
+use sdvbs_runner::{run_jobs, run_jobs_report, FaultKind, FaultPlan, Job, RunStatus, RunnerConfig};
 use std::time::Duration;
 
 fn tiny() -> InputSize {
@@ -106,8 +106,8 @@ fn mixed_run_with_generous_timeout_completes_everything() {
         fault_plan: None,
         trace: true,
     };
-    let records = run_jobs(&jobs, &cfg).unwrap();
-    for rec in &records {
+    let report = run_jobs_report(&jobs, &cfg).unwrap();
+    for rec in &report.records {
         assert_eq!(
             rec.status,
             RunStatus::Completed,
@@ -116,6 +116,18 @@ fn mixed_run_with_generous_timeout_completes_everything() {
             rec.detail
         );
         assert!(rec.min_ms > 0.0);
+    }
+    // Under a deadline each job runs on the watchdog's own thread, which
+    // records its kernel spans onto the worker's track.
+    let trace = report.trace.expect("trace requested");
+    trace.validate().expect("the trace is structurally valid");
+    let per_job = trace.kernel_spans_per_job();
+    for rec in &report.records {
+        let label = format!("{} {} {}", rec.benchmark, rec.size, rec.policy);
+        assert!(
+            per_job.get(&label).is_some_and(|&n| n >= 1),
+            "{label}: {per_job:?}"
+        );
     }
 }
 

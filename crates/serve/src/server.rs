@@ -260,7 +260,11 @@ fn serve_conn(
                 Ok((req, consumed)) => {
                     buf.drain(..consumed);
                     let started = Instant::now();
-                    recorder.begin(&format!("{} {}", req.method, req.path()), "http");
+                    recorder.begin(
+                        &format!("{} {}", req.method, req.path()),
+                        "http",
+                        Vec::new(),
+                    );
                     let Routed {
                         response,
                         initiate_shutdown,

@@ -90,22 +90,7 @@ impl Default for SiftConfig {
 }
 
 impl SiftConfig {
-    /// Validates the configuration, panicking with a descriptive message
-    /// if a field is out of range (configs are typically literals, so a
-    /// panic at construction is the ergonomic choice here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `intervals == 0`, `sigma0` is not positive and finite or
-    /// overflows the level sigmas, thresholds are negative, or
-    /// `max_octaves == 0`.
-    pub fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Checks the configuration without panicking.
+    /// Checks the configuration.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@ use crate::descriptor::{descriptor_distance, extract_patch_features};
 use crate::ransac::{ransac_refit, ransac_sample, RansacEstimate};
 use crate::transform::Affine;
 use sdvbs_image::Image;
-use sdvbs_kernels::conv::gaussian_blur;
+use sdvbs_kernels::conv::{gaussian_blur, gaussian_radius};
 use sdvbs_kernels::features::harris_response;
 use sdvbs_profile::Profiler;
 use std::error::Error;
@@ -68,6 +68,8 @@ pub enum StitchError {
     },
     /// An input image contains NaN or infinite pixels.
     NonFinitePixels,
+    /// The stitch configuration is out of range.
+    InvalidConfig(String),
 }
 
 impl fmt::Display for StitchError {
@@ -84,6 +86,7 @@ impl fmt::Display for StitchError {
                 write!(f, "image side {side} below the {min}-pixel minimum")
             }
             StitchError::NonFinitePixels => write!(f, "images contain non-finite pixels"),
+            StitchError::InvalidConfig(msg) => write!(f, "invalid stitch configuration: {msg}"),
         }
     }
 }
@@ -115,6 +118,9 @@ pub struct StitchResult {
 ///
 /// # Errors
 ///
+/// * [`StitchError::InvalidConfig`] for a `sigma` that is not positive and
+///   finite, or whose blur radius `ceil(3σ)` exceeds the larger side of
+///   either image;
 /// * [`StitchError::TooFewFeatures`] / [`StitchError::TooFewMatches`] when
 ///   the images lack texture or overlap.
 /// * [`StitchError::NoAlignment`] when RANSAC cannot find a consistent
@@ -127,9 +133,22 @@ pub fn stitch(
     cfg: &StitchConfig,
     prof: &mut Profiler,
 ) -> Result<StitchResult, StitchError> {
+    if !(cfg.sigma.is_finite() && cfg.sigma > 0.0) {
+        return Err(StitchError::InvalidConfig(format!(
+            "sigma must be positive and finite, got {}",
+            cfg.sigma
+        )));
+    }
     let side = a.width().min(a.height()).min(b.width()).min(b.height());
     if side < 16 {
         return Err(StitchError::DimensionTooSmall { min: 16, side });
+    }
+    let larger = a.width().max(a.height()).min(b.width().max(b.height()));
+    if gaussian_radius(cfg.sigma) > larger {
+        return Err(StitchError::InvalidConfig(format!(
+            "sigma {} blurs wider than the {larger}-pixel image",
+            cfg.sigma
+        )));
     }
     if !a.all_finite() || !b.all_finite() {
         return Err(StitchError::NonFinitePixels);
@@ -347,6 +366,32 @@ mod tests {
             "mean blend error {}",
             err / n as f32
         );
+    }
+
+    /// A sigma the blur cannot take is a config error before any kernel
+    /// runs: sigma 0, a negative or NaN sigma panicked in
+    /// `gaussian_kernel`, and sigma 1e15 would ask for 6e15 taps.
+    #[test]
+    fn unusable_sigmas_are_config_errors() {
+        let pair = overlapping_pair(64, 48, 11, 0.04, 6.0, 3.0);
+        for sigma in [0.0, -1.0, f32::NAN, f32::INFINITY, 1e15] {
+            let cfg = StitchConfig {
+                sigma,
+                ..StitchConfig::default()
+            };
+            let mut prof = Profiler::new();
+            assert!(
+                matches!(
+                    stitch(&pair.a, &pair.b, &cfg, &mut prof),
+                    Err(StitchError::InvalidConfig(_))
+                ),
+                "sigma {sigma}"
+            );
+            assert!(prof.report().kernels().is_empty(), "sigma {sigma}");
+        }
+        let mut prof = Profiler::new();
+        stitch(&pair.a, &pair.b, &StitchConfig::default(), &mut prof)
+            .expect("the default config stitches at 64x48");
     }
 
     #[test]

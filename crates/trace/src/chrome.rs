@@ -1,11 +1,9 @@
-//! Trace assembly, validation, and the two export formats.
+//! Trace assembly, validation, and the export format.
 //!
 //! A [`Trace`] is the merged, timestamp-sorted event stream of a run. It
 //! exports as Chrome-trace-format JSON (loadable in `chrome://tracing`
-//! and [Perfetto](https://ui.perfetto.dev)) or as a compact JSONL event
-//! log (one event object per line, `grep`/`jq`-friendly), and both
-//! formats parse back losslessly through the crate's own [`crate::jsonl`]
-//! parser.
+//! and [Perfetto](https://ui.perfetto.dev)), which parses back losslessly
+//! through the crate's own [`crate::jsonl`] parser.
 
 use crate::event::{Phase, TraceEvent, TrackId};
 use crate::jsonl::Value;
@@ -15,7 +13,7 @@ use std::fmt;
 /// A structural defect found while validating or parsing a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The input was not valid JSON / JSONL.
+    /// The input was not a valid Chrome-trace JSON document.
     Parse(String),
     /// An `E` event arrived on a track with no open span, or a trace ended
     /// with spans still open.
@@ -127,9 +125,9 @@ impl Trace {
                             })
                         }
                         Some(opened) => {
-                            // End events echo the begun name for JSONL
-                            // readability; a mismatch means interleaved
-                            // (not nested) spans on one track.
+                            // End events echo the begun name; a mismatch
+                            // means interleaved (not nested) spans on one
+                            // track.
                             if opened != ev.name {
                                 return Err(TraceError::Unbalanced {
                                     track: ev.track,
@@ -258,39 +256,6 @@ impl Trace {
             .iter()
             .map(event_from_chrome)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace::new(events))
-    }
-
-    /// Serializes as a compact JSONL event log: one event object per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&event_to_chrome(ev).to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a [`Trace::to_jsonl`] event log (blank and `#` comment lines
-    /// are skipped, matching the result store's conventions).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Parse`] naming the offending line.
-    pub fn from_jsonl(text: &str) -> Result<Self, TraceError> {
-        let mut events = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let v = Value::parse(trimmed)
-                .map_err(|e| TraceError::Parse(format!("line {}: {e}", idx + 1)))?;
-            events.push(
-                event_from_chrome(&v)
-                    .map_err(|e| TraceError::Parse(format!("line {}: {e}", idx + 1)))?,
-            );
-        }
         Ok(Trace::new(events))
     }
 }
@@ -442,8 +407,6 @@ mod tests {
         assert!(Value::parse(&json).is_ok());
         // ...and reconstructs the identical trace.
         assert_eq!(Trace::from_chrome_json(&json).unwrap(), trace);
-        // The JSONL event log round-trips too.
-        assert_eq!(Trace::from_jsonl(&trace.to_jsonl()).unwrap(), trace);
     }
 
     #[test]

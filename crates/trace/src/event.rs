@@ -180,16 +180,12 @@ impl Recorder {
             .push(TraceEvent::new(label, "meta", Phase::Meta, 0, self.track));
     }
 
-    /// Opens a span.
-    pub fn begin(&mut self, name: &str, cat: &str) {
+    /// Opens a span; `args` ride on its begin event.
+    pub fn begin(&mut self, name: &str, cat: &str, args: Vec<(String, Value)>) {
         self.open.push(name.to_string());
-        self.events.push(TraceEvent::new(
-            name,
-            cat,
-            Phase::Begin,
-            now_us(),
-            self.track,
-        ));
+        let mut ev = TraceEvent::new(name, cat, Phase::Begin, now_us(), self.track);
+        ev.args = args;
+        self.events.push(ev);
     }
 
     /// Closes the innermost open span. A no-op if nothing is open (so a
@@ -220,12 +216,6 @@ impl Recorder {
         self.events.push(ev);
     }
 
-    /// Appends a pre-built event (the runner synthesizes job spans with
-    /// explicit timestamps).
-    pub fn push(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
     /// Number of currently open spans.
     pub fn open_depth(&self) -> usize {
         self.open.len()
@@ -248,7 +238,10 @@ impl Recorder {
 
     /// Merges a worker recorder's events into this one. The worker's
     /// events keep their own track id, so concurrent worker spans stay on
-    /// disjoint timelines and per-track nesting remains balanced.
+    /// disjoint timelines and per-track nesting remains balanced. A
+    /// recorder that ran on this one's track while it waited (the
+    /// runner's job profilers) adds its closed spans inside whatever
+    /// span this one has open.
     pub fn absorb(&mut self, other: Recorder) {
         self.events.extend(other.events);
     }
@@ -269,8 +262,8 @@ mod tests {
     #[test]
     fn end_closes_innermost_begin() {
         let mut r = Recorder::on_track(0);
-        r.begin("outer", "kernel");
-        r.begin("inner", "kernel");
+        r.begin("outer", "kernel", Vec::new());
+        r.begin("inner", "kernel", Vec::new());
         assert_eq!(r.open_depth(), 2);
         r.end();
         assert_eq!(r.open_depth(), 1);
@@ -286,9 +279,9 @@ mod tests {
     #[test]
     fn timestamps_are_monotonic_within_a_recorder() {
         let mut r = Recorder::new();
-        r.begin("a", "kernel");
+        r.begin("a", "kernel", Vec::new());
         r.end();
-        r.begin("b", "kernel");
+        r.begin("b", "kernel", Vec::new());
         r.end();
         let ts: Vec<u64> = r.events().iter().map(|e| e.ts_us).collect();
         let mut sorted = ts.clone();
@@ -299,9 +292,9 @@ mod tests {
     #[test]
     fn absorb_keeps_worker_tracks_distinct() {
         let mut main = Recorder::new();
-        main.begin("job", "job");
+        main.begin("job", "job", Vec::new());
         let mut w = Recorder::new();
-        w.begin("SSD", "kernel");
+        w.begin("SSD", "kernel", Vec::new());
         w.end();
         let w_track = w.track();
         main.absorb(w);

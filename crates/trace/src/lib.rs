@@ -10,9 +10,8 @@
 //!   only shared state is the trace epoch and an atomic track-id
 //!   allocator), merged in worker order via [`Recorder::absorb`];
 //! * [`chrome`] — [`Trace`] assembly and validation (sorted timestamps,
-//!   balanced begin/end per track) with two lossless export formats:
-//!   Chrome-trace-format JSON (`chrome://tracing` / Perfetto) and a
-//!   compact JSONL event log;
+//!   balanced begin/end per track) with one lossless export format,
+//!   Chrome-trace-format JSON (`chrome://tracing` / Perfetto);
 //! * [`metrics`] — a [`MetricsRegistry`] of counters and exact-sample
 //!   histograms reporting nearest-rank percentiles;
 //! * [`jsonl`] — the workspace's hand-rolled JSON value type and parser

@@ -1,20 +1,7 @@
 //! Tracker configuration.
 
+use crate::error::TrackingError;
 use sdvbs_kernels::conv::gaussian_radius;
-use std::error::Error;
-use std::fmt;
-
-/// Error returned for invalid [`TrackingConfig`] parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidConfig(pub(crate) String);
-
-impl fmt::Display for InvalidConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid tracking configuration: {}", self.0)
-    }
-}
-
-impl Error for InvalidConfig {}
 
 /// Configuration of the KLT pipeline (feature extraction + pyramidal
 /// Lucas–Kanade).
@@ -62,37 +49,45 @@ impl TrackingConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidConfig`] if any count is zero, `sigma` is not
-    /// positive and finite, `quality_level` is outside `(0, 1]`, or
-    /// `epsilon <= 0`.
-    pub fn validate(&self) -> Result<(), InvalidConfig> {
+    /// Returns [`TrackingError::InvalidConfig`] if any count is zero,
+    /// `sigma` is not positive and finite, `quality_level` is outside
+    /// `(0, 1]`, or `epsilon <= 0`.
+    pub fn validate(&self) -> Result<(), TrackingError> {
         if self.num_features == 0 {
-            return Err(InvalidConfig("num_features must be positive".into()));
+            return Err(TrackingError::InvalidConfig(
+                "num_features must be positive".into(),
+            ));
         }
         if self.window_radius == 0 {
-            return Err(InvalidConfig("window_radius must be positive".into()));
+            return Err(TrackingError::InvalidConfig(
+                "window_radius must be positive".into(),
+            ));
         }
         if self.pyramid_levels == 0 {
-            return Err(InvalidConfig("pyramid_levels must be positive".into()));
+            return Err(TrackingError::InvalidConfig(
+                "pyramid_levels must be positive".into(),
+            ));
         }
         if self.max_iterations == 0 {
-            return Err(InvalidConfig("max_iterations must be positive".into()));
+            return Err(TrackingError::InvalidConfig(
+                "max_iterations must be positive".into(),
+            ));
         }
         let positive = |v: f32| v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
         if !(positive(self.sigma) && self.sigma.is_finite()) {
-            return Err(InvalidConfig(format!(
+            return Err(TrackingError::InvalidConfig(format!(
                 "sigma must be positive and finite, got {}",
                 self.sigma
             )));
         }
         if !(positive(self.quality_level) && self.quality_level <= 1.0) {
-            return Err(InvalidConfig(format!(
+            return Err(TrackingError::InvalidConfig(format!(
                 "quality_level must be in (0, 1], got {}",
                 self.quality_level
             )));
         }
         if !positive(self.epsilon) {
-            return Err(InvalidConfig(format!(
+            return Err(TrackingError::InvalidConfig(format!(
                 "epsilon must be positive, got {}",
                 self.epsilon
             )));
@@ -103,9 +98,9 @@ impl TrackingConfig {
     /// Checks that the smoothing blur fits a frame whose larger side is
     /// `side`: its radius `ceil(3σ)` may not exceed it, so no kernel
     /// allocates more than `2·side + 1` taps.
-    pub(crate) fn validate_blur(&self, side: usize) -> Result<(), InvalidConfig> {
+    pub(crate) fn validate_blur(&self, side: usize) -> Result<(), TrackingError> {
         if gaussian_radius(self.sigma) > side {
-            return Err(InvalidConfig(format!(
+            return Err(TrackingError::InvalidConfig(format!(
                 "sigma {} blurs wider than the {side}-pixel frame",
                 self.sigma
             )));

@@ -34,8 +34,7 @@ pub fn try_extract_features(
     cfg: &TrackingConfig,
     prof: &mut Profiler,
 ) -> Result<Vec<Feature>, TrackingError> {
-    cfg.validate()
-        .map_err(|e| TrackingError::InvalidConfig(e.to_string()))?;
+    cfg.validate()?;
     if img.is_empty() {
         return Err(TrackingError::Empty);
     }
@@ -45,8 +44,7 @@ pub fn try_extract_features(
     if side < min {
         return Err(TrackingError::ImageTooSmall { min, side });
     }
-    cfg.validate_blur(img.width().max(img.height()))
-        .map_err(|e| TrackingError::InvalidConfig(e.to_string()))?;
+    cfg.validate_blur(img.width().max(img.height()))?;
     if !img.all_finite() {
         return Err(TrackingError::NonFinitePixels);
     }

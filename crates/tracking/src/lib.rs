@@ -39,7 +39,7 @@ mod extract;
 mod sequence;
 mod track;
 
-pub use config::{InvalidConfig, TrackingConfig};
+pub use config::TrackingConfig;
 pub use error::TrackingError;
 pub use extract::try_extract_features;
 pub use sequence::{Track, Tracker};

@@ -63,8 +63,9 @@ impl Tracker {
     ///
     /// # Errors
     ///
-    /// Returns the configuration's validation error if it is unusable.
-    pub fn new(config: TrackingConfig) -> Result<Self, crate::config::InvalidConfig> {
+    /// Returns [`TrackingError::InvalidConfig`] if the configuration is
+    /// unusable.
+    pub fn new(config: TrackingConfig) -> Result<Self, TrackingError> {
         config.validate()?;
         Ok(Tracker {
             config,

@@ -56,8 +56,7 @@ pub fn try_track_features(
     cfg: &TrackingConfig,
     prof: &mut Profiler,
 ) -> Result<Vec<TrackedFeature>, TrackingError> {
-    cfg.validate()
-        .map_err(|e| TrackingError::InvalidConfig(e.to_string()))?;
+    cfg.validate()?;
     if (a.width(), a.height()) != (b.width(), b.height()) {
         return Err(TrackingError::DimensionMismatch {
             a: (a.width(), a.height()),
@@ -67,8 +66,7 @@ pub fn try_track_features(
     if a.is_empty() {
         return Err(TrackingError::Empty);
     }
-    cfg.validate_blur(a.width().max(a.height()))
-        .map_err(|e| TrackingError::InvalidConfig(e.to_string()))?;
+    cfg.validate_blur(a.width().max(a.height()))?;
     if !a.all_finite() || !b.all_finite() {
         return Err(TrackingError::NonFinitePixels);
     }
@@ -472,6 +470,26 @@ mod tests {
                 try_track_features(&a, &b, &feats, &cfg, &mut prof),
                 Err(TrackingError::InvalidConfig(_))
             ));
+        }
+    }
+
+    /// A config error names its kind once: `TrackingError`'s `Display`
+    /// is the only place that adds the prefix.
+    #[test]
+    fn config_errors_print_their_prefix_once() {
+        let (a, b) = frame_pair(64, 48, 3, 1.0, 0.0);
+        for sigma in [f32::NAN, 1e15] {
+            let cfg = TrackingConfig {
+                sigma,
+                ..TrackingConfig::default()
+            };
+            let err = try_track_pair(&a, &b, &cfg, &mut Profiler::new()).unwrap_err();
+            let message = err.to_string();
+            assert_eq!(
+                message.matches("invalid tracking configuration").count(),
+                1,
+                "{message}"
+            );
         }
     }
 
