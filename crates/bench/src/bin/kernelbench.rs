@@ -22,7 +22,8 @@
 //! [`sdvbs_trace::nearest_rank`] — the statistic perfbench and the serve
 //! load generator use — so a cell shows its spread beside its level and a
 //! change smaller than the quartile band reads as noise, not a gain.
-//! Mpixel/s comes from the median.
+//! Mpixel/s comes from the median. The first line names the vector ISA
+//! the binary was compiled for ([`SystemInfo::simd`]).
 
 use sdvbs_disparity::{try_compute_disparity, DisparityConfig};
 use sdvbs_exec::ExecPolicy;
@@ -33,7 +34,7 @@ use sdvbs_kernels::features::harris_response;
 use sdvbs_kernels::gradient::{gradient_x, gradient_y};
 use sdvbs_kernels::integral::{area_sum, IntegralImage};
 use sdvbs_matrix::{lanczos_deflated, Matrix};
-use sdvbs_profile::Profiler;
+use sdvbs_profile::{Profiler, SystemInfo};
 use sdvbs_segmentation::{adjacency_matrix_with, filter_bank_features};
 use sdvbs_sift::{try_detect_and_describe, ScaleSpace, SiftConfig};
 use sdvbs_synth::{
@@ -93,6 +94,9 @@ fn main() {
             other => panic!("unknown flag {other:?}"),
         }
     }
+    // The same code runs at different speeds when built for a wider
+    // vector ISA, so a table names the one it was compiled for.
+    println!("vector ISA: {} (compiled for)", SystemInfo::collect().simd);
     println!(
         "{:<30} {:>8} {:>12} {:>12} {:>12} {:>14}",
         "kernel", "size", "p25 (us)", "median (us)", "p75 (us)", "Mpixel/s"

@@ -18,6 +18,12 @@ pub struct SystemInfo {
     pub logical_cpus: usize,
     /// Total memory in MiB, when discoverable.
     pub memory_mib: Option<u64>,
+    /// The widest vector ISA this build was compiled for, not what the
+    /// processor supports (one CPU can run an `sse2` and an `avx2` build
+    /// of the same code): the widest of `avx512f`, `avx2`, `avx` and
+    /// `sse2` that `cfg!(target_feature = ...)` reports, or the
+    /// architecture name (`std::env::consts::ARCH`) off x86.
+    pub simd: String,
 }
 
 impl SystemInfo {
@@ -52,7 +58,23 @@ impl SystemInfo {
             cpu,
             logical_cpus,
             memory_mib,
+            simd: compiled_simd().to_string(),
         }
+    }
+}
+
+/// See [`SystemInfo::simd`].
+fn compiled_simd() -> &'static str {
+    if cfg!(target_feature = "avx512f") {
+        "avx512f"
+    } else if cfg!(target_feature = "avx2") {
+        "avx2"
+    } else if cfg!(target_feature = "avx") {
+        "avx"
+    } else if cfg!(target_feature = "sse2") {
+        "sse2"
+    } else {
+        std::env::consts::ARCH
     }
 }
 
@@ -65,9 +87,10 @@ impl fmt::Display for SystemInfo {
             self.cpu, self.logical_cpus
         )?;
         match self.memory_mib {
-            Some(m) => writeln!(f, "Memory           : {m} MiB"),
-            None => writeln!(f, "Memory           : unknown"),
+            Some(m) => writeln!(f, "Memory           : {m} MiB")?,
+            None => writeln!(f, "Memory           : unknown")?,
         }
+        writeln!(f, "Vector ISA       : {} (compiled for)", self.simd)
     }
 }
 
@@ -81,6 +104,12 @@ mod tests {
         assert!(!info.os.is_empty());
         assert!(!info.cpu.is_empty());
         assert!(info.logical_cpus >= 1);
+        if cfg!(target_arch = "x86_64") {
+            // x86-64 guarantees SSE2, so the answer is always a vector ISA.
+            assert!(["avx512f", "avx2", "avx", "sse2"].contains(&info.simd.as_str()));
+        } else if !cfg!(target_arch = "x86") {
+            assert_eq!(info.simd, std::env::consts::ARCH);
+        }
     }
 
     #[test]
@@ -90,10 +119,12 @@ mod tests {
             cpu: "TestCPU".into(),
             logical_cpus: 4,
             memory_mib: Some(2048),
+            simd: "avx2".into(),
         };
         let s = info.to_string();
         assert!(s.contains("TestOS"));
         assert!(s.contains("TestCPU"));
         assert!(s.contains("2048 MiB"));
+        assert!(s.contains("Vector ISA       : avx2 (compiled for)"));
     }
 }

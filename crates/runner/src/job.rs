@@ -249,6 +249,10 @@ pub struct HostMeta {
     pub cpu: String,
     /// Logical CPU count.
     pub logical_cpus: usize,
+    /// The vector ISA the measuring build was compiled for
+    /// ([`SystemInfo::simd`]); `"unrecorded"` in a record written before
+    /// the field existed.
+    pub simd: String,
 }
 
 impl HostMeta {
@@ -259,6 +263,7 @@ impl HostMeta {
             os: info.os,
             cpu: info.cpu,
             logical_cpus: info.logical_cpus,
+            simd: info.simd,
         }
     }
 }
@@ -363,6 +368,7 @@ impl RunRecord {
                 "logical_cpus".into(),
                 Value::Num(self.host.logical_cpus as f64),
             ),
+            ("simd".into(), Value::Str(self.host.simd.clone())),
         ]);
         Value::Obj(vec![
             ("kind".into(), Value::Str("run".into())),
@@ -548,6 +554,11 @@ impl RunRecord {
                     .get("logical_cpus")
                     .and_then(Value::as_u64)
                     .unwrap_or(1) as usize,
+                simd: host
+                    .get("simd")
+                    .and_then(Value::as_str)
+                    .unwrap_or("unrecorded")
+                    .to_string(),
             },
         })
     }
@@ -587,6 +598,7 @@ mod tests {
                 os: "TestOS".into(),
                 cpu: "TestCPU".into(),
                 logical_cpus: 4,
+                simd: "avx2".into(),
             },
             attempts: 2,
             injected: vec!["nan".into()],
@@ -600,6 +612,20 @@ mod tests {
         let line = rec.to_json_line();
         assert!(!line.contains('\n'));
         assert_eq!(RunRecord::from_json_line(&line).unwrap(), rec);
+    }
+
+    #[test]
+    fn host_simd_roundtrips_and_defaults_when_absent() {
+        let rec = sample_record();
+        let line = rec.to_json_line();
+        assert_eq!(RunRecord::from_json_line(&line).unwrap().host.simd, "avx2");
+
+        // A record written before the field existed.
+        let old = line.replace(r#","simd":"avx2""#, "");
+        assert!(!old.contains("simd"));
+        let mut expected = rec;
+        expected.host.simd = "unrecorded".into();
+        assert_eq!(RunRecord::from_json_line(&old).unwrap(), expected);
     }
 
     #[test]

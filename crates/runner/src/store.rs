@@ -253,6 +253,7 @@ mod tests {
                 os: "t".into(),
                 cpu: "t".into(),
                 logical_cpus: 1,
+                simd: "sse2".into(),
             },
             attempts: 1,
             injected: Vec::new(),
@@ -264,6 +265,14 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("sdvbs-runner-store-{name}-{}", std::process::id()));
         p
+    }
+
+    #[test]
+    fn committed_smoke_baseline_parses_with_unrecorded_simd() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/smoke.jsonl");
+        let records = read_records(&path).unwrap();
+        assert_eq!(records.len(), 9);
+        assert!(records.iter().all(|r| r.host.simd == "unrecorded"));
     }
 
     #[test]

@@ -229,6 +229,7 @@ mod tests {
                 os: "t".into(),
                 cpu: "t".into(),
                 logical_cpus: 1,
+                simd: "sse2".into(),
             },
             attempts: 1,
             injected: Vec::new(),

@@ -757,6 +757,7 @@ impl SimModel {
                 os: "sdvbs-sim".into(),
                 cpu: "virtual".into(),
                 logical_cpus: 1,
+                simd: "virtual".into(),
             },
             attempts: job.attempts.max(1),
             injected: Vec::new(),

@@ -293,7 +293,9 @@ struct NeighborhoodIndex {
 }
 
 /// Candidates per block of the distance sweep: sixteen `f64` sums are
-/// eight SSE2 registers, kept across every dimension of the block.
+/// four AVX2 (YMM) registers on the workspace's x86-64-v3 target, kept
+/// across every dimension of the block. Wider blocks were not measured
+/// on that target.
 const CANDIDATE_LANES: usize = 16;
 
 /// Harvests candidate neighborhoods (`Analysis` kernel) and builds the

@@ -80,6 +80,7 @@ fn record(seed: u64, ms: f64, quarantined: bool) -> RunRecord {
             os: "wire-test-os".into(),
             cpu: "wire-test-cpu".into(),
             logical_cpus: 8,
+            simd: "sse2".into(),
         },
         attempts: 1 + (seed % 3) as u32,
         injected: if seed.is_multiple_of(3) {
